@@ -58,6 +58,56 @@ from repro.tradeoff.selection import SelectionResult, keep_all_rules, select_rul
 from repro.util.counters import Counters
 
 
+def online_phase(cqap: CQAP, executor: TwoPhaseExecutor,
+                 steps: Sequence[CompiledOnlineStep],
+                 yannakakis: Sequence[OnlineYannakakis], q_a: Relation,
+                 counters: Counters) -> Relation:
+    """The paper's online phase for one access request relation ``Q_A``.
+
+    One compiled T-phase pass over ``steps``, the T-targets unioned into
+    each PMTD's T-views, Online Yannakakis per PMTD, and the union of the
+    per-PMTD ``ψ_i`` projected onto the head.  This is the only online
+    phase in the package: :meth:`CQAPIndex.answer` runs it over the whole
+    index and every serving shard (:class:`~repro.serving.sharding.
+    ShardExecutor`) over its slice.  It reads the structures it is handed
+    and charges ``counters``; it has no other side effect.
+    """
+    t_targets = executor.online_compiled(steps, q_a, counters=counters)
+    head = tuple(cqap.head)
+    out_rows: set = set()
+    for oy in yannakakis:
+        t_views = CQAPIndex._assemble_views(oy.pmtd.t_views, t_targets)
+        psi = oy.answer(q_a, t_views, counters=counters)
+        if set(psi.schema) == set(head):
+            out_rows |= psi.project(head, counters=counters).tuples
+        elif psi.schema == ():
+            # Boolean ψ (empty head)
+            out_rows |= psi.tuples
+    return Relation(f"{cqap.name}_answer", head, out_rows)
+
+
+def split_by_binding(batched: Relation, access: Tuple[str, ...],
+                     group: Sequence[tuple]) -> Dict[tuple, Relation]:
+    """Split one group's batched answer back into per-binding relations.
+
+    Every batched caller — ``PreparedQuery.probe_many`` and the shard
+    executors, in the parent or inside a fleet worker — splits through
+    here, so a binding's answer relation is constructed identically
+    wherever the online phase ran.
+    """
+    if not access:
+        # the only possible binding is (): the whole answer is its rows
+        return {key: batched for key in group}
+    access_pos = tuple(batched.schema.index(v) for v in access)
+    by_key: Dict[tuple, set] = {}
+    for row in batched.tuples:
+        by_key.setdefault(tuple(row[p] for p in access_pos), set()).add(row)
+    return {
+        key: Relation(batched.name, batched.schema, by_key.get(key, ()))
+        for key in group
+    }
+
+
 @dataclass
 class IndexStats:
     """Space/answering accounting for a preprocessed index."""
@@ -65,7 +115,6 @@ class IndexStats:
     stored_tuples: int = 0
     s_view_tuples: Dict[str, int] = field(default_factory=dict)
     preprocess_counters: Dict = field(default_factory=dict)
-    last_answer_counters: Dict = field(default_factory=dict)
     plans: List[str] = field(default_factory=list)
     #: rule-selection summary (mode, chosen rules, estimated space/time)
     selection: Dict = field(default_factory=dict)
@@ -412,23 +461,10 @@ class CQAPIndex:
         """Return the access CQ's output for ``request`` (tuple(s) or Relation)."""
         if not self._ready:
             raise RuntimeError("call preprocess() before answer()")
-        ctr = counters or Counters()
-        q_a = self._normalize_request(request)
-        t_targets = self.executor.online_compiled(
-            self._compiled_online, q_a, counters=ctr
-        )
-        out_rows: set = set()
-        head = tuple(self.cqap.head)
-        for oy in self._yannakakis:
-            t_views = self._assemble_views(oy.pmtd.t_views, t_targets)
-            psi = oy.answer(q_a, t_views, counters=ctr)
-            if set(psi.schema) == set(head):
-                out_rows |= psi.project(head, counters=ctr).tuples
-            elif psi.schema == ():
-                # Boolean ψ (empty head)
-                out_rows |= psi.tuples
-        self.stats.last_answer_counters = ctr.snapshot()
-        return Relation(f"{self.cqap.name}_answer", head, out_rows)
+        return online_phase(self.cqap, self.executor, self._compiled_online,
+                            self._yannakakis,
+                            self._normalize_request(request),
+                            counters or Counters())
 
     def answer_boolean(self, request,
                        counters: Optional[Counters] = None) -> bool:

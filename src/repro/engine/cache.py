@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Optional
 
 
 class LRUCache:
@@ -86,10 +86,23 @@ class LRUCache:
             self.invalidations += 1
             return True
 
-    def clear(self) -> None:
-        """Drop every entry; counters are preserved."""
+    def clear(self) -> int:
+        """Drop every entry (counters are preserved); returns how many."""
         with self._lock:
+            dropped = len(self._entries)
             self._entries.clear()
+            return dropped
+
+    def evict(self, affected_keys: Optional[Iterable[Hashable]]) -> int:
+        """Drop what one index delta made stale; returns the drop count.
+
+        ``affected_keys`` is :attr:`repro.updates.UpdateEvent.
+        affected_keys`: the exact stale keys, or ``None`` for the
+        conservative "anything may have moved" flush.
+        """
+        if affected_keys is None:
+            return self.clear()
+        return sum(self.invalidate(key) for key in affected_keys)
 
     @property
     def hit_rate(self) -> float:

@@ -23,7 +23,7 @@ import threading
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.index import CQAPIndex
+from repro.core.index import CQAPIndex, split_by_binding
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine.cache import LRUCache
@@ -51,8 +51,10 @@ def prepare(cqap: CQAP, db: Database, space_budget: float,
 
     ``backend`` picks the relation execution backend for the prepared
     state: ``"set"`` (the row-at-a-time baseline) or ``"columnar"``
-    (batch kernels over dict-of-columns caches — same answers, several
-    times faster on the warm uncached probe path).  Both serve through
+    (batch kernels over dict-of-columns caches — same answers and the
+    same intrinsic work; on the warm uncached probe path it measures
+    *slower* than ``"set"``, 1427 vs 1867 probes/s in
+    ``BENCH_engine.json``).  Both serve through
     either ``serve()`` backend; columnar payloads pickle to the process
     fleet like any relation (caches are rebuilt worker-side).
 
@@ -205,20 +207,13 @@ class PreparedQuery:
                 total_work = ctr.delta_since(base).online_work
             with self._stats_lock:
                 self.online_phases += 1
-            access_pos = tuple(batched.schema.index(v)
-                               for v in self.cqap.access)
-            by_key: Dict[Binding, set] = {}
-            for row in batched.tuples:
-                by_key.setdefault(
-                    tuple(row[p] for p in access_pos), set()
-                ).add(row)
             cache_answers = self.cache.capacity > 0
-            for key in missing:
-                rows = frozenset(by_key.get(key, ()))
+            for key, answer in split_by_binding(
+                    batched, tuple(self.cqap.access), missing).items():
                 if cache_answers:
-                    self.cache.put(key, (batched.schema, rows))
-                results[key] = Relation(f"{self.cqap.name}_answer",
-                                        batched.schema, rows)
+                    self.cache.put(key, (answer.schema,
+                                         frozenset(answer.tuples)))
+                results[key] = answer
         if observe:
             # one observation per *incoming* binding, matching the
             # probes_served contract: duplicates route as "dedupe", hits
@@ -270,18 +265,10 @@ class PreparedQuery:
         """
         if not event.changed:
             return
+        dropped = self.cache.evict(event.affected_keys)
         with self._stats_lock:
             self.updates_seen += 1
-        if event.affected_keys is None:
-            self.cache.clear()
-        else:
-            dropped = 0
-            for key in event.affected_keys:
-                if self.cache.invalidate(key):
-                    dropped += 1
-            if dropped:
-                with self._stats_lock:
-                    self.keys_invalidated += dropped
+            self.keys_invalidated += dropped
         if event.reselected:
             with self._stats_lock:
                 self.plan_calls_at_prepare = self._index.planner.plan_calls

@@ -3,11 +3,20 @@
 The serving stack, bottom to top::
 
     repro.prepare(cqap, db, budget, shards=N)   # plan once, priced per shard
-      └─ shard backend                          # hash-partition S-views
-           ├─ ShardedIndex     backend="thread" (in-process, GIL-bound)
-           └─ ProcessShardFleet backend="process" (one worker per shard)
-         └─ BatchScheduler     # dedupe + shard-group + backend dispatch
-              └─ Server        # stream facade: backpressure + stats
+      └─ ShardExecutor      # one shard's steps + S-views + online phase
+           └─ ShardBackend  # routing, delta routing, ledgers, stats; two
+              │             # transports over the same executor:
+              ├─ ShardedIndex      backend="thread": in-process, direct
+              │                    calls, a batch's groups answered in order
+              └─ ProcessShardFleet backend="process": the same executor
+                                   behind pickle, one worker per shard
+              └─ BatchScheduler    # dedupe + answer cache + shard groups
+                   └─ Server       # stream facade: backpressure + stats
+
+``serve()`` takes exactly five keywords — ``backend``, ``shards``,
+``batch_size``, ``max_pending_batches``, ``cache_size`` — and there is
+nothing else to tune: how a batch's groups are dispatched follows from
+the transport.
 
 Because every S-view that serves probes is keyed by the access-variable
 binding, partitioning the stored side by a hash of that binding commutes
@@ -39,8 +48,9 @@ from repro.serving.batching import BatchScheduler
 from repro.serving.fleet import FleetError, ProcessShardFleet
 from repro.serving.server import Server
 from repro.serving.sharding import (
+    ShardBackend,
     ShardedIndex,
-    ShardState,
+    ShardExecutor,
     access_hash,
     partition_prefixes,
     shard_payloads,
@@ -57,7 +67,8 @@ __all__ = [
     "ProcessShardFleet",
     "STATS_SCHEMA_VERSION",
     "Server",
-    "ShardState",
+    "ShardBackend",
+    "ShardExecutor",
     "ShardedIndex",
     "access_hash",
     "partition_prefixes",

@@ -8,14 +8,16 @@ The redesigned API splits serving into exactly two calls::
         for binding, answer in server.serve(stream):
             ...
 
-``backend="thread"`` shards inside the calling process (the PR 5
-prototype: cheap, GIL-bound); ``backend="process"`` runs the
-:class:`~repro.serving.fleet.ProcessShardFleet`, one worker process per
-shard.  The two are drop-in interchangeable — same answers for every
-shard count (the differential harness checks both paths bit-identically
-against the oracle), same :class:`~repro.serving.server.Server` protocol,
-same stats envelope — so migrating a thread deployment to processes is
-exactly the ``backend=`` argument.
+``backend="thread"`` serves every shard inside the calling process, one
+group after the other (the in-process reference: cheap, GIL-bound);
+``backend="process"`` runs the :class:`~repro.serving.fleet.
+ProcessShardFleet`, the same shard executor behind pickle in one worker
+process per shard.  The two are drop-in interchangeable — same answers
+and the same intrinsic work for every shard count (the differential
+harness checks both paths bit-identically against the oracle), same
+:class:`~repro.serving.server.Server` protocol, same stats envelope — so
+migrating a thread deployment to processes is exactly the ``backend=``
+argument.
 
 Passing ``shards=N`` to :func:`repro.prepare` as well makes the space
 budget honest per worker: rule selection then prices each shard's
@@ -25,15 +27,13 @@ against ``space_budget / N``.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.index import CQAPIndex
 from repro.serving.fleet import ProcessShardFleet
 from repro.serving.server import Server
-from repro.serving.sharding import ShardedIndex
+from repro.serving.sharding import ShardBackend, ShardedIndex
 
-#: the valid ``backend=`` arguments, in preference order for docs
-BACKENDS = ("thread", "process")
+#: the valid ``backend=`` arguments and the transport each one builds
+BACKENDS = {"thread": ShardedIndex, "process": ProcessShardFleet}
 
 
 def _coerce_index(prepared) -> CQAPIndex:
@@ -50,48 +50,35 @@ def _coerce_index(prepared) -> CQAPIndex:
 
 def serve(prepared, *, backend: str = "thread", shards: int = 4,
           batch_size: int = 32, max_pending_batches: int = 4,
-          cache_size: int = 256, max_workers: Optional[int] = None,
-          inline_threshold: int = 16,
-          mp_context: Optional[str] = None) -> Server:
+          cache_size: int = 256) -> Server:
     """Front a prepared query with a shard backend; returns a Server.
 
     Keyword-only configuration; the backend choice is the *only* thing
     that changes between a thread and a process deployment:
 
-    * ``backend`` — ``"thread"`` (in-process shards) or ``"process"``
-      (one worker process per shard, the fleet); an already-built
-      backend *instance* (anything with ``answer_group``) is also
-      accepted and merely fronted — the server then does **not** own it
-      and ``shards``/``mp_context`` are ignored;
+    * ``backend`` — ``"thread"`` (in-process shards, groups answered in
+      order) or ``"process"`` (one worker process per shard, the fleet);
+      an already-built :class:`~repro.serving.sharding.ShardBackend`
+      *instance* is also accepted and merely fronted — the server then
+      does **not** own it and ``shards`` is ignored;
     * ``shards`` — shard count; answers are identical for every value;
     * ``batch_size`` / ``max_pending_batches`` — stream batching and the
       backpressure window, see :meth:`Server.serve`;
-    * ``cache_size`` — the scheduler's LRU answer cache;
-    * ``max_workers`` / ``inline_threshold`` — thread-backend dispatch
-      tuning (ignored by the process backend, which always keeps its
-      groups in flight);
-    * ``mp_context`` — multiprocessing start method override for the
-      process backend (default: fork where available).
+    * ``cache_size`` — the scheduler's LRU answer cache.
 
     The returned server *owns* its backend: closing it (or leaving the
     ``with`` block) tears the backend down too — for the process backend
     that reaps the worker processes.
     """
-    if not isinstance(backend, str) and hasattr(backend, "answer_group"):
+    if isinstance(backend, ShardBackend):
         shard_backend, owns = backend, False
+    elif backend in BACKENDS:
+        shard_backend = BACKENDS[backend](_coerce_index(prepared),
+                                          n_shards=shards)
+        owns = True
     else:
-        index = _coerce_index(prepared)
-        if backend == "thread":
-            shard_backend, owns = ShardedIndex(index, n_shards=shards), True
-        elif backend == "process":
-            shard_backend = ProcessShardFleet(index, n_shards=shards,
-                                              mp_context=mp_context)
-            owns = True
-        else:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {backend!r}")
+        raise ValueError(
+            f"backend must be one of {tuple(BACKENDS)}, got {backend!r}")
     return Server(shard_backend, batch_size=batch_size,
                   max_pending_batches=max_pending_batches,
-                  cache_size=cache_size, max_workers=max_workers,
-                  inline_threshold=inline_threshold,
-                  owns_backend=owns)
+                  cache_size=cache_size, owns_backend=owns)

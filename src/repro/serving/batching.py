@@ -15,25 +15,22 @@ scheduler exploits both:
   the engine-wide mutation contract;
 * **shard grouping last** — the remaining misses are grouped by home
   shard and each group is answered in *one* online phase on its shard.
-  Dispatch is backend-agnostic: a backend exposing ``submit_group``
-  (the process fleet) gets every group submitted up front so the worker
-  processes run them genuinely in parallel; otherwise (the in-process
-  thread backend) groups fan out on the scheduler's own thread pool, at
-  most one in-flight task per shard so shard state stays single-writer.
+  How the groups of a batch are dispatched is the backend's business
+  (:meth:`~repro.serving.sharding.ShardBackend.answer_groups`): the
+  in-process transport answers them in order on this thread, the process
+  fleet submits them all up front so its workers run in parallel.
   Results are reassembled in input order either way.
 
-The scheduler owns its thread pool lazily; ``close()`` (or use as a
-context manager) releases the threads.  It never owns the backend —
-:class:`~repro.serving.server.Server` (via :func:`~repro.serving.serve`)
-manages backend lifecycle.
+The scheduler never owns the backend — :class:`~repro.serving.server.
+Server` (via :func:`~repro.serving.serve`) manages backend lifecycle;
+``close()`` (or use as a context manager) only takes the scheduler off
+the index's delta feed.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.data.relation import Relation
@@ -41,43 +38,23 @@ from repro.engine.cache import LRUCache
 from repro.obs import metrics_section, record_probe
 from repro.obs.registry import REGISTRY
 from repro.obs.trace import STATE as _OBS, TRACER
-from repro.serving.sharding import Binding, merge_counters
+from repro.serving.sharding import Binding, ShardBackend
 from repro.serving.stats import stats_envelope
 from repro.util.counters import Counters
 
 
 class BatchScheduler:
-    """Dedupes, shard-groups and concurrently executes probe batches.
+    """Dedupes, shard-groups and executes probe batches over a backend.
 
-    ``backend`` is any object honoring the shard-backend contract
+    ``backend`` is a :class:`~repro.serving.sharding.ShardBackend`
     (:class:`~repro.serving.sharding.ShardedIndex` or
-    :class:`~repro.serving.fleet.ProcessShardFleet`): ``normalize``,
-    ``shard_of``, ``n_shards``, ``answer_group(shard_id, group)`` and
-    optionally an asynchronous ``submit_group``.
-
-    ``inline_threshold`` is the thread-backend dispatch policy: when a
-    batch's total miss count is below it, the shard groups run inline
-    (sequentially) instead of on the pool — on hot streams the
-    steady-state miss trickle is one or two bindings per batch, where
-    thread dispatch would cost more than the online phases themselves.
-    Large miss sets (cold caches, uniform streams) still fan out
-    concurrently.  A ``submit_group`` backend pays IPC per group whether
-    or not the parent waits, so its groups are always submitted up front.
+    :class:`~repro.serving.fleet.ProcessShardFleet`); the scheduler uses
+    its ``normalize``, ``shard_of`` and ``answer_groups``.
     """
 
-    def __init__(self, backend, cache_size: int = 256,
-                 max_workers: Optional[int] = None,
-                 inline_threshold: int = 16) -> None:
-        self.backend_obj = backend
-        #: legacy alias from when the only backend was ShardedIndex
-        self.sharded = backend
+    def __init__(self, backend: ShardBackend, cache_size: int = 256) -> None:
+        self.backend = backend
         self.cache = LRUCache(cache_size)
-        self.inline_threshold = inline_threshold
-        self.max_workers = max_workers or max(
-            1, min(backend.n_shards, (os.cpu_count() or 4)))
-        self._submit_group = getattr(backend, "submit_group", None)
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
         # stats counters are mutated from the serving loop *and* from the
         # index's delta feed (on_index_delta fires on whatever thread the
         # mutator runs on), so bumps must hold the stats lock — an
@@ -91,11 +68,8 @@ class BatchScheduler:
         self.updates_seen = 0
         self.keys_invalidated = 0
         # subscribe the answer cache to the backing index's delta feed so
-        # a mutation surgically evicts exactly the stale keys (both shard
-        # backends expose the index they front)
-        index = getattr(backend, "index", None)
-        if index is not None and hasattr(index, "register_delta_listener"):
-            index.register_delta_listener(self)
+        # a mutation surgically evicts exactly the stale keys
+        backend.index.register_delta_listener(self)
 
     # ------------------------------------------------------------------
     # incremental updates (repro.updates delta events)
@@ -110,37 +84,18 @@ class BatchScheduler:
         """
         if not event.changed:
             return
+        dropped = self.cache.evict(event.affected_keys)
         with self._stats_lock:
             self.updates_seen += 1
-        if event.affected_keys is None:
-            self.cache.clear()
-            return
-        invalidated = 0
-        for key in event.affected_keys:
-            if self.cache.invalidate(key):
-                invalidated += 1
-        if invalidated:
-            with self._stats_lock:
-                self.keys_invalidated += invalidated
-
-    # ------------------------------------------------------------------
-    # pool lifecycle
-    # ------------------------------------------------------------------
-    def _pool_handle(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="repro-shard",
-                )
-            return self._pool
+            self.keys_invalidated += dropped
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
+        """Leave the index's delta feed (idempotent).
+
+        A closed scheduler that is still referenced must not keep paying
+        eviction work on every ``apply_delta``.
+        """
+        self.backend.index.unregister_delta_listener(self)
 
     def __enter__(self) -> "BatchScheduler":
         return self
@@ -171,7 +126,7 @@ class BatchScheduler:
         — on hot streams the normalization is a measurable slice of the
         per-probe cost.
         """
-        backend = self.backend_obj
+        backend = self.backend
         observe = _OBS.enabled
         start = time.perf_counter() if observe else 0.0
         span = TRACER.start_span("scheduler.batch") if observe else None
@@ -196,52 +151,17 @@ class BatchScheduler:
             self.probes_in += len(keys)
             self.unique_probes += len(unique)
             self.cache_served += hits
-        missing = sum(len(group) for group in groups.values())
-        # propagate the trace context to backends that understand it (the
-        # process fleet rides it over the pickle boundary; the thread
-        # backend stamps in-process child spans)
-        ctx = (span.trace_id, span.span_id) if observe and getattr(
-            backend, "supports_trace_ctx", False) else None
+        # the trace context rides down to the shard executors (over the
+        # pickle boundary, for the process fleet)
+        ctx = (span.trace_id, span.span_id) if observe else None
         ordered = sorted(groups.items())
         dispatch_start = time.perf_counter() if observe else 0.0
-        if self._submit_group is not None and groups:
-            # process backend: submit every group before collecting any
-            # result, so the worker processes overlap
-            if ctx is not None:
-                futures = [self._submit_group(shard_id, group,
-                                              trace_ctx=ctx)
-                           for shard_id, group in ordered]
-            else:
-                futures = [self._submit_group(shard_id, group)
-                           for shard_id, group in ordered]
-            parts = [future.result() for future in futures]
-        elif len(groups) <= 1 or missing < self.inline_threshold:
-            # one home shard, or too few misses to be worth dispatching
-            if ctx is not None:
-                parts = [backend.answer_group(shard_id, group,
-                                              trace_ctx=ctx)
-                         for shard_id, group in ordered]
-            else:
-                parts = [backend.answer_group(shard_id, group)
-                         for shard_id, group in ordered]
-        else:
-            pool = self._pool_handle()
-            if ctx is not None:
-                parts = list(pool.map(
-                    lambda item: backend.answer_group(item[0], item[1],
-                                                      trace_ctx=ctx),
-                    ordered,
-                ))
-            else:
-                parts = list(pool.map(
-                    lambda item: backend.answer_group(item[0], item[1]),
-                    ordered,
-                ))
+        parts = backend.answer_groups(ordered, trace_ctx=ctx)
         with self._stats_lock:
             self.shard_phases += len(groups)
         for answered, ctr in parts:
             if counters is not None:
-                merge_counters(counters, ctr)
+                counters += ctr
             for key, relation in answered.items():
                 results[key] = relation
                 self.cache.put(key, relation)
@@ -254,8 +174,7 @@ class BatchScheduler:
     def _record_batch(self, span, keys, hit_keys, ordered, parts,
                       dispatch_seconds: float, elapsed: float) -> None:
         """Publish one batch's spans, per-probe observations, counters."""
-        backend = self.backend_obj
-        shard_states = getattr(backend, "shards", None)
+        ledgers = self.backend.shards
         route_of: Dict[Binding, Tuple[float, int]] = {}
         total_work = 0
         for (shard_id, group), (_answered, ctr) in zip(ordered, parts):
@@ -279,8 +198,7 @@ class BatchScheduler:
             else:
                 amortized, shard = route_of[key]
                 route, work = "shard", amortized
-                if shard_states is not None:
-                    pid = getattr(shard_states[shard], "pid", None)
+                pid = ledgers[shard].pid
             seen.add(key)
             record_probe(key, route, work, elapsed, shard=shard,
                          pid=pid, trace_id=span.trace_id)
@@ -314,8 +232,6 @@ class BatchScheduler:
             "cache_served": self.cache_served,
             "shard_phases": self.shard_phases,
             "dedupe_ratio": self.dedupe_ratio,
-            "max_workers": self.max_workers,
-            "native_dispatch": self._submit_group is not None,
             "cache": self.cache.snapshot(),
             "updates_seen": self.updates_seen,
             "keys_invalidated": self.keys_invalidated,
@@ -323,14 +239,12 @@ class BatchScheduler:
 
     def stats(self) -> Dict:
         """Versioned stats envelope (scheduler + backend shard sections)."""
-        backend = self.backend_obj
-        shard_sections = getattr(backend, "shard_sections", None)
-        updates_section = getattr(backend, "updates_section", None)
+        backend = self.backend
         return stats_envelope(
             query=backend.cqap.name,
-            backend=getattr(backend, "backend", None),
+            backend=backend.backend,
             scheduler=self.scheduler_section(),
-            updates=updates_section() if updates_section else None,
+            updates=backend.updates_section(),
             metrics=metrics_section(),
-            shards=shard_sections() if shard_sections else (),
+            shards=backend.shard_sections(),
         )

@@ -1,9 +1,9 @@
 """The process-parallel shard fleet: one worker process per shard.
 
-:class:`ShardedIndex` proved the access-hash partitioning semantics but
-serves every shard inside one interpreter, so under the GIL shards compete
-for the same core and throughput *falls* with the shard count.  The fleet
-gives each shard its own process:
+:class:`~repro.serving.sharding.ShardedIndex` serves every shard's
+:class:`~repro.serving.sharding.ShardExecutor` inside one interpreter, so
+under the GIL shards compete for the same core.  The fleet is the other
+transport over the same executor — it gives each shard its own process:
 
 * :func:`~repro.serving.sharding.shard_payloads` builds one picklable
   payload per shard — CQAP, compiled T-phase steps, and the shard's raw
@@ -13,20 +13,17 @@ gives each shard its own process:
   :class:`~concurrent.futures.ProcessPoolExecutor`, so a shard's state
   lives in exactly one process for the fleet's lifetime (shard→process
   affinity — resubmissions hit warm per-shard hash indexes);
-* the worker's initializer runs the *shard-aware preprocessing*: it
-  rebuilds the per-PMTD Online-Yannakakis state — semijoin reduction and
-  hash-index warm-up — from its own partition slice, inside its own
-  process and sized by its own ``budget_split`` share, instead of
-  inheriting a parent-side global build;
-* probe groups are submitted per shard and answered entirely in-worker
-  (one compiled T-phase pass + the per-PMTD OY passes, split back per
-  binding); only the answer rows cross the process boundary.
+* the worker's initializer builds the shard's executor from the payload,
+  so the *shard-aware preprocessing* — semijoin reduction and hash-index
+  warm-up against its own partition slice — runs inside its own process
+  instead of being inherited from a parent-side global build;
+* probe groups are submitted per shard and answered entirely in-worker;
+  only the answer rows cross the process boundary.
 
-Shard routing stays parent-side and uses the same
-:func:`~repro.serving.sharding.access_hash` as the thread backend —
-``stable_hash`` is process-stable, so both backends and every shard count
-route identically (the ``serving_process`` differential path asserts the
-answers bit-identical).
+Shard routing stays parent-side, in the shared :class:`~repro.serving.
+sharding.ShardBackend` — ``stable_hash`` is process-stable, so both
+transports and every shard count route identically (the
+``serving_process`` differential path asserts the answers bit-identical).
 
 Failure contract: a dead worker (crash, OOM-kill) surfaces as
 :class:`FleetError` on the *next* result, never as a hang; ``close()``
@@ -39,31 +36,20 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.index import CQAPIndex
-from repro.core.online_yannakakis import OnlineYannakakis
-from repro.core.two_phase import TwoPhaseExecutor
 from repro.data.relation import Relation
-from repro.obs import metrics_section
-from repro.obs.hist import WORK_BUCKETS, Histogram
-from repro.obs.registry import REGISTRY
-from repro.obs.trace import TRACER, new_id
-from repro.query.cq import normalize_access_binding
 from repro.serving.sharding import (
     Binding,
-    ShardPayload,
-    access_hash,
-    merge_counters,
-    partition_prefixes,
-    shard_payloads,
-    split_by_binding,
+    GroupAnswer,
+    ShardBackend,
+    ShardDelta,
+    ShardExecutor,
+    ViewRows,
 )
-from repro.serving.stats import stats_envelope
 from repro.util.counters import Counters
 
 
@@ -75,68 +61,18 @@ class FleetError(RuntimeError):
 # worker-side code: runs inside each shard's dedicated process
 # ----------------------------------------------------------------------
 
-#: per-process serving state, set once by :func:`_init_worker`
-_WORKER: Optional["_WorkerState"] = None
-
-
-@dataclass
-class _WorkerState:
-    shard_id: int
-    cqap: object
-    access: Tuple[str, ...]
-    head: Tuple[str, ...]
-    answer_name: str
-    steps: List
-    executor: TwoPhaseExecutor
-    yannakakis: List[OnlineYannakakis]
-    #: the payload's *raw* per-PMTD view dicts, retained past the initial
-    #: Yannakakis builds: a delta mutates these in place and rebuilds the
-    #: affected passes from them (the passes themselves snapshot
-    #: semijoin-reduced views, so they cannot be patched)
-    pmtds: List
-    pmtd_views: List[Dict]
-    preprocess_seconds: float
-    probes_served: int = 0
-    online_phases: int = 0
-    counters: Counters = field(default_factory=Counters)
+#: this process's shard executor, set once by :func:`_init_worker`
+_WORKER: Optional[ShardExecutor] = None
 
 
 def _init_worker(payload_bytes: bytes) -> None:
-    """Unpickle the shard payload and run the shard's own preprocessing.
-
-    Building :class:`OnlineYannakakis` here — not in the parent — is what
-    makes the preprocessing shard-aware: the semijoin reductions and
-    hash-index warm-ups run against this shard's partition slices, in this
-    process, so the warm serving state never crosses a process boundary.
-    """
+    """Unpickle the shard payload and build the shard's executor from it."""
     global _WORKER
-    t0 = time.process_time()
-    payload: ShardPayload = pickle.loads(payload_bytes)
-    cqap = payload.cqap
-    yannakakis = [
-        OnlineYannakakis(pmtd, views)
-        for pmtd, views in zip(payload.pmtds, payload.pmtd_views)
-    ]
-    _WORKER = _WorkerState(
-        shard_id=payload.shard_id,
-        cqap=cqap,
-        access=tuple(cqap.access),
-        head=tuple(cqap.head),
-        answer_name=f"{cqap.name}_answer",
-        steps=payload.steps,
-        executor=TwoPhaseExecutor(
-            cqap, budget_slack=payload.budget_slack,
-            relation_backend=payload.relation_backend,
-        ),
-        yannakakis=yannakakis,
-        pmtds=list(payload.pmtds),
-        pmtd_views=list(payload.pmtd_views),
-        preprocess_seconds=time.process_time() - t0,
-    )
+    _WORKER = ShardExecutor(pickle.loads(payload_bytes))
 
 
-def _worker_state() -> "_WorkerState":
-    """The process-local serving state, or a typed error before init."""
+def _worker() -> ShardExecutor:
+    """The process-local executor, or a typed error before init."""
     if _WORKER is None:
         raise FleetError("worker initializer did not run")
     return _WORKER
@@ -144,161 +80,27 @@ def _worker_state() -> "_WorkerState":
 
 def _worker_ping() -> Dict:
     """Warm-up probe: forces worker start-up, reports identity and cost."""
-    state = _worker_state()
-    return {
-        "shard": state.shard_id,
-        "pid": os.getpid(),
-        "preprocess_seconds": state.preprocess_seconds,
-    }
+    return {"pid": os.getpid(),
+            "preprocess_seconds": _worker().preprocess_seconds}
 
 
 def _serve_group(keys: Sequence[Binding],
                  trace_ctx: Optional[Tuple[str, str]] = None,
-                 ) -> Tuple[Tuple[str, ...], Dict[Binding, frozenset],
-                            Counters, float, Optional[Dict]]:
+                 ) -> Tuple[Dict[Binding, frozenset], Counters, float,
+                            Optional[Dict]]:
     """Answer one probe group in-worker; ships rows, counters, CPU time.
 
-    Mirrors :meth:`ShardedIndex.answer_on_shard` + the per-binding split,
-    but returns plain ``frozenset`` row sets instead of Relations — the
-    parent rebuilds Relations once, so no index caches ever cross back.
-
-    ``trace_ctx`` is the scheduler's (trace id, parent span id) pair,
-    riding the pickled submission; when present the worker additionally
-    ships an observability payload — its own child span (stamped with
-    this process's pid and CPU ``process_time``) and a group-local
-    intrinsic-work histogram the parent merges exactly into
-    ``repro_worker_probe_work``.
+    Ships plain ``frozenset`` row sets instead of Relations — the parent
+    rebuilds Relations once, so no index caches ever cross back.
     """
-    state = _worker_state()
-    t0 = time.process_time()
-    ctr = Counters()
-    q_a = Relation("Q_A", state.access, keys)
-    t_targets = state.executor.online_compiled(state.steps, q_a,
-                                               counters=ctr)
-    out_rows: set = set()
-    for oy in state.yannakakis:
-        t_views = CQAPIndex._assemble_views(oy.pmtd.t_views, t_targets)
-        psi = oy.answer(q_a, t_views, counters=ctr)
-        if set(psi.schema) == set(state.head):
-            out_rows |= psi.project(state.head, counters=ctr).tuples
-        elif psi.schema == ():
-            out_rows |= psi.tuples
-    batched = Relation(state.answer_name, state.head, out_rows)
-    per_key = {
-        key: frozenset(rel.tuples)
-        for key, rel in split_by_binding(batched, state.access,
-                                         keys).items()
-    }
-    state.probes_served += len(keys)
-    state.online_phases += 1
-    cpu = time.process_time() - t0
-    obs_payload: Optional[Dict] = None
-    if trace_ctx is not None:
-        trace_id, parent_id = trace_ctx
-        work_hist = Histogram(WORK_BUCKETS)
-        amortized = ctr.online_work / len(keys) if keys else 0.0
-        work_hist.record(amortized, n=len(keys))
-        obs_payload = {
-            "span": {
-                "name": "worker.serve_group",
-                "trace_id": trace_id,
-                "parent_id": parent_id,
-                "span_id": new_id("w"),
-                "duration": cpu,
-                "attrs": {"shard": state.shard_id, "pid": os.getpid(),
-                          "process_time": cpu, "n_keys": len(keys),
-                          "work": ctr.online_work},
-            },
-            "work_hist": work_hist,
-        }
-    return batched.schema, per_key, ctr, cpu, obs_payload
+    answers, ctr, cpu, obs_payload = _worker().serve_group(keys, trace_ctx)
+    return ({key: frozenset(rel.tuples) for key, rel in answers.items()},
+            ctr, cpu, obs_payload)
 
 
-@dataclass
-class _WorkerDelta:
-    """One routed delta message, parent → worker (picklable).
-
-    ``view_rows`` is already routed: for a partitioned target it carries
-    only the rows whose access-prefix hash lands on this shard; for a
-    replicated target every worker receives all rows.  ``step_slots``
-    indexes the worker's copy of the compiled T-phase steps (same list,
-    same order as the parent's — both came from one payload).
-    """
-
-    op: str
-    relation: str
-    row: tuple
-    step_slots: Tuple[int, ...]
-    #: (target variable set, added rows, removed rows) per touched S-view
-    view_rows: List[Tuple[frozenset, frozenset, frozenset]]
-
-
-def _apply_worker_delta(delta_bytes: bytes) -> Dict:
-    """Apply one routed delta to this worker's serving state.
-
-    Mirrors the parent-side maintenance on the worker's own copies: the
-    touched steps' piece relations take the row delta (once per distinct
-    tuple set — backend re-wraps share sets — with derived caches reset
-    on every member) and their probe plans recompile; the raw S-view
-    slices take their routed row deltas and the affected Online-
-    Yannakakis passes are rebuilt from them.
-    """
-    state = _worker_state()
-    delta: _WorkerDelta = pickle.loads(delta_bytes)
-    insert = delta.op == "insert"
-    rows_applied = 0
-    if delta.step_slots:
-        members = []
-        for slot in delta.step_slots:
-            step = state.steps[slot]
-            for atom, rel in zip(state.cqap.atoms, step.relations):
-                if atom.relation == delta.relation:
-                    members.append(rel)
-        seen: set = set()
-        for rel in members:
-            set_id = id(rel.tuples)
-            if set_id in seen:
-                rel.version += 1
-                rel._reset_derived()
-                continue
-            seen.add(set_id)
-            if insert:
-                rel._delta_add(delta.row)
-            else:
-                rel._delta_discard(delta.row)
-        for slot in delta.step_slots:
-            plan = state.steps[slot].plan
-            if plan is not None:
-                plan._compile()
-    changed_targets = {target for target, added, removed in delta.view_rows
-                       if added or removed}
-    if changed_targets:
-        seen = set()
-        for target, added, removed in delta.view_rows:
-            if not (added or removed):
-                continue
-            for views in state.pmtd_views:
-                for rel in views.values():
-                    if rel.variables != target:
-                        continue
-                    set_id = id(rel.tuples)
-                    if set_id in seen:
-                        rel.version += 1
-                        rel._reset_derived()
-                        continue
-                    seen.add(set_id)
-                    for r in added:
-                        if rel._delta_add(r):
-                            rows_applied += 1
-                    for r in removed:
-                        if rel._delta_discard(r):
-                            rows_applied += 1
-        for p, views in enumerate(state.pmtd_views):
-            if any(rel.variables in changed_targets
-                   for rel in views.values()):
-                state.yannakakis[p] = OnlineYannakakis(state.pmtds[p],
-                                                       views)
-    return {"shard": state.shard_id, "rows_applied": rows_applied}
+def _apply_worker_delta(delta_bytes: bytes) -> int:
+    """Apply one routed :class:`ShardDelta` to this worker's executor."""
+    return _worker().apply_delta(pickle.loads(delta_bytes))
 
 
 def _crash() -> None:
@@ -310,32 +112,6 @@ def _crash() -> None:
 # parent-side fleet
 # ----------------------------------------------------------------------
 
-@dataclass
-class FleetShardState:
-    """Parent-side ledger for one shard's worker process."""
-
-    shard_id: int
-    pid: Optional[int] = None
-    partitioned_tuples: int = 0
-    preprocess_seconds: float = 0.0
-    probes_served: int = 0
-    online_phases: int = 0
-    cpu_seconds: float = 0.0
-    counters: Counters = field(default_factory=Counters)
-
-    def snapshot(self) -> Dict:
-        return {
-            "shard": self.shard_id,
-            "pid": self.pid,
-            "partitioned_tuples": self.partitioned_tuples,
-            "preprocess_seconds": self.preprocess_seconds,
-            "probes_served": self.probes_served,
-            "online_phases": self.online_phases,
-            "cpu_seconds": self.cpu_seconds,
-            "counters": self.counters.snapshot(),
-        }
-
-
 class _FleetFuture:
     """A pending shard answer; ``result()`` translates worker failures."""
 
@@ -346,7 +122,7 @@ class _FleetFuture:
         self._keys = keys
         self._future = future
 
-    def result(self) -> Tuple[Dict[Binding, Relation], Counters]:
+    def result(self) -> GroupAnswer:
         return self._fleet._collect(self._shard_id, self._keys,
                                     self._future)
 
@@ -359,102 +135,54 @@ def _pick_context() -> multiprocessing.context.BaseContext:
         "fork" if "fork" in methods else "spawn")
 
 
-class ProcessShardFleet:
-    """Access-hash sharded serving with one worker process per shard.
+class ProcessShardFleet(ShardBackend):
+    """The process transport: one worker process per shard executor.
 
-    Implements the same backend contract as :class:`~repro.serving.
-    sharding.ShardedIndex` — ``normalize`` / ``shard_of`` / ``n_shards`` /
-    ``answer_group`` / ``close`` / the stats sections — plus the native
-    asynchronous ``submit_group`` the scheduler prefers, so the two
-    backends are drop-in interchangeable behind ``serve(backend=...)``.
+    Everything but the transport is :class:`~repro.serving.sharding.
+    ShardBackend`'s; this class pickles payloads, groups and deltas to
+    the workers, overlaps a batch's groups (:meth:`answer_groups` submits
+    them all before collecting any — on a multi-core host the workers
+    genuinely run in parallel, no GIL in common), keeps the per-worker
+    pid on the ledgers, and turns a dead worker into :class:`FleetError`.
+    Drop-in interchangeable with :class:`~repro.serving.sharding.
+    ShardedIndex` behind ``serve(backend=...)``.
     """
 
     backend = "process"
-    #: the scheduler may pass ``trace_ctx=`` to ``submit_group`` /
-    #: ``answer_group``; it rides the pickled submission to the worker
-    supports_trace_ctx = True
 
-    def __init__(self, index: CQAPIndex, n_shards: int = 4,
-                 mp_context: Optional[str] = None) -> None:
-        if not index.ready:
-            raise ValueError("ProcessShardFleet needs a preprocessed "
-                             "CQAPIndex; call preprocess() (or "
-                             "repro.prepare) first")
-        if n_shards <= 0:
-            raise ValueError(f"n_shards must be positive, got {n_shards}")
-        self.index = index
-        self.cqap = index.cqap
-        self.access: Tuple[str, ...] = tuple(index.cqap.access)
-        self.n_shards = int(n_shards)
-        self._ctx = (multiprocessing.get_context(mp_context) if mp_context
-                     else _pick_context())
-        self.shards: List[FleetShardState] = []
+    def __init__(self, index: CQAPIndex, n_shards: int = 4) -> None:
+        super().__init__(index, n_shards)
         self._pools: List[ProcessPoolExecutor] = []
         self._closed = False
-        #: update-path accounting (stats envelope ``updates`` section)
-        self.rebuilds = 0
-        self.routed_rows = 0
         try:
-            self._spawn_workers()
+            self._start()
         except BaseException:
             self.close()
             raise
         index.register_delta_listener(self)
 
-    def _spawn_workers(self) -> None:
-        """Build payloads and start one warm single-worker pool per shard.
-
-        Runs at construction and again wholesale after a drift
-        re-selection replaced the index's frozen plan state (there is no
-        delta message that can describe "everything you hold is gone").
-        Parent-side :class:`FleetShardState` ledgers are kept across a
-        respawn so lifecycle counters survive.
-        """
-        index = self.index
-        payloads = shard_payloads(index, self.n_shards)
-        # shard slices are disjoint and cover each partitioned target, so
-        # their sizes sum to the global partitioned total
-        self.partitioned_tuples = sum(p.partitioned_tuples for p in payloads)
-        self.replicated_tuples = index.stored_tuples - self.partitioned_tuples
-        self._partition_prefix = partition_prefixes(index, self.n_shards)
-        previous = {state.shard_id: state for state in self.shards}
-        self.shards = []
-        self._pools = []
-        for payload in payloads:
-            state = previous.get(payload.shard_id)
-            if state is None:
-                state = FleetShardState(shard_id=payload.shard_id)
-            state.partitioned_tuples = payload.partitioned_tuples
-            self.shards.append(state)
-            self._pools.append(ProcessPoolExecutor(
+    def _start(self) -> None:
+        """(Re)start one warm single-worker pool per shard payload."""
+        for pool in self._pools:
+            pool.shutdown(wait=True)
+        self._pools = [
+            ProcessPoolExecutor(
                 max_workers=1,
-                mp_context=self._ctx,
+                mp_context=_pick_context(),
                 initializer=_init_worker,
                 initargs=(pickle.dumps(payload),),
-            ))
+            )
+            for payload in self._payloads()
+        ]
         # warm-up ping: forces every worker to start (and run its
         # shard preprocessing) now, so initializer failures surface
         # here rather than on the first probe, and records the pids
         # close() must reap
-        for shard_id, pool in enumerate(self._pools):
-            info = self._guard(shard_id,
+        for ledger, pool in zip(self.shards, self._pools):
+            info = self._guard(ledger.shard_id,
                                pool.submit(_worker_ping).result)
-            self.shards[shard_id].pid = info["pid"]
-            self.shards[shard_id].preprocess_seconds = \
-                info["preprocess_seconds"]
-
-    # ------------------------------------------------------------------
-    # routing (parent-side, identical to the thread backend)
-    # ------------------------------------------------------------------
-    def normalize(self, binding) -> Binding:
-        """One probe binding as a tuple matching the access arity."""
-        return normalize_access_binding(self.access, binding)
-
-    def shard_of(self, key: Binding) -> int:
-        """The unique home shard of a normalized access binding."""
-        if self.n_shards == 1 or not self.access:
-            return 0
-        return access_hash(key) % self.n_shards
+            ledger.pid = info["pid"]
+            ledger.preprocess_seconds = info["preprocess_seconds"]
 
     # ------------------------------------------------------------------
     # group answering
@@ -475,12 +203,7 @@ class ProcessShardFleet:
     def submit_group(self, shard_id: int, group: Sequence[Binding],
                      trace_ctx: Optional[Tuple[str, str]] = None,
                      ) -> _FleetFuture:
-        """Dispatch one shard group to its worker; returns a future.
-
-        The scheduler detects this method and keeps every shard's group
-        in flight concurrently — on a multi-core host the workers then
-        genuinely run in parallel (no GIL in common).
-        """
+        """Dispatch one shard group to its worker; returns a future."""
         keys = list(group)
         pool = self._pools[shard_id]
         future = self._guard(
@@ -489,126 +212,54 @@ class ProcessShardFleet:
 
     def answer_group(self, shard_id: int, group: Sequence[Binding],
                      trace_ctx: Optional[Tuple[str, str]] = None,
-                     ) -> Tuple[Dict[Binding, Relation], Counters]:
-        """Synchronous backend contract: submit and wait."""
+                     ) -> GroupAnswer:
+        """Submit one group and wait for it."""
         return self.submit_group(shard_id, group,
                                  trace_ctx=trace_ctx).result()
 
-    def _collect(self, shard_id: int, keys: List[Binding], future,
-                 ) -> Tuple[Dict[Binding, Relation], Counters]:
-        schema, per_key, ctr, cpu, obs_payload = self._guard(
-            shard_id, future.result)
-        state = self.shards[shard_id]
-        state.probes_served += len(keys)
-        state.online_phases += 1
-        state.cpu_seconds += cpu
-        merge_counters(state.counters, ctr)
-        if obs_payload is not None:
-            span = obs_payload["span"]
-            TRACER.add_span(span["name"], trace_id=span["trace_id"],
-                            parent_id=span["parent_id"],
-                            span_id=span["span_id"],
-                            duration=span["duration"],
-                            attrs=span["attrs"])
-            REGISTRY.histogram(
-                "repro_worker_probe_work",
-                "per-probe intrinsic work recorded inside the worker "
-                "processes, merged worker-to-parent",
-                ("shard",), bounds=WORK_BUCKETS,
-            ).labels(shard=shard_id).merge(obs_payload["work_hist"])
-            REGISTRY.counter(
-                "repro_shard_groups_total",
-                "shard groups served, by backend and shard",
-                ("backend", "shard"),
-            ).labels(backend="process", shard=shard_id).inc()
-        name = f"{self.cqap.name}_answer"
-        return {
-            key: Relation(name, schema, per_key[key]) for key in keys
-        }, ctr
+    def answer_groups(self, groups: Sequence[Tuple[int, List[Binding]]],
+                      trace_ctx: Optional[Tuple[str, str]] = None,
+                      ) -> List[GroupAnswer]:
+        """Submit every group before collecting any, so workers overlap."""
+        futures = [self.submit_group(shard_id, group, trace_ctx=trace_ctx)
+                   for shard_id, group in groups]
+        return [future.result() for future in futures]
 
-    def probe(self, binding,
-              counters: Optional[Counters] = None) -> Relation:
-        """Route one binding to its shard's worker and answer it there."""
-        key = self.normalize(binding)
-        answered, ctr = self.answer_group(self.shard_of(key), [key])
-        if counters is not None:
-            merge_counters(counters, ctr)
-        return answered[key]
+    def _collect(self, shard_id: int, keys: List[Binding], future,
+                 ) -> GroupAnswer:
+        per_key, ctr, cpu, obs_payload = self._guard(shard_id,
+                                                     future.result)
+        self._account(shard_id, len(keys), ctr, cpu, obs_payload)
+        name, head = f"{self.cqap.name}_answer", tuple(self.cqap.head)
+        return {key: Relation(name, head, per_key[key]) for key in keys}, ctr
 
     # ------------------------------------------------------------------
     # incremental updates (repro.updates delta events)
     # ------------------------------------------------------------------
     def on_index_delta(self, event) -> None:
-        """Ship one index delta to the worker processes that need it.
+        if not self._closed:
+            super().on_index_delta(event)
 
-        The parent routes each S-target delta row exactly like a probe —
-        by :func:`access_hash` of the row's access prefix — so a
-        partitioned target's row crosses one process boundary, not
-        ``n_shards``; replicated-target rows and T-phase step patches go
-        to every worker.  Per-shard pools are single-worker and FIFO, so
-        a delta submitted here is ordered after every in-flight probe
-        group and before every later one — no worker can ever serve a
-        half-applied update.  A drift re-selection replaced the frozen
-        plan state wholesale, so the workers are respawned from fresh
-        payloads instead.
+    def _deliver(self, event, view_rows: List[List[ViewRows]]) -> int:
+        """Ship the delta to every worker it touches; returns rows applied.
+
+        The workers hold pickled *copies* of the T-phase steps, so the
+        event's step slots travel with the rows.  Per-shard pools are
+        single-worker and FIFO, so a delta submitted here is ordered after
+        every in-flight probe group and before every later one — no
+        worker can ever serve a half-applied update.
         """
-        if self._closed or not event.changed:
-            return
-        if event.reselected:
-            for pool in self._pools:
-                pool.shutdown(wait=True)
-            self._spawn_workers()
-            self.rebuilds += 1
-            return
-        if not (event.step_slots or event.targets_changed):
-            return
-        view_rows: List[List] = [[] for _ in range(self.n_shards)]
-        for target, (added, removed) in event.target_deltas.items():
-            if not (added or removed):
-                continue
-            prefix = self._partition_prefix.get(target)
-            if prefix is None:
-                self.replicated_tuples += len(added) - len(removed)
-                for shard_id in range(self.n_shards):
-                    view_rows[shard_id].append((target, added, removed))
-                continue
-            self.partitioned_tuples += len(added) - len(removed)
-            schema = tuple(sorted(target))
-            pos = tuple(schema.index(v) for v in prefix)
-            added_by: List[set] = [set() for _ in range(self.n_shards)]
-            removed_by: List[set] = [set() for _ in range(self.n_shards)]
-            for row in added:
-                shard_id = (access_hash(tuple(row[p] for p in pos))
-                            % self.n_shards)
-                added_by[shard_id].add(row)
-            for row in removed:
-                shard_id = (access_hash(tuple(row[p] for p in pos))
-                            % self.n_shards)
-                removed_by[shard_id].add(row)
-            for shard_id in range(self.n_shards):
-                gained, lost = added_by[shard_id], removed_by[shard_id]
-                if gained or lost:
-                    view_rows[shard_id].append(
-                        (target, frozenset(gained), frozenset(lost)))
-                    self.shards[shard_id].partitioned_tuples += \
-                        len(gained) - len(lost)
         pending = []
-        for shard_id, pool in enumerate(self._pools):
-            if not (event.step_slots or view_rows[shard_id]):
+        for shard_id, (pool, rows) in enumerate(zip(self._pools, view_rows)):
+            if not (event.step_slots or rows):
                 continue
-            payload = pickle.dumps(_WorkerDelta(
-                op=event.op,
-                relation=event.relation,
-                row=event.row,
-                step_slots=event.step_slots,
-                view_rows=view_rows[shard_id],
-            ))
+            payload = pickle.dumps(ShardDelta(
+                event.op, event.relation, event.row, event.step_slots, rows))
             pending.append((shard_id, self._guard(
                 shard_id,
                 lambda p=pool, b=payload: p.submit(_apply_worker_delta, b))))
-        for shard_id, future in pending:
-            ack = self._guard(shard_id, future.result)
-            self.routed_rows += ack["rows_applied"]
+        return sum(self._guard(shard_id, future.result)
+                   for shard_id, future in pending)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -616,7 +267,7 @@ class ProcessShardFleet:
     def close(self) -> None:
         """Shut every worker pool down and reap the processes (idempotent)."""
         self._closed = True
-        self.index.unregister_delta_listener(self)
+        super().close()
         for pool in self._pools:
             pool.shutdown(wait=True)
 
@@ -637,59 +288,9 @@ class ProcessShardFleet:
         except BrokenProcessPool:
             pass
 
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def stored_tuples(self) -> int:
-        """Global S-tuples (partitioned once + replicated once)."""
-        return self.index.stored_tuples
-
-    def budget_split(self) -> Dict:
-        """How the global space budget divides across worker processes."""
-        per_shard = [s.partitioned_tuples for s in self.shards]
-        return {
-            "shards": self.n_shards,
-            "global_budget": self.index.space_budget,
-            "per_shard_budget": self.index.space_budget / self.n_shards,
-            "partitioned_tuples": self.partitioned_tuples,
-            "replicated_tuples": self.replicated_tuples,
-            "per_shard_partitioned": per_shard,
-            "max_shard_tuples": (max(per_shard) if per_shard else 0)
-            + self.replicated_tuples,
-        }
-
     def engine_section(self) -> Dict:
-        """The envelope's ``engine`` section for this fleet."""
-        split = self.budget_split()
+        """The shared ``engine`` section plus the workers' CPU total."""
         return {
-            "n_shards": self.n_shards,
-            "budget_split": split,
-            "selection": self.index.selection.snapshot(budget_split=split),
-            "probes_served": sum(s.probes_served for s in self.shards),
-            "online_phases": sum(s.online_phases for s in self.shards),
+            **super().engine_section(),
             "worker_cpu_seconds": sum(s.cpu_seconds for s in self.shards),
         }
-
-    def shard_sections(self) -> List[Dict]:
-        """The envelope's per-shard ``shards`` entries (pid, CPU, counters)."""
-        return [s.snapshot() for s in self.shards]
-
-    def updates_section(self) -> Dict:
-        """The envelope's ``updates`` section for this layer."""
-        return {
-            **self.index.updates_section(),
-            "rebuilds": self.rebuilds,
-            "routed_rows": self.routed_rows,
-        }
-
-    def stats(self) -> Dict:
-        """Versioned stats envelope (engine + per-worker sections)."""
-        return stats_envelope(
-            query=self.cqap.name,
-            backend=self.backend,
-            engine=self.engine_section(),
-            updates=self.updates_section(),
-            metrics=metrics_section(),
-            shards=self.shard_sections(),
-        )

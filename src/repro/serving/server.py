@@ -28,13 +28,14 @@ server (stream/backpressure), and the per-shard lifecycle snapshots.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Tuple
 
 from repro.data.relation import Relation
 from repro.obs import metrics_section
 from repro.obs.registry import REGISTRY
 from repro.obs.trace import STATE as _OBS
 from repro.serving.batching import BatchScheduler
+from repro.serving.sharding import ShardBackend
 from repro.serving.stats import stats_envelope
 
 
@@ -42,18 +43,16 @@ class Server:
     """Batched, sharded serving of a probe stream with bounded buffering.
 
     Backend-agnostic: ``backend`` is a :class:`~repro.serving.sharding.
-    ShardedIndex` (threads) or :class:`~repro.serving.fleet.
-    ProcessShardFleet` (processes); nothing above the scheduler's dispatch
-    distinguishes them.  When ``owns_backend`` is true (the
+    ShardedIndex` (in-process) or :class:`~repro.serving.fleet.
+    ProcessShardFleet` (worker processes); nothing above the backend's
+    own dispatch distinguishes them.  When ``owns_backend`` is true (the
     :func:`~repro.serving.serve` path) closing the server also closes the
     backend — for the process fleet that is what reaps the worker
     processes.
     """
 
-    def __init__(self, backend, batch_size: int = 32,
+    def __init__(self, backend: ShardBackend, batch_size: int = 32,
                  max_pending_batches: int = 4, cache_size: int = 256,
-                 max_workers: Optional[int] = None,
-                 inline_threshold: int = 16,
                  owns_backend: bool = False) -> None:
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
@@ -61,12 +60,8 @@ class Server:
             raise ValueError("max_pending_batches must be positive, got "
                              f"{max_pending_batches}")
         self.backend = backend
-        #: legacy alias from when the only backend was ShardedIndex
-        self.sharded = backend
         self.owns_backend = owns_backend
-        self.scheduler = BatchScheduler(backend, cache_size=cache_size,
-                                        max_workers=max_workers,
-                                        inline_threshold=inline_threshold)
+        self.scheduler = BatchScheduler(backend, cache_size=cache_size)
         self.batch_size = batch_size
         self.max_pending_batches = max_pending_batches
         self.batches_served = 0
@@ -80,12 +75,10 @@ class Server:
         self.close()
 
     def close(self) -> None:
-        """Release the scheduler's pool (and the backend, when owned)."""
+        """Detach the scheduler (and close the backend, when owned)."""
         self.scheduler.close()
         if self.owns_backend:
-            close = getattr(self.backend, "close", None)
-            if close is not None:
-                close()
+            self.backend.close()
 
     # ------------------------------------------------------------------
     def serve(self, workload_stream: Iterable,
@@ -153,16 +146,13 @@ class Server:
     def stats(self) -> Dict:
         """The full serving envelope: every section filled."""
         backend = self.backend
-        engine_section = getattr(backend, "engine_section", None)
-        shard_sections = getattr(backend, "shard_sections", None)
-        updates_section = getattr(backend, "updates_section", None)
         return stats_envelope(
             query=backend.cqap.name,
-            backend=getattr(backend, "backend", None),
-            engine=engine_section() if engine_section else None,
+            backend=backend.backend,
+            engine=backend.engine_section(),
             scheduler=self.scheduler.scheduler_section(),
             server=self.server_section(),
-            updates=updates_section() if updates_section else None,
+            updates=backend.updates_section(),
             metrics=metrics_section(),
-            shards=shard_sections() if shard_sections else (),
+            shards=backend.shard_sections(),
         )

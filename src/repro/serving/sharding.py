@@ -5,12 +5,20 @@ access binding ``b`` only ever consults view rows that agree with ``b`` on
 the access variables.  The stored side of a prepared index therefore
 partitions exactly by a hash of the access-variable binding — a sharding
 scheme that commutes with probe semantics by construction, unlike generic
-join sharding.  :class:`ShardedIndex` realizes this: S-views whose schema
+join sharding.  :func:`shard_payloads` realizes this: S-views whose schema
 contains the full access prefix are hash-partitioned across ``n_shards``
 (each probe routed to exactly one shard), while everything else — S-views
 missing part of the prefix, the compiled T-phase steps and the base
-relation pieces they scan — is shared read-only across shards ("replicated"
-in the distributed reading, T-route state included).
+relation pieces they scan — goes to every shard whole ("replicated",
+T-route state included).
+
+One :class:`ShardExecutor` serves one shard's payload, and it is the same
+code wherever it runs.  The two backends are *transports* over it:
+:class:`ShardedIndex` calls its executors directly, in the calling thread,
+one group after the other; :class:`~repro.serving.fleet.ProcessShardFleet`
+puts each executor in a worker process behind pickle.  Routing, delta
+routing, the per-shard ledgers and the stats sections live once, in
+:class:`ShardBackend`.
 
 Proof of invariance (why answers are independent of the shard count):
 
@@ -44,22 +52,28 @@ reproducible across processes (Python's builtin string hash is salted).
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.index import CQAPIndex
+from repro.core.index import CQAPIndex, online_phase, split_by_binding
 from repro.core.online_yannakakis import OnlineYannakakis
 from repro.core.two_phase import TwoPhaseExecutor
-from repro.data.relation import Relation, stable_hash
+from repro.data.relation import Relation, apply_row_delta, stable_hash
 from repro.obs import metrics_section
+from repro.obs.hist import WORK_BUCKETS, Histogram
 from repro.obs.registry import REGISTRY
-from repro.obs.trace import STATE as _OBS, TRACER
+from repro.obs.trace import TRACER, new_id
 from repro.query.cq import normalize_access_binding
 from repro.query.hypergraph import VarSet
 from repro.serving.stats import stats_envelope
 from repro.util.counters import Counters
 
 Binding = Tuple[object, ...]
+#: one S-target's routed row delta: (target variables, added, removed)
+ViewRows = Tuple[frozenset, frozenset, frozenset]
+#: what answering one shard group yields: per-binding answers + its work
+GroupAnswer = Tuple[Dict[Binding, Relation], Counters]
 
 
 def access_hash(key: Binding) -> int:
@@ -67,35 +81,13 @@ def access_hash(key: Binding) -> int:
     return stable_hash(tuple(key))
 
 
-def split_by_binding(batched: Relation, access: Tuple[str, ...],
-                     group: Sequence[Binding]) -> Dict[Binding, Relation]:
-    """Split one group's batched answer back into per-binding relations.
-
-    Both backends use this — the thread backend in the parent, the process
-    backend inside the worker — so a binding's answer relation is
-    constructed identically wherever the online phase ran.
-    """
-    if not access:
-        # the only possible binding is (): the whole answer is its rows
-        return {key: batched for key in group}
-    access_pos = tuple(batched.schema.index(v) for v in access)
-    by_key: Dict[Binding, set] = {}
-    for row in batched.tuples:
-        by_key.setdefault(tuple(row[p] for p in access_pos), set()).add(row)
-    return {
-        key: Relation(batched.name, batched.schema, by_key.get(key, ()))
-        for key in group
-    }
-
-
 def partition_prefixes(index: CQAPIndex, n_shards: int,
                        ) -> Dict[VarSet, Tuple[str, ...]]:
     """The access prefix each partitionable S-target is hash-routed on.
 
-    The routing half of :func:`partition_s_targets`, without the data
-    movement — what a parent process needs to send probe bindings *and
-    delta rows* to the shard whose slice holds (or must gain) them.
-    Empty when ``n_shards <= 1`` (nothing is partitioned).
+    What a parent needs to send probe bindings *and delta rows* to the
+    shard whose slice holds (or must gain) them.  Empty when
+    ``n_shards <= 1`` (nothing is partitioned).
     """
     if n_shards <= 1:
         return {}
@@ -118,46 +110,17 @@ def partition_prefixes(index: CQAPIndex, n_shards: int,
     return prefixes
 
 
-def partition_s_targets(index: CQAPIndex, n_shards: int,
-                        ) -> Tuple[Dict[VarSet, List[Relation]],
-                                   Dict[VarSet, Tuple[str, ...]], int, int]:
-    """Hash-partition the partitionable S-targets of a prepared index.
-
-    Returns ``(target_parts, partition_prefix, partitioned_tuples,
-    replicated_tuples)``: per-target shard slices for every S-target whose
-    schema contains the whole access prefix, the prefix each partitioned
-    target is hashed on, and the tuple totals on each side of the split.
-    Both serving backends — :class:`ShardedIndex` (threads) and the
-    process fleet's :func:`shard_payloads` — partition through here, so
-    shard contents can never depend on the backend.
-    """
-    partition_prefix = partition_prefixes(index, n_shards)
-    target_parts: Dict[VarSet, List[Relation]] = {}
-    partitioned = replicated = 0
-    for target, relation in index.s_targets.items():
-        prefix = partition_prefix.get(target)
-        if prefix:
-            target_parts[target] = relation.partition_by_hash(
-                prefix, n_shards, hasher=access_hash,
-            )
-            partitioned += len(relation)
-        else:
-            replicated += len(relation)
-    return target_parts, partition_prefix, partitioned, replicated
-
-
 @dataclass
 class ShardPayload:
-    """Everything one fleet worker needs to serve its shard, picklable.
+    """Everything one shard executor needs to serve its shard, picklable.
 
     ``pmtd_views`` holds the *raw* per-shard view relations (partition
     slices for partitionable targets, the full relation for replicated
-    ones).  The worker builds its own :class:`~repro.core.
+    ones).  The executor builds its own :class:`~repro.core.
     online_yannakakis.OnlineYannakakis` per PMTD from them, so the
     per-shard preprocessing — semijoin reduction against the shard's own
-    slice, hash-index warm-up — happens *in the worker process*, sized by
-    the shard's partition rather than derived from a parent-side global
-    build.
+    slice, hash-index warm-up — happens where the shard is served, sized
+    by the shard's partition rather than derived from a global build.
     """
 
     shard_id: int
@@ -169,39 +132,33 @@ class ShardPayload:
     pmtds: List
     pmtd_views: List[Dict]
     partitioned_tuples: int
-    #: relation backend the worker's executor must rebuild with, so a
+    #: relation backend the shard's executor must rebuild with, so a
     #: columnar-prepared index serves columnar in every worker process
     relation_backend: str = "set"
 
 
 def shard_payloads(index: CQAPIndex, n_shards: int) -> List[ShardPayload]:
-    """Build one picklable serving payload per shard for the process fleet.
+    """Build one serving payload per shard — the same for both transports.
 
-    Partitioning goes through :func:`partition_s_targets`, and view
-    assembly through the engine's own matcher, exactly like
-    :class:`ShardedIndex` — the two backends ship byte-identical shard
-    contents and differ only in where the per-shard preprocessing runs.
+    S-targets with a routable access prefix are hash-partitioned (one
+    slice per shard); the rest go to every shard whole.  View assembly
+    goes through the engine's own matcher, so sharded views can never
+    diverge from what :meth:`CQAPIndex.answer` would serve, and shard
+    contents can never depend on the transport.
     """
     if not index.ready:
         raise ValueError("shard payloads need a preprocessed CQAPIndex; "
                          "call preprocess() (or repro.prepare) first")
-    target_parts, _, partitioned, replicated = partition_s_targets(
-        index, n_shards)
-    replicated_targets = {
-        target: relation for target, relation in index.s_targets.items()
-        if target not in target_parts
+    target_parts = {
+        target: index.s_targets[target].partition_by_hash(
+            prefix, n_shards, hasher=access_hash)
+        for target, prefix in partition_prefixes(index, n_shards).items()
     }
     payloads: List[ShardPayload] = []
     for shard_id in range(n_shards):
-        shard_targets = dict(replicated_targets)
-        part_tuples = 0
+        shard_targets = dict(index.s_targets)
         for target, parts in target_parts.items():
             shard_targets[target] = parts[shard_id]
-            part_tuples += len(parts[shard_id])
-        pmtd_views = [
-            CQAPIndex._assemble_views(pmtd.s_views, shard_targets)
-            for pmtd in index.pmtds
-        ]
         payloads.append(ShardPayload(
             shard_id=shard_id,
             n_shards=n_shards,
@@ -209,247 +166,228 @@ def shard_payloads(index: CQAPIndex, n_shards: int) -> List[ShardPayload]:
             steps=index.compiled_online,
             budget_slack=index.executor.budget_slack,
             pmtds=list(index.pmtds),
-            pmtd_views=pmtd_views,
-            partitioned_tuples=part_tuples,
+            pmtd_views=[
+                CQAPIndex._assemble_views(pmtd.s_views, shard_targets)
+                for pmtd in index.pmtds
+            ],
+            partitioned_tuples=sum(len(parts[shard_id])
+                                   for parts in target_parts.values()),
             relation_backend=index.relation_backend,
         ))
     return payloads
 
 
-def merge_counters(into: Counters, part: Counters) -> None:
-    """Accumulate ``part``'s operation counts into ``into``."""
-    into.probes += part.probes
-    into.scans += part.scans
-    into.stores += part.stores
-    into.joins_emitted += part.joins_emitted
+@dataclass
+class ShardDelta:
+    """One routed delta message, transport → shard executor (picklable).
+
+    ``view_rows`` is already routed: for a partitioned target it carries
+    only the rows whose access-prefix hash lands on this shard; for a
+    replicated target every shard receives all rows.  ``step_slots``
+    indexes the executor's compiled T-phase steps and is empty when the
+    executor runs on the index's own step objects, which
+    :func:`repro.updates.apply_delta` has already patched.
+    """
+
+    op: str
+    relation: str
+    row: tuple
+    step_slots: Tuple[int, ...]
+    view_rows: List[ViewRows]
+
+
+class ShardExecutor:
+    """One shard of the paper's data structure, and its online phase.
+
+    Holds the shard's compiled T-phase steps, a :class:`TwoPhaseExecutor`
+    of its own, the raw per-PMTD S-views of its :class:`ShardPayload` and
+    the Online-Yannakakis passes built from them.  Building the passes
+    here — not once globally — is what makes preprocessing shard-aware:
+    the semijoin reductions and hash-index warm-ups run against this
+    shard's slices, wherever this object lives.  It runs unchanged in
+    the caller's thread and inside a fleet worker; a worker's copy came
+    through pickle and owns everything it holds, an in-process one shares
+    the steps and the replicated views' tuple *sets* with the index.
+    """
+
+    def __init__(self, payload: ShardPayload) -> None:
+        t0 = time.process_time()
+        self.shard_id = payload.shard_id
+        self.cqap = payload.cqap
+        self.steps = payload.steps
+        self.executor = TwoPhaseExecutor(
+            payload.cqap, budget_slack=payload.budget_slack,
+            relation_backend=payload.relation_backend,
+        )
+        self.pmtds = payload.pmtds
+        #: retained past the initial builds: a delta patches these raw
+        #: views and rebuilds the affected passes from them (the passes
+        #: snapshot semijoin-reduced views, so they cannot be patched)
+        self.pmtd_views = payload.pmtd_views
+        self.yannakakis = [self._pass(p) for p in range(len(self.pmtds))]
+        self.preprocess_seconds = time.process_time() - t0
+
+    def _pass(self, p: int) -> OnlineYannakakis:
+        return OnlineYannakakis(self.pmtds[p], self.pmtd_views[p])
+
+    def serve_group(self, keys: Sequence[Binding],
+                    trace_ctx: Optional[Tuple[str, str]] = None,
+                    ) -> Tuple[Dict[Binding, Relation], Counters, float,
+                               Optional[Dict]]:
+        """One online phase for a group of this shard's bindings.
+
+        Returns the per-binding answers, the intrinsic work, the CPU
+        seconds spent, and — when the scheduler handed down a
+        ``trace_ctx`` (trace id, parent span id) — an observability
+        payload: this executor's child span (pid and CPU
+        ``process_time`` stamped where it ran, so it survives a pickle
+        boundary) and a group-local work histogram the parent merges
+        exactly into ``repro_worker_probe_work``.
+        """
+        t0 = time.process_time()
+        ctr = Counters()
+        access = tuple(self.cqap.access)
+        batched = online_phase(self.cqap, self.executor, self.steps,
+                               self.yannakakis,
+                               Relation("Q_A", access, keys), ctr)
+        answers = split_by_binding(batched, access, keys)
+        cpu = time.process_time() - t0
+        obs_payload: Optional[Dict] = None
+        if trace_ctx is not None:
+            trace_id, parent_id = trace_ctx
+            work_hist = Histogram(WORK_BUCKETS)
+            amortized = ctr.online_work / len(keys) if keys else 0.0
+            work_hist.record(amortized, n=len(keys))
+            obs_payload = {
+                "span": {
+                    "name": "shard.serve_group",
+                    "trace_id": trace_id,
+                    "parent_id": parent_id,
+                    "span_id": new_id("w"),
+                    "duration": cpu,
+                    "attrs": {"shard": self.shard_id, "pid": os.getpid(),
+                              "process_time": cpu, "n_keys": len(keys),
+                              "work": ctr.online_work},
+                },
+                "work_hist": work_hist,
+            }
+        return answers, ctr, cpu, obs_payload
+
+    def apply_delta(self, delta: ShardDelta) -> int:
+        """Patch this replica for one delta; returns S-view rows applied.
+
+        The replica-side half of :func:`repro.updates.apply_delta`: the
+        touched steps' piece relations take the row and their probe plans
+        recompile (they pin hash indexes at compile time); the raw
+        S-views take their routed rows and the affected Yannakakis passes
+        are rebuilt from them.  Both go through :func:`~repro.data.
+        relation.apply_row_delta`, so a view that shares its tuple set
+        with the index — already mutated when the event fired — still
+        drops its stale indexes.
+        """
+        if delta.step_slots:
+            members = [
+                rel for slot in delta.step_slots
+                for atom, rel in zip(self.cqap.atoms,
+                                     self.steps[slot].relations)
+                if atom.relation == delta.relation
+            ]
+            if delta.op == "insert":
+                apply_row_delta(members, added=(delta.row,))
+            else:
+                apply_row_delta(members, removed=(delta.row,))
+            for slot in delta.step_slots:
+                plan = self.steps[slot].plan
+                if plan is not None:
+                    plan._compile()
+        applied = 0
+        changed = set()
+        for target, added, removed in delta.view_rows:
+            changed.add(target)
+            applied += apply_row_delta(
+                [rel for views in self.pmtd_views for rel in views.values()
+                 if rel.variables == target],
+                added, removed)
+        for p, views in enumerate(self.pmtd_views):
+            if any(rel.variables in changed for rel in views.values()):
+                self.yannakakis[p] = self._pass(p)
+        return applied
 
 
 @dataclass
-class ShardState:
-    """One shard's serving state: views, executor, lifecycle counters.
+class ShardLedger:
+    """The transport-side account of one shard: size, traffic, cost.
 
-    The executor is per-shard so ``online_runs`` counts this shard's work
-    and concurrent shards never race on a shared counter; the compiled
-    T-phase *steps* it executes are shared read-only across shards.
+    Kept by the backend, not the executor, so it survives an executor
+    rebuild (drift re-selection) and is readable without a round trip
+    when the executor lives in another process.  ``pid`` is the worker
+    process for the process fleet and ``None`` in-process.
     """
 
     shard_id: int
-    executor: TwoPhaseExecutor
-    yannakakis: List[OnlineYannakakis]
+    pid: Optional[int] = None
     partitioned_tuples: int = 0
+    preprocess_seconds: float = 0.0
     probes_served: int = 0
     online_phases: int = 0
+    cpu_seconds: float = 0.0
     counters: Counters = field(default_factory=Counters)
 
     def snapshot(self) -> Dict:
-        """JSON-friendly per-shard lifecycle counters."""
+        """JSON-friendly per-shard entry of the envelope's ``shards``."""
         return {
             "shard": self.shard_id,
+            "pid": self.pid,
             "partitioned_tuples": self.partitioned_tuples,
+            "preprocess_seconds": self.preprocess_seconds,
             "probes_served": self.probes_served,
             "online_phases": self.online_phases,
-            "online_runs": self.executor.online_runs,
+            "cpu_seconds": self.cpu_seconds,
             "counters": self.counters.snapshot(),
         }
 
 
-class ShardedIndex:
-    """A preprocessed :class:`CQAPIndex` partitioned for sharded serving.
+class ShardBackend:
+    """What every transport over :class:`ShardExecutor` shares.
 
-    Construction is the only phase that touches shared mutable state
-    (partitioning, per-shard semijoin reduction, index warm-up); afterwards
-    each shard serves probes against its own views plus the shared
-    read-only plan state.  :meth:`shard_of` routes a normalized binding to
-    its unique home shard; :meth:`answer_on_shard` answers a group of
-    bindings that all live on one shard.  Concurrency contract: distinct
-    shards may answer concurrently (the :class:`~repro.serving.batching.
-    BatchScheduler` runs one in-flight task per shard); a single shard is
-    single-threaded.
+    Routing of bindings and of delta rows (one :func:`access_hash`, so a
+    row lands exactly where the probes that can see it are answered), the
+    per-shard ledgers, and the stats sections.  A transport supplies
+    ``backend`` (its envelope tag), :meth:`_start` (build one executor
+    per payload), :meth:`answer_group` and :meth:`_deliver`.
     """
 
-    #: backend-contract tag: in-process shards, dispatched on threads
-    backend = "thread"
-    #: the scheduler may pass ``trace_ctx=`` to :meth:`answer_group`
-    supports_trace_ctx = True
+    backend: str
 
-    def __init__(self, index: CQAPIndex, n_shards: int = 4) -> None:
+    def __init__(self, index: CQAPIndex, n_shards: int) -> None:
         if not index.ready:
-            raise ValueError("ShardedIndex needs a preprocessed CQAPIndex; "
-                             "call preprocess() (or repro.engine.prepare) "
-                             "first")
+            raise ValueError(f"{type(self).__name__} needs a preprocessed "
+                             "CQAPIndex; call preprocess() (or "
+                             "repro.prepare) first")
         if n_shards <= 0:
             raise ValueError(f"n_shards must be positive, got {n_shards}")
         self.index = index
         self.cqap = index.cqap
         self.access: Tuple[str, ...] = tuple(index.cqap.access)
         self.n_shards = int(n_shards)
-        self.shards: List[ShardState] = []
+        self.shards = [ShardLedger(i) for i in range(self.n_shards)]
         #: update-path accounting (stats envelope ``updates`` section)
         self.rebuilds = 0
         self.routed_rows = 0
-        self._build()
-        index.register_delta_listener(self)
 
-    def _build(self) -> None:
-        """(Re)derive every shard's serving state from the index.
+    def _payloads(self) -> List[ShardPayload]:
+        """Fresh payloads off the index, partition bookkeeping refreshed.
 
-        Runs at construction, and wholesale again when a delta event
-        reports state this class shares by reference was replaced — a
-        drift re-selection (new plans, new S-targets) or a delta to a
-        *replicated* target (one relation object visible to every shard,
-        so there is no cheaper per-shard patch).  Partitioned-target
-        deltas never come through here; :meth:`on_index_delta` routes
-        those rows surgically.  Existing :class:`ShardState` objects are
-        kept across a rebuild so lifecycle counters survive.
+        For :meth:`_start`, which runs at construction and again
+        wholesale after a drift re-selection replaced the index's frozen
+        plan state (no delta can describe "everything you hold is gone").
         """
-        index = self.index
-        # shared read-only plan state (T-route state, in the distributed
-        # reading: replicated to every shard)
-        self._steps = index.compiled_online
-        # the selection declares each rule's S-view key schema; a target is
-        # partitionable iff its key contains the whole access prefix
-        (self._target_parts, self._partition_prefix,
-         self.partitioned_tuples, self.replicated_tuples) = \
-            partition_s_targets(index, self.n_shards)
-        # replicated views are built once and shared by reference across
-        # every shard's Yannakakis state (zero-copy replication); the
-        # per-shard reductions only ever derive new relations from them.
-        # Assembly goes through the engine's own matcher so the sharded
-        # views can never diverge from what CQAPIndex.answer would serve.
-        replicated_targets = {
-            target: relation for target, relation in index.s_targets.items()
-            if target not in self._target_parts
-        }
-        shared_views: Dict[Tuple[int, object], Relation] = {}
-        for p, pmtd in enumerate(index.pmtds):
-            assembled = CQAPIndex._assemble_views(pmtd.s_views,
-                                                  replicated_targets)
-            for node, view in pmtd.s_views.items():
-                if view.variables not in self._target_parts:
-                    shared_views[(p, node)] = assembled[node]
-        self._shared_views = shared_views
-        # a PMTD none of whose views are partitioned serves identical state
-        # on every shard: build its (read-only at probe time) Yannakakis
-        # pass once and share it, instead of redoing the same SS-reductions
-        # and index warm-up per shard
-        shared_oy: Dict[int, OnlineYannakakis] = {}
-        for p, pmtd in enumerate(index.pmtds):
-            if not any(view.variables in self._target_parts
-                       for view in pmtd.s_views.values()):
-                shared_oy[p] = OnlineYannakakis(
-                    pmtd, {node: shared_views[(p, node)]
-                           for node in pmtd.s_views})
-        self._shared_oy = shared_oy
-        previous = {state.shard_id: state for state in self.shards}
-        self.shards = []
-        for shard_id in range(self.n_shards):
-            yannakakis = self._shard_yannakakis(shard_id)
-            part_tuples = sum(len(parts[shard_id])
-                              for parts in self._target_parts.values())
-            state = previous.get(shard_id)
-            if state is None:
-                state = ShardState(
-                    shard_id=shard_id,
-                    executor=TwoPhaseExecutor(
-                        index.cqap,
-                        budget_slack=index.executor.budget_slack,
-                        relation_backend=index.relation_backend,
-                    ),
-                    yannakakis=yannakakis,
-                    partitioned_tuples=part_tuples,
-                )
-            else:
-                state.yannakakis = yannakakis
-                state.partitioned_tuples = part_tuples
-            self.shards.append(state)
-
-    def _shard_yannakakis(self, shard_id: int) -> List[OnlineYannakakis]:
-        """One shard's per-PMTD Yannakakis passes over its current views.
-
-        Shared (fully-replicated) passes come from :attr:`_shared_oy` by
-        reference; the rest are built fresh against the shard's partition
-        slices — which is also how a delta refreshes a touched shard:
-        the Online-Yannakakis constructor snapshots semijoin-reduced
-        views, so after a slice changes the pass is *rebuilt*, never
-        patched.
-        """
-        out: List[OnlineYannakakis] = []
-        for p, pmtd in enumerate(self.index.pmtds):
-            if p in self._shared_oy:
-                out.append(self._shared_oy[p])
-                continue
-            s_views: Dict = {}
-            for node, view in pmtd.s_views.items():
-                parts = self._target_parts.get(view.variables)
-                if parts is None:
-                    s_views[node] = self._shared_views[(p, node)]
-                else:
-                    s_views[node] = parts[shard_id]
-            out.append(OnlineYannakakis(pmtd, s_views))
-        return out
-
-    # ------------------------------------------------------------------
-    # incremental updates (repro.updates delta events)
-    # ------------------------------------------------------------------
-    def on_index_delta(self, event) -> None:
-        """Route one index delta into the shard partitions.
-
-        Partitioned targets take the surgical path: each delta row is
-        hashed on the target's access prefix to its home shard's slice
-        (the same :func:`access_hash` routing probes use, so a row lands
-        exactly where the probes that can see it are answered), every
-        slice of the target re-synced against its mutated base relation,
-        and only the touched shards' Yannakakis passes rebuilt.  Deltas
-        to replicated targets — shared by reference across all shards —
-        and drift re-selections fall back to a full :meth:`_build`.
-        """
-        if not event.changed:
-            return
-        if event.reselected:
-            self._build()
-            self.rebuilds += 1
-            return
-        if not event.targets_changed:
-            return
-        if any((added or removed) and target not in self._target_parts
-               for target, (added, removed) in event.target_deltas.items()):
-            self._build()
-            self.rebuilds += 1
-            return
-        touched: set = set()
-        for target, (added, removed) in event.target_deltas.items():
-            if not (added or removed):
-                continue
-            parts = self._target_parts[target]
-            schema = parts[0].schema
-            pos = tuple(schema.index(v)
-                        for v in self._partition_prefix[target])
-            deltas = [(row, True) for row in added]
-            deltas += [(row, False) for row in removed]
-            for row, insert in deltas:
-                shard_id = (access_hash(tuple(row[p] for p in pos))
-                            % self.n_shards)
-                part = parts[shard_id]
-                if insert:
-                    changed = part._delta_add(row)
-                else:
-                    changed = part._delta_discard(row)
-                if changed:
-                    self.routed_rows += 1
-                touched.add(shard_id)
-            # the base target's epoch moved when the index applied its
-            # delta; every slice (touched or not) must re-agree with it
-            for part in parts:
-                part._sync_with_base()
-        for shard_id in touched:
-            shard = self.shards[shard_id]
-            shard.yannakakis = self._shard_yannakakis(shard_id)
-            shard.partitioned_tuples = sum(
-                len(parts[shard_id])
-                for parts in self._target_parts.values())
-        self.partitioned_tuples = sum(
-            len(part)
-            for parts in self._target_parts.values() for part in parts)
+        payloads = shard_payloads(self.index, self.n_shards)
+        self._partition_prefix = partition_prefixes(self.index,
+                                                    self.n_shards)
+        for ledger, payload in zip(self.shards, payloads):
+            ledger.partitioned_tuples = payload.partitioned_tuples
+        return payloads
 
     # ------------------------------------------------------------------
     # routing
@@ -464,88 +402,125 @@ class ShardedIndex:
             return 0
         return access_hash(key) % self.n_shards
 
-    # ------------------------------------------------------------------
-    # per-shard answering
-    # ------------------------------------------------------------------
-    def answer_on_shard(self, shard_id: int, keys: Sequence[Binding],
-                        counters: Optional[Counters] = None) -> Relation:
-        """Answer a group of bindings that all route to ``shard_id``.
+    def route_delta(self, event) -> List[List[ViewRows]]:
+        """Per-shard ``(target, added, removed)`` lists for one event.
 
-        Mirrors :meth:`CQAPIndex.answer` against the shard's views: one
-        compiled T-phase pass for the whole group, then the per-PMTD
-        Online-Yannakakis passes, unioned over PMTDs.
+        A partitioned target's rows are hashed on its access prefix to
+        the one shard whose slice holds (or must gain) them; a replicated
+        target's rows go to every shard.  The ledgers' partition sizes
+        move with the rows.
         """
-        shard = self.shards[shard_id]
-        ctr = Counters()
-        q_a = Relation("Q_A", self.access, keys)
-        t_targets = shard.executor.online_compiled(self._steps, q_a,
-                                                   counters=ctr)
-        head = tuple(self.cqap.head)
-        out_rows: set = set()
-        for oy in shard.yannakakis:
-            t_views = CQAPIndex._assemble_views(oy.pmtd.t_views, t_targets)
-            psi = oy.answer(q_a, t_views, counters=ctr)
-            if set(psi.schema) == set(head):
-                out_rows |= psi.project(head, counters=ctr).tuples
-            elif psi.schema == ():
-                out_rows |= psi.tuples
-        shard.probes_served += len(keys)
-        shard.online_phases += 1
-        merge_counters(shard.counters, ctr)
-        if counters is not None:
-            merge_counters(counters, ctr)
-        return Relation(f"{self.cqap.name}_answer", head, out_rows)
+        view_rows: List[List[ViewRows]] = [[] for _ in self.shards]
+        for target, (added, removed) in event.target_deltas.items():
+            if not (added or removed):
+                continue
+            prefix = self._partition_prefix.get(target)
+            if prefix is None:
+                for rows in view_rows:
+                    rows.append((target, added, removed))
+                continue
+            schema = tuple(sorted(target))
+            pos = tuple(schema.index(v) for v in prefix)
+            gained: List[set] = [set() for _ in self.shards]
+            lost: List[set] = [set() for _ in self.shards]
+            for rows, by_shard in ((added, gained), (removed, lost)):
+                for row in rows:
+                    by_shard[access_hash(tuple(row[p] for p in pos))
+                             % self.n_shards].add(row)
+            for ledger, rows, more, fewer in zip(self.shards, view_rows,
+                                                 gained, lost):
+                if more or fewer:
+                    rows.append((target, frozenset(more), frozenset(fewer)))
+                    ledger.partitioned_tuples += len(more) - len(fewer)
+        return view_rows
 
+    # ------------------------------------------------------------------
+    # answering
+    # ------------------------------------------------------------------
     def answer_group(self, shard_id: int, group: Sequence[Binding],
                      trace_ctx: Optional[Tuple[str, str]] = None,
-                     ) -> Tuple[Dict[Binding, Relation], Counters]:
-        """One shard's online phase for a group, split back per binding.
+                     ) -> GroupAnswer:
+        """One shard's online phase for a group, split back per binding."""
+        raise NotImplementedError
 
-        This is the synchronous half of the backend contract the
-        :class:`~repro.serving.batching.BatchScheduler` dispatches
-        against; the process fleet implements the same method (plus an
-        asynchronous ``submit_group``) against its workers.  When the
-        scheduler hands down a ``trace_ctx`` (trace id, parent span id),
-        the shard's serve stamps a child span and the per-shard group
-        counter into the observability layer.
-        """
-        ctr = Counters()
-        if trace_ctx is not None and _OBS.enabled:
-            trace_id, parent_id = trace_ctx
-            span = TRACER.start_span("shard.serve_group",
-                                     trace_id=trace_id,
-                                     parent_id=parent_id,
-                                     shard=shard_id, pid=os.getpid(),
-                                     n_keys=len(group))
-            batched = self.answer_on_shard(shard_id, group, counters=ctr)
-            TRACER.finish_span(span, work=ctr.online_work)
+    def answer_groups(self, groups: Sequence[Tuple[int, List[Binding]]],
+                      trace_ctx: Optional[Tuple[str, str]] = None,
+                      ) -> List[GroupAnswer]:
+        """Answer one batch's ``(shard, group)`` pairs, in their order."""
+        return [self.answer_group(shard_id, group, trace_ctx=trace_ctx)
+                for shard_id, group in groups]
+
+    def _account(self, shard_id: int, n_keys: int, ctr: Counters,
+                 cpu: float, obs_payload: Optional[Dict]) -> None:
+        """Book one served group on its ledger (and its trace, if any)."""
+        ledger = self.shards[shard_id]
+        ledger.probes_served += n_keys
+        ledger.online_phases += 1
+        ledger.cpu_seconds += cpu
+        ledger.counters += ctr
+        if obs_payload is not None:
+            TRACER.add_span(**obs_payload["span"])
+            REGISTRY.histogram(
+                "repro_worker_probe_work",
+                "per-probe intrinsic work recorded by the shard "
+                "executors, merged executor-to-parent",
+                ("shard",), bounds=WORK_BUCKETS,
+            ).labels(shard=shard_id).merge(obs_payload["work_hist"])
             REGISTRY.counter(
                 "repro_shard_groups_total",
                 "shard groups served, by backend and shard",
                 ("backend", "shard"),
-            ).labels(backend="thread", shard=shard_id).inc()
-        else:
-            batched = self.answer_on_shard(shard_id, group, counters=ctr)
-        return split_by_binding(batched, self.access, group), ctr
+            ).labels(backend=self.backend, shard=shard_id).inc()
 
     def probe(self, binding,
               counters: Optional[Counters] = None) -> Relation:
         """Route one binding to its shard and answer it there."""
         key = self.normalize(binding)
-        return self.answer_on_shard(self.shard_of(key), [key],
-                                    counters=counters)
+        answered, ctr = self.answer_group(self.shard_of(key), [key])
+        if counters is not None:
+            counters += ctr
+        return answered[key]
+
+    # ------------------------------------------------------------------
+    # incremental updates (repro.updates delta events)
+    # ------------------------------------------------------------------
+    def on_index_delta(self, event) -> None:
+        """Bring every shard's executor up to date with one index delta.
+
+        S-target rows are routed (:meth:`route_delta`) and delivered with
+        the T-phase step slots the delta touched; a drift re-selection
+        replaced the frozen plan state wholesale, so the executors are
+        rebuilt from fresh payloads instead.
+        """
+        if not event.changed:
+            return
+        if event.reselected:
+            self._start()
+            self.rebuilds += 1
+        elif event.step_slots or event.targets_changed:
+            self.routed_rows += self._deliver(event, self.route_delta(event))
 
     def close(self) -> None:
-        """Detach from the index's delta feed (no other teardown needed)."""
+        """Detach from the index's delta feed."""
         self.index.unregister_delta_listener(self)
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     @property
+    def partitioned_tuples(self) -> int:
+        """S-tuples held in exactly one shard's slice."""
+        return sum(ledger.partitioned_tuples for ledger in self.shards)
+
+    @property
+    def replicated_tuples(self) -> int:
+        """S-tuples resident on every shard."""
+        return self.index.stored_tuples - self.partitioned_tuples
+
+    @property
     def stored_tuples(self) -> int:
         """Global S-tuples (partitioned once + replicated once)."""
-        return self.partitioned_tuples + self.replicated_tuples
+        return self.index.stored_tuples
 
     def budget_split(self) -> Dict:
         """How the global space budget divides across shards.
@@ -562,8 +537,7 @@ class ShardedIndex:
             "partitioned_tuples": self.partitioned_tuples,
             "replicated_tuples": self.replicated_tuples,
             "per_shard_partitioned": per_shard,
-            "max_shard_tuples": (max(per_shard) if per_shard else 0)
-            + self.replicated_tuples,
+            "max_shard_tuples": max(per_shard) + self.replicated_tuples,
         }
 
     def engine_section(self) -> Dict:
@@ -573,7 +547,7 @@ class ShardedIndex:
             "n_shards": self.n_shards,
             "budget_split": split,
             "partitioned_targets": sorted(
-                "|".join(sorted(t)) for t in self._target_parts),
+                "|".join(sorted(t)) for t in self._partition_prefix),
             "selection": self.index.selection.snapshot(budget_split=split),
             "probes_served": sum(s.probes_served for s in self.shards),
             "online_phases": sum(s.online_phases for s in self.shards),
@@ -601,3 +575,50 @@ class ShardedIndex:
             metrics=metrics_section(),
             shards=self.shard_sections(),
         )
+
+
+class ShardedIndex(ShardBackend):
+    """The in-process transport: executors called directly, in order.
+
+    Each shard's :class:`ShardExecutor` lives in the calling process and
+    :meth:`answer_group` is a plain call, so a batch's groups are answered
+    one after the other on the caller's thread (under the GIL, threads
+    over them only ever lost throughput).  It is the reference the
+    process fleet is compared against: same payloads, same executor, no
+    pickle in between — answers and ``Counters`` are equal for every
+    shard count.
+    """
+
+    backend = "thread"
+
+    # __init__, answer_group and on_index_delta are defined on this class
+    # itself (not only inherited): outside-in span wrappers patch a
+    # transport's own attributes to tell the two apart
+    def __init__(self, index: CQAPIndex, n_shards: int = 4) -> None:
+        super().__init__(index, n_shards)
+        self._start()
+        index.register_delta_listener(self)
+
+    def _start(self) -> None:
+        self._executors = [ShardExecutor(p) for p in self._payloads()]
+        for ledger, executor in zip(self.shards, self._executors):
+            ledger.preprocess_seconds = executor.preprocess_seconds
+
+    def answer_group(self, shard_id: int, group: Sequence[Binding],
+                     trace_ctx: Optional[Tuple[str, str]] = None,
+                     ) -> GroupAnswer:
+        answers, ctr, cpu, obs_payload = \
+            self._executors[shard_id].serve_group(group, trace_ctx)
+        self._account(shard_id, len(group), ctr, cpu, obs_payload)
+        return answers, ctr
+
+    def _deliver(self, event, view_rows: List[List[ViewRows]]) -> int:
+        """Hand each shard its routed rows; the steps need no patch here
+        (the executors run the index's own, already patched)."""
+        return sum(
+            executor.apply_delta(
+                ShardDelta(event.op, event.relation, event.row, (), rows))
+            for executor, rows in zip(self._executors, view_rows) if rows)
+
+    def on_index_delta(self, event) -> None:
+        super().on_index_delta(event)

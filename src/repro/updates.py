@@ -74,7 +74,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from repro.core.joins import project_join
 from repro.core.split import HEAVY, LIGHT, Subproblem
 from repro.core.two_phase import S_PHASE
-from repro.data.relation import Relation
+from repro.data.relation import Relation, apply_row_delta
 from repro.obs.registry import REGISTRY
 from repro.obs.trace import STATE as _OBS
 from repro.query.hypergraph import VarSet
@@ -151,30 +151,6 @@ def _collect_family(index, subproblem: Subproblem, name: str,
             if atom.relation == name:
                 members.append(rel)
     return members
-
-
-def _mutate_family(members: List[Relation], row: Tuple_,
-                   insert: bool) -> bool:
-    """Apply one delta to a piece family, once per distinct tuple set.
-
-    Members sharing a set get their derived caches reset (the set moved
-    under them); members with private copies get the same delta applied.
-    Returns True iff any member's content changed.
-    """
-    seen: set = set()
-    changed = False
-    for rel in members:
-        set_id = id(rel.tuples)
-        if set_id in seen:
-            rel.version += 1
-            rel._reset_derived()
-            continue
-        seen.add(set_id)
-        if insert:
-            changed |= rel._delta_add(row)
-        else:
-            changed |= rel._delta_discard(row)
-    return changed
 
 
 # ----------------------------------------------------------------------
@@ -377,12 +353,13 @@ def apply_delta(index, op: str, name: str, row: Tuple_,
                 index, plan, name, row, insert=True)
 
     # -- piece / step mutation -------------------------------------------
+    row_delta = ((row,), ()) if insert else ((), (row,))
     touched_steps = []
     step_slots = []
     for plan_i, plan in enumerate(index.plans):
         for decision in hosting_by_plan.get(plan_i, ()):
             family = _collect_family(index, decision.subproblem, name)
-            _mutate_family(family, row, insert)
+            apply_row_delta(family, *row_delta)
     for slot, step in enumerate(index._compiled_online):
         subproblem = step.decision.subproblem
         if any(decision.subproblem is subproblem

@@ -71,6 +71,14 @@ class Counters:
             joins_emitted=self.joins_emitted - other.joins_emitted,
         )
 
+    def __iadd__(self, other: "Counters") -> "Counters":
+        """Accumulate ``other``'s operation counts into this bundle."""
+        self.probes += other.probes
+        self.scans += other.scans
+        self.stores += other.stores
+        self.joins_emitted += other.joins_emitted
+        return self
+
     def copy(self) -> "Counters":
         return Counters(
             probes=self.probes,

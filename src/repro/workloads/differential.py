@@ -336,8 +336,7 @@ def _run_update_replay(outcome: ScenarioOutcome, workload: Workload,
     try:
         server = serve(index, backend=serve_backend, shards=n_shards,
                        batch_size=SHARD_BATCH,
-                       cache_size=workload.cache_size,
-                       inline_threshold=0)
+                       cache_size=workload.cache_size)
         for step in range(steps):
             deletable = [name for name in names if mirror[name].tuples]
             if deleted and rng.random() < 0.25:
@@ -596,15 +595,9 @@ def run_scenario(workload: Workload,
 
             per_count: Dict[int, Dict[Row, AnswerSet]] = {}
             for n_shards in shard_sweep:
-                # inline_threshold=0 forces every multi-shard batch of the
-                # thread backend through the concurrent pool dispatch, so
-                # the riskiest branch (parallel shard groups over shared
-                # read-only plan state) is the one the oracle fuzzes; the
-                # process backend always dispatches to its workers
                 with serve(batch_index, backend=backend,
                            shards=n_shards, batch_size=SHARD_BATCH,
-                           cache_size=workload.cache_size,
-                           inline_threshold=0) as server:
+                           cache_size=workload.cache_size) as server:
                     answers: Dict[Row, AnswerSet] = {}
                     for key, rel in server.serve(workload.probes):
                         answers[key] = answer_rows(rel, head)
@@ -670,8 +663,7 @@ def run_scenario(workload: Workload,
             with obs.tracing():
                 with serve(obs_index, backend="thread", shards=4,
                            batch_size=SHARD_BATCH,
-                           cache_size=workload.cache_size,
-                           inline_threshold=0) as server:
+                           cache_size=workload.cache_size) as server:
                     answers = {key: answer_rows(rel, head)
                                for key, rel
                                in server.serve(workload.probes)}
@@ -810,8 +802,7 @@ def run_abort_scenario(workload: Workload,
         try:
             with serve(index, backend=backend, shards=2,
                        batch_size=SHARD_BATCH,
-                       cache_size=workload.cache_size,
-                       inline_threshold=0) as server:
+                       cache_size=workload.cache_size) as server:
                 actual: Dict[Row, AnswerSet] = {}
                 for key, rel in server.serve(workload.probes):
                     actual[key] = answer_rows(rel, head)

@@ -120,10 +120,21 @@ class TestCli:
                      str(FIXTURES / "rep005_bad.py")]) == 0
 
 
+class _StubIndex:
+    """The delta feed the scheduler subscribes to (and leaves on close)."""
+
+    def register_delta_listener(self, listener):
+        pass
+
+    def unregister_delta_listener(self, listener):
+        pass
+
+
 class _StubBackend:
     """Minimal shard-backend contract for scheduler unit tests."""
 
     n_shards = 1
+    index = _StubIndex()
 
     def normalize(self, binding):
         return binding

@@ -190,8 +190,9 @@ class TestStats:
         index = CQAPIndex(cqap, db, db.size).preprocess()
         assert index.stats.preprocess_counters["stores"] >= 0
         assert index.stats.plans
-        index.answer((1, 2))
-        assert index.stats.last_answer_counters["online_work"] > 0
+        ctr = Counters()
+        index.answer((1, 2), counters=ctr)
+        assert ctr.online_work > 0
 
     def test_describe_mentions_rules(self):
         cqap = k_path_cqap(2)

@@ -267,7 +267,7 @@ def test_fleet_trace_propagation_and_exact_merge(prepared):
         fleet.close()
 
     roots = [s for s in spans if s.name == "scheduler.batch"]
-    workers = [s for s in spans if s.name == "worker.serve_group"]
+    workers = [s for s in spans if s.name == "shard.serve_group"]
     assert roots and workers
     # span ids survived pickling: every worker span hangs off a batch
     # span minted in the parent process

@@ -98,8 +98,14 @@ class TestShardedIndex:
 
     def test_partitions_disjointly_cover_targets(self, prepared):
         sharded = ShardedIndex(prepared, n_shards=4)
-        assert sharded._target_parts, "expected partitionable S-targets"
-        for target, parts in sharded._target_parts.items():
+        assert sharded._partition_prefix, "expected partitionable S-targets"
+        for target in sharded._partition_prefix:
+            # one slice per shard executor (every PMTD view of the target
+            # on a shard wraps the same slice)
+            parts = [next(rel for views in executor.pmtd_views
+                          for rel in views.values()
+                          if rel.variables == target)
+                     for executor in sharded._executors]
             original = prepared.s_targets[target]
             assert sum(len(p) for p in parts) == len(original)
             seen = set()
@@ -149,13 +155,38 @@ class TestShardedIndex:
         per_shard = [s.probes_served for s in sharded.shards]
         assert sum(per_shard) == len(pairs)
         # online phases happen on the probed shard only
-        for shard in sharded.shards:
+        for shard, executor in zip(sharded.shards, sharded._executors):
             assert shard.online_phases == shard.probes_served
-            assert shard.executor.online_runs == shard.online_phases
+            assert executor.executor.online_runs == shard.online_phases
 
     def test_prepare_sharded_shim_is_gone(self):
         import repro.serving as serving
         assert not hasattr(serving, "prepare_sharded")
+
+
+class TestTransportParity:
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_answers_and_counters_do_not_depend_on_transport(
+            self, prepared, pairs, n_shards):
+        # ops/probe is the paper's T: the same executor behind a direct
+        # call and behind pickle must do the same work, not just return
+        # the same rows
+        from repro.serving import ProcessShardFleet
+
+        sharded = ShardedIndex(prepared, n_shards=n_shards)
+        groups = {}
+        for pair in pairs:
+            key = sharded.normalize(pair)
+            groups.setdefault(sharded.shard_of(key), []).append(key)
+        with ProcessShardFleet(prepared, n_shards=n_shards) as fleet:
+            for shard_id, group in sorted(groups.items()):
+                got, got_ctr = fleet.answer_group(shard_id, group)
+                want, want_ctr = sharded.answer_group(shard_id, group)
+                assert got == want
+                assert got_ctr == want_ctr
+            assert [s.counters for s in fleet.shards] == \
+                [s.counters for s in sharded.shards]
+        sharded.close()
 
 
 class TestSelectionKeyExposure:
@@ -233,6 +264,20 @@ class TestBatchScheduler:
         sched.run([(1, 2), (3, 4), (5, 6), (7, 8)])
         sched.close()
         sched.close()
+
+    def test_closed_server_leaves_the_delta_feed(self):
+        # a closed but still-referenced server must stop paying eviction
+        # work on every apply_delta
+        cqap = k_path_cqap(2)
+        db = path_database(2, 120, 40, seed=3)
+        pq = prepare(cqap, db, space_budget=db.size)
+        server = serve(pq, backend="thread", shards=2)
+        pq.index.apply_delta("insert", "R1", (10 ** 6, 10 ** 6))
+        assert server.scheduler.updates_seen == 1
+        server.close()
+        pq.index.apply_delta("insert", "R1", (10 ** 6 + 1, 10 ** 6))
+        assert server.scheduler.updates_seen == 1
+        assert pq.updates_seen == 2     # the open layer still listens
 
 
 class TestServeFacade:

@@ -209,12 +209,19 @@ class TestSurgicalCacheEviction:
 
 
 class TestServingListeners:
-    def test_sharded_backend_stays_coherent(self):
+    # shards=1 with the cache off is the shared-set trap: every S-target
+    # is replicated, so the in-process executor's views wrap the very
+    # tuple sets the index has already mutated when the event fires, and
+    # the first probe warms the indexes the delta must then drop
+    @pytest.mark.parametrize("shards, cache_size", [(3, 256), (1, 0)])
+    def test_sharded_backend_stays_coherent(self, shards, cache_size):
         from repro.serving import serve
 
         cqap, db, index = build_index()
-        with serve(index, backend="thread", shards=3,
-                   inline_threshold=0) as server:
+        with serve(index, backend="thread", shards=shards,
+                   cache_size=cache_size) as server:
+            before = dict(server.serve([(0, 31), (1, 31)]))
+            assert len(before[(0, 31)]) == 0 and len(before[(1, 31)]) == 1
             index.apply_delta("insert", "R3", (20, 31))
             index.apply_delta("delete", "R3", (21, 31))
             answers = {k: answer_rows(rel, tuple(cqap.head))
