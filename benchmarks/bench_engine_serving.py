@@ -57,13 +57,13 @@ def experiment():
     # cached: a skewed stream concentrated on a few hot pairs
     hot = pairs[:HOT_PAIRS]
     stream = [hot[rng.randrange(HOT_PAIRS)] for _ in range(STREAM)]
-    phases_after_warm = pq.online_phases
+    phases_after_warm = pq.cache.phases
     cached_ctr = Counters()
     t0 = time.perf_counter()
     for pair in stream:
         pq.probe_boolean(pair, counters=cached_ctr)
     cached_seconds = time.perf_counter() - t0
-    cached_phases = pq.online_phases - phases_after_warm
+    cached_phases = pq.cache.phases - phases_after_warm
 
     # batched: one online phase for a fresh batch (cache disabled to
     # isolate the §6.4 amortization from cache effects)

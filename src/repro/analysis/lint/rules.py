@@ -74,7 +74,7 @@ class LockDisciplineRule(Rule):
     then every other mutation of ``self.x`` must also hold that lock.
     ``__init__`` is exempt — no other thread can hold a reference yet.
 
-    This is the PR 5 thread-safety contract on ``LRUCache``,
+    This is the PR 5 thread-safety contract on ``AnswerCache``,
     ``PreparedQuery`` and ``BatchScheduler``: a single unguarded ``+=``
     on a stats counter is a lost-update race.
     """

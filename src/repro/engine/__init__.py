@@ -21,11 +21,11 @@ The ``space_budget`` threads all the way down: it bounds the S-targets the
 the PMTD set is large.
 """
 
-from repro.engine.cache import LRUCache
+from repro.engine.cache import AnswerCache
 from repro.engine.prepared import PreparedQuery, prepare
 
 __all__ = [
-    "LRUCache",
+    "AnswerCache",
     "PreparedQuery",
     "prepare",
 ]

@@ -19,20 +19,17 @@ planner/executor lifecycle counters (``plan_calls``, ``preprocess_runs``,
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, Iterable, List, Optional
 
 from repro.core.index import CQAPIndex, split_by_binding
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.engine.cache import LRUCache
-from repro.obs import metrics_section, record_probe
-from repro.obs.trace import STATE as _OBS, TRACER
+from repro.engine.cache import AnswerCache, Binding, Resolved
+from repro.obs import metrics_section
 from repro.query.cq import CQAP, normalize_access_binding
 from repro.util.counters import Counters
-
-Binding = Tuple[object, ...]
 
 
 def prepare(cqap: CQAP, db: Database, space_budget: float,
@@ -90,151 +87,64 @@ class PreparedQuery:
                              "use repro.engine.prepare()")
         self._index = index
         self.cqap = index.cqap
-        self.cache = LRUCache(cache_size)
+        self.cache = AnswerCache(cache_size)
         self.prepare_seconds = prepare_seconds
         self.prepare_counters = (prepare_counters or Counters()).copy()
         # lifecycle snapshot: probes must leave these untouched
         self.plan_calls_at_prepare = index.planner.plan_calls
         self.preprocess_runs_at_prepare = index.executor.preprocess_runs
-        self.probes_served = 0
-        self.batch_calls = 0
-        self.online_phases = 0
-        self.updates_seen = 0
-        self.keys_invalidated = 0
-        # lifecycle counters are bumped under this lock so concurrent
-        # probes (the sharded serving layer runs a worker pool) never lose
-        # increments; the answer cache carries its own lock
-        self._stats_lock = threading.Lock()
         index.register_delta_listener(self)
 
     # ------------------------------------------------------------------
-    # binding plumbing
+    # probing: AnswerCache.serve in front of one online phase per call
     # ------------------------------------------------------------------
     def _normalize_binding(self, binding) -> Binding:
         """One probe binding as a tuple matching the access pattern arity."""
         return normalize_access_binding(self.cqap.access, binding)
 
-    def _from_cache_payload(self, payload) -> Relation:
-        schema, rows = payload
-        return Relation(f"{self.cqap.name}_answer", schema, rows)
+    def _resolve(self, counters: Optional[Counters],
+                 missing: List[Binding], _trace_ctx) -> List[Resolved]:
+        """The misses as a single access relation ``Q_A``: one online phase.
 
-    # ------------------------------------------------------------------
-    # single-probe fast path
-    # ------------------------------------------------------------------
+        Split scans, view assembly and the Yannakakis passes are paid
+        once for the whole batch instead of once per binding (§6.4).
+        """
+        ctr = Counters()
+        batched = self._index.answer(missing, counters=ctr)
+        if counters is not None:
+            counters += ctr
+        split = split_by_binding(batched, tuple(self.cqap.access), missing)
+        return [(split, ctr.online_work, None, None)]
+
     def probe(self, binding, counters: Optional[Counters] = None) -> Relation:
-        """Answer one access binding; cached answers cost one dict lookup."""
-        observe = _OBS.enabled
-        start = time.perf_counter() if observe else 0.0
-        key = self._normalize_binding(binding)
-        with self._stats_lock:
-            self.probes_served += 1
-        cached = self.cache.get(key)
-        if cached is not None:
-            if observe:
-                record_probe(key, "cache", 0,
-                             time.perf_counter() - start)
-            return self._from_cache_payload(cached)
-        ctr = counters or Counters()
-        span = base = None
-        if observe:
-            span = TRACER.start_span("engine.probe", binding=list(key))
-            base = ctr.copy()
-        answer = self._index.answer(key, counters=ctr)
-        with self._stats_lock:
-            self.online_phases += 1
-        if self.cache.capacity > 0:
-            self.cache.put(key, (answer.schema, frozenset(answer.tuples)))
-        if observe:
-            work = ctr.delta_since(base).online_work
-            TRACER.finish_span(span, route="online", work=work)
-            record_probe(key, "online", work,
-                         time.perf_counter() - start,
-                         trace_id=span.trace_id)
-        return answer
+        """Answer one access binding; cached answers cost one dict lookup.
+
+        The relation is shared with the answer cache: read-only.
+        """
+        keys, results = self.cache.serve(
+            [binding], self._normalize_binding,
+            partial(self._resolve, counters), "engine.probe")
+        return results[keys[0]]
 
     def probe_boolean(self, binding,
                       counters: Optional[Counters] = None) -> bool:
         """True iff the probe has at least one answer."""
         return len(self.probe(binding, counters=counters)) > 0
 
-    # ------------------------------------------------------------------
-    # batched path (§6.4)
-    # ------------------------------------------------------------------
     def probe_many(self, bindings: Iterable,
                    counters: Optional[Counters] = None,
                    ) -> Dict[Binding, Relation]:
-        """Answer many bindings in one online phase.
+        """Answer many bindings in one online phase (§6.4).
 
-        Bindings are deduplicated (first occurrence wins the ordering),
-        cache hits are served immediately, and the remaining misses are
-        grouped into a single access relation ``Q_A`` so that split scans,
-        view assembly, and the Yannakakis passes are paid once for the whole
-        batch instead of once per binding.  Returns a dict keyed by the
-        normalized binding; results are identical to per-binding
-        :meth:`probe` calls.
-
-        Stats contract: ``probes_served`` counts every *incoming* binding
-        (duplicates included), exactly as a loop of :meth:`probe` calls
-        would — so the counter is comparable across the single and
-        batched paths and dedupe savings show up in ``online_phases``,
-        not in a silently smaller served count.
+        Returns a dict keyed by the normalized binding; results, stats
+        and observations are identical to per-binding :meth:`probe`
+        calls except that the misses of the whole batch share one online
+        phase (see :meth:`AnswerCache.serve
+        <repro.engine.cache.AnswerCache.serve>` for the contract).
         """
-        observe = _OBS.enabled
-        start = time.perf_counter() if observe else 0.0
-        span = TRACER.start_span("engine.probe_many") if observe else None
-        keys: List[Binding] = [self._normalize_binding(b) for b in bindings]
-        unique = list(dict.fromkeys(keys))
-        with self._stats_lock:
-            self.batch_calls += 1
-            self.probes_served += len(keys)
-        results: Dict[Binding, Relation] = {}
-        missing: List[Binding] = []
-        hit_keys: set = set()
-        for key in unique:
-            cached = self.cache.get(key)
-            if cached is not None:
-                results[key] = self._from_cache_payload(cached)
-                if observe:
-                    hit_keys.add(key)
-            else:
-                missing.append(key)
-        total_work = 0
-        if missing:
-            ctr = counters or Counters()
-            base = ctr.copy() if observe else None
-            batched = self._index.answer(missing, counters=ctr)
-            if observe:
-                total_work = ctr.delta_since(base).online_work
-            with self._stats_lock:
-                self.online_phases += 1
-            cache_answers = self.cache.capacity > 0
-            for key, answer in split_by_binding(
-                    batched, tuple(self.cqap.access), missing).items():
-                if cache_answers:
-                    self.cache.put(key, (answer.schema,
-                                         frozenset(answer.tuples)))
-                results[key] = answer
-        if observe:
-            # one observation per *incoming* binding, matching the
-            # probes_served contract: duplicates route as "dedupe", hits
-            # as "cache", and the batch's online work amortizes evenly
-            # over the misses that shared the single online phase
-            elapsed = time.perf_counter() - start
-            amortized = total_work / len(missing) if missing else 0.0
-            seen: set = set()
-            for key in keys:
-                if key in seen:
-                    route, work = "dedupe", 0.0
-                elif key in hit_keys:
-                    route, work = "cache", 0.0
-                else:
-                    route, work = "online", amortized
-                seen.add(key)
-                record_probe(key, route, work, elapsed,
-                             trace_id=span.trace_id)
-            TRACER.finish_span(span, n_keys=len(keys),
-                               n_missing=len(missing), work=total_work)
-        return results
+        return self.cache.serve(
+            bindings, self._normalize_binding,
+            partial(self._resolve, counters), "engine.probe_many")[1]
 
     def probe_many_boolean(self, bindings: Iterable,
                            counters: Optional[Counters] = None,
@@ -250,30 +160,17 @@ class PreparedQuery:
     def on_index_delta(self, event) -> None:
         """Keep the answer cache coherent after an index delta.
 
-        Eviction is *surgical*: the event carries the exact set of access
-        keys whose answers could have changed (computed by pinning the
-        delta row into one join occurrence at a time), so only those
-        entries are dropped — hot unaffected keys keep serving from
-        cache.  ``affected_keys is None`` is the conservative signal
-        ("anything may have moved") and flushes everything.
-
         A drift-triggered re-selection re-runs the planner and the
         executor's preprocess; re-snapshotting the lifecycle counters
         here keeps the :attr:`replanned` invariant meaningful — it still
         flags *probe-triggered* planning, not sanctioned update-path
         replans (those are counted in the ``updates`` stats section).
         """
-        if not event.changed:
-            return
-        dropped = self.cache.evict(event.affected_keys)
-        with self._stats_lock:
-            self.updates_seen += 1
-            self.keys_invalidated += dropped
-        if event.reselected:
-            with self._stats_lock:
-                self.plan_calls_at_prepare = self._index.planner.plan_calls
-                self.preprocess_runs_at_prepare = (
-                    self._index.executor.preprocess_runs)
+        self.cache.on_index_delta(event)
+        if event.changed and event.reselected:
+            self.plan_calls_at_prepare = self._index.planner.plan_calls
+            self.preprocess_runs_at_prepare = (
+                self._index.executor.preprocess_runs)
 
     # ------------------------------------------------------------------
     # differential self-check
@@ -366,9 +263,9 @@ class PreparedQuery:
             "preprocess_runs": self._index.executor.preprocess_runs,
             "compile_runs": self._index.executor.compile_runs,
             "online_runs": self._index.executor.online_runs,
-            "probes_served": self.probes_served,
-            "batch_calls": self.batch_calls,
-            "online_phases": self.online_phases,
+            "probes_served": self.cache.probes_in,
+            "batch_calls": self.cache.calls["engine.probe_many"],
+            "online_phases": self.cache.phases,
             "replanned": self.replanned,
             "cache": self.cache.snapshot(),
         }
@@ -381,8 +278,8 @@ class PreparedQuery:
         """
         return {
             **self._index.updates_section(),
-            "events_seen": self.updates_seen,
-            "keys_invalidated": self.keys_invalidated,
+            "events_seen": self.cache.deltas,
+            "keys_invalidated": self.cache.invalidations,
         }
 
     def stats(self) -> Dict:

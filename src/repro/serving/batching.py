@@ -2,17 +2,16 @@
 
 A probe batch in a real serving system is heavily redundant — hot access
 bindings repeat within a batch and across consecutive batches.  The
-scheduler exploits both:
+scheduler runs the same loop as the unsharded engine
+(:meth:`repro.engine.cache.AnswerCache.serve`) and supplies the last step:
 
 * **dedupe first** — duplicate bindings inside a batch are answered once
   and fanned back out by reference, so a batch with a 4:1 dedupe ratio
   pays a quarter of the per-binding work;
-* **answer-cache second** — answers are cached as immutable, shared
+* **answer-cache second** — answers are cached as shared read-only
   :class:`~repro.data.relation.Relation` objects, so a cache hit is a
-  dictionary move-to-front (no per-hit relation reconstruction — the main
-  reason batched serving beats per-binding ``probe_many`` loops on hot
-  streams).  Callers must treat served relations as read-only, matching
-  the engine-wide mutation contract;
+  dictionary move-to-front.  Callers must treat served relations as
+  read-only, matching the engine-wide mutation contract;
 * **shard grouping last** — the remaining misses are grouped by home
   shard and each group is answered in *one* online phase on its shard.
   How the groups of a batch are dispatched is the backend's business
@@ -29,13 +28,13 @@ the index's delta feed.
 
 from __future__ import annotations
 
-import threading
 import time
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.data.relation import Relation
-from repro.engine.cache import LRUCache
-from repro.obs import metrics_section, record_probe
+from repro.engine.cache import AnswerCache, Resolved
+from repro.obs import metrics_section
 from repro.obs.registry import REGISTRY
 from repro.obs.trace import STATE as _OBS, TRACER
 from repro.serving.sharding import Binding, ShardBackend
@@ -54,40 +53,14 @@ class BatchScheduler:
 
     def __init__(self, backend: ShardBackend, cache_size: int = 256) -> None:
         self.backend = backend
-        self.cache = LRUCache(cache_size)
-        # stats counters are mutated from the serving loop *and* from the
-        # index's delta feed (on_index_delta fires on whatever thread the
-        # mutator runs on), so bumps must hold the stats lock — an
-        # unguarded += is a lost-update race (REP001)
-        self._stats_lock = threading.Lock()
-        self.batch_calls = 0
-        self.probes_in = 0
-        self.unique_probes = 0
-        self.cache_served = 0
-        self.shard_phases = 0
-        self.updates_seen = 0
-        self.keys_invalidated = 0
+        self.cache = AnswerCache(cache_size)
         # subscribe the answer cache to the backing index's delta feed so
         # a mutation surgically evicts exactly the stale keys
         backend.index.register_delta_listener(self)
 
-    # ------------------------------------------------------------------
-    # incremental updates (repro.updates delta events)
-    # ------------------------------------------------------------------
     def on_index_delta(self, event) -> None:
-        """Evict exactly the cached answers an index delta made stale.
-
-        Cache keys are normalized access bindings — the same tuples the
-        event's ``affected_keys`` carries — so eviction is per-key;
-        ``affected_keys is None`` is the conservative flush-everything
-        signal.
-        """
-        if not event.changed:
-            return
-        dropped = self.cache.evict(event.affected_keys)
-        with self._stats_lock:
-            self.updates_seen += 1
-            self.keys_invalidated += dropped
+        """Evict exactly the cached answers an index delta made stale."""
+        self.cache.on_index_delta(event)
 
     def close(self) -> None:
         """Leave the index's delta feed (idempotent).
@@ -126,90 +99,38 @@ class BatchScheduler:
         — on hot streams the normalization is a measurable slice of the
         per-probe cost.
         """
-        backend = self.backend
-        observe = _OBS.enabled
-        start = time.perf_counter() if observe else 0.0
-        span = TRACER.start_span("scheduler.batch") if observe else None
-        keys = [backend.normalize(b) for b in bindings]
-        unique = list(dict.fromkeys(keys))
-        results: Dict[Binding, Relation] = {}
-        groups: Dict[int, List[Binding]] = {}
-        hits = 0
-        hit_keys: set = set()
-        for key in unique:
-            cached = self.cache.get(key)
-            if cached is not None:
-                results[key] = cached
-                hits += 1
-                if observe:
-                    hit_keys.add(key)
-            else:
-                groups.setdefault(backend.shard_of(key),
-                                  []).append(key)
-        with self._stats_lock:
-            self.batch_calls += 1
-            self.probes_in += len(keys)
-            self.unique_probes += len(unique)
-            self.cache_served += hits
-        # the trace context rides down to the shard executors (over the
-        # pickle boundary, for the process fleet)
-        ctx = (span.trace_id, span.span_id) if observe else None
-        ordered = sorted(groups.items())
-        dispatch_start = time.perf_counter() if observe else 0.0
-        parts = backend.answer_groups(ordered, trace_ctx=ctx)
-        with self._stats_lock:
-            self.shard_phases += len(groups)
-        for answered, ctr in parts:
-            if counters is not None:
-                counters += ctr
-            for key, relation in answered.items():
-                results[key] = relation
-                self.cache.put(key, relation)
-        if observe:
-            self._record_batch(span, keys, hit_keys, ordered, parts,
-                               time.perf_counter() - dispatch_start,
-                               time.perf_counter() - start)
+        keys, results = self.cache.serve(
+            bindings, self.backend.normalize,
+            partial(self._resolve, counters), "scheduler.batch")
+        if _OBS.enabled:
+            REGISTRY.counter("repro_batches_total",
+                             "probe batches the scheduler executed").inc()
         return keys, [results[key] for key in keys]
 
-    def _record_batch(self, span, keys, hit_keys, ordered, parts,
-                      dispatch_seconds: float, elapsed: float) -> None:
-        """Publish one batch's spans, per-probe observations, counters."""
-        ledgers = self.backend.shards
-        route_of: Dict[Binding, Tuple[float, int]] = {}
-        total_work = 0
-        for (shard_id, group), (_answered, ctr) in zip(ordered, parts):
-            work = ctr.online_work
-            total_work += work
-            TRACER.add_span(
-                "scheduler.dispatch", trace_id=span.trace_id,
-                parent_id=span.span_id, duration=dispatch_seconds,
-                attrs={"shard": shard_id, "n_keys": len(group),
-                       "work": work})
-            amortized = work / len(group) if group else 0.0
-            for key in group:
-                route_of[key] = (amortized, shard_id)
-        seen: set = set()
-        for key in keys:
-            shard = pid = None
-            if key in seen:
-                route, work = "dedupe", 0.0
-            elif key in hit_keys:
-                route, work = "cache", 0.0
-            else:
-                amortized, shard = route_of[key]
-                route, work = "shard", amortized
-                pid = ledgers[shard].pid
-            seen.add(key)
-            record_probe(key, route, work, elapsed, shard=shard,
-                         pid=pid, trace_id=span.trace_id)
-        TRACER.finish_span(span, n_keys=len(keys), n_groups=len(ordered),
-                           work=total_work)
-        REGISTRY.counter("repro_batches_total",
-                         "probe batches the scheduler executed").inc()
-
-    def run_boolean(self, bindings: Iterable) -> List[bool]:
-        """Batched Boolean variant, input order preserved."""
-        return [len(rel) > 0 for rel in self.run(bindings)]
+    def _resolve(self, counters: Optional[Counters],
+                 missing: List[Binding], trace_ctx) -> List[Resolved]:
+        """The misses grouped by home shard: one online phase per group."""
+        backend = self.backend
+        groups: Dict[int, List[Binding]] = {}
+        for key in missing:
+            groups.setdefault(backend.shard_of(key), []).append(key)
+        ordered = sorted(groups.items())
+        start = time.perf_counter()
+        parts = backend.answer_groups(ordered, trace_ctx=trace_ctx)
+        seconds = time.perf_counter() - start
+        resolved = []
+        for (shard_id, group), (answered, ctr) in zip(ordered, parts):
+            if counters is not None:
+                counters += ctr
+            if trace_ctx is not None:
+                TRACER.add_span(
+                    "scheduler.dispatch", trace_id=trace_ctx[0],
+                    parent_id=trace_ctx[1], duration=seconds,
+                    attrs={"shard": shard_id, "n_keys": len(group),
+                           "work": ctr.online_work})
+            resolved.append((answered, ctr.online_work, shard_id,
+                             backend.shards[shard_id].pid))
+        return resolved
 
     # ------------------------------------------------------------------
     @property
@@ -220,21 +141,21 @@ class BatchScheduler:
         neutral 1.0 — never 0.0, which dashboards would read as an
         impossible "fewer incoming than unique" state.
         """
-        return self.probes_in / self.unique_probes if self.unique_probes \
-            else 1.0
+        unique = self.cache.unique_probes
+        return self.cache.probes_in / unique if unique else 1.0
 
     def scheduler_section(self) -> Dict:
         """The envelope's ``scheduler`` section (counters + cache)."""
         return {
-            "batch_calls": self.batch_calls,
-            "probes_in": self.probes_in,
-            "unique_probes": self.unique_probes,
-            "cache_served": self.cache_served,
-            "shard_phases": self.shard_phases,
+            "batch_calls": self.cache.calls["scheduler.batch"],
+            "probes_in": self.cache.probes_in,
+            "unique_probes": self.cache.unique_probes,
+            "cache_served": self.cache.hits,
+            "shard_phases": self.cache.phases,
             "dedupe_ratio": self.dedupe_ratio,
             "cache": self.cache.snapshot(),
-            "updates_seen": self.updates_seen,
-            "keys_invalidated": self.keys_invalidated,
+            "updates_seen": self.cache.deltas,
+            "keys_invalidated": self.cache.invalidations,
         }
 
     def stats(self) -> Dict:

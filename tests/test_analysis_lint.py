@@ -155,8 +155,10 @@ class TestBatchSchedulerStatsLock:
     """Regression for the REP001 audit: delta-feed counters are locked.
 
     ``on_index_delta`` fires on whatever thread applies the index delta,
-    concurrently with the serving loop; before the ``_stats_lock`` fix
-    its bare ``+=`` was a read-modify-write race that lost updates.
+    concurrently with the serving loop; a bare ``+=`` there was a
+    read-modify-write race that lost updates.  The count now lives on the
+    scheduler's ``AnswerCache`` (its ``deltas`` counter), under the one
+    lock that also guards the entries.
     """
 
     def test_concurrent_deltas_count_exactly(self):
@@ -173,7 +175,7 @@ class TestBatchSchedulerStatsLock:
             w.start()
         for w in workers:
             w.join()
-        assert scheduler.updates_seen == threads * per_thread
+        assert scheduler.cache.deltas == threads * per_thread
         scheduler.close()
 
     def test_unchanged_events_do_not_count(self):
@@ -184,5 +186,5 @@ class TestBatchSchedulerStatsLock:
             affected_keys = None
 
         scheduler.on_index_delta(_Noop())
-        assert scheduler.updates_seen == 0
+        assert scheduler.cache.deltas == 0
         scheduler.close()

@@ -7,6 +7,7 @@ a seed-complete minimal reproduction (see ``Disagreement.describe``).
 
 import pytest
 
+from repro.data.relation import Relation
 from repro.engine import prepare
 from repro.oracle import OracleMismatch, answer_rows, assert_equivalent, oracle_probe
 from repro.workloads import make_workload
@@ -247,8 +248,8 @@ class TestEngineOracleSelfCheck:
         binding = tuple(workload.probes[0])
         # poison the answer cache with a fabricated tuple
         bogus = tuple(-1 for _ in workload.cqap.head)
-        pq.cache.put(binding, (tuple(workload.cqap.head),
-                               frozenset({bogus})))
+        pq.cache.put(binding, Relation("poison", tuple(workload.cqap.head),
+                                       {bogus}))
         with pytest.raises(OracleMismatch):
             pq.verify_against_oracle([binding])
 

@@ -10,7 +10,7 @@ import pytest
 from repro import catalog, path_database, singleton_request
 from repro.core.two_phase import S_PHASE, T_PHASE
 from repro.data import triangle_database
-from repro.engine import LRUCache, PreparedQuery, prepare
+from repro.engine import AnswerCache, PreparedQuery, prepare
 from repro.util.counters import Counters
 
 
@@ -20,44 +20,51 @@ def reach3_setup(n_edges=700, domain=90, seed=41, skew=4):
     return cqap, db
 
 
-class TestLRUCache:
+def lookup(cache, key):
+    """One counted lookup through ``AnswerCache.serve``; a miss fills nothing."""
+    _keys, hits = cache.serve([key], lambda k: k, lambda _missing, _ctx: (),
+                              "test.lookup")
+    return hits.get(key)
+
+
+class TestAnswerCache:
     def test_hit_miss_accounting(self):
-        cache = LRUCache(4)
-        assert cache.get("a") is None
+        cache = AnswerCache(4)
+        assert lookup(cache, "a") is None
         cache.put("a", 1)
-        assert cache.get("a") == 1
+        assert lookup(cache, "a") == 1
         assert cache.hits == 1
         assert cache.misses == 1
         assert cache.hit_rate == pytest.approx(0.5)
 
     def test_eviction_is_lru(self):
-        cache = LRUCache(2)
+        cache = AnswerCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
-        cache.get("a")          # refresh a; b is now LRU
+        lookup(cache, "a")          # refresh a; b is now LRU
         cache.put("c", 3)
-        assert "a" in cache
-        assert "b" not in cache
-        assert "c" in cache
+        assert cache.peek("a") == 1
+        assert cache.peek("b") is None
+        assert cache.peek("c") == 3
         assert cache.evictions == 1
 
     def test_put_existing_refreshes_without_eviction(self):
-        cache = LRUCache(2)
+        cache = AnswerCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.put("a", 10)      # refresh, not insert
         assert cache.evictions == 0
-        assert cache.get("a") == 10
+        assert lookup(cache, "a") == 10
 
     def test_zero_capacity_disables(self):
-        cache = LRUCache(0)
+        cache = AnswerCache(0)
         cache.put("a", 1)
-        assert cache.get("a") is None
+        assert lookup(cache, "a") is None
         assert len(cache) == 0
         assert cache.misses == 1
 
     def test_peek_touches_nothing(self):
-        cache = LRUCache(2)
+        cache = AnswerCache(2)
         cache.put("a", 1)
         assert cache.peek("a") == 1
         assert cache.peek("zzz") is None
@@ -65,18 +72,18 @@ class TestLRUCache:
         assert cache.misses == 0
 
     def test_clear_keeps_counters(self):
-        cache = LRUCache(2)
+        cache = AnswerCache(2)
         cache.put("a", 1)
-        cache.get("a")
-        cache.clear()
+        lookup(cache, "a")
+        cache.evict(None)
         assert len(cache) == 0
         assert cache.hits == 1
 
     def test_snapshot_shape(self):
-        cache = LRUCache(3)
+        cache = AnswerCache(3)
         cache.put("a", 1)
-        cache.get("a")
-        cache.get("b")
+        lookup(cache, "a")
+        lookup(cache, "b")
         snap = cache.snapshot()
         assert snap["entries"] == 1
         assert snap["hits"] == 1
@@ -123,7 +130,7 @@ class TestPreparedQuery:
         assert second.online_work == 0
         assert warm.tuples == cold.tuples
         assert pq.cache.hits == 1
-        assert pq.online_phases == 1
+        assert pq.cache.phases == 1
 
     def test_cache_eviction_through_probe(self):
         cqap, db = reach3_setup(n_edges=300, domain=40)
@@ -132,9 +139,9 @@ class TestPreparedQuery:
         pq.probe((3, 4))
         pq.probe((5, 6))        # evicts (1, 2)
         assert pq.cache.evictions == 1
-        before = pq.online_phases
+        before = pq.cache.phases
         pq.probe((1, 2))        # must recompute
-        assert pq.online_phases == before + 1
+        assert pq.cache.phases == before + 1
 
     def test_stats_json_serializable(self):
         cqap, db = reach3_setup(n_edges=200, domain=40)
@@ -252,19 +259,22 @@ class TestProbeMany:
         # probes_served counts every incoming binding (duplicates
         # included), exactly as a loop of probe() calls would; the dedupe
         # saving shows up in online_phases, not a smaller served count
-        assert pq.probes_served == 4
-        assert pq.online_phases == 1
+        assert pq.cache.probes_in == 4
+        assert pq.cache.phases == 1
 
     def test_mixes_cache_hits_and_misses(self):
         cqap, db = reach3_setup(n_edges=300, domain=40)
         pq = prepare(cqap, db, space_budget=db.size)
         warm = pq.probe((1, 2))
-        phases = pq.online_phases
+        phases = pq.cache.phases
         results = pq.probe_many([(1, 2), (5, 6)])
         assert results[(1, 2)].tuples == warm.tuples
         # the cached binding is excluded from the batched online phase
-        assert pq.online_phases == phases + 1
+        assert pq.cache.phases == phases + 1
         assert pq.cache.hits == 1
+        # batch_calls counts probe_many invocations, not single probes
+        assert pq.stats()["engine"]["batch_calls"] == 1
+        assert pq.stats()["engine"]["probes_served"] == 3
 
     def test_batched_online_work_amortizes(self):
         cqap, db = reach3_setup()
@@ -392,13 +402,13 @@ class TestCacheCapacityGuard:
         pq.probe_many(pairs)
         assert len(pq.cache) == 0
         # a replay re-runs the online phase instead of hitting the cache
-        phases = pq.online_phases
+        phases = pq.cache.phases
         pq.probe_many(pairs)
-        assert pq.online_phases > phases
+        assert pq.cache.phases > phases
 
     def test_probes_served_counts_every_incoming_binding(self):
         cqap, db = reach3_setup(n_edges=250, domain=30)
         pq = prepare(cqap, db, space_budget=db.size)
         pairs = [(1, 2), (1, 2), (3, 4), (1, 2)]
         pq.probe_many(pairs)
-        assert pq.probes_served == len(pairs)
+        assert pq.cache.probes_in == len(pairs)

@@ -234,16 +234,17 @@ class TestBatchScheduler:
         batch = [(1, 2), (1, 2), (3, 4), (1, 2)]
         with BatchScheduler(sharded) as sched:
             sched.run(batch)
-            assert sched.probes_in == 4
-            assert sched.unique_probes == 2
-            assert sched.cache_served == 0
-            phases = sched.shard_phases
+            assert sched.cache.probes_in == 4
+            assert sched.cache.unique_probes == 2
+            assert sched.cache.hits == 0
+            phases = sched.cache.phases
             # an identical batch is served wholly from the cache
             sched.run(batch)
-            assert sched.cache_served == 2
-            assert sched.shard_phases == phases
+            assert sched.cache.hits == 2
+            assert sched.cache.phases == phases
             assert sched.dedupe_ratio == pytest.approx(8 / 4)
             stats = validate_stats(sched.stats())
+            assert stats["scheduler"]["batch_calls"] == 2
             assert stats["scheduler"]["cache"]["hits"] == 2
 
     def test_counters_forwarded(self, prepared):
@@ -273,11 +274,11 @@ class TestBatchScheduler:
         pq = prepare(cqap, db, space_budget=db.size)
         server = serve(pq, backend="thread", shards=2)
         pq.index.apply_delta("insert", "R1", (10 ** 6, 10 ** 6))
-        assert server.scheduler.updates_seen == 1
+        assert server.scheduler.cache.deltas == 1
         server.close()
         pq.index.apply_delta("insert", "R1", (10 ** 6 + 1, 10 ** 6))
-        assert server.scheduler.updates_seen == 1
-        assert pq.updates_seen == 2     # the open layer still listens
+        assert server.scheduler.cache.deltas == 1
+        assert pq.cache.deltas == 2     # the open layer still listens
 
 
 class TestServeFacade:
@@ -411,6 +412,76 @@ class TestServeFacade:
                 list(server.serve([(1, 2)]))
 
 
+class TestEntryPointParity:
+    """``probe``, ``probe_many`` and ``serve()`` are one loop.
+
+    All three are :meth:`AnswerCache.serve` with a different resolver, so
+    one seeded stream (duplicates, hits, misses, capacity pressure and a
+    mid-stream delta that evicts cached keys) must leave the same
+    answers, the same cache counters and — traced — the same per-probe
+    routes, up to the ``online`` <-> ``shard`` label.  A loop of single
+    probes cannot dedupe, so it joins at batch size 1.
+    """
+
+    @staticmethod
+    def _run(entry, batch_size):
+        from repro import obs
+        from repro.engine import PreparedQuery
+        from repro.oracle import answer_rows
+
+        cqap = k_path_cqap(3)
+        db = path_database(3, 150, 25, seed=3)
+        index = CQAPIndex(cqap, db, int(db.size ** 1.2)).preprocess()
+        rng = random.Random(17)
+        pool = sorted(cqap.evaluate(db).project(cqap.access).tuples)[:12]
+        stream = [rng.choice(pool) for _ in range(96)]
+        x1 = stream[0][0]
+        delta = ("delete", "R1", min(r for r in db["R1"].tuples
+                                     if r[0] == x1))
+        head = tuple(cqap.head)
+        with obs.tracing(), serve(index, backend="thread", shards=1,
+                                  batch_size=batch_size,
+                                  cache_size=5) as server:
+            pq = PreparedQuery(index, cache_size=5)
+
+            def ask(keys):
+                if entry == "serve":
+                    return [rel for _key, rel in server.serve(keys)]
+                batches = [keys[i:i + batch_size]
+                           for i in range(0, len(keys), batch_size)]
+                if entry == "probe":
+                    return [pq.probe(key) for (key,) in batches]
+                return [got[key] for batch in batches
+                        for got in [pq.probe_many(batch)] for key in batch]
+
+            answers = ask(stream[:48])
+            index.apply_delta(*delta)
+            answers += ask(stream[48:])
+            cache = (server.scheduler if entry == "serve" else pq).cache
+            section = (server.stats()["scheduler"] if entry == "serve"
+                       else pq.stats()["updates"])
+            routes = {}
+            for (route,), child in obs.REGISTRY.get(
+                    "repro_probes_total").children():
+                route = "online" if route == "shard" else route
+                routes[route] = routes.get(route, 0) + child.value
+        snapshot = cache.snapshot()
+        assert snapshot["evictions"] > 0 and snapshot["invalidations"] > 0
+        assert sum(routes.values()) == len(stream) == cache.probes_in
+        return ([answer_rows(rel, head) for rel in answers], snapshot,
+                section["keys_invalidated"], cache.unique_probes,
+                cache.phases, routes)
+
+    @pytest.mark.parametrize("batch_size", [1, 8])
+    def test_same_answers_counters_and_routes(self, batch_size):
+        entries = ["probe_many", "serve"] + ["probe"] * (batch_size == 1)
+        first, *others = [self._run(entry, batch_size) for entry in entries]
+        if batch_size > 1:
+            assert first[5]["dedupe"] > 0
+        for other in others:
+            assert other == first
+
+
 class TestConcurrentEngineCounters:
     def test_prepared_query_counters_consistent_under_threads(self):
         cqap = k_path_cqap(2)
@@ -438,9 +509,9 @@ class TestConcurrentEngineCounters:
             t.join()
         assert not errors
         # no lost increments: the lock makes the counter exact
-        assert pq.probes_served == 1 + n_threads * per_thread
+        assert pq.cache.probes_in == 1 + n_threads * per_thread
         cache = pq.cache.snapshot()
-        assert cache["hits"] + cache["misses"] == pq.probes_served
+        assert cache["hits"] + cache["misses"] == pq.cache.probes_in
 
 
 class TestSchedulerIdleStats:

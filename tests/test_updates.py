@@ -175,8 +175,8 @@ class TestSurgicalCacheEviction:
         index.apply_delta("delete", "R3", (20, 30))
         assert pq.cache.peek(key_a) is None, "stale entry survived"
         assert pq.cache.peek(key_b) is not None, "unaffected entry evicted"
-        assert pq.keys_invalidated == 1
-        assert pq.updates_seen == 1
+        assert pq.cache.invalidations == 1
+        assert pq.cache.deltas == 1
         # the evicted key re-probes to the fresh (now empty) answer
         assert len(pq.probe(key_a)) == 0
         assert len(pq.probe(key_b)) == 1
@@ -206,6 +206,52 @@ class TestSurgicalCacheEviction:
         validate_stats(stats)
         assert stats["updates"]["inserts"] == 1
         assert stats["updates"]["events_seen"] == 1
+        # clearing the cache by hand is not an index delta
+        pq.cache.evict(None)
+        assert pq.stats()["updates"]["events_seen"] == 1
+
+
+class TestFillAfterEvict:
+    """A delta that lands between the online phase and the cache fill.
+
+    The eviction finds nothing to drop (the key is not cached *yet*), so
+    a fill that ignores it would serve the pre-delta answer from cache
+    forever.  Single-threaded and deterministic: the delta fires inside
+    the resolver, right after the answer was computed.
+    """
+
+    @pytest.mark.parametrize("entry", ["probe", "probe_many", "serve"])
+    def test_answer_computed_before_a_delta_is_never_cached(self, entry):
+        from repro.serving import serve
+
+        cqap, db, index = build_index()
+        key, head = (0, 31), tuple(cqap.head)
+        pending = [("insert", "R3", (20, 31))]
+
+        def then_delta(compute):
+            def wrapped(*args, **kwargs):
+                answer = compute(*args, **kwargs)
+                while pending:
+                    index.apply_delta(*pending.pop())
+                return answer
+            return wrapped
+
+        with serve(index, backend="thread", shards=1) as server:
+            pq = PreparedQuery(index)
+            if entry == "serve":
+                backend = server.scheduler.backend
+                backend.answer_groups = then_delta(backend.answer_groups)
+            else:
+                index.answer = then_delta(index.answer)
+            ask = {"probe": lambda: pq.probe(key),
+                   "probe_many": lambda: pq.probe_many([key])[key],
+                   "serve": lambda: dict(server.serve([key]))[key]}[entry]
+            # the in-flight probe may still see the pre-delta database...
+            assert answer_rows(ask(), head) == frozenset()
+            assert not pending
+            # ...but nothing probed after the delta may
+            assert oracle_probe(cqap, db, key) != frozenset()
+            assert answer_rows(ask(), head) == oracle_probe(cqap, db, key)
 
 
 class TestServingListeners:
