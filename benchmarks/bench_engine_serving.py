@@ -122,10 +122,11 @@ def experiment():
         if row not in seen:
             fresh_rows.append(row)
             seen.add(row)
+    delta_ctr = Counters()
     t0 = time.perf_counter()
     for row in fresh_rows:
-        upd_index.apply_delta("insert", "R2", row)
-        upd_index.apply_delta("delete", "R2", row)
+        upd_index.apply_delta("insert", "R2", row, counters=delta_ctr)
+        upd_index.apply_delta("delete", "R2", row, counters=delta_ctr)
     delta_seconds = (time.perf_counter() - t0) / (2 * len(fresh_rows))
     t0 = time.perf_counter()
     prepare(cqap, db.copy(), space_budget=budget, cache_size=0)
@@ -136,6 +137,9 @@ def experiment():
         "reprepare_seconds": reprepare_seconds,
         "delta_speedup_vs_reprepare":
             reprepare_seconds / max(delta_seconds, 1e-9),
+        "delta_ops_avg":
+            (delta_ctr.online_work + delta_ctr.stores)
+            / (2 * len(fresh_rows)),
         "deltas_applied": upd_index.update_counts["deltas_applied"],
     }
 
@@ -187,7 +191,8 @@ def report():
             for name, b in r["relation_backends"].items()
         ] + [
             ["single-tuple delta",
-             f"{r['updates']['delta_seconds_avg'] * 1e6:.0f} us/delta",
+             f"{r['updates']['delta_ops_avg']:.0f} ops/delta",
+             f"{r['updates']['delta_seconds_avg'] * 1e6:.0f} us/delta, "
              f"{r['updates']['delta_speedup_vs_reprepare']:.0f}x cheaper "
              "than re-prepare"],
         ],
@@ -215,8 +220,10 @@ def test_engine_serving(benchmark):
     # experiment()
     # the updates axis: a single-tuple delta must be at least an order of
     # magnitude cheaper than paying the prepare phase again — that gap is
-    # the whole point of incremental maintenance
-    assert r["updates"]["delta_speedup_vs_reprepare"] >= 10
+    # the whole point of incremental maintenance.  Asserted on the exact
+    # maintenance Counters (ten deltas' work within one prepare's); the
+    # wall-clock ratio is printed only
+    assert 10 * r["updates"]["delta_ops_avg"] <= r["prepare_ops"]
     assert r["updates"]["deltas_applied"] == 40
     backends = r["relation_backends"]
     assert set(backends) == {"set", "columnar"}

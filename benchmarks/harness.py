@@ -19,8 +19,7 @@ def print_table(title: str, headers: Sequence[str],
 
     Flushes after printing (so output interleaves correctly under pytest
     capture and CI log streaming) and returns the stringified rows, letting
-    programmatic consumers (e.g. ``run_bench.py``) reuse the table data
-    instead of scraping stdout.
+    programmatic consumers reuse the table data instead of scraping stdout.
     """
     rows = [[str(c) for c in row] for row in rows]
     headers = [str(h) for h in headers]

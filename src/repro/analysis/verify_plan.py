@@ -24,6 +24,12 @@ parts) and reports every violation as a human-readable issue string:
   :class:`~repro.core.kernels.CompiledProbePlan` has its hash index
   built (and its membership index, when it shares a level), and the
   per-probe request slot has none.
+* **Pinned-index liveness** — a pinned index is the very dict its
+  relation caches for that key *now*: a piece patched on behalf of one
+  step while another step still pins its old index is caught here.
+* **Piece sharing** — subproblems that agree on an atom's split path
+  hold the same relation object, and every compiled step's static
+  relations are (or share the tuple set of) its subproblem's pieces.
 
 ``check_index`` raises :class:`PlanVerificationError`;
 ``verify_index`` returns the issue list for callers that want to report.
@@ -31,8 +37,9 @@ parts) and reports every violation as a human-readable issue string:
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple
 
+from repro.core.split import split_path
 from repro.query.cq import CQAP
 from repro.tradeoff.selection import (
     PMTD_OVERHEAD,
@@ -45,6 +52,7 @@ __all__ = [
     "PlanVerificationError",
     "verify_selection",
     "verify_compiled_plans",
+    "verify_piece_sharing",
     "verify_index",
     "check_index",
 ]
@@ -240,13 +248,11 @@ def verify_selection(selection: SelectionResult, cqap: CQAP) -> List[str]:
 
 
 def verify_compiled_plans(steps: Iterable[Any]) -> List[str]:
-    """Check compile-time pinning on every step's compiled probe plan."""
+    """Check index pinning (built, and live) on every compiled probe plan."""
     issues: List[str] = []
     for pos, step in enumerate(steps):
-        plan = getattr(step, "plan", None)
-        if plan is None:
-            continue
-        label = f"step {pos} ({getattr(step, 'name', '?')})"
+        plan = step.plan
+        label = f"step {pos} ({step.name})"
         if not set(plan.onto) <= set(plan.order):
             issues.append(
                 f"{label}: output schema {plan.onto} not covered by the "
@@ -266,12 +272,51 @@ def verify_compiled_plans(steps: Iterable[Any]) -> List[str]:
                         f"{where}: static participant shares its level but "
                         f"has no membership index pinned at compile time"
                     )
+                # liveness: index_on returns the relation's cached dict,
+                # or builds a fresh one when a mutation dropped it
+                rel = plan.relations[part.slot - bool(plan.access)]
+                pins = ((part.index, part.bound_key or (part.var,)),
+                        (part.membership_index,
+                         part.bound_key + (part.var,)))
+                for pinned, key in pins:
+                    if pinned is not None and rel.index_on(key) is not pinned:
+                        issues.append(
+                            f"{where}: pinned index on {key} is stale "
+                            f"({rel.name!r} no longer caches that dict)"
+                        )
             else:
                 if part.index is not None or part.membership_index is not None:
                     issues.append(
                         f"{where}: per-probe request slot must never pin "
                         f"an index (its relation changes every probe)"
                     )
+    return issues
+
+
+def verify_piece_sharing(plans: Iterable[Any], steps: Iterable[Any],
+                         atoms: Sequence[Any]) -> List[str]:
+    """Check that each logical piece is one object, steps included."""
+    issues: List[str] = []
+    seen: Dict[Tuple, Any] = {}
+    for plan in plans:
+        for decision in plan.decisions:
+            cell = decision.subproblem
+            for atom, piece in cell.relations.items():
+                key = (atom, split_path(plan.splits, cell.signature, atom))
+                if seen.setdefault(key, piece) is not piece:
+                    issues.append(
+                        f"rule {plan.rule.label} [{cell.label()}]: piece of "
+                        f"{atom} on split path {key[1]} is a second object "
+                        f"(a delta would patch only one of them)"
+                    )
+    for pos, step in enumerate(steps):
+        cell = step.decision.subproblem
+        for atom, rel in zip(atoms, step.relations):
+            if rel.tuples is not cell.relations[atom].tuples:
+                issues.append(
+                    f"step {pos} ({step.name}): relation for {atom} does "
+                    f"not share its subproblem piece's tuple set"
+                )
     return issues
 
 
@@ -308,6 +353,8 @@ def verify_index(index: Any) -> List[str]:
         )
 
     issues.extend(verify_compiled_plans(index.compiled_online))
+    issues.extend(verify_piece_sharing(index.plans, index.compiled_online,
+                                       index.cqap.atoms))
     return issues
 
 

@@ -30,12 +30,12 @@ The pipeline is §4.2/§4.3 verbatim:
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.online_yannakakis import OnlineYannakakis
+from repro.core.split import PieceTable
 from repro.core.two_phase import (
     CompiledOnlineStep,
     PlanningError,
@@ -409,9 +409,15 @@ class CQAPIndex:
         }
 
     def _plan_and_materialize(self, ctr: Counters) -> None:
-        """Plan the selected rules and materialize their S-targets."""
+        """Plan the selected rules and materialize their S-targets.
+
+        One piece table per pass: the rules share their relation pieces,
+        and every pass (a later :meth:`preprocess`, the re-selection
+        retry) re-reads the database.
+        """
+        pieces: PieceTable = {}
         self.plans = [
-            self.planner.plan_rule(rule, estimate=estimate)
+            self.planner.plan_rule(rule, estimate=estimate, pieces=pieces)
             for rule, estimate in zip(self.rules, self.selection.estimates)
         ]
         self._s_targets = self.executor.preprocess(

@@ -12,23 +12,34 @@ emits only ever need the single binary split at the LP-derived threshold —
 exactly what the §5 walkthrough does with ``Δ = |D|/√S``.  A list of splits
 spawns ``2^k`` :class:`Subproblem`\\ s, each holding its restricted relation
 pieces and the refined constraint set ``DC(j)``.
+
+A split partitions a relation *once*; the ``2^k`` subproblems are cells of
+that partition.  A **piece** — one atom's relation restricted by the ordered
+``(x_vars, threshold, side)`` steps that apply to that atom, its *split
+path* — is therefore one :class:`~repro.data.relation.Relation` object,
+created in one place (:func:`apply_splits`) and referenced by every
+subproblem of every rule planned against the same piece table.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.query.constraints import ConstraintSet
-from repro.query.cq import Atom, CQAP
+from repro.query.cq import Atom, CQAP, bind_atom
 from repro.query.hypergraph import VarSet, varset
 
 HEAVY = "H"
 LIGHT = "L"
+
+#: the ordered ``(x_vars, threshold, side)`` restrictions of one atom
+SplitPath = Tuple[Tuple[Tuple[str, ...], float, str], ...]
+#: every piece of one planning pass: ``(atom, split path) -> relation``
+PieceTable = Dict[Tuple[Atom, SplitPath], Relation]
 
 
 @dataclass(frozen=True)
@@ -54,76 +65,85 @@ class SplitStep:
 
     def partition(self, relation: Relation) -> Tuple[Relation, Relation]:
         """(heavy, light) pieces of ``relation`` (schema = atom variables)."""
-        index = relation.index_on(self.x_vars)
-        heavy_rows: List[tuple] = []
-        light_rows: List[tuple] = []
-        for key, rows in index.items():
-            if len(rows) > self.threshold:
-                heavy_rows.extend(rows)
-            else:
-                light_rows.extend(rows)
-        base = relation.name
-        heavy = Relation(f"{base}^H", relation.schema, heavy_rows)
-        light = Relation(f"{base}^L", relation.schema, light_rows)
-        return heavy, light
+        heavy: set = set()
+        light: set = set()
+        for rows in relation.index_on(self.x_vars).values():
+            (heavy if len(rows) > self.threshold else light).update(rows)
+        return (Relation._wrap(f"{relation.name}^H", relation.schema, heavy),
+                Relation._wrap(f"{relation.name}^L", relation.schema, light))
+
+
+def split_path(splits: Sequence[SplitStep], signature: Sequence[str],
+               atom: Atom) -> SplitPath:
+    """``atom``'s split path in the cell ``signature`` of ``splits``."""
+    return tuple((split.x_vars, split.threshold, side)
+                 for split, side in zip(splits, signature)
+                 if split.atom == atom)
 
 
 @dataclass
 class Subproblem:
-    """One cell of the split partition: restricted pieces + DC(j)."""
+    """One cell of the split partition: its pieces + DC(j).
+
+    ``relations[atom]`` is the cell's piece of ``atom`` — the atom's
+    relation on the atom's variables, restricted by the cell's sides of
+    the splits on that atom.  It is *the* object for that ``(atom, split
+    path)``: subproblems that agree on the path hold the same
+    :class:`Relation`, so its hash indexes are built once and a delta
+    patches it once (:mod:`repro.updates`).
+    """
 
     signature: Tuple[str, ...]           # H/L per split, in split order
-    relations: Dict[str, Relation]       # atom relation name -> piece
+    relations: Dict[Atom, Relation]      # atom -> its piece in this cell
     constraints: ConstraintSet           # refined DC(j)
 
     def label(self) -> str:
         return "".join(self.signature) or "(no splits)"
 
-    def atom_relation(self, atom: Atom) -> Relation:
-        """The (possibly split) relation for ``atom``, on atom variables.
-
-        Cached per atom so the hash indexes built during one online phase
-        are reused by every later access request.
-        """
-        cache = getattr(self, "_atom_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_atom_cache", cache)
-        key = (atom.relation, atom.variables)
-        if key not in cache:
-            piece = self.relations[atom.relation]
-            cache[key] = Relation(atom.relation, atom.variables,
-                                  piece.tuples)
-        return cache[key]
-
 
 def apply_splits(cqap: CQAP, db: Database, splits: Sequence[SplitStep],
-                 base_constraints: ConstraintSet) -> List[Subproblem]:
+                 base_constraints: ConstraintSet,
+                 pieces: PieceTable) -> List[Subproblem]:
     """Spawn the ``2^k`` subproblems of a split sequence.
 
     Splits are applied in order; later splits partition the pieces produced
-    by earlier splits of the same relation.  Every subproblem's constraint
-    set starts from ``base_constraints`` and adds the refined cardinality /
-    degree constraints of its chosen pieces (including the piece's actual
-    cardinality, which is often far below the worst case).
+    by earlier splits of the same atom.  ``pieces`` is the planning pass's
+    piece table: it gains what this sequence needs and does not hold yet —
+    per atom one private copy of the base rows (the index is a snapshot of
+    the database that only :func:`repro.updates.apply_delta` moves), and
+    below it both children of every split node from a single
+    :meth:`SplitStep.partition` — and the cells then only look their
+    pieces up.  Thresholds share a node only when they compare equal.
+
+    Every subproblem's constraint set starts from ``base_constraints`` and
+    adds the refined cardinality / degree constraints of its chosen pieces
+    (including the piece's actual cardinality, which is often far below
+    the worst case).
     """
-    atom_by_name = {atom.relation: atom for atom in cqap.atoms}
+    for atom in cqap.atoms:
+        if (atom, ()) not in pieces:
+            pieces[atom, ()] = bind_atom(db, atom)
+        paths: List[SplitPath] = [()]
+        for split in splits:
+            if split.atom != atom:
+                continue
+            children: List[SplitPath] = []
+            for path in paths:
+                heavy_path, light_path = (
+                    path + ((split.x_vars, split.threshold, side),)
+                    for side in (HEAVY, LIGHT))
+                if (atom, heavy_path) not in pieces:
+                    pieces[atom, heavy_path], pieces[atom, light_path] = \
+                        split.partition(pieces[atom, path])
+                children += [heavy_path, light_path]
+            paths = children
     subproblems: List[Subproblem] = []
     for choice in product((HEAVY, LIGHT), repeat=len(splits)):
-        relations: Dict[str, Relation] = {
-            atom.relation: Relation(
-                atom.relation, atom.variables, db[atom.relation].tuples
-            )
-            for atom in cqap.atoms
-        }
+        relations = {atom: pieces[atom, split_path(splits, choice, atom)]
+                     for atom in cqap.atoms}
         constraints = base_constraints.copy()
         for side, split in zip(choice, splits):
-            name = split.atom.relation
-            heavy, light = split.partition(relations[name])
-            piece = heavy if side == HEAVY else light
-            relations[name] = Relation(name, split.atom.variables,
-                                       piece.tuples)
-            n_total = max(1, len(db[name]))
+            n_total = max(1, len(db[split.atom.relation]))
             if side == HEAVY:
                 # few distinct X-values: N/Δ of them at most
                 constraints.add_cardinality(
@@ -135,10 +155,8 @@ def apply_splits(cqap: CQAP, db: Database, splits: Sequence[SplitStep],
                     max(1.0, split.threshold),
                 )
         # refresh cardinalities with the actual piece sizes
-        for atom in cqap.atoms:
-            constraints.add_cardinality(
-                atom.variables, max(1, len(relations[atom.relation]))
-            )
+        for atom, piece in relations.items():
+            constraints.add_cardinality(atom.variables, max(1, len(piece)))
         subproblems.append(Subproblem(choice, relations, constraints))
     return subproblems
 

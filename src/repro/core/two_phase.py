@@ -26,13 +26,19 @@ the online phase, mirroring Algorithm 1's abort path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.joins import BudgetExceeded, project_join
 from repro.core.kernels import CompiledProbePlan
-from repro.data.columnar import relation_class
-from repro.core.split import SplitStep, Subproblem, apply_splits, split_steps_from_duals
+from repro.data.columnar import relation_class, to_backend
+from repro.core.split import (
+    PieceTable,
+    SplitStep,
+    Subproblem,
+    apply_splits,
+    split_steps_from_duals,
+)
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.query.constraints import ConstraintSet
@@ -164,15 +170,21 @@ class TwoPhasePlanner:
 
     # ------------------------------------------------------------------
     def plan_rule(self, rule: TwoPhaseRule,
-                  estimate: Optional[object] = None) -> RulePlan:
+                  estimate: Optional[object] = None,
+                  pieces: Optional[PieceTable] = None) -> RulePlan:
         """Schedule one rule at the planner's budget.
 
         ``estimate`` is the cost-model :class:`~repro.tradeoff.cost.
         RuleEstimate` that selected the rule (if any); the planner plans
         from the LP either way and carries the estimate on the plan so
-        serving stats can compare predicted vs planned.
+        serving stats can compare predicted vs planned.  ``pieces`` is the
+        piece table of the planning pass this call belongs to (see
+        :func:`~repro.core.split.apply_splits`): rules planned against one
+        table share their relation pieces; a call on its own gets its own.
         """
         self.plan_calls += 1
+        if pieces is None:
+            pieces = {}
         obj = self.program.obj_for_budget(rule, self.log_budget)
         if obj.fits_in_budget and rule.s_targets:
             target, bound = self._best_target(rule.s_targets, S_PHASE)
@@ -182,7 +194,7 @@ class TwoPhasePlanner:
                     f"2^{bound:.2f} exceeding the budget "
                     f"2^{self.log_budget:.2f}"
                 )
-            whole = apply_splits(self.cqap, self.db, [], self.dc)[0]
+            whole = apply_splits(self.cqap, self.db, [], self.dc, pieces)[0]
             decision = PhaseDecision(whole, S_PHASE, target, bound)
             return RulePlan(rule, [], [decision], 0.0, materialize_all=True,
                             estimate=estimate)
@@ -201,7 +213,8 @@ class TwoPhasePlanner:
                           max(1.0, s.threshold * self.threshold_scale))
                 for s in splits
             ]
-        subproblems = apply_splits(self.cqap, self.db, splits, self.dc)
+        subproblems = apply_splits(self.cqap, self.db, splits, self.dc,
+                                   pieces)
         decisions: List[PhaseDecision] = []
         for subproblem in subproblems:
             s_target, s_bound = (None, math.inf)
@@ -228,10 +241,11 @@ class TwoPhasePlanner:
 class CompiledOnlineStep:
     """One T-phase unit of work, frozen after preprocessing.
 
-    Holds the subproblem's (possibly split) relation pieces so the per-probe
-    path never re-derives them — ``atom_relation`` selections, schema
-    re-orderings, and the hash indexes those relations build lazily are all
-    shared across every probe served from the same prepared plan.
+    ``relations`` are the subproblem's pieces themselves, parallel to the
+    query's atoms (on a non-set backend: one re-wrap per piece, sharing its
+    tuple set) — steps whose subproblems share a piece share the object and
+    the hash indexes it caches, across every probe served from the same
+    prepared plan.
     """
 
     decision: PhaseDecision
@@ -241,7 +255,7 @@ class CompiledOnlineStep:
     #: the probe-invariant generic-join compilation of this step (variable
     #: order + per-depth participant specs); executed once per probe with
     #: only the request relation varying
-    plan: Optional[CompiledProbePlan] = None
+    plan: CompiledProbePlan
 
 
 class TwoPhaseExecutor:
@@ -293,10 +307,8 @@ class TwoPhaseExecutor:
             for decision in list(plan.decisions):
                 if decision.phase != S_PHASE:
                     continue
-                relations = [
-                    decision.subproblem.atom_relation(atom)
-                    for atom in self.cqap.atoms
-                ]
+                relations = [decision.subproblem.relations[atom]
+                             for atom in self.cqap.atoms]
                 schema = tuple(sorted(decision.target))
                 try:
                     piece = project_join(
@@ -335,12 +347,8 @@ class TwoPhaseExecutor:
                     targets[key] = piece
         for key, rel in targets.items():
             ctr.stores += len(rel)
-        if self.rel_cls is not Relation:
-            targets = {
-                key: self.rel_cls._wrap(rel.name, rel.schema, rel.tuples)
-                for key, rel in targets.items()
-            }
-        return targets
+        return {key: to_backend(rel, self.relation_backend)
+                for key, rel in targets.items()}
 
     # ------------------------------------------------------------------
     def compile_online(self, plans: Sequence[RulePlan],
@@ -353,24 +361,24 @@ class TwoPhaseExecutor:
         """
         self.compile_runs += 1
         steps: List[CompiledOnlineStep] = []
-        rel_cls = self.rel_cls
+        #: id(piece) -> its one handle in the executor's backend (the piece
+        #: itself on "set"), so steps that share a piece share the handle
+        #: and the indexes it caches
+        handles: Dict[int, Relation] = {}
         for plan in plans:
             for decision in plan.online_decisions:
-                relations = [
-                    decision.subproblem.atom_relation(atom)
-                    for atom in self.cqap.atoms
-                ]
-                if rel_cls is not Relation:
-                    relations = [
-                        rel_cls._wrap(r.name, r.schema, r.tuples)
-                        for r in relations
-                    ]
+                relations = []
+                for atom in self.cqap.atoms:
+                    piece = decision.subproblem.relations[atom]
+                    if id(piece) not in handles:
+                        handles[id(piece)] = to_backend(
+                            piece, self.relation_backend)
+                    relations.append(handles[id(piece)])
                 schema = tuple(sorted(decision.target))
                 steps.append(CompiledOnlineStep(
                     decision, relations, schema, f"T_{''.join(schema)}",
-                    plan=CompiledProbePlan(relations, schema,
-                                           self.cqap.access,
-                                           rel_cls=rel_cls),
+                    CompiledProbePlan(relations, schema, self.cqap.access,
+                                      rel_cls=self.rel_cls),
                 ))
         return steps
 
@@ -388,31 +396,10 @@ class TwoPhaseExecutor:
         request_bound = self.rel_cls._wrap("Q_A", access, request.tuples) \
             if access else None
         for step in steps:
-            if step.plan is not None:
-                piece = step.plan.execute(request_bound, ctr, step.name)
-            else:
-                # uncompiled fallback (steps built by hand in tests)
-                relations = step.relations
-                if access:
-                    relations = [request_bound] + relations
-                piece = project_join(
-                    relations, step.schema, name=step.name, counters=ctr,
-                )
+            piece = step.plan.execute(request_bound, ctr, step.name)
             key = step.decision.target
             if key in targets:
                 targets[key] = targets[key].union(piece, name=piece.name)
             else:
                 targets[key] = piece
         return targets
-
-    def online(self, plans: Sequence[RulePlan], request: Relation,
-               counters: Optional[Counters] = None,
-               ) -> Dict[VarSet, Relation]:
-        """Compute every designated T-target against ``request``.
-
-        One-shot convenience: compiles and immediately executes.  Callers
-        serving many probes should compile once and use
-        :meth:`online_compiled` per request.
-        """
-        return self.online_compiled(self.compile_online(plans), request,
-                                    counters=counters)

@@ -49,9 +49,9 @@ def prepare(cqap: CQAP, db: Database, space_budget: float,
     ``backend`` picks the relation execution backend for the prepared
     state: ``"set"`` (the row-at-a-time baseline) or ``"columnar"``
     (batch kernels over dict-of-columns caches — same answers and the
-    same intrinsic work; on the warm uncached probe path it measures
-    *slower* than ``"set"``, 1427 vs 1867 probes/s in
-    ``BENCH_engine.json``).  Both serve through
+    same intrinsic work; the last end-to-end comparison had it *slower*
+    than ``"set"`` on the warm uncached probe path, see ROADMAP item 4).
+    Both serve through
     either ``serve()`` backend; columnar payloads pickle to the process
     fleet like any relation (caches are rebuilt worker-side).
 

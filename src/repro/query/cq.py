@@ -62,15 +62,19 @@ def normalize_access_binding(access: Sequence[str], binding) -> Tuple:
     return binding
 
 
-def _atom_relation(db: Database, atom: Atom) -> Relation:
-    """The stored relation re-schematized to the atom's query variables."""
+def bind_atom(db: Database, atom: Atom) -> Relation:
+    """A private copy of the stored relation on the atom's query variables.
+
+    The stored rows already match the stored schema's arity, so one
+    schema-level check replaces per-row validation.
+    """
     base = db[atom.relation]
     if len(base.schema) != len(atom.variables):
         raise ValueError(
             f"atom {atom} arity {len(atom.variables)} does not match stored "
             f"schema {base.schema}"
         )
-    return Relation(atom.relation, atom.variables, base.tuples)
+    return Relation._wrap(atom.relation, atom.variables, set(base.tuples))
 
 
 class ConjunctiveQuery:
@@ -136,9 +140,9 @@ class ConjunctiveQuery:
             ordered.append(atom)
             bound |= set(atom.variables)
 
-        current = _atom_relation(db, ordered[0])
+        current = bind_atom(db, ordered[0])
         for atom in ordered[1:]:
-            current = current.join(_atom_relation(db, atom))
+            current = current.join(bind_atom(db, atom))
         out_schema = self.head if self.head else ()
         if out_schema:
             result = current.project(out_schema, name=name or self.name)

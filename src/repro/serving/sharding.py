@@ -297,9 +297,7 @@ class ShardExecutor:
             else:
                 apply_row_delta(members, removed=(delta.row,))
             for slot in delta.step_slots:
-                plan = self.steps[slot].plan
-                if plan is not None:
-                    plan._compile()
+                self.steps[slot].plan._compile()
         applied = 0
         changed = set()
         for target, added, removed in delta.view_rows:

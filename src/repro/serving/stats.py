@@ -34,8 +34,8 @@ the envelope's window, so the disabled hot path stays free.
 
 A layer fills the sections it owns and leaves the rest ``None`` (or ``[]``
 for ``shards``); the top-of-stack :meth:`Server.stats` fills all of them.
-:func:`validate_stats` is the schema-shape check the test suite (and
-``run_bench.py --validate``) runs against every layer's payload.
+:func:`validate_stats` is the schema-shape check the test suite runs
+against every layer's payload.
 """
 
 from __future__ import annotations

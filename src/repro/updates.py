@@ -45,10 +45,9 @@ The maintenance algorithm, per delta ``±R(t)``:
    join from the singleton, so the work scales with the delta's join
    neighbourhood, not the database.
 
-5. **Derived-state coherence.**  Subproblem pieces, their ``atom_relation``
-   cache entries, and the compiled online steps' relations form families
-   that share (or copy) tuple sets; every family member is mutated once
-   per distinct set and has its derived caches reset, affected
+5. **Derived-state coherence.**  Each hosting piece is one object (shared
+   by every subproblem and compiled step on its split path): it is
+   patched once, the touched steps'
    :class:`~repro.core.kernels.CompiledProbePlan`\\ s are recompiled (they
    pin hash indexes at compile time), and the per-PMTD Online Yannakakis
    instances are rebuilt whenever an S-target moved (their semijoin-
@@ -72,7 +71,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.joins import project_join
-from repro.core.split import HEAVY, LIGHT, Subproblem
+from repro.core.split import HEAVY, LIGHT
 from repro.core.two_phase import S_PHASE
 from repro.data.relation import Relation, apply_row_delta
 from repro.obs.registry import REGISTRY
@@ -124,103 +123,73 @@ class UpdateEvent:
 
 
 # ----------------------------------------------------------------------
-# family mutation: every relation object representing one logical piece
-# ----------------------------------------------------------------------
-def _collect_family(index, subproblem: Subproblem, name: str,
-                    ) -> List[Relation]:
-    """Every relation object holding ``subproblem``'s piece of ``name``.
-
-    The piece itself, its ``atom_relation`` cache entries (constructor
-    copies), and the compiled online steps' relations (which either *are*
-    the cache entries or are backend re-wraps sharing their sets).  Rows
-    are positionally identical across all of them — pieces relabel the
-    stored schema to atom variables without reordering.
-    """
-    members: List[Relation] = []
-    piece = subproblem.relations.get(name)
-    if piece is not None:
-        members.append(piece)
-    cache = getattr(subproblem, "_atom_cache", None)
-    if cache:
-        members.extend(rel for (rel_name, _), rel in cache.items()
-                       if rel_name == name)
-    for step in index._compiled_online:
-        if step.decision.subproblem is not subproblem:
-            continue
-        for atom, rel in zip(index.cqap.atoms, step.relations):
-            if atom.relation == name:
-                members.append(rel)
-    return members
-
-
-# ----------------------------------------------------------------------
 # split-side routing
 # ----------------------------------------------------------------------
-def _row_sides(base: Relation, atom_variables: Tuple[str, ...],
-               row: Tuple_, splits) -> Tuple[str, ...]:
-    """The inserted row's deterministic H/L side per split (in order).
+def _row_sides(base: Relation, atom, row: Tuple_, splits,
+               ) -> Dict[int, str]:
+    """The inserted row's deterministic H/L side per split of ``atom``.
 
-    Heavy iff the row's X-key bucket in the full post-insert base
-    relation is strictly larger than the split threshold — the same
-    shape of rule ``SplitStep.partition`` uses, evaluated against the
-    freshest state available.  Any deterministic per-row rule preserves
-    the partition-cover invariant (module docstring, step 3).
+    Keyed by the split's slot in ``splits``.  Heavy iff the row's X-key
+    bucket in the full post-insert base relation is strictly larger than
+    the split threshold — the same shape of rule ``SplitStep.partition``
+    uses, evaluated against the freshest state available.  Any
+    deterministic per-row rule preserves the partition-cover invariant
+    (module docstring, step 3), and plans that share a piece share its
+    split path, so they route the row alike.
     """
-    sides = []
-    for split in splits:
-        pos = tuple(atom_variables.index(v) for v in split.x_vars)
+    sides = {}
+    for slot, split in enumerate(splits):
+        if split.atom != atom:
+            continue
+        pos = tuple(atom.variables.index(v) for v in split.x_vars)
         base_key = tuple(base.schema[p] for p in pos)
         key = tuple(row[p] for p in pos)
         degree = len(base.index_on(base_key).get(key, ()))
-        sides.append(HEAVY if degree > split.threshold else LIGHT)
-    return tuple(sides)
+        sides[slot] = HEAVY if degree > split.threshold else LIGHT
+    return sides
 
 
-def _hosting_subproblems(index, plan, name: str, row: Tuple_,
-                         insert: bool) -> List:
-    """The plan's decisions whose subproblem piece holds (or gains) ``row``.
+def _hosting(base: Relation, plan, occurrences, row: Tuple_,
+             insert: bool) -> List:
+    """``(decision, atoms)``: the plan's decisions hosting ``row``.
 
-    For deletes membership is just presence in the piece.  For inserts the
-    row's side vector over the plan's splits of ``name`` selects exactly
-    the signatures it joins.
+    ``atoms`` are those of ``occurrences`` (the body atoms over the
+    delta's relation ``base``) whose piece in the decision's subproblem
+    holds (delete) or gains (insert) the row.  For deletes membership is
+    just presence in the piece.  For inserts the row's side per split of
+    the occurrence selects exactly the signatures it joins.
     """
-    split_slots = [i for i, split in enumerate(plan.splits)
-                   if split.atom.relation == name]
-    sides: Optional[Tuple[str, ...]] = None
-    if insert and split_slots:
-        atom = plan.splits[split_slots[0]].atom
-        sides = _row_sides(index.db[name], atom.variables, row,
-                           [plan.splits[i] for i in split_slots])
+    if insert:
+        sides = {atom: _row_sides(base, atom, row, plan.splits)
+                 for atom in occurrences}
     hosting = []
     for decision in plan.decisions:
         subproblem = decision.subproblem
-        piece = subproblem.relations.get(name)
-        if piece is None:
-            continue
         if insert:
-            if sides is not None:
-                chosen = tuple(subproblem.signature[i] for i in split_slots)
-                if chosen != sides:
-                    continue
-            hosting.append(decision)
-        elif row in piece.tuples:
-            hosting.append(decision)
+            atoms = [atom for atom in occurrences
+                     if all(subproblem.signature[slot] == side
+                            for slot, side in sides[atom].items())]
+        else:
+            atoms = [atom for atom in occurrences
+                     if row in subproblem.relations[atom].tuples]
+        if atoms:
+            hosting.append((decision, atoms))
     return hosting
 
 
 # ----------------------------------------------------------------------
 # pinned joins
 # ----------------------------------------------------------------------
-def _pinned_join(cqap, relation_of, name: str, row: Tuple_,
+def _pinned_join(cqap, relation_of, occurrences, row: Tuple_,
                  onto: Tuple[str, ...], ctr: Counters) -> set:
-    """``Π_onto(join with one occurrence of name pinned to {row})``.
+    """``Π_onto(join with one of ``occurrences`` pinned to {row})``.
 
     ``relation_of(atom)`` supplies each unpinned atom's relation; the
-    union runs over every occurrence of ``name`` in the body, which is
-    the standard single-tuple delta rule for self-joining bodies.
+    union runs over the given occurrences of the delta's relation in the
+    body, which is the standard single-tuple delta rule for self-joining
+    bodies.
     """
     out: set = set()
-    occurrences = [atom for atom in cqap.atoms if atom.relation == name]
     for pinned in occurrences:
         relations = []
         for atom in cqap.atoms:
@@ -234,7 +203,24 @@ def _pinned_join(cqap, relation_of, name: str, row: Tuple_,
     return out
 
 
-def _affected_keys(index, name: str, row: Tuple_,
+def _pinned_target_rows(cqap, hosting, row: Tuple_,
+                        ctr: Counters) -> Dict[VarSet, set]:
+    """Per S-target, ``Π_target({row} ⋈ its hosting cells' other pieces)``.
+
+    Evaluated against the pieces as they are: after the piece mutation for
+    an insert's additions, before it for a delete's removal candidates.
+    """
+    rows_by_target: Dict[VarSet, set] = {}
+    for decision, atoms in hosting:
+        if decision.phase == S_PHASE:
+            rows_by_target.setdefault(decision.target, set()).update(
+                _pinned_join(cqap, decision.subproblem.relations.__getitem__,
+                             atoms, row, tuple(sorted(decision.target)),
+                             ctr))
+    return rows_by_target
+
+
+def _affected_keys(index, occurrences, row: Tuple_,
                    ctr: Counters) -> FrozenSet[Tuple_]:
     """Exact normalized access bindings whose answers the delta touches.
 
@@ -249,7 +235,7 @@ def _affected_keys(index, name: str, row: Tuple_,
         base = db[atom.relation]
         return Relation._wrap(atom.relation, atom.variables, base.tuples)
 
-    return frozenset(_pinned_join(index.cqap, relation_of, name, row,
+    return frozenset(_pinned_join(index.cqap, relation_of, occurrences, row,
                                   index.cqap.access, ctr))
 
 
@@ -287,7 +273,10 @@ def apply_delta(index, op: str, name: str, row: Tuple_,
     ctr = counters if counters is not None else global_counters
     row = tuple(row)
     insert = op == INSERT
-    in_query = any(atom.relation == name for atom in index.cqap.atoms)
+    #: the body atoms over ``name``: each one an occurrence to maintain
+    occurrences = [atom for atom in index.cqap.atoms
+                   if atom.relation == name]
+    in_query = bool(occurrences)
     ready = index.ready
 
     # -- no-op detection and (delete) pre-state capture -----------------
@@ -299,24 +288,16 @@ def apply_delta(index, op: str, name: str, row: Tuple_,
 
     affected: FrozenSet[Tuple_] = frozenset()
     candidates_by_target: Dict[VarSet, set] = {}
-    hosting_by_plan: Dict[int, list] = {}
+    #: (decision, hosting occurrences of ``name``) over every plan
+    hosting: List = []
     if ready and in_query and not insert:
         # deletes read the pre-state: affected keys and removal candidates
         # must see the row still joined in
-        affected = _affected_keys(index, name, row, ctr)
-        for plan_i, plan in enumerate(index.plans):
-            hosting = _hosting_subproblems(index, plan, name, row,
-                                           insert=False)
-            hosting_by_plan[plan_i] = hosting
-            for decision in hosting:
-                if decision.phase != S_PHASE:
-                    continue
-                schema = tuple(sorted(decision.target))
-                rows = _pinned_join(
-                    index.cqap, decision.subproblem.atom_relation,
-                    name, row, schema, ctr)
-                candidates_by_target.setdefault(
-                    decision.target, set()).update(rows)
+        affected = _affected_keys(index, occurrences, row, ctr)
+        for plan in index.plans:
+            hosting += _hosting(base, plan, occurrences, row, insert=False)
+        candidates_by_target = _pinned_target_rows(index.cqap, hosting, row,
+                                                   ctr)
 
     # -- base mutation ---------------------------------------------------
     if insert:
@@ -346,43 +327,43 @@ def apply_delta(index, op: str, name: str, row: Tuple_,
         return event
 
     if insert:
-        affected = _affected_keys(index, name, row, ctr)
+        affected = _affected_keys(index, occurrences, row, ctr)
         event.affected_keys = affected
-        for plan_i, plan in enumerate(index.plans):
-            hosting_by_plan[plan_i] = _hosting_subproblems(
-                index, plan, name, row, insert=True)
+        for plan in index.plans:
+            hosting += _hosting(base, plan, occurrences, row, insert=True)
 
     # -- piece / step mutation -------------------------------------------
-    row_delta = ((row,), ()) if insert else ((), (row,))
+    # each hosting piece once, by identity; a touched step's relations are
+    # those pieces, or (non-set backend) handles sharing their tuple sets
+    members: Dict[int, Relation] = {}
+    hosted_atoms = {}
+    for decision, atoms in hosting:
+        hosted_atoms[id(decision)] = atoms
+        for atom in atoms:
+            piece = decision.subproblem.relations[atom]
+            members[id(piece)] = piece
     touched_steps = []
     step_slots = []
-    for plan_i, plan in enumerate(index.plans):
-        for decision in hosting_by_plan.get(plan_i, ()):
-            family = _collect_family(index, decision.subproblem, name)
-            apply_row_delta(family, *row_delta)
     for slot, step in enumerate(index._compiled_online):
-        subproblem = step.decision.subproblem
-        if any(decision.subproblem is subproblem
-               for hosting in hosting_by_plan.values()
-               for decision in hosting):
-            touched_steps.append(step)
-            step_slots.append(slot)
+        atoms = hosted_atoms.get(id(step.decision))
+        if atoms is None:
+            continue
+        touched_steps.append(step)
+        step_slots.append(slot)
+        for atom, rel in zip(index.cqap.atoms, step.relations):
+            if atom in atoms:
+                members[id(rel)] = rel
+    if insert:
+        apply_row_delta(members.values(), added=(row,))
+    else:
+        apply_row_delta(members.values(), removed=(row,))
     event.step_slots = tuple(step_slots)
 
     # -- S-target deltas --------------------------------------------------
     target_deltas: Dict[VarSet, Tuple[FrozenSet, FrozenSet]] = {}
     if insert:
-        adds_by_target: Dict[VarSet, set] = {}
-        for hosting in hosting_by_plan.values():
-            for decision in hosting:
-                if decision.phase != S_PHASE:
-                    continue
-                schema = tuple(sorted(decision.target))
-                rows = _pinned_join(
-                    index.cqap, decision.subproblem.atom_relation,
-                    name, row, schema, ctr)
-                adds_by_target.setdefault(decision.target, set()).update(rows)
-        for target, rows in adds_by_target.items():
+        for target, rows in _pinned_target_rows(index.cqap, hosting, row,
+                                                ctr).items():
             relation = index._s_targets.get(target)
             if relation is None:
                 continue
@@ -407,7 +388,7 @@ def apply_delta(index, op: str, name: str, row: Tuple_,
                     if decision.phase != S_PHASE or decision.target != target:
                         continue
                     relations = [candidate_rel] + [
-                        decision.subproblem.atom_relation(atom)
+                        decision.subproblem.relations[atom]
                         for atom in index.cqap.atoms
                     ]
                     survivors |= project_join(
@@ -426,8 +407,7 @@ def apply_delta(index, op: str, name: str, row: Tuple_,
 
     # -- derived-structure refresh ----------------------------------------
     for step in touched_steps:
-        if step.plan is not None:
-            step.plan._compile()
+        step.plan._compile()
     if event.targets_changed:
         index._yannakakis = [
             type(oy)(oy.pmtd,

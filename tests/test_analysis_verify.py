@@ -10,6 +10,7 @@ from repro.analysis.verify_plan import (
     check_index,
     verify_compiled_plans,
     verify_index,
+    verify_piece_sharing,
     verify_selection,
 )
 from repro.core.index import CQAPIndex
@@ -36,7 +37,7 @@ def _fresh_index(space_budget=10.0 ** 6, **kwargs):
 def lean_built():
     """A lean-budget build: rules route T, so compiled plans exist."""
     index = _fresh_index(space_budget=2.0).preprocess()
-    assert any(step.plan is not None for step in index.compiled_online)
+    assert index.compiled_online
     return index
 
 
@@ -162,8 +163,7 @@ class TestCorruptedIndex:
 
     def test_unpinned_participant_is_caught(self):
         index = _fresh_index(space_budget=2.0).preprocess()
-        plan = next(step.plan for step in index.compiled_online
-                    if step.plan is not None)
+        plan = index.compiled_online[0].plan
         part = next(p for level in plan.levels for p in level if p[5])
         part[6] = None
         issues = verify_compiled_plans(index.compiled_online)
@@ -171,8 +171,7 @@ class TestCorruptedIndex:
 
     def test_pinned_request_slot_is_caught(self):
         index = _fresh_index(space_budget=2.0).preprocess()
-        plan = next(step.plan for step in index.compiled_online
-                    if step.plan is not None)
+        plan = index.compiled_online[0].plan
         culprit = None
         for level in plan.levels:
             for p in level:
@@ -185,12 +184,43 @@ class TestCorruptedIndex:
         assert any("must never pin" in i for i in issues)
 
 
+    def test_stale_pinned_index_is_caught(self):
+        """A piece patched without recompiling a step that pins it."""
+        index = _fresh_index(space_budget=2.0).preprocess()
+        assert verify_compiled_plans(index.compiled_online) == []
+        step = index.compiled_online[0]
+        step.relations[0]._delta_add((10 ** 6, 10 ** 6))
+        issues = verify_compiled_plans(index.compiled_online)
+        assert any("stale" in i for i in issues)
+        step.plan._compile()
+        assert not any("stale" in i for i in
+                       verify_compiled_plans([step]))
+
+    def test_second_object_for_one_piece_is_caught(self):
+        index = _fresh_index(space_budget=2.0).preprocess()
+        atoms = index.cqap.atoms
+        assert verify_piece_sharing(index.plans, index.compiled_online,
+                                    atoms) == []
+        cell = index.plans[-1].decisions[0].subproblem
+        cell.relations[atoms[0]] = cell.relations[atoms[0]].copy()
+        issues = verify_piece_sharing(index.plans, index.compiled_online,
+                                      atoms)
+        assert any("second object" in i for i in issues)
+        assert any("second object" in i for i in verify_index(index))
+
+    def test_step_relation_off_its_piece_is_caught(self):
+        index = _fresh_index(space_budget=2.0).preprocess()
+        step = index.compiled_online[0]
+        step.relations[0] = step.relations[0].copy()
+        issues = verify_piece_sharing(index.plans, index.compiled_online,
+                                      index.cqap.atoms)
+        assert any("does not share" in i for i in issues)
+
+
 class TestParticipantAccessor:
     def test_iter_participants_matches_raw_specs(self, lean_built):
         index = lean_built
         for step in index.compiled_online:
-            if step.plan is None:
-                continue
             specs = list(step.plan.iter_participants())
             raw = [p for level in step.plan.levels for p in level]
             assert len(specs) == len(raw)

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from repro.core.index import CQAPIndex
 from repro.core.two_phase import (
     PlanningError,
     TwoPhaseExecutor,
@@ -133,7 +134,8 @@ class TestExecutor:
         full = cqap.evaluate(db)
         hit = next(iter(full.tuples))
         request = Relation("Q", ("x1", "x3"), [hit])
-        t_targets = executor.online([plan], request)
+        t_targets = executor.online_compiled(
+            executor.compile_online([plan]), request)
         # the hit must appear in the union of S- and T-target projections
         found = False
         for schema, relation in {**s_targets, **t_targets}.items():
@@ -202,3 +204,25 @@ class TestBudgetAbortRepricing:
         singles = [planner.best_online_target(frozenset({t}))[1]
                    for t in rule.t_targets]
         assert bound == min(singles)
+
+
+class TestCompiledStepsSharePieces:
+    """compile_online runs every step on its subproblem's pieces."""
+
+    @pytest.mark.parametrize("backend", ["set", "columnar"])
+    def test_one_handle_per_piece_on_every_backend(self, backend):
+        cqap = k_path_cqap(3)
+        db = path_database(3, 300, 40, seed=3, skew_hubs=3)
+        index = CQAPIndex(cqap, db, db.size ** 1.3,
+                          relation_backend=backend).preprocess()
+        handle_of = {}          # id(piece) -> the step relation serving it
+        for step in index.compiled_online:
+            for atom, rel in zip(cqap.atoms, step.relations):
+                piece = step.decision.subproblem.relations[atom]
+                assert rel.tuples is piece.tuples
+                assert (rel is piece) == (backend == "set")
+                assert type(rel) is index.executor.rel_cls
+                assert handle_of.setdefault(id(piece), rel) is rel
+        # steps outnumber the pieces they run on: the sharing is real
+        slots = len(index.compiled_online) * len(cqap.atoms)
+        assert 0 < len(handle_of) < slots

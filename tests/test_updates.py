@@ -19,12 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.verify_plan import check_index
 from repro.core.index import CQAPIndex
+from repro.data import path_database
 from repro.data.database import Database
 from repro.data.relation import Relation, SchemaError, StalePartitionError
 from repro.engine.prepared import PreparedQuery
 from repro.oracle import answer_rows, oracle_probe
 from repro.query.catalog import k_path_cqap
+from repro.query.cq import CQAP, Atom
 from repro.util.counters import Counters
 
 RICH = 10 ** 7
@@ -135,6 +138,155 @@ class TestApplyDelta:
             for x4 in (30, 31, 99):
                 assert (answer_rows(set_index.answer((x1, x4)), head)
                         == answer_rows(col_index.answer((x1, x4)), head))
+
+
+def lean_index():
+    """A skewed 3-path index at |D|^1.3: four split plans, S- and T-steps."""
+    cqap = k_path_cqap(3)
+    db = path_database(3, 300, 40, seed=3, skew_hubs=3)
+    index = CQAPIndex(cqap, db, db.size ** 1.3).preprocess(verify_plans=True)
+    assert index.compiled_online and index.stored_tuples
+    return cqap, db, index
+
+
+def probe_grid(cqap, index, domain):
+    head = tuple(cqap.head)
+    return {(a, b): answer_rows(index.answer((a, b)), head)
+            for a in domain for b in domain}
+
+
+def oracle_grid(cqap, db, domain):
+    return {(a, b): oracle_probe(cqap, db, (a, b))
+            for a in domain for b in domain}
+
+
+class TestSharedPieces:
+    """Deltas over pieces that subproblems, rules and steps share."""
+
+    #: rows on hub keys (heavy), on fresh keys (light), and their removal
+    SCRIPT = [
+        ("insert", "R1", (0, 900)), ("insert", "R2", (900, 901)),
+        ("insert", "R3", (901, 0)), ("insert", "R2", (1, 902)),
+        ("delete", "R2", (900, 901)), ("insert", "R1", (903, 1)),
+        ("insert", "R3", (2, 904)), ("delete", "R1", (0, 900)),
+        ("delete", "R3", (901, 0)), ("insert", "R2", (900, 901)),
+    ]
+
+    def test_each_delta_patches_exactly_its_hosting_pieces(self):
+        cqap, db, index = lean_index()
+        pieces = {id(piece): piece for plan in index.plans
+                  for decision in plan.decisions
+                  for piece in decision.subproblem.relations.values()}
+        for op, name, row in self.SCRIPT:
+            before = {key: (set(piece.tuples), piece.version)
+                      for key, piece in pieces.items()}
+            assert index.apply_delta(op, name, row).changed
+            moved = 0
+            for key, piece in pieces.items():
+                rows, version = before[key]
+                if piece.version == version:
+                    assert piece.tuples == rows
+                    continue
+                moved += 1
+                assert piece.name.startswith(name)
+                assert piece.tuples == (rows | {row} if op == "insert"
+                                        else rows - {row})
+            # one cell of the relation's partition per distinct split path
+            assert moved >= 1
+            for plan in index.plans:
+                holders = {id(d.subproblem.relations[atom])
+                           for d in plan.decisions
+                           for atom in cqap.atoms if atom.relation == name
+                           if row in d.subproblem.relations[atom].tuples}
+                assert len(holders) == (1 if op == "insert" else 0)
+            check_index(index)
+
+    def test_raw_database_mutation_never_reaches_the_index(self):
+        """The index is a snapshot that only apply_delta moves."""
+        cqap = k_path_cqap(3)
+        db = path_database(3, 300, 40, seed=3, skew_hubs=3)
+        # budget 1: nothing stored, every step joins the unsplit pieces —
+        # the ones that would alias the database's sets if any did
+        index = CQAPIndex(cqap, db, 1).preprocess(verify_plans=True)
+        assert not any(plan.splits for plan in index.plans)
+        mirror = db.copy()
+        # three sentinel paths; on path i relation i's edge bypasses
+        # apply_delta, so no path may ever be seen complete
+        paths = [(950, 951, 952, 953), (960, 961, 962, 963),
+                 (970, 971, 972, 973)]
+        for raw, path in enumerate(paths):
+            for i, name in enumerate(("R1", "R2", "R3")):
+                row = (path[i], path[i + 1])
+                if i == raw:
+                    db[name].add(row)
+                else:
+                    index.apply_delta("insert", name, row)
+                    mirror.insert(name, row)
+        domain = [0, 1, 950, 953, 960, 963, 970, 973]
+        assert probe_grid(cqap, index, domain) \
+            == oracle_grid(cqap, mirror, domain)
+        # a later delta drops the caches and re-pins every index of the
+        # pieces it touches: still nothing of the raw rows may show
+        for name, row in (("R1", (0, 980)), ("R2", (1, 981)),
+                          ("R3", (2, 982))):
+            index.apply_delta("insert", name, row)
+            mirror.insert(name, row)
+        assert probe_grid(cqap, index, domain) \
+            == oracle_grid(cqap, mirror, domain)
+
+    def test_second_preprocess_equals_a_fresh_build(self):
+        cqap, db, index = lean_index()
+        # one row in, one row out per relation: the rows move, the sizes
+        # the planner derived its thresholds from do not
+        for name, row in (("R1", (0, 900)), ("R2", (900, 901)),
+                          ("R3", (901, 0))):
+            index.apply_delta("delete", name, min(db[name].tuples))
+            index.apply_delta("insert", name, row)
+        index.preprocess(verify_plans=True)
+        fresh = CQAPIndex(cqap, db.copy(), index.space_budget,
+                          statistics=index.statistics).preprocess()
+        assert {t: rel.tuples for t, rel in index.s_targets.items()} \
+            == {t: rel.tuples for t, rel in fresh.s_targets.items()}
+        assert [[rel.tuples for rel in step.relations]
+                for step in index.compiled_online] \
+            == [[rel.tuples for rel in step.relations]
+                for step in fresh.compiled_online]
+        domain = [0, 1, 2, 5, 900, 903]
+        assert probe_grid(cqap, index, domain) \
+            == probe_grid(cqap, fresh, domain) \
+            == oracle_grid(cqap, db, domain)
+        # ...and a re-selection, whose new thresholds need split nodes no
+        # earlier pass made: they must be cut from the current database
+        for op, name, row in self.SCRIPT:
+            index.apply_delta(op, name, row)
+        index.reselect()
+        fresh = CQAPIndex(cqap, db.copy(), index.space_budget).preprocess()
+        assert {t: rel.tuples for t, rel in index.s_targets.items()} \
+            == {t: rel.tuples for t, rel in fresh.s_targets.items()}
+        assert probe_grid(cqap, index, domain) \
+            == oracle_grid(cqap, db, domain)
+
+    def test_self_join_without_splits_tracks_the_oracle(self):
+        """Two occurrences of one relation: a piece per atom, both patched."""
+        cqap = CQAP(("x1", "x3"), ("x1", "x3"),
+                    [Atom("E", ("x1", "x2")), Atom("E", ("x2", "x3"))],
+                    name="hop2")
+        rng = random.Random(5)
+        domain = range(5)
+        db = Database([Relation("E", ("src", "dst"),
+                                {(rng.randrange(5), rng.randrange(5))
+                                 for _ in range(8)})])
+        index = CQAPIndex(cqap, db, RICH).preprocess(verify_plans=True)
+        assert not any(plan.splits for plan in index.plans)
+        assert probe_grid(cqap, index, domain) \
+            == oracle_grid(cqap, db, domain)
+        for _ in range(30):
+            row = (rng.randrange(5), rng.randrange(5))
+            op = "delete" if row in db["E"].tuples else "insert"
+            assert index.apply_delta(op, "E", row).changed
+            assert probe_grid(cqap, index, domain) \
+                == oracle_grid(cqap, db, domain)
+        check_index(index)
 
 
 class TestDriftReselection:
