@@ -44,11 +44,23 @@ def _run_lint(paths: Sequence[Path], as_json: bool,
 def _scenario_matrix() -> List[Tuple[str, object, object]]:
     """The fixed (label, cqap, db) scenarios ``--verify-plans`` builds."""
     from repro import catalog, path_database, triangle_database
+    from repro.data import random_edge_relation
+    from repro.data.database import Database
     from repro.query.catalog import triangle_cqap
+    from repro.query.cq import CQAP, Atom
 
+    # one relation under both atoms: at |D| the planner splits each
+    # occurrence, so a split looked up by relation name lands on the wrong
+    # atom
+    self_join = CQAP(("x1", "x3"), ("x1", "x3"),
+                     [Atom("E", ("x1", "x2")), Atom("E", ("x2", "x3"))],
+                     name="hop2")
     return [
         ("2-path", catalog.k_path_cqap(2),
          path_database(k=2, n_edges=240, domain=60, seed=11)),
+        ("2-path self-join", self_join,
+         Database([random_edge_relation("E", ("src", "dst"), n_edges=240,
+                                        domain=60, seed=14, skew_hubs=2)])),
         ("3-path", catalog.k_path_cqap(3),
          path_database(k=3, n_edges=240, domain=60, seed=12)),
         ("triangle", triangle_cqap(),

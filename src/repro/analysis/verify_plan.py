@@ -23,10 +23,12 @@ parts) and reports every violation as a human-readable issue string:
 * **Compile-time pinning** — every static participant of every
   :class:`~repro.core.kernels.CompiledProbePlan` has its hash index
   built (and its membership index, when it shares a level), and the
-  per-probe request slot has none.
-* **Pinned-index liveness** — a pinned index is the very dict its
-  relation caches for that key *now*: a piece patched on behalf of one
-  step while another step still pins its old index is caught here.
+  per-probe request slot has none.  Read from the closure of the
+  generated kernel — what a probe will really use.
+* **Pinned-index liveness** — the dict in the kernel's closure is the
+  very dict its relation caches for that key *now*: a piece patched on
+  behalf of one step while another step still pins its old index is
+  caught here.
 * **Piece sharing** — subproblems that agree on an atom's split path
   hold the same relation object, and every compiled step's static
   relations are (or share the tuple set of) its subproblem's pieces.
@@ -258,38 +260,29 @@ def verify_compiled_plans(steps: Iterable[Any]) -> List[str]:
                 f"{label}: output schema {plan.onto} not covered by the "
                 f"variable order {plan.order}"
             )
-        for part in plan.iter_participants():
+        for part, cell, live in plan.pinned():
             where = (f"{label}, depth {part.depth} ({part.var}), "
                      f"slot {part.slot}")
-            if part.pinnable:
-                if part.index is None:
-                    issues.append(
-                        f"{where}: static participant has no hash index "
-                        f"pinned at compile time"
-                    )
-                if part.shares_level and part.membership_index is None:
-                    issues.append(
-                        f"{where}: static participant shares its level but "
-                        f"has no membership index pinned at compile time"
-                    )
-                # liveness: index_on returns the relation's cached dict,
-                # or builds a fresh one when a mutation dropped it
-                rel = plan.relations[part.slot - bool(plan.access)]
-                pins = ((part.index, part.bound_key or (part.var,)),
-                        (part.membership_index,
-                         part.bound_key + (part.var,)))
-                for pinned, key in pins:
-                    if pinned is not None and rel.index_on(key) is not pinned:
-                        issues.append(
-                            f"{where}: pinned index on {key} is stale "
-                            f"({rel.name!r} no longer caches that dict)"
-                        )
-            else:
-                if part.index is not None or part.membership_index is not None:
+            held = cell.cell_contents
+            if plan.access and part.slot == 0:
+                if part.pinnable or held != live:
                     issues.append(
                         f"{where}: per-probe request slot must never pin "
                         f"an index (its relation changes every probe)"
                     )
+            elif not part.pinnable or not isinstance(held, dict):
+                issues.append(
+                    f"{where}: static participant has no hash index "
+                    f"pinned at compile time"
+                )
+            elif held is not live:
+                # ``live`` is the dict the relation caches now, or a
+                # fresh one when a mutation dropped the pinned one
+                rel = plan.relations[part.slot - bool(plan.access)]
+                issues.append(
+                    f"{where}: pinned index is stale ({rel.name!r} no "
+                    f"longer caches the dict the kernel probes)"
+                )
     return issues
 
 

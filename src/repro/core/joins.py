@@ -4,12 +4,19 @@
 a variable order, intersecting per-relation candidate sets at every level —
 the classic generic-join scheme.  Deduplicating projections are collected
 directly, so memory stays proportional to the *output*, never the
-intermediate join (this is what lets the preprocessing phase semijoin/
-materialize S-targets without storing the full join).
+intermediate join (this is what lets the preprocessing phase materialize
+S-targets without storing the full join).
 
 A ``limit`` turns the routine into a budget-enforced materializer: the
 evaluator aborts with :class:`BudgetExceeded` as soon as the projection
 exceeds the given number of tuples.
+
+``project_join`` interprets the scheme node by node.  The build and probe
+paths run it as generated code instead (:mod:`repro.core.kernels`); this
+function is the oracle those kernels are held to — same rows, same
+``Counters`` — and the evaluator of joins that run once over throwaway
+relations (:mod:`repro.updates`' pinned delta joins), where there is no
+compile to amortise.
 """
 
 from __future__ import annotations

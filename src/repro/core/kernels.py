@@ -1,89 +1,265 @@
-"""Compiled per-step probe kernels for the warm (uncached) online phase.
+"""Generated generic-join kernels: one nested-loop function per plan shape.
 
-The profile of the warm probe loop is unambiguous: ~78% of per-probe time
-goes to :func:`repro.core.joins.project_join`, and a quarter of the total
-is :func:`~repro.core.joins.choose_variable_order` — recomputed *per
-probe per step* even though the participating relations (S-views bound to
-a step's schema) never change between probes.  Only the tiny ``Q_A``
-request relation differs.
+A :class:`CompiledProbePlan` evaluates ``Π_onto(R_1 ⋈ ... ⋈ R_m)`` over a
+fixed list of relations — the paper's online T-phase joins a step's split
+pieces with the per-probe request ``Q_A`` this way, and preprocessing
+materializes every S-target the same way with no request at all.  The
+algorithm is :func:`repro.core.joins.project_join`'s generic join (scan
+the smallest candidate bucket of a variable, probe the other participants
+through their ``bound_key + (var,)`` hash indexes); what this module
+removes is the interpretation of it.
 
-:class:`CompiledProbePlan` hoists everything probe-invariant out of the
-loop at compile time:
+**The generator.**  ``_compile`` fixes the greedy variable order once
+(against a 1-row stand-in for the request — the request is the smallest
+relation by construction, so every real probe would pick the same order)
+and derives, per depth, which relation slots constrain the variable: the
+:class:`ParticipantSpec` records in ``levels``.  From their *structure*
+alone :func:`_generate` writes one flat Python function: the levels
+unrolled into nested ``for`` loops, each bound value a local ``v<depth>``,
+key prefixes as tuple displays of those locals, a one- or two-participant
+level ranked by an inline ``n0 <= n1`` (ties to the earlier slot — the
+interpreter's stable sort on bucket size), three or more by a small sort.
 
-* the greedy variable order (chosen once, against a 1-row stand-in for
-  the request — the request is the smallest relation by construction, so
-  the stand-in picks the same order every real probe would);
-* per-depth *participant specs*: for each variable, which relation slots
-  constrain it, the bound-key columns of each, the stack depths those
-  columns were bound at, and the membership-index key — all precomputed
-  tuples, no per-node schema scans or genexpr closures;
-* bulk counter accounting: probes/scans accumulate in local ints and hit
-  the :class:`~repro.util.counters.Counters` object once per probe.
+**The shape table.**  Generated code is cached in :data:`_SHAPES` under
+that structure — per participant whether it is pinned (else the slot it
+is fetched from), the depths its bound columns were bound at and the
+column it reads; the output's depths; limited or not.  No variable name
+and no relation enters the key, so a build's plans share a handful of
+shapes, and each shape is one compiled factory
+``make(limit, idx...) -> kernel``.  Re-pinning a plan (after a
+delta, after unpickling in a fleet worker) rebuilds the specs, finds the
+factory by one dict lookup and calls it with the fresh index dicts:
+``compile()`` runs once per shape per process, never per plan or per
+delta, and a replaced kernel — a closure over the old dicts, with no
+reference back to itself — is freed by reference count alone.  The
+structure is looked up on *every* ``_compile`` because the variable order
+reads relation sizes: a delta may legally move a step to another shape.
 
-The node-level algorithm is exactly ``project_join``'s generic join —
-scan the smallest candidate bucket, probe the other participants through
-their ``bound_key + (var,)`` hash indexes — so answers are identical by
-construction; only the interpretation overhead is gone.
+**Pinning.**  Static relations are frozen by the engine's read-only
+serving discipline, so an online step's kernel closes over their hash
+indexes, built at compile (= preprocessing) time; the paper's online
+bound assumes S-views are only ever *probed* through indexes built during
+preprocessing.  The closure is the only place the pinned dicts live —
+:meth:`CompiledProbePlan.pinned` reads them back for the plan verifier.
+What is not pinned is *fetched* during the call: the request's indexes
+(its relation changes every probe), and every index of a plan that runs
+once (``pin=False``, S-target materialization) — a participant's
+candidate index up front, its membership index at first need, so a
+one-shot join builds only the indexes it really reads.
+
+**The counters contract.**  ``probes``, ``scans`` and ``joins_emitted``
+accumulate in locals and reach the :class:`~repro.util.counters.Counters`
+object once per call (in a ``finally``, so a budget abort charges what it
+explored), and their totals equal, to the unit, what ``project_join``
+charges for the same relations: same variable order, same ranking, same
+set constructions in the same order.  ``project_join`` stays in the tree
+as that oracle; ``tests/test_kernels.py`` holds the two together.
 
 Pickling: a plan ships to process-fleet workers inside its compiled step.
 Like :class:`~repro.data.relation.Relation`, it serializes payload only —
-the spec tuples and relation references (which the pickler dedupes
-against the step's own relations) — never runtime index caches.
+the relation references (which the pickler dedupes against the step's own
+relations) and schemas — and recompiles on arrival.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+import linecache
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
-from repro.core.joins import choose_variable_order
+from repro.core.joins import BudgetExceeded, choose_variable_order
 from repro.data.relation import Relation
 from repro.util.counters import Counters
 
 #: sentinel schema stand-in value for the compile-time dummy request row
 _DUMMY = object()
 
+#: one participant's share of a shape: (the slot its indexes are fetched
+#: from per call, or None when they are pinned; bound depths; column read)
+_PartShape = Tuple[Optional[int], Tuple[int, ...], int]
+#: a plan's structure: (limited, output depths, per-level participants)
+_Shape = Tuple[bool, Tuple[int, ...], Tuple[Tuple[_PartShape, ...], ...]]
+
+#: shape -> its compiled factory ``make(limit, idx...) -> kernel``
+_SHAPES: Dict[_Shape, Callable] = {}
+
 
 class ParticipantSpec(NamedTuple):
-    """Read-only view of one per-depth participant spec.
+    """One relation slot constraining one variable of the order.
 
-    The compiled plan stores participants as raw 8-slot lists for speed;
-    this is the structured accessor introspection tools (the static plan
-    verifier, tests) use instead of indexing the lists by magic number.
+    Purely structural — the hash indexes a participant is probed through
+    live in the generated kernel's closure, nowhere else.
     """
 
     depth: int
     var: str
+    #: position among ``[request] + relations`` (the request, when the
+    #: plan has an access schema, is slot 0)
     slot: int
     bound_key: Tuple[str, ...]
+    #: the order depths ``bound_key``'s variables were bound at
+    bound_depths: Tuple[int, ...]
+    #: column of ``var`` in the relation's rows
+    var_pos: int
+    #: indexes pinned at compile time (a static relation of a pinning
+    #: plan) vs fetched from the slot's relation on every call
     pinnable: bool
     shares_level: bool
-    index: Optional[dict]
-    membership_index: Optional[dict]
+
+
+def _bind(spec: ParticipantSpec, rel: Optional[Relation]) -> List[object]:
+    """What the kernel variables of one participant must hold.
+
+    Per index the kernel reads the participant through — the one that
+    yields its candidates and, on a shared level, the one other
+    participants' candidates are probed in: a pinned participant's dict,
+    built here, at preprocessing time; for a fetched one the key, its
+    relation being indexed during the call.
+    """
+    keys: List[object] = [spec.bound_key or (spec.var,)]
+    if spec.shares_level:
+        keys.append(spec.bound_key + (spec.var,))
+    return list(map(rel.index_on, keys)) if spec.pinnable else keys
+
+
+def _generate(limited: bool, onto_depths: Tuple[int, ...],
+              levels: Tuple[Tuple[_PartShape, ...], ...]) -> str:
+    """Source of the factory for one shape.
+
+    The factory's parameters after ``limit`` are, per level and
+    participant, ``i<depth>_<j>`` and — on a shared level —
+    ``m<depth>_<j>``: a pinned participant's index dicts, or the keys a
+    fetched participant's relation is indexed on during the call (its
+    candidate index up front, its membership index at first need).
+    """
+    params = ["limit"]
+    fetch: List[str] = []
+    body: List[str] = []
+
+    def put(indent: int, block: str) -> None:
+        body.extend("    " * indent + line for line in block.split("\n"))
+
+    for depth, parts in enumerate(levels):
+        at = depth + 3
+        size, scan, member = [], [], []
+        for j, (slot, bound, pos) in enumerate(parts):
+            index, membership = f"i{depth}_{j}", f"m{depth}_{j}"
+            params.append(index)
+            need = ""
+            if slot is not None:
+                fetch.append(f"q{index} = rels[{slot}].index_on({index})")
+                index = f"q{index}"
+            if len(parts) > 1:
+                params.append(membership)
+                if slot is not None:
+                    fetch.append(f"q{membership} = None")
+                    need = (f"if q{membership} is None:\n"
+                            f"    q{membership} = "
+                            f"rels[{slot}].index_on({membership})\n")
+                    membership = f"q{membership}"
+            prefix = "".join(f"v{d}, " for d in bound)
+            if bound:
+                rows = f"r{depth}_{j}"
+                put(at, f"{rows} = {index}.get(({prefix}), ())")
+                size.append(f"len({rows})")
+                scan.append(f"{{row[{pos}] for row in {rows}}}")
+            else:
+                size.append(f"len({index})")
+                scan.append(f"{{key[0] for key in {index}}}")
+            member.append(f"{need}s{depth} = {{v for v in s{depth} "
+                          f"if ({prefix}v,) in {membership}}}")
+        put(at, f"probes += {len(parts)}")
+        if len(parts) == 1:
+            put(at, f"scans += {size[0]}\ns{depth} = {scan[0]}")
+        elif len(parts) == 2:
+            # ties go to the earlier slot: the stable sort on bucket size
+            put(at, f"n0 = {size[0]}\nn1 = {size[1]}")
+            for test, first, second in (("if n0 <= n1:", 0, 1),
+                                        ("else:", 1, 0)):
+                put(at, test)
+                put(at + 1, f"scans += n{first}\ns{depth} = {scan[first]}\n"
+                            f"if s{depth}:")
+                put(at + 2, f"probes += len(s{depth})\n{member[second]}")
+        else:
+            ranked = ", ".join(f"({n}, {j})" for j, n in enumerate(size))
+            put(at, f"ranked = sorted(({ranked}))\n"
+                    f"scans += ranked[0][0]\nfirst = ranked[0][1]")
+            for j, expr in enumerate(scan):
+                put(at, f"{'el' if j else ''}if first == {j}:")
+                put(at + 1, f"s{depth} = {expr}")
+            put(at, "for _, j in ranked[1:]:")
+            put(at + 1, f"if not s{depth}:\n    break\n"
+                        f"probes += len(s{depth})")
+            for j, block in enumerate(member):
+                put(at + 1, f"{'el' if j else ''}if j == {j}:")
+                put(at + 2, block)
+        put(at, f"for v{depth} in s{depth}:")
+    at = len(levels) + 3
+    put(at, f"out_add(({''.join(f'v{d}, ' for d in onto_depths)}))")
+    if limited:
+        put(at, "if len(out) > limit:\n    raise BudgetExceeded(limit)")
+    lines = [f"def make({', '.join(params)}):",
+             "    def kernel(rels, counters):"]
+    lines += [f"        {line}" for line in fetch]
+    lines += ["        out = set()",
+              "        out_add = out.add",
+              "        probes = scans = 0",
+              "        try:"]
+    lines += body
+    lines += ["        finally:",
+              "            counters.probes += probes",
+              "            counters.scans += scans",
+              "            counters.joins_emitted += len(out)",
+              "        return out",
+              "    return kernel",
+              ""]
+    return "\n".join(lines)
+
+
+def _factory(shape: _Shape) -> Callable:
+    """The compiled factory of ``shape`` (built on first use)."""
+    make = _SHAPES.get(shape)
+    if make is None:
+        source = _generate(*shape)
+        filename = f"<repro.core.kernels shape {hash(shape) & 0xffffffff:08x}>"
+        # tracebacks and inspect.getsource() show the generated lines
+        linecache.cache[filename] = (len(source), None,
+                                     source.splitlines(True), filename)
+        namespace = {"BudgetExceeded": BudgetExceeded}
+        exec(compile(source, filename, "exec"), namespace)
+        make = _SHAPES[shape] = namespace["make"]
+    return make
 
 
 class CompiledProbePlan:
-    """A probe-invariant compilation of one online step's project-join.
+    """A generic join over fixed relations, compiled to a generated kernel.
 
-    Built once per :class:`~repro.core.two_phase.CompiledOnlineStep` at
-    preprocess time; executed once per probe with only the request
-    relation varying.  ``relations`` are the step's static relations
-    (S-views rebound to query variables); when ``access`` is non-empty,
-    slot 0 at execution time is the per-probe request relation.
+    ``relations`` are static (a step's pieces, an S-target's subproblem);
+    when ``access`` is non-empty, slot 0 at execution time is the
+    per-probe request relation.  ``limit`` turns the plan into a budgeted
+    materializer: :meth:`execute` raises
+    :class:`~repro.core.joins.BudgetExceeded` as soon as the projection
+    holds more than ``limit`` rows.
 
-    The static relations are frozen by the engine's read-only serving
-    discipline — their cached hash indexes stay valid across probes,
-    which is what makes per-probe cost independent of S-view sizes.
+    A plan that serves many probes pins the static relations' indexes at
+    compile time (``pin=True``); they must not move under it, and after a
+    coordinated delta :mod:`repro.updates` calls ``_compile`` again to
+    re-pin the fresh ones.  A plan that runs once (``pin=False``)
+    compiles without touching its relations and fetches, during the
+    call, only the indexes the join really reads.
     """
 
-    __slots__ = ("relations", "onto", "access", "order", "levels",
-                 "onto_depths", "rel_cls")
+    __slots__ = ("relations", "onto", "access", "limit", "pin", "rel_cls",
+                 "order", "levels", "kernel")
 
     def __init__(self, relations: Sequence[Relation], onto: Sequence[str],
-                 access: Sequence[str],
-                 rel_cls: type = Relation) -> None:
+                 access: Sequence[str], limit: Optional[int] = None,
+                 pin: bool = True, rel_cls: type = Relation) -> None:
         self.relations: List[Relation] = list(relations)
         self.onto: Tuple[str, ...] = tuple(onto)
         self.access: Tuple[str, ...] = tuple(access)
+        self.limit = limit
+        self.pin = pin
         self.rel_cls = rel_cls
         self._compile()
 
@@ -93,186 +269,82 @@ class CompiledProbePlan:
                                    {(_DUMMY,) * len(self.access)})
             slot_rels: List[Relation] = [dummy] + self.relations
         else:
-            slot_rels = list(self.relations)
+            slot_rels = self.relations
         self.order = tuple(choose_variable_order(slot_rels, self.onto))
         depth_of = {v: i for i, v in enumerate(self.order)}
-        self.onto_depths = tuple(depth_of[v] for v in self.onto)
-        levels = []
+        levels, level_shapes = [], []
+        #: the factory's arguments, in _generate's parameter order
+        bound: List[object] = [self.limit]
         for depth, var in enumerate(self.order):
-            parts = []
-            for slot, rel in enumerate(slot_rels):
-                if var not in rel.variables:
-                    continue
-                bound_key = tuple(v for v in rel.schema
-                                  if depth_of[v] < depth)
-                # mutable spec: slots 6/7 cache the static relations' hash
-                # indexes after first use (the per-probe request at slot 0
-                # is never pinned — flag 5 marks pinnable participants)
-                parts.append([
-                    slot,
-                    bound_key,
-                    tuple(depth_of[v] for v in bound_key),
-                    rel.schema.index(var),
-                    bound_key + (var,),
-                    not (self.access and slot == 0),
-                    None,
-                    None,
-                ])
+            slots = [slot for slot, rel in enumerate(slot_rels)
+                     if var in rel.variables]
+            parts, part_shapes = [], []
+            for slot in slots:
+                schema = slot_rels[slot].schema
+                bound_key = tuple(v for v in schema if depth_of[v] < depth)
+                bound_depths = tuple(depth_of[v] for v in bound_key)
+                var_pos = schema.index(var)
+                pinnable = self.pin and not (self.access and slot == 0)
+                # _make: this runs per touched step on every delta, and a
+                # NamedTuple's keyword-checking __new__ is most of a spec
+                spec = ParticipantSpec._make((
+                    depth, var, slot, bound_key, bound_depths, var_pos,
+                    pinnable, len(slots) > 1))
+                parts.append(spec)
+                part_shapes.append((None if pinnable else slot,
+                                    bound_depths, var_pos))
+                bound += _bind(spec, slot_rels[slot])
             levels.append(tuple(parts))
+            level_shapes.append(tuple(part_shapes))
         self.levels = tuple(levels)
-        # warm and pin the static participants' hash indexes now, at
-        # compile (= preprocessing) time: the paper's online-phase bound
-        # assumes S-views are only ever *probed* through indexes built
-        # during preprocessing, so first-probe latency must not pay them
-        for depth, parts in enumerate(self.levels):
-            var = self.order[depth]
-            for part in parts:
-                if not part[5]:
-                    continue
-                rel = slot_rels[part[0]]
-                part[6] = rel.index_on(part[1] if part[1] else (var,))
-                if len(parts) > 1:
-                    part[7] = rel.index_on(part[4])
+        shape = (self.limit is not None,
+                 tuple(depth_of[v] for v in self.onto), tuple(level_shapes))
+        self.kernel = _factory(shape)(*bound)
 
-    def iter_participants(self):
-        """Yield every participant spec as a :class:`ParticipantSpec`.
+    def iter_participants(self) -> Iterator[ParticipantSpec]:
+        """Every participant spec, in level then slot order."""
+        for parts in self.levels:
+            yield from parts
 
-        The contract the verifier checks rides on ``pinnable``: a static
-        (non-request) participant must have had its hash index built at
-        compile time (``index`` non-None, plus ``membership_index`` when
-        it shares its level), while the per-probe request slot must never
-        pin one — its relation changes every probe.
+    def pinned(self) -> Iterator[Tuple[ParticipantSpec, object, object]]:
+        """``(spec, cell, live)`` per index variable of the kernel.
+
+        ``cell`` is the closure cell the generated function reads — what a
+        probe will really use; ``live`` is what compiling now would bind
+        there.  They are the same object unless a relation moved under
+        the plan without a re-pin.
         """
-        for depth, parts in enumerate(self.levels):
-            var = self.order[depth]
-            shares = len(parts) > 1
-            for part in parts:
-                yield ParticipantSpec(
-                    depth=depth,
-                    var=var,
-                    slot=part[0],
-                    bound_key=part[1],
-                    pinnable=part[5],
-                    shares_level=shares,
-                    index=part[6],
-                    membership_index=part[7],
-                )
+        cells = dict(zip(self.kernel.__code__.co_freevars,
+                         self.kernel.__closure__))
+        for parts in self.levels:
+            for j, spec in enumerate(parts):
+                rel = self.relations[spec.slot - bool(self.access)] \
+                    if spec.pinnable else None
+                for kind, live in zip("im", _bind(spec, rel)):
+                    yield spec, cells[f"{kind}{spec.depth}_{j}"], live
 
     # ------------------------------------------------------------------
-    # pickling: spec + relation references, no runtime caches
+    # pickling: relation references and schemas, nothing compiled
     # ------------------------------------------------------------------
     def __getstate__(self):
-        return (self.relations, self.onto, self.access, self.rel_cls)
+        return (self.relations, self.onto, self.access, self.limit,
+                self.pin, self.rel_cls)
 
     def __setstate__(self, state) -> None:
-        self.relations, self.onto, self.access, self.rel_cls = state
-        # recompiling is cheap and keeps the pickle payload minimal
+        (self.relations, self.onto, self.access, self.limit, self.pin,
+         self.rel_cls) = state
         self._compile()
 
     def execute(self, request: Optional[Relation], counters: Counters,
                 name: str) -> Relation:
-        """Run the compiled generic join for one probe.
+        """Run the generated kernel once; returns ``Π_onto`` of the join.
 
         ``request`` fills slot 0 when the plan was compiled with a
         non-empty access schema (it must carry exactly that schema);
-        otherwise it is ignored.  Returns ``Π_onto`` of the join as a
-        ``rel_cls`` relation; counter totals match what the interpreted
-        :func:`~repro.core.joins.project_join` would have charged for
-        the same candidate exploration.
+        otherwise it is ignored.  The result is a ``rel_cls`` relation.
         """
-        if self.access:
-            rels: List[Relation] = [request]  # type: ignore[list-item]
-            rels += self.relations
-        else:
-            rels = self.relations
-        out: set = set()
-        for rel in rels:
-            if not rel.tuples:
-                return self.rel_cls._wrap(name, self.onto, out)
-        levels = self.levels
-        n_levels = len(levels)
-        onto_depths = self.onto_depths
-        stack: List[object] = [None] * n_levels
-        probes = 0
-        scans = 0
-
-        def descend(depth: int) -> None:
-            nonlocal probes, scans
-            if depth == n_levels:
-                out.add(tuple([stack[i] for i in onto_depths]))
-                return
-            parts = levels[depth]
-            var = self.order[depth]
-            probes += len(parts)
-            if len(parts) == 1:
-                # single participant: no ranking, no membership probes
-                part = parts[0]
-                if part[1]:
-                    idx = part[6]
-                    if idx is None:
-                        idx = rels[part[0]].index_on(part[1])
-                        if part[5]:
-                            part[6] = idx
-                    rows = idx.get(tuple([stack[j] for j in part[2]]), ())
-                    scans += len(rows)
-                    var_pos = part[3]
-                    values = {row[var_pos] for row in rows}
-                else:
-                    idx = part[6]
-                    if idx is None:
-                        idx = rels[part[0]].index_on((var,))
-                        if part[5]:
-                            part[6] = idx
-                    values = {key[0] for key in idx}
-                    scans += len(values)
-            else:
-                # rank participants by candidate-bucket size, exactly as
-                # the interpreted path does (stable, so counters match)
-                ranked = []
-                for i, part in enumerate(parts):
-                    if part[1]:
-                        idx = part[6]
-                        if idx is None:
-                            idx = rels[part[0]].index_on(part[1])
-                            if part[5]:
-                                part[6] = idx
-                        rows = idx.get(
-                            tuple([stack[j] for j in part[2]]), ())
-                        ranked.append((len(rows), i, part, rows, None))
-                    else:
-                        idx = part[6]
-                        if idx is None:
-                            idx = rels[part[0]].index_on((var,))
-                            if part[5]:
-                                part[6] = idx
-                        ranked.append((len(idx), i, part, None, idx))
-                ranked.sort(key=lambda item: (item[0], item[1]))
-                size0, _, best, best_rows, best_idx = ranked[0]
-                if best_rows is not None:
-                    scans += size0
-                    var_pos = best[3]
-                    values = {row[var_pos] for row in best_rows}
-                else:
-                    values = {key[0] for key in best_idx}
-                    scans += len(values)
-                for _, _, part, _, _ in ranked[1:]:
-                    if not values:
-                        break
-                    membership = part[7]
-                    if membership is None:
-                        membership = rels[part[0]].index_on(part[4])
-                        if part[5]:
-                            part[7] = membership
-                    probes += len(values)
-                    prefix = tuple([stack[j] for j in part[2]])
-                    values = {v for v in values
-                              if prefix + (v,) in membership}
-            for value in values:
-                stack[depth] = value
-                descend(depth + 1)
-
-        descend(0)
-        counters.probes += probes
-        counters.scans += scans
-        counters.joins_emitted += len(out)
-        return self.rel_cls._wrap(name, self.onto, out)
+        rels = [request] + self.relations if self.access else self.relations
+        rows: set = set()
+        if all(rel.tuples for rel in rels):
+            rows = self.kernel(rels, counters)
+        return self.rel_cls._wrap(name, self.onto, rows)

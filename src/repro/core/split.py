@@ -180,7 +180,7 @@ def split_steps_from_duals(
     step per (atom, X) suffices.  The most-binding ``max_splits`` pairs are
     kept (each split doubles the subproblem count).
     """
-    candidates: Dict[Tuple[str, Tuple[str, ...]], float] = {}
+    candidates: Dict[Tuple[Atom, Tuple[str, ...]], Tuple[float, float]] = {}
     for name, value in duals.items():
         if not isinstance(name, tuple) or len(name) != 2:
             continue
@@ -189,23 +189,21 @@ def split_steps_from_duals(
             continue
         x_sorted, y_sorted = key
         x, y = varset(x_sorted), varset(y_sorted)
-        # find an atom guarding the pair (Y within the atom schema)
+        # find an atom guarding the pair (Y within the atom schema); the
+        # split is that occurrence's, not its relation's — a self-joining
+        # body has several atoms over one relation name
         for atom in cqap.atoms:
             if y <= atom.varset and x < atom.varset:
                 if kind == "sc_s_heavy":
                     delta = 2.0 ** (h_t.get(y, 0.0) - h_t.get(x, 0.0))
                 else:
                     delta = 2.0 ** (h_s.get(y, 0.0) - h_s.get(x, 0.0))
-                entry = (atom.relation, tuple(sorted(x)))
+                entry = (atom, tuple(sorted(x)))
                 current = candidates.get(entry)
                 # keep the largest dual weight per (atom, X); remember Δ
                 if current is None or value > current[0]:
                     candidates[entry] = (value, delta)
                 break
     ranked = sorted(candidates.items(), key=lambda kv: -kv[1][0])
-    atom_by_name = {atom.relation: atom for atom in cqap.atoms}
-    steps: List[SplitStep] = []
-    for (rel_name, x_vars), (_, delta) in ranked[:max_splits]:
-        threshold = max(1.0, delta)
-        steps.append(SplitStep(atom_by_name[rel_name], x_vars, threshold))
-    return steps
+    return [SplitStep(atom, x_vars, max(1.0, delta))
+            for (atom, x_vars), (_, delta) in ranked[:max_splits]]

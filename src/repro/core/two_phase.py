@@ -13,7 +13,9 @@ For every 2-phase disjunctive rule the planner:
    designates either an S-target (preprocess) or a T-target (online).
 
 Execution materializes designated S-targets as *exact projections* of the
-subproblem bodies via the generic join — a simplification of PANDA's
+subproblem bodies through the same generated generic-join kernels the
+online phase runs (:mod:`repro.core.kernels`, here without a request and
+without pinning: a materialization runs once) — a simplification of PANDA's
 proof-sequence interpreter documented in DESIGN.md: every published strategy
 in the paper resolves each subproblem with a single target, and exact
 projections are automatically within the single-target bound, so the
@@ -29,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.joins import BudgetExceeded, project_join
+from repro.core.joins import BudgetExceeded
 from repro.core.kernels import CompiledProbePlan
 from repro.data.columnar import relation_class, to_backend
 from repro.core.split import (
@@ -252,9 +254,9 @@ class CompiledOnlineStep:
     relations: List[Relation]
     schema: Tuple[str, ...]
     name: str
-    #: the probe-invariant generic-join compilation of this step (variable
-    #: order + per-depth participant specs); executed once per probe with
-    #: only the request relation varying
+    #: the step's generic join compiled to a generated kernel (variable
+    #: order, per-depth participants, the pieces' indexes pinned);
+    #: executed once per probe with only the request relation varying
     plan: CompiledProbePlan
 
 
@@ -311,11 +313,9 @@ class TwoPhaseExecutor:
                              for atom in self.cqap.atoms]
                 schema = tuple(sorted(decision.target))
                 try:
-                    piece = project_join(
-                        relations, schema,
-                        name=f"S_{''.join(schema)}",
-                        limit=limit, counters=ctr,
-                    )
+                    piece = CompiledProbePlan(
+                        relations, schema, (), limit=limit, pin=False,
+                    ).execute(None, ctr, f"S_{''.join(schema)}")
                 except BudgetExceeded:
                     if not plan.rule.t_targets:
                         raise PlanningError(

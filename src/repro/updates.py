@@ -48,10 +48,11 @@ The maintenance algorithm, per delta ``±R(t)``:
 5. **Derived-state coherence.**  Each hosting piece is one object (shared
    by every subproblem and compiled step on its split path): it is
    patched once, the touched steps'
-   :class:`~repro.core.kernels.CompiledProbePlan`\\ s are recompiled (they
-   pin hash indexes at compile time), and the per-PMTD Online Yannakakis
-   instances are rebuilt whenever an S-target moved (their semijoin-
-   reduced views are preprocessing-time snapshots).
+   :class:`~repro.core.kernels.CompiledProbePlan`\\ s are re-pinned (their
+   kernels close over the pieces' hash indexes; the generated code is
+   found by its shape, not compiled again), and the per-PMTD Online
+   Yannakakis instances are rebuilt whenever an S-target moved (their
+   semijoin-reduced views are preprocessing-time snapshots).
 
 6. **Drift re-selection.**  When the measured cardinality drift since the
    catalog statistics were taken exceeds ``index.staleness_threshold``,

@@ -164,8 +164,8 @@ class TestCorruptedIndex:
     def test_unpinned_participant_is_caught(self):
         index = _fresh_index(space_budget=2.0).preprocess()
         plan = index.compiled_online[0].plan
-        part = next(p for level in plan.levels for p in level if p[5])
-        part[6] = None
+        cell = next(cell for part, cell, _ in plan.pinned() if part.pinnable)
+        cell.cell_contents = None
         issues = verify_compiled_plans(index.compiled_online)
         assert any("no hash index pinned" in i for i in issues)
 
@@ -173,28 +173,42 @@ class TestCorruptedIndex:
         index = _fresh_index(space_budget=2.0).preprocess()
         plan = index.compiled_online[0].plan
         culprit = None
-        for level in plan.levels:
-            for p in level:
-                if not p[5]:
-                    culprit = p
+        for part, cell, _ in plan.pinned():
+            if not part.pinnable:
+                culprit = cell
         if culprit is None:
             pytest.skip("no request-slot participant in this plan")
-        culprit[6] = {}
+        culprit.cell_contents = {}
         issues = verify_compiled_plans(index.compiled_online)
         assert any("must never pin" in i for i in issues)
 
+    def test_unpinning_step_plan_is_caught(self):
+        """A step whose plan fetches its pieces' indexes per probe."""
+        index = _fresh_index(space_budget=2.0).preprocess()
+        plan = index.compiled_online[0].plan
+        plan.pin = False
+        plan._compile()
+        issues = verify_compiled_plans(index.compiled_online)
+        assert any("no hash index pinned" in i for i in issues)
 
     def test_stale_pinned_index_is_caught(self):
-        """A piece patched without recompiling a step that pins it."""
+        """A piece patched without recompiling a step that pins it.
+
+        The verifier reads the dicts out of the generated kernel's
+        closure, so what it reports stale is what a probe would read.
+        """
         index = _fresh_index(space_budget=2.0).preprocess()
-        assert verify_compiled_plans(index.compiled_online) == []
+        check_index(index)
         step = index.compiled_online[0]
         step.relations[0]._delta_add((10 ** 6, 10 ** 6))
         issues = verify_compiled_plans(index.compiled_online)
         assert any("stale" in i for i in issues)
-        step.plan._compile()
-        assert not any("stale" in i for i in
-                       verify_compiled_plans([step]))
+        with pytest.raises(PlanVerificationError) as exc:
+            check_index(index)
+        assert "stale" in str(exc.value)
+        for other in index.compiled_online:
+            other.plan._compile()
+        assert verify_compiled_plans(index.compiled_online) == []
 
     def test_second_object_for_one_piece_is_caught(self):
         index = _fresh_index(space_budget=2.0).preprocess()
@@ -221,12 +235,26 @@ class TestParticipantAccessor:
     def test_iter_participants_matches_raw_specs(self, lean_built):
         index = lean_built
         for step in index.compiled_online:
-            specs = list(step.plan.iter_participants())
-            raw = [p for level in step.plan.levels for p in level]
-            assert len(specs) == len(raw)
-            for spec, part in zip(specs, raw):
-                assert spec.slot == part[0]
-                assert spec.bound_key == part[1]
-                assert spec.pinnable == part[5]
-                assert spec.index is part[6]
-                assert spec.membership_index is part[7]
+            plan = step.plan
+            specs = list(plan.iter_participants())
+            assert specs == [p for level in plan.levels for p in level]
+            pinned = list(plan.pinned())
+            # one candidate index per participant, plus one membership
+            # index for each that shares its level
+            assert len(pinned) == len(specs) + sum(
+                spec.shares_level for spec in specs)
+            for spec, cell, live in pinned:
+                assert spec.pinnable == (spec.slot != 0)
+                schema = ([plan.access] + [
+                    r.schema for r in plan.relations])[spec.slot]
+                assert schema[spec.var_pos] == spec.var \
+                    == plan.order[spec.depth]
+                assert spec.bound_key == tuple(
+                    v for v in schema if v in plan.order[:spec.depth])
+                if spec.pinnable:
+                    assert cell.cell_contents is live
+                    assert isinstance(live, dict)
+                else:
+                    assert cell.cell_contents in (
+                        spec.bound_key or (spec.var,),
+                        spec.bound_key + (spec.var,))

@@ -218,15 +218,17 @@ class TestCompiledProbePlan:
         # preprocessing: every pinnable participant must come pre-warmed
         r, s = self._setup(seed=9, n=80)
         plan = CompiledProbePlan([r, s], ("x1", "x3"), ("x1",))
-        pinnable = [part for parts in plan.levels for part in parts
-                    if part[5]]
-        assert pinnable
-        assert all(part[6] is not None for part in pinnable)
+        pinned = [(part, cell.cell_contents)
+                  for part, cell, _ in plan.pinned()]
+        static = [held for part, held in pinned if part.pinnable]
+        assert static
+        assert all(isinstance(held, dict) for held in static)
+        assert {id(held) for held in static} \
+            <= {id(idx) for rel in (r, s) for idx in rel._indexes.values()}
         # the request participant (slot 0) is never pinned
-        for parts in plan.levels:
-            for part in parts:
-                if part[0] == 0:
-                    assert not part[5] and part[6] is None
+        for part, held in pinned:
+            if part.slot == 0:
+                assert not part.pinnable and not isinstance(held, dict)
 
     def test_rel_cls_controls_output_backend(self):
         r, s = self._setup(seed=4, n=50)

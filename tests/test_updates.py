@@ -288,6 +288,44 @@ class TestSharedPieces:
                 == oracle_grid(cqap, db, domain)
         check_index(index)
 
+    @pytest.mark.parametrize("exponent", [0.5, 1.0, 1.25, 1.5])
+    def test_self_join_with_splits_tracks_the_oracle(self, exponent):
+        """Splits land on the guarding occurrence, not the relation name.
+
+        Every budget between |D|^0.5 and |D|^1.5 splits this body on both
+        atoms; keyed by name, both splits landed on the last occurrence
+        and ``SplitStep`` refused ``x1`` as a key of ``E(x2, x3)``.
+        """
+        cqap = CQAP(("x1", "x3"), ("x1", "x3"),
+                    [Atom("E", ("x1", "x2")), Atom("E", ("x2", "x3"))],
+                    name="hop2")
+        rng = random.Random(5)
+        rows = {(rng.randrange(60), rng.randrange(60)) for _ in range(600)}
+        for hub in (0, 1):
+            rows |= {(hub, v) for v in range(60)}
+            rows |= {(v, hub) for v in range(60)}
+        db = Database([Relation("E", ("src", "dst"), rows)])
+        index = CQAPIndex(cqap, db, int(db.size ** exponent)) \
+            .preprocess(verify_plans=True)
+        assert {split.atom for plan in index.plans
+                for split in plan.splits} == set(cqap.atoms)
+        head = tuple(cqap.head)
+        probes = [(rng.randrange(62), rng.randrange(62)) for _ in range(200)]
+
+        def answers(built):
+            return [answer_rows(built.answer(p), head) for p in probes]
+
+        assert answers(index) == [oracle_probe(cqap, db, p) for p in probes]
+        for _ in range(30):
+            # rows on and off the hubs, in and out of the domain
+            row = (rng.randrange(62), rng.randrange(62))
+            op = "delete" if row in db["E"].tuples else "insert"
+            assert index.apply_delta(op, "E", row).changed
+        check_index(index)
+        rebuilt = CQAPIndex(cqap, db.copy(), index.space_budget).preprocess()
+        assert answers(index) == answers(rebuilt) \
+            == [oracle_probe(cqap, db, p) for p in probes]
+
 
 class TestDriftReselection:
     def test_drift_past_threshold_triggers_reselect(self):
