@@ -270,18 +270,22 @@ def verify_compiled_plans(steps: Iterable[Any]) -> List[str]:
                         f"{where}: per-probe request slot must never pin "
                         f"an index (its relation changes every probe)"
                     )
-            elif not part.pinnable or not isinstance(held, dict):
+                continue
+            rel = plan.relations[part.slot - bool(plan.access)]
+            # a whole-row membership is asked of the row set itself
+            kind = set if live is rel.tuples else dict
+            if not part.pinnable or not isinstance(held, kind):
                 issues.append(
                     f"{where}: static participant has no hash index "
                     f"pinned at compile time"
                 )
             elif held is not live:
-                # ``live`` is the dict the relation caches now, or a
-                # fresh one when a mutation dropped the pinned one
-                rel = plan.relations[part.slot - bool(plan.access)]
+                # ``live`` is what the relation holds now: its row set,
+                # the dict it caches, or a fresh one when a mutation
+                # dropped the pinned one
                 issues.append(
                     f"{where}: pinned index is stale ({rel.name!r} no "
-                    f"longer caches the dict the kernel probes)"
+                    f"longer holds the {kind.__name__} the kernel probes)"
                 )
     return issues
 

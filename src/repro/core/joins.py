@@ -120,7 +120,8 @@ def project_join(
         """Intersect candidate values for ``var`` across the relevant relations.
 
         Only the smallest bucket is scanned; the other relations are *probed*
-        per candidate through their ``bound_key + (var,)`` hash indexes.  This
+        per candidate through their ``bound_key + (var,)`` hash indexes — or
+        their row sets, when that key is the whole schema.  This
         keeps the per-node cost at (smallest bucket) × (relation count),
         which is what the paper's degree-constraint accounting charges.
         """
@@ -152,11 +153,15 @@ def project_join(
         for _, other, other_key, other_prefix in participants[1:]:
             if not result:
                 break
-            membership = other.index_on(other_key + (var,))
+            membership = other.membership_on(other_key + (var,))
+            # a key covering the schema is probed as a row: var in place
+            at = other.schema.index(var) \
+                if len(other_key) + 1 == len(other.schema) else len(other_key)
+            head, tail = other_prefix[:at], other_prefix[at:]
             ctr.probes += len(result)
             result = {
                 value for value in result
-                if other_prefix + (value,) in membership
+                if head + (value,) + tail in membership
             }
         return result
 

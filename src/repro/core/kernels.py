@@ -6,8 +6,9 @@ pieces with the per-probe request ``Q_A`` this way, and preprocessing
 materializes every S-target the same way with no request at all.  The
 algorithm is :func:`repro.core.joins.project_join`'s generic join (scan
 the smallest candidate bucket of a variable, probe the other participants
-through their ``bound_key + (var,)`` hash indexes); what this module
-removes is the interpretation of it.
+through their ``bound_key + (var,)`` hash indexes — through their row
+sets where that key is the whole schema); what this module removes is the
+interpretation of it.
 
 **The generator.**  ``_compile`` fixes the greedy variable order once
 (against a 1-row stand-in for the request — the request is the smallest
@@ -22,8 +23,9 @@ interpreter's stable sort on bucket size), three or more by a small sort.
 
 **The shape table.**  Generated code is cached in :data:`_SHAPES` under
 that structure — per participant whether it is pinned (else the slot it
-is fetched from), the depths its bound columns were bound at and the
-column it reads; the output's depths; limited or not.  No variable name
+is fetched from), the depths its bound columns were bound at, the column
+it reads and whether its membership key is its whole schema; the
+output's depths; limited or not.  No variable name
 and no relation enters the key, so a build's plans share a handful of
 shapes, and each shape is one compiled factory
 ``make(limit, idx...) -> kernel``.  Re-pinning a plan (after a
@@ -46,6 +48,19 @@ What is not pinned is *fetched* during the call: the request's indexes
 once (``pin=False``, S-target materialization) — a participant's
 candidate index up front, its membership index at first need, so a
 one-shot join builds only the indexes it really reads.
+
+One kind of membership has no index at all.  Where ``bound_key + (var,)``
+covers the participant's whole schema the dict would be a ``row -> [row]``
+copy of the relation, so the kernel asks the relation's own row set
+(:meth:`Relation.membership_on <repro.data.relation.Relation.
+membership_on>`), the probe tuple laid out in schema order — decided from
+the schema's arity at compile time, part of the shape.  A pinned
+participant's closure holds ``rel.tuples`` itself, the *live* set: unlike
+a pinned dict, which a delta drops and the re-pin replaces, it shows
+``apply_row_delta``'s patch before the re-pin.  That is sound because
+writers are single-threaded with respect to readers (no probe runs inside
+``apply_delta``), the same discipline every pinned dict already relies
+on; ROADMAP item 5's snapshot checker is where it becomes executable.
 
 **The counters contract.**  ``probes``, ``scans`` and ``joins_emitted``
 accumulate in locals and reach the :class:`~repro.util.counters.Counters`
@@ -75,8 +90,9 @@ from repro.util.counters import Counters
 _DUMMY = object()
 
 #: one participant's share of a shape: (the slot its indexes are fetched
-#: from per call, or None when they are pinned; bound depths; column read)
-_PartShape = Tuple[Optional[int], Tuple[int, ...], int]
+#: from per call, or None when they are pinned; bound depths; column read;
+#: whether its membership key is its whole schema)
+_PartShape = Tuple[Optional[int], Tuple[int, ...], int, bool]
 #: a plan's structure: (limited, output depths, per-level participants)
 _Shape = Tuple[bool, Tuple[int, ...], Tuple[Tuple[_PartShape, ...], ...]]
 
@@ -105,21 +121,29 @@ class ParticipantSpec(NamedTuple):
     #: plan) vs fetched from the slot's relation on every call
     pinnable: bool
     shares_level: bool
+    #: other participants' candidates are probed in this one and
+    #: ``bound_key + (var,)`` is its whole schema: the probe is a row, asked
+    #: of the relation's row set (``Relation.membership_on``), no index
+    whole_row: bool
 
 
 def _bind(spec: ParticipantSpec, rel: Optional[Relation]) -> List[object]:
     """What the kernel variables of one participant must hold.
 
-    Per index the kernel reads the participant through — the one that
-    yields its candidates and, on a shared level, the one other
-    participants' candidates are probed in: a pinned participant's dict,
-    built here, at preprocessing time; for a fetched one the key, its
-    relation being indexed during the call.
+    Per container the kernel reads the participant through — the index
+    that yields its candidates and, on a shared level, what other
+    participants' candidates are probed in: a pinned participant's dict
+    (its live row set for a whole-row membership), taken here, at
+    preprocessing time; for a fetched one the key its relation is indexed
+    on during the call — none for a whole-row membership, which reads
+    ``rels[slot].tuples``.
     """
-    keys: List[object] = [spec.bound_key or (spec.var,)]
-    if spec.shares_level:
-        keys.append(spec.bound_key + (spec.var,))
-    return list(map(rel.index_on, keys)) if spec.pinnable else keys
+    candidates, membership = spec.bound_key or (spec.var,), ()
+    if spec.shares_level and (spec.pinnable or not spec.whole_row):
+        membership = (spec.bound_key + (spec.var,),)
+    if not spec.pinnable:
+        return [candidates, *membership]
+    return [rel.index_on(candidates), *map(rel.membership_on, membership)]
 
 
 def _generate(limited: bool, onto_depths: Tuple[int, ...],
@@ -130,7 +154,10 @@ def _generate(limited: bool, onto_depths: Tuple[int, ...],
     participant, ``i<depth>_<j>`` and — on a shared level —
     ``m<depth>_<j>``: a pinned participant's index dicts, or the keys a
     fetched participant's relation is indexed on during the call (its
-    candidate index up front, its membership index at first need).
+    candidate index up front, its membership index at first need).  A
+    whole-row membership is the row set — pinned in ``m<depth>_<j>``, or
+    read off the fetched slot with no parameter — and its probe the row:
+    ``v`` in its own column between the bound values.
     """
     params = ["limit"]
     fetch: List[str] = []
@@ -142,7 +169,7 @@ def _generate(limited: bool, onto_depths: Tuple[int, ...],
     for depth, parts in enumerate(levels):
         at = depth + 3
         size, scan, member = [], [], []
-        for j, (slot, bound, pos) in enumerate(parts):
+        for j, (slot, bound, pos, whole) in enumerate(parts):
             index, membership = f"i{depth}_{j}", f"m{depth}_{j}"
             params.append(index)
             need = ""
@@ -150,14 +177,20 @@ def _generate(limited: bool, onto_depths: Tuple[int, ...],
                 fetch.append(f"q{index} = rels[{slot}].index_on({index})")
                 index = f"q{index}"
             if len(parts) > 1:
-                params.append(membership)
+                if slot is None or not whole:
+                    params.append(membership)
                 if slot is not None:
-                    fetch.append(f"q{membership} = None")
-                    need = (f"if q{membership} is None:\n"
-                            f"    q{membership} = "
-                            f"rels[{slot}].index_on({membership})\n")
+                    if whole:
+                        fetch.append(f"q{membership} = rels[{slot}].tuples")
+                    else:
+                        fetch.append(f"q{membership} = None")
+                        need = (f"if q{membership} is None:\n"
+                                f"    q{membership} = "
+                                f"rels[{slot}].index_on({membership})\n")
                     membership = f"q{membership}"
-            prefix = "".join(f"v{d}, " for d in bound)
+            values = [f"v{d}" for d in bound]
+            prefix = "".join(f"{value}, " for value in values)
+            values.insert(pos if whole else len(bound), "v")
             if bound:
                 rows = f"r{depth}_{j}"
                 put(at, f"{rows} = {index}.get(({prefix}), ())")
@@ -167,7 +200,7 @@ def _generate(limited: bool, onto_depths: Tuple[int, ...],
                 size.append(f"len({index})")
                 scan.append(f"{{key[0] for key in {index}}}")
             member.append(f"{need}s{depth} = {{v for v in s{depth} "
-                          f"if ({prefix}v,) in {membership}}}")
+                          f"if ({', '.join(values)},) in {membership}}}")
         put(at, f"probes += {len(parts)}")
         if len(parts) == 1:
             put(at, f"scans += {size[0]}\ns{depth} = {scan[0]}")
@@ -285,14 +318,16 @@ class CompiledProbePlan:
                 bound_depths = tuple(depth_of[v] for v in bound_key)
                 var_pos = schema.index(var)
                 pinnable = self.pin and not (self.access and slot == 0)
+                whole_row = len(slots) > 1 \
+                    and len(bound_key) + 1 == len(schema)
                 # _make: this runs per touched step on every delta, and a
                 # NamedTuple's keyword-checking __new__ is most of a spec
                 spec = ParticipantSpec._make((
                     depth, var, slot, bound_key, bound_depths, var_pos,
-                    pinnable, len(slots) > 1))
+                    pinnable, len(slots) > 1, whole_row))
                 parts.append(spec)
                 part_shapes.append((None if pinnable else slot,
-                                    bound_depths, var_pos))
+                                    bound_depths, var_pos, whole_row))
                 bound += _bind(spec, slot_rels[slot])
             levels.append(tuple(parts))
             level_shapes.append(tuple(part_shapes))

@@ -77,6 +77,7 @@ class OnlineYannakakis:
             child_rel = self.s_views[node]
             self.s_views[parent] = self.s_views[parent].semijoin(child_rel)
         # warm the hash indexes used online so those builds are paid here
+        # (none for a key that is the view's whole schema: its row set)
         for node, relation in self.s_views.items():
             parent = parents[node]
             if parent is None:
@@ -86,7 +87,7 @@ class OnlineYannakakis:
                 parent_schema = self.pmtd.view(parent).variables
                 key = tuple(v for v in relation.schema if v in parent_schema)
             if key:
-                relation.index_on(key)
+                relation.membership_on(key)
 
     @property
     def stored_tuples(self) -> int:

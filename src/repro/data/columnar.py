@@ -174,12 +174,14 @@ class ColumnarRelation(Relation):
 
         Single-variable integer keys additionally get the vectorized
         ``np.isin`` membership mask when numpy is importable and both
-        sides' key columns are plain ints.
+        sides' key columns are plain ints.  Shared variables that cover
+        ``other``'s schema probe its row set (``membership_on``).
         """
         if self._view_of is not None:
             self._check_fresh()
         ctr = counters or global_counters
-        shared = tuple(v for v in self.schema if v in other.variables)
+        # in ``other``'s column order: a key covering its schema is a row
+        shared = tuple(v for v in other.schema if v in self._variables)
         if not shared:
             if len(other) == 0:
                 return type(self)._wrap(name or self.name, self.schema,
@@ -200,7 +202,7 @@ class ColumnarRelation(Relation):
                     mask = _np.isin(arr, other_arr)
                     out = {row for row, keep in zip(rows, mask) if keep}
         if out is None:
-            other_index = other.index_on(shared)
+            other_index = other.membership_on(shared)
             cols = self._column_data()
             if len(shared) == 1:
                 col = cols[shared[0]]
@@ -220,6 +222,9 @@ class ColumnarRelation(Relation):
         ctr = counters or global_counters
         shared = tuple(v for v in self.schema if v in other.variables)
         extra = tuple(v for v in other.schema if v not in self.variables)
+        if not extra:
+            # ``other`` adds no column: the base class's semijoin path
+            return super().join(other, name=name, counters=counters)
         out_schema = self.schema + extra
         index = other.index_on(shared)
         pos_self = self.positions(shared)

@@ -83,12 +83,19 @@ class Relation:
     """A named set of tuples with an ordered schema of variable names.
 
     The tuple set is stored as a Python ``set`` for O(1) membership; auxiliary
-    hash indexes are built lazily per key and cached.
+    hash indexes are built lazily per key and cached.  No index is ever
+    built to answer a membership test on the whole schema: the set does
+    (:meth:`membership_on`, used by ``semijoin``, a ``join`` that adds no
+    column and every generic-join level).
 
     Mutation contract: go through :meth:`add` / :meth:`discard`, which
     invalidate the cached indexes.  Mutating ``.tuples`` directly is
     unsupported — cached indexes would keep serving the stale tuple set
     (``tests/test_relation.py::TestIndexInvalidation`` pins this down).
+    A reader holding the row set (a compiled plan's whole-row membership)
+    sees a mutation at once, one holding an index only after it re-fetches:
+    writers must be single-threaded with respect to readers, as the
+    serving layers arrange (no probe runs inside ``apply_delta``).
     """
 
     __slots__ = ("name", "schema", "tuples", "_variables", "_indexes",
@@ -373,6 +380,22 @@ class Relation:
         self._indexes[key] = index
         return index
 
+    def membership_on(self, key: Sequence[str]):
+        """What a membership test over ``key`` is asked of.
+
+        A key that covers the whole schema needs no hash index — it would
+        be a ``row -> [row]`` copy of the relation — so the live row set
+        answers it, for a probe tuple arranged in *schema* order.  Any
+        other key gets :meth:`index_on`'s dict, probed in ``key`` order.
+        ``key`` must consist of schema variables.  Stale partition views
+        fail here exactly as they do in :meth:`index_on`.
+        """
+        if len(key) != len(self.schema):
+            return self.index_on(key)
+        if self._view_of is not None:
+            self._check_fresh()
+        return self.tuples
+
     def key_values(self, key: Sequence[str]) -> set:
         """Distinct key tuples over ``key``."""
         return set(self.index_on(key).keys())
@@ -520,24 +543,26 @@ class Relation:
                  name: Optional[str] = None) -> "Relation":
         """``self ⋉ other``: keep tuples matching ``other`` on shared vars.
 
-        Probes a hash index on ``other``; cost is one probe per tuple of
+        Probes a hash index on ``other`` (its row set when the shared
+        variables are its whole schema); cost is one probe per tuple of
         ``self`` — never a scan of ``other`` (this is what makes Online
         Yannakakis independent of S-view sizes).
         """
         if self._view_of is not None:
             self._check_fresh()
         ctr = counters or global_counters
-        shared = tuple(v for v in self.schema if v in other.variables)
+        # in ``other``'s column order: a key covering its schema is a row
+        shared = tuple(v for v in other.schema if v in self._variables)
         if not shared:
             # A cartesian semijoin degenerates to emptiness testing.
             if len(other) == 0:
                 return type(self)._wrap(name or self.name, self.schema,
                                         set())
             return self.copy(name)
-        # membership goes against the cached hash index itself: building a
-        # fresh key set would cost O(|other|) per call, which on a hot
-        # probe path re-scans the S-view every probe
-        other_index = other.index_on(shared)
+        # membership goes against the cached hash index itself (or the row
+        # set): building a fresh key set would cost O(|other|) per call,
+        # which on a hot probe path re-scans the S-view every probe
+        other_index = other.membership_on(shared)
         pos = self.positions(shared)
         out = set()
         for row in self.tuples:
@@ -558,6 +583,12 @@ class Relation:
         ctr = counters or global_counters
         shared = tuple(v for v in self.schema if v in other.variables)
         extra = tuple(v for v in other.schema if v not in self.variables)
+        if not extra:
+            # ``other`` adds no column: one membership test per row
+            kept = self.semijoin(other, counters=ctr,
+                                 name=name or f"{self.name}_x_{other.name}")
+            ctr.joins_emitted += len(kept)
+            return kept
         out_schema = self.schema + extra
         index = other.index_on(shared)
         pos_self = self.positions(shared)

@@ -210,6 +210,31 @@ class TestCorruptedIndex:
             other.plan._compile()
         assert verify_compiled_plans(index.compiled_online) == []
 
+    def test_swapped_row_set_is_caught(self):
+        """A piece given a new (equal) row set without a re-pin.
+
+        A whole-row membership probes the piece's own ``tuples``: the
+        kernel must hold that very set, not a snapshot equal to it.
+        """
+        index = _fresh_index(space_budget=2.0).preprocess()
+        check_index(index)
+        plan, rel = next(
+            (step.plan, step.plan.relations[part.slot - 1])
+            for step in index.compiled_online
+            for part in step.plan.iter_participants()
+            if part.pinnable and part.whole_row)
+        assert any(cell.cell_contents is rel.tuples
+                   for _, cell, _ in plan.pinned())
+        rel.tuples = set(rel.tuples)
+        issues = verify_compiled_plans(index.compiled_online)
+        assert any("stale" in i and "set" in i for i in issues)
+        with pytest.raises(PlanVerificationError) as exc:
+            check_index(index)
+        assert "stale" in str(exc.value)
+        for step in index.compiled_online:
+            step.plan._compile()
+        assert verify_compiled_plans(index.compiled_online) == []
+
     def test_second_object_for_one_piece_is_caught(self):
         index = _fresh_index(space_budget=2.0).preprocess()
         atoms = index.cqap.atoms
@@ -240,9 +265,11 @@ class TestParticipantAccessor:
             assert specs == [p for level in plan.levels for p in level]
             pinned = list(plan.pinned())
             # one candidate index per participant, plus one membership
-            # index for each that shares its level
+            # container for each that shares its level — unless it is
+            # whole-row and fetched: the kernel reads rels[slot].tuples
             assert len(pinned) == len(specs) + sum(
-                spec.shares_level for spec in specs)
+                spec.shares_level and (spec.pinnable or not spec.whole_row)
+                for spec in specs)
             for spec, cell, live in pinned:
                 assert spec.pinnable == (spec.slot != 0)
                 schema = ([plan.access] + [
@@ -251,9 +278,16 @@ class TestParticipantAccessor:
                     == plan.order[spec.depth]
                 assert spec.bound_key == tuple(
                     v for v in schema if v in plan.order[:spec.depth])
+                assert spec.whole_row == (
+                    spec.shares_level
+                    and len(spec.bound_key) + 1 == len(schema))
                 if spec.pinnable:
                     assert cell.cell_contents is live
-                    assert isinstance(live, dict)
+                    rel = plan.relations[spec.slot - bool(plan.access)]
+                    # a dict, or the relation's own tuples for a
+                    # whole-row membership slot
+                    assert isinstance(live, dict) or (
+                        spec.whole_row and live is rel.tuples)
                 else:
                     assert cell.cell_contents in (
                         spec.bound_key or (spec.var,),

@@ -222,9 +222,16 @@ class TestCompiledProbePlan:
                   for part, cell, _ in plan.pinned()]
         static = [held for part, held in pinned if part.pinnable]
         assert static
-        assert all(isinstance(held, dict) for held in static)
+        # a dict the relation caches, or — for a whole-row membership —
+        # the relation's own row set: nothing the relations do not hold
+        assert all(isinstance(held, (dict, set)) for held in static)
         assert {id(held) for held in static} \
-            <= {id(idx) for rel in (r, s) for idx in rel._indexes.values()}
+            <= {id(held) for rel in (r, s)
+                for held in [rel.tuples, *rel._indexes.values()]}
+        row_sets = [part for part, held in pinned if isinstance(held, set)]
+        assert row_sets and all(part.whole_row for part in row_sets)
+        assert not any(len(key) == len(rel.schema)
+                       for rel in (r, s) for key in rel._indexes)
         # the request participant (slot 0) is never pinned
         for part, held in pinned:
             if part.slot == 0:

@@ -106,6 +106,68 @@ class TestAgainstProjectJoin:
                 joined, onto, limit=limit, counters=c, order=plan.order))
 
     @BACKENDS
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), pos=st.integers(0, 2), flip=st.booleans(),
+           limit=st.sampled_from([None, 0, 2]))
+    def test_whole_row_membership_probes_the_row(self, rel_cls, data, pos,
+                                                 flip, limit):
+        """A membership whose key is the whole schema is asked of the row
+        set, with the candidate in its own column: first, middle, last.
+
+        ``T`` is ternary and the request binds its two other columns, so
+        at ``z`` the probe of ``T`` is a row with ``z`` at ``pos``; one
+        level earlier the request itself, ``x`` bound and ``y`` probed, is
+        the whole-row participant of the per-probe slot.
+        """
+        cols = ["y", "x"] if flip else ["x", "y"]
+        cols.insert(pos, "z")
+        triples = st.tuples(*[st.integers(0, 3)] * 3)
+        pairs = st.tuples(*[st.integers(0, 3)] * 2)
+        # non-empty, so the request's stand-in stays the smallest relation
+        body = [("T", tuple(cols),
+                 data.draw(st.sets(triples, min_size=1, max_size=40))),
+                ("U", ("z", "w"),
+                 data.draw(st.sets(pairs, min_size=1, max_size=4)))]
+        request = data.draw(st.sets(pairs, max_size=6))
+        static, q_a, joined = build(rel_cls, body, ("x", "y"), request)
+        for pin in (True, False):
+            plan = CompiledProbePlan(static, ("x", "w"), ("x", "y"),
+                                     limit=limit, pin=pin, rel_cls=rel_cls)
+            assert plan.order == ("x", "y", "z", "w")
+            whole = {(spec.slot, spec.var): spec
+                     for spec in plan.iter_participants() if spec.whole_row}
+            assert set(whole) == {(0, "y"), (1, "z")}
+            assert whole[1, "z"].var_pos == pos
+            assert outcome(lambda c: plan.execute(q_a, c, "out")) \
+                == outcome(lambda c: project_join(
+                    joined, ("x", "w"), limit=limit, counters=c,
+                    order=plan.order))
+        assert not any(len(key) == len(rel.schema)
+                       for rel in joined for key in rel._indexes)
+
+    @BACKENDS
+    def test_row_set_is_probed_with_the_candidate_in_place(self, rel_cls):
+        """``U`` is the smaller side, so ``T``'s row set takes the probes:
+        a candidate appended to the prefix instead of put in its column
+        would find none of these rows."""
+        for pos in range(3):
+            cols = ["x", "y"]
+            cols.insert(pos, "z")
+            row = [1, 2]
+            rows = {tuple(row[:pos] + [z] + row[pos:]) for z in (5, 6, 7)}
+            body = [("T", tuple(cols), rows), ("U", ("z", "w"), {(6, 9)})]
+            static, q_a, joined = build(rel_cls, body, ("x", "y"), {(1, 2)})
+            for pin in (True, False):
+                plan = CompiledProbePlan(static, ("x", "w"), ("x", "y"),
+                                         pin=pin)
+                rows_out, charged = outcome(
+                    lambda c: plan.execute(q_a, c, "out"))
+                assert rows_out == {(1, 9)}
+                assert (rows_out, charged) == outcome(
+                    lambda c: project_join(joined, ("x", "w"), counters=c,
+                                           order=plan.order))
+
+    @BACKENDS
     def test_level_widths_one_two_and_three(self, rel_cls):
         """A triangle with a doubled edge: every ranking form in one plan."""
         rng = random.Random(7)
@@ -200,6 +262,18 @@ class TestShapeTable:
         limited = CompiledProbePlan(other.relations, ("p", "r"), ("p",),
                                     limit=5)
         assert limited.kernel.__code__ is not other.kernel.__code__
+
+        def leaves(item):
+            if isinstance(item, tuple):
+                for part in item:
+                    yield from leaves(part)
+            else:
+                yield item
+
+        # slots, depths, columns and flags (whole-row among them): no text
+        assert kernels._SHAPES and all(
+            leaf is None or isinstance(leaf, int)
+            for shape in kernels._SHAPES for leaf in leaves(shape))
 
 
 class TestPreprocessThroughKernels:

@@ -24,7 +24,7 @@ from repro.core.index import CQAPIndex
 from repro.data import path_database
 from repro.data.database import Database
 from repro.data.relation import Relation, SchemaError, StalePartitionError
-from repro.engine.prepared import PreparedQuery
+from repro.engine.prepared import PreparedQuery, prepare
 from repro.oracle import answer_rows, oracle_probe
 from repro.query.catalog import k_path_cqap
 from repro.query.cq import CQAP, Atom
@@ -265,6 +265,59 @@ class TestSharedPieces:
             == {t: rel.tuples for t, rel in fresh.s_targets.items()}
         assert probe_grid(cqap, index, domain) \
             == oracle_grid(cqap, db, domain)
+
+    @pytest.mark.parametrize("backend", ["set", "columnar"])
+    def test_no_index_duplicates_a_row_set(self, backend):
+        """Whole-row membership reads ``rel.tuples``: building, probing
+        and thirty deltas leave no hash index keyed on a whole schema."""
+        cqap = k_path_cqap(3)
+        db = path_database(3, 300, 40, seed=3, skew_hubs=3)
+        prepared = prepare(cqap, db, db.size ** 1.3, backend=backend)
+        index = prepared.index
+        assert any(plan.splits for plan in index.plans)
+        assert index.compiled_online and index.stored_tuples
+
+        def reachable():
+            yield from db
+            yield from index.s_targets.values()
+            for plan in index.plans:
+                for decision in plan.decisions:
+                    yield from decision.subproblem.relations.values()
+            for step in index.compiled_online:
+                yield from step.relations
+            for yannakakis in index._yannakakis:
+                yield from yannakakis.s_views.values()
+
+        def row_set_copies():
+            return [(rel.name, key) for rel in reachable()
+                    for key in rel._indexes if len(key) == len(rel.schema)]
+
+        rng = random.Random(21)
+        head = tuple(cqap.head)
+        probes = [(rng.randrange(42), rng.randrange(42)) for _ in range(150)]
+
+        def answers(handle):
+            served = handle.probe_many(probes)
+            return [answer_rows(served[p], head) for p in probes]
+
+        assert answers(prepared) == [oracle_probe(cqap, db, p)
+                                     for p in probes]
+        assert any(rel._indexes for rel in reachable())
+        assert row_set_copies() == []
+        for i in range(30):
+            name = ("R1", "R2", "R3")[i % 3]
+            # hub keys (heavy side), fresh keys (light side), removals
+            row = (rng.randrange(3), rng.randrange(40)) if rng.random() < .5 \
+                else (rng.randrange(42), rng.randrange(42))
+            op = "delete" if row in db[name].tuples else "insert"
+            assert index.apply_delta(op, name, row).changed
+            check_index(index)
+            assert row_set_copies() == []
+        rebuilt = prepare(cqap, db.copy(), index.space_budget,
+                          backend=backend)
+        assert answers(prepared) == answers(rebuilt) \
+            == [oracle_probe(cqap, db, p) for p in probes]
+        assert row_set_copies() == []
 
     def test_self_join_without_splits_tracks_the_oracle(self):
         """Two occurrences of one relation: a piece per atom, both patched."""
