@@ -15,8 +15,6 @@ import time
 from functools import lru_cache
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).parent))
 
 from harness import print_table
@@ -77,37 +75,6 @@ def experiment():
     batched = prepare(cqap, db, space_budget=budget, cache_size=0)
     batched.probe_many(batch, counters=batched_ctr)
 
-    # relation-backend axis: warm uncached throughput per backend, on
-    # cache-disabled instances so every probe runs the compiled online
-    # plan.  One untimed pass settles any lazily-built state; the timed
-    # rounds are the steady-state plan-once/probe-many regime.  The two
-    # backends must agree bit-for-bit and charge identical counter totals
-    # (bulk kernel charges are defined to match the per-row loops).
-    backend_rounds = 3
-    relation_backends = {}
-    backend_answers = {}
-    for backend_name in ("set", "columnar"):
-        pq_b = prepare(cqap, db, space_budget=budget, cache_size=0,
-                       backend=backend_name)
-        for pair in pairs:
-            pq_b.probe_boolean(pair)
-        backend_ctr = Counters()
-        t0 = time.perf_counter()
-        for _ in range(backend_rounds):
-            for pair in pairs:
-                pq_b.probe_boolean(pair, counters=backend_ctr)
-        backend_seconds = time.perf_counter() - t0
-        n_probes = backend_rounds * len(pairs)
-        relation_backends[backend_name] = {
-            "warm_probes_per_sec": n_probes / max(backend_seconds, 1e-9),
-            "warm_ops_per_probe": backend_ctr.online_work / n_probes,
-        }
-        backend_answers[backend_name] = {
-            pair: frozenset(pq_b.probe(pair).tuples) for pair in pairs
-        }
-    assert backend_answers["set"] == backend_answers["columnar"], \
-        "relation backends disagree on warm-probe answers"
-
     # updates axis: single-tuple delta maintenance vs paying the full
     # prepare again.  Insert/delete pairs of fresh rows keep the database
     # stable across the timed loop; each delta runs the exact
@@ -157,7 +124,6 @@ def experiment():
         "cache_hit_rate": stats["cache"]["hit_rate"],
         "one_by_one_ops": single_ctr.online_work,
         "batched_ops": batched_ctr.online_work,
-        "relation_backends": relation_backends,
         "updates": updates,
         "plan_calls_cold": plan_calls_cold,
         "plan_calls_final": stats["plan_calls"],
@@ -184,12 +150,6 @@ def report():
             ["batched x{}".format(N_PAIRS),
              f"{r['batched_ops']} ops total",
              f"vs {r['one_by_one_ops']} one-by-one"],
-        ] + [
-            [f"warm probe [{name}]",
-             f"{b['warm_ops_per_probe']:.0f} ops/probe",
-             f"{b['warm_probes_per_sec']:.0f} probes/s"]
-            for name, b in r["relation_backends"].items()
-        ] + [
             ["single-tuple delta",
              f"{r['updates']['delta_ops_avg']:.0f} ops/delta",
              f"{r['updates']['delta_seconds_avg'] * 1e6:.0f} us/delta, "
@@ -214,10 +174,6 @@ def test_engine_serving(benchmark):
     assert r["cache_hit_rate"] > 0.5
     # batching never loses against one-at-a-time probing
     assert r["batched_ops"] <= r["one_by_one_ops"]
-    # the relation-backend axis: both backends measured, identical
-    # intrinsic work per probe (the bulk kernels charge exactly what the
-    # per-row loops would), answers already asserted bit-identical inside
-    # experiment()
     # the updates axis: a single-tuple delta must be at least an order of
     # magnitude cheaper than paying the prepare phase again — that gap is
     # the whole point of incremental maintenance.  Asserted on the exact
@@ -225,12 +181,6 @@ def test_engine_serving(benchmark):
     # wall-clock ratio is printed only
     assert 10 * r["updates"]["delta_ops_avg"] <= r["prepare_ops"]
     assert r["updates"]["deltas_applied"] == 40
-    backends = r["relation_backends"]
-    assert set(backends) == {"set", "columnar"}
-    assert backends["set"]["warm_ops_per_probe"] == pytest.approx(
-        backends["columnar"]["warm_ops_per_probe"])
-    for b in backends.values():
-        assert b["warm_probes_per_sec"] > 0
     # time the real online path: a cache-disabled instance, so rounds
     # exercise the compiled T-phase rather than LRU dict lookups
     pq = r["prepared_nocache"]

@@ -479,23 +479,17 @@ def test_serving_benchmark(benchmark):
 
 
 def smoke(n_shards: int = 2, batches: int = 2,
-          backend: str = "thread", relation_backend: str = "set") -> int:
+          backend: str = "thread") -> int:
     """The CI smoke: a tiny sharded run cross-checked against probe_many.
 
     Returns 0 on agreement, 1 otherwise — cheap enough to run on every
     push (2 shards × 2 batches by default).  ``backend`` selects the
     thread or process fleet through the same ``serve()`` facade users go
     through, so CI covers both serving paths on every push.
-    ``relation_backend`` selects the relation execution backend of the
-    *served* index; the probe_many reference always runs on the set
-    backend, so a columnar smoke is a genuine cross-backend diff (and,
-    with ``backend="process"``, additionally round-trips columnar shard
-    payloads through worker pickling).
     """
     cqap = k_path_cqap(3)
     db = path_database(3, 300, 60, seed=7)
-    index = CQAPIndex(cqap, db, int(db.size ** 1.2),
-                      relation_backend=relation_backend)
+    index = CQAPIndex(cqap, db, int(db.size ** 1.2))
     index.preprocess()
     rng = random.Random(5)
     stream = batched_stream(cqap, db, rng, batches=batches, batch_size=8,
@@ -512,7 +506,7 @@ def smoke(n_shards: int = 2, batches: int = 2,
                 print(f"SMOKE MISMATCH at {key}")
                 failures += 1
         probes = server.probes_served
-    print(f"serving smoke [{backend}/{relation_backend}]: {n_shards} "
+    print(f"serving smoke [{backend}]: {n_shards} "
           f"shards x {batches} batches, {probes} probes, "
           f"{failures} mismatches", flush=True)
     return 1 if failures else 0
@@ -523,8 +517,5 @@ if __name__ == "__main__":
         chosen = "thread"
         if "--backend" in sys.argv:
             chosen = sys.argv[sys.argv.index("--backend") + 1]
-        relations = "set"
-        if "--relation-backend" in sys.argv:
-            relations = sys.argv[sys.argv.index("--relation-backend") + 1]
-        sys.exit(smoke(backend=chosen, relation_backend=relations))
+        sys.exit(smoke(backend=chosen))
     report()

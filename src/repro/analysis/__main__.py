@@ -71,12 +71,12 @@ def _scenario_matrix() -> List[Tuple[str, object, object]]:
 def _run_verify_plans() -> int:
     """Build the fixed scenario matrix and statically verify every index.
 
-    Sweeps budget ∈ {lean, medium, rich} × backend ∈ {set, columnar} ×
-    shards ∈ {1, 4}, with a low ``auto_select_threshold`` so the
-    budgeted beam selection is exercised, mirroring the differential
-    harness's configuration axes.  Budget-infeasible cells (PlanningError)
-    are reported and skipped — infeasibility is a legitimate planner
-    outcome, not a verification failure.
+    Sweeps budget ∈ {lean, medium, rich} × shards ∈ {1, 4}, with a low
+    ``auto_select_threshold`` so the budgeted beam selection is
+    exercised, mirroring the differential harness's configuration axes.
+    Budget-infeasible cells (PlanningError) are reported and skipped —
+    infeasibility is a legitimate planner outcome, not a verification
+    failure.
     """
     from repro.core.index import CQAPIndex
     from repro.core.two_phase import PlanningError
@@ -88,30 +88,27 @@ def _run_verify_plans() -> int:
     for label, cqap, db in _scenario_matrix():
         statistics = CatalogStatistics.from_database(cqap, db)
         for budget in (2.0, float(db.total_tuples), 10.0 ** 7):
-            for backend in ("set", "columnar"):
-                for shards in (1, 4):
-                    cells += 1
-                    cell = (f"{label} budget={budget:g} backend={backend} "
-                            f"shards={shards}")
-                    try:
-                        index = CQAPIndex(
-                            cqap, db, space_budget=budget,
-                            auto_select_threshold=4,
-                            relation_backend=backend,
-                            shards=shards,
-                            statistics=statistics,
-                        ).preprocess(verify_plans=True)
-                    except PlanningError as exc:
-                        skipped += 1
-                        print(f"  skip  {cell}: infeasible ({exc})")
-                        continue
-                    except Exception as exc:  # verification failure included
-                        failures += 1
-                        print(f"  FAIL  {cell}: {exc}")
-                        continue
-                    print(f"  ok    {cell}: "
-                          f"{len(index.selection.rules)} rules, "
-                          f"{index.stats.stored_tuples} stored tuples")
+            for shards in (1, 4):
+                cells += 1
+                cell = f"{label} budget={budget:g} shards={shards}"
+                try:
+                    index = CQAPIndex(
+                        cqap, db, space_budget=budget,
+                        auto_select_threshold=4,
+                        shards=shards,
+                        statistics=statistics,
+                    ).preprocess(verify_plans=True)
+                except PlanningError as exc:
+                    skipped += 1
+                    print(f"  skip  {cell}: infeasible ({exc})")
+                    continue
+                except Exception as exc:  # verification failure included
+                    failures += 1
+                    print(f"  FAIL  {cell}: {exc}")
+                    continue
+                print(f"  ok    {cell}: "
+                      f"{len(index.selection.rules)} rules, "
+                      f"{index.stats.stored_tuples} stored tuples")
     print(f"verify-plans: {cells - failures - skipped} ok, "
           f"{skipped} infeasible, {failures} failed, {cells} cells")
     return 1 if failures else 0

@@ -31,7 +31,7 @@ parts) and reports every violation as a human-readable issue string:
   caught here.
 * **Piece sharing** — subproblems that agree on an atom's split path
   hold the same relation object, and every compiled step's static
-  relations are (or share the tuple set of) its subproblem's pieces.
+  relations are its subproblem's pieces themselves.
 
 ``check_index`` raises :class:`PlanVerificationError`;
 ``verify_index`` returns the issue list for callers that want to report.
@@ -309,10 +309,11 @@ def verify_piece_sharing(plans: Iterable[Any], steps: Iterable[Any],
     for pos, step in enumerate(steps):
         cell = step.decision.subproblem
         for atom, rel in zip(atoms, step.relations):
-            if rel.tuples is not cell.relations[atom].tuples:
+            if rel is not cell.relations[atom]:
                 issues.append(
-                    f"step {pos} ({step.name}): relation for {atom} does "
-                    f"not share its subproblem piece's tuple set"
+                    f"step {pos} ({step.name}): relation for {atom} is not "
+                    f"its subproblem's piece (it does not share the object "
+                    f"a delta patches)"
                 )
     return issues
 

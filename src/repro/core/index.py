@@ -43,7 +43,6 @@ from repro.core.two_phase import (
     TwoPhaseExecutor,
     TwoPhasePlanner,
 )
-from repro.data.columnar import relation_class
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.decomposition.enumeration import enumerate_pmtds
@@ -149,18 +148,11 @@ class CQAPIndex:
         max_selected_pmtds: Optional[int] = None,
         statistics: Optional[CatalogStatistics] = None,
         shards: int = 1,
-        relation_backend: str = "set",
         staleness_threshold: float = 0.5,
     ) -> None:
         self.cqap = cqap
         self.db = db
         self.space_budget = float(space_budget)
-        #: relation class the executor materializes and probes with; the
-        #: name is validated here so a typo fails at construction, not at
-        #: first probe ("set" = row-at-a-time baseline, "columnar" =
-        #: batch kernels — answers are bit-identical across backends)
-        relation_class(relation_backend)
-        self.relation_backend = relation_backend
         if rule_selection not in ("auto", "all", "budget"):
             raise ValueError(
                 f"rule_selection must be 'auto', 'all', or 'budget', "
@@ -201,10 +193,7 @@ class CQAPIndex:
         #: full candidate pool, kept for preprocess()'s re-selection
         #: backstop and for drift-triggered re-selection
         self._pmtd_pool: List[PMTD] = list(pmtds)
-        self.executor = TwoPhaseExecutor(
-            cqap, budget_slack=budget_slack,
-            relation_backend=relation_backend,
-        )
+        self.executor = TwoPhaseExecutor(cqap, budget_slack=budget_slack)
         #: delta listeners (PreparedQuery, ShardedIndex, fleets, servers);
         #: weak so dropping a serving layer unregisters it automatically
         self._listeners: "weakref.WeakSet" = weakref.WeakSet()
@@ -436,10 +425,9 @@ class CQAPIndex:
             if matching is None:
                 out[node] = Relation(view.label, schema, ())
             else:
-                # type-following relabel: the view shares the target's
-                # tuple set *and* backend class, so columnar targets stay
-                # columnar through the Yannakakis passes
-                out[node] = type(matching)._wrap(
+                # relabel, not copy: the view shares the target's tuple
+                # set (``Relation._wrap``'s read-only serving discipline)
+                out[node] = Relation._wrap(
                     view.label, matching.schema, matching.tuples)
         return out
 

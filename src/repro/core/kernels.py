@@ -282,18 +282,17 @@ class CompiledProbePlan:
     call, only the indexes the join really reads.
     """
 
-    __slots__ = ("relations", "onto", "access", "limit", "pin", "rel_cls",
+    __slots__ = ("relations", "onto", "access", "limit", "pin",
                  "order", "levels", "kernel")
 
     def __init__(self, relations: Sequence[Relation], onto: Sequence[str],
                  access: Sequence[str], limit: Optional[int] = None,
-                 pin: bool = True, rel_cls: type = Relation) -> None:
+                 pin: bool = True) -> None:
         self.relations: List[Relation] = list(relations)
         self.onto: Tuple[str, ...] = tuple(onto)
         self.access: Tuple[str, ...] = tuple(access)
         self.limit = limit
         self.pin = pin
-        self.rel_cls = rel_cls
         self._compile()
 
     def _compile(self) -> None:
@@ -363,11 +362,11 @@ class CompiledProbePlan:
     # ------------------------------------------------------------------
     def __getstate__(self):
         return (self.relations, self.onto, self.access, self.limit,
-                self.pin, self.rel_cls)
+                self.pin)
 
     def __setstate__(self, state) -> None:
-        (self.relations, self.onto, self.access, self.limit, self.pin,
-         self.rel_cls) = state
+        (self.relations, self.onto, self.access, self.limit,
+         self.pin) = state
         self._compile()
 
     def execute(self, request: Optional[Relation], counters: Counters,
@@ -376,10 +375,10 @@ class CompiledProbePlan:
 
         ``request`` fills slot 0 when the plan was compiled with a
         non-empty access schema (it must carry exactly that schema);
-        otherwise it is ignored.  The result is a ``rel_cls`` relation.
+        otherwise it is ignored.
         """
         rels = [request] + self.relations if self.access else self.relations
         rows: set = set()
         if all(rel.tuples for rel in rels):
             rows = self.kernel(rels, counters)
-        return self.rel_cls._wrap(name, self.onto, rows)
+        return Relation._wrap(name, self.onto, rows)

@@ -33,7 +33,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.joins import BudgetExceeded
 from repro.core.kernels import CompiledProbePlan
-from repro.data.columnar import relation_class, to_backend
 from repro.core.split import (
     PieceTable,
     SplitStep,
@@ -244,9 +243,8 @@ class CompiledOnlineStep:
     """One T-phase unit of work, frozen after preprocessing.
 
     ``relations`` are the subproblem's pieces themselves, parallel to the
-    query's atoms (on a non-set backend: one re-wrap per piece, sharing its
-    tuple set) — steps whose subproblems share a piece share the object and
-    the hash indexes it caches, across every probe served from the same
+    query's atoms — steps whose subproblems share a piece share the object
+    and the hash indexes it caches, across every probe served from the same
     prepared plan.
     """
 
@@ -269,14 +267,9 @@ class TwoPhaseExecutor:
     how many online phases it serves afterwards.
     """
 
-    def __init__(self, cqap: CQAP, budget_slack: float = 8.0,
-                 relation_backend: str = "set") -> None:
+    def __init__(self, cqap: CQAP, budget_slack: float = 8.0) -> None:
         self.cqap = cqap
         self.budget_slack = budget_slack
-        #: relation class every phase builds its outputs with ("set" keeps
-        #: the row-at-a-time baseline; "columnar" runs the batch kernels)
-        self.relation_backend = relation_backend
-        self.rel_cls = relation_class(relation_backend)
         self.preprocess_runs = 0
         self.compile_runs = 0
         self.online_runs = 0
@@ -347,8 +340,7 @@ class TwoPhaseExecutor:
                     targets[key] = piece
         for key, rel in targets.items():
             ctr.stores += len(rel)
-        return {key: to_backend(rel, self.relation_backend)
-                for key, rel in targets.items()}
+        return targets
 
     # ------------------------------------------------------------------
     def compile_online(self, plans: Sequence[RulePlan],
@@ -361,24 +353,14 @@ class TwoPhaseExecutor:
         """
         self.compile_runs += 1
         steps: List[CompiledOnlineStep] = []
-        #: id(piece) -> its one handle in the executor's backend (the piece
-        #: itself on "set"), so steps that share a piece share the handle
-        #: and the indexes it caches
-        handles: Dict[int, Relation] = {}
         for plan in plans:
             for decision in plan.online_decisions:
-                relations = []
-                for atom in self.cqap.atoms:
-                    piece = decision.subproblem.relations[atom]
-                    if id(piece) not in handles:
-                        handles[id(piece)] = to_backend(
-                            piece, self.relation_backend)
-                    relations.append(handles[id(piece)])
+                relations = [decision.subproblem.relations[atom]
+                             for atom in self.cqap.atoms]
                 schema = tuple(sorted(decision.target))
                 steps.append(CompiledOnlineStep(
                     decision, relations, schema, f"T_{''.join(schema)}",
-                    CompiledProbePlan(relations, schema, self.cqap.access,
-                                      rel_cls=self.rel_cls),
+                    CompiledProbePlan(relations, schema, self.cqap.access),
                 ))
         return steps
 
@@ -393,7 +375,7 @@ class TwoPhaseExecutor:
         access = self.cqap.access
         # the request tuples are never mutated here, so the rebinding to
         # the access schema shares the tuple set instead of copying it
-        request_bound = self.rel_cls._wrap("Q_A", access, request.tuples) \
+        request_bound = Relation._wrap("Q_A", access, request.tuples) \
             if access else None
         for step in steps:
             piece = step.plan.execute(request_bound, ctr, step.name)

@@ -1,13 +1,19 @@
-"""Columnar relation backend: dict-of-columns storage, batch kernels.
+"""Columnar relation operators: dict-of-columns caches, batch kernels.
 
-:class:`ColumnarRelation` is a drop-in :class:`~repro.data.relation.
-Relation` whose operators run as *batch* kernels over lazily materialized
-column data instead of per-row Python loops with per-row counter bumps.
-The tuple :class:`set` remains the ground truth (so equality, iteration,
-pickling, and every base-class fallback behave identically — answers are
-bit-identical across backends by construction); the row list and the
-per-variable columns are derived caches, rebuilt after any mutation and
-never pickled (the process fleet ships payloads, not caches).
+An operator library, not an engine backend: nothing under ``src/`` imports
+this module (the engine, the executors, the generated kernels and both
+``serve()`` transports construct :class:`~repro.data.relation.Relation`
+only).  Its one consumer is ``bench/run.py``'s ``data.columnar.*``
+per-layer rows; the file and ``tests/test_columnar.py`` leave with the
+``[benchmark]`` change that drops those rows (ROADMAP item 4).
+
+:class:`ColumnarRelation` is a :class:`~repro.data.relation.Relation`
+whose operators run as *batch* kernels over lazily materialized column
+data instead of per-row Python loops with per-row counter bumps.  The
+tuple :class:`set` remains the ground truth (so equality, iteration,
+pickling, and every base-class fallback behave identically); the row list
+and the per-variable columns are derived caches, rebuilt after any
+mutation and never pickled.
 
 NumPy is used when importable — integer key columns get an
 ``np.isin``-vectorized semijoin membership kernel — but is **not** a
@@ -17,12 +23,8 @@ hoisting position lookups and counter accounting out of the loop.
 
 Counter accounting is preserved *in total*: a kernel that scans ``n``
 rows charges ``scans += n`` in one update where the base operator charged
-``1`` per row, so benchmarks comparing intrinsic operation counts across
-backends see the same work.
-
-Pick a backend by name through :func:`relation_class` /
-:func:`to_backend`; the engine threads the choice from
-``prepare(..., backend=...)`` down to every execution layer.
+``1`` per row, so a comparison of intrinsic operation counts against the
+base operators sees the same work.
 """
 
 from __future__ import annotations
@@ -244,46 +246,3 @@ class ColumnarRelation(Relation):
         ctr.joins_emitted += emitted
         return type(self)._wrap(name or f"{self.name}_x_{other.name}",
                                 out_schema, out)
-
-    # ------------------------------------------------------------------
-    # conversion
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_relation(cls, relation: Relation) -> "ColumnarRelation":
-        """Adopt an existing relation (zero-copy: the tuple set is shared).
-
-        The caller hands over the read-only discipline: the source must
-        not be mutated afterwards (the serving layers never do — prepared
-        state is frozen).
-        """
-        if type(relation) is cls:
-            return relation
-        return cls._wrap(relation.name, relation.schema, relation.tuples)
-
-
-#: backend name -> relation class, the single registry every layer resolves
-RELATION_BACKENDS: Dict[str, type] = {
-    "set": Relation,
-    "columnar": ColumnarRelation,
-}
-
-
-def relation_class(backend: str) -> type:
-    """Resolve a ``backend=`` name to its relation class (or raise)."""
-    try:
-        return RELATION_BACKENDS[backend]
-    except KeyError:
-        raise ValueError(
-            f"relation backend must be one of "
-            f"{sorted(RELATION_BACKENDS)}, got {backend!r}"
-        ) from None
-
-
-def to_backend(relation: Relation, backend: str) -> Relation:
-    """Re-wrap ``relation`` in the named backend's class (zero-copy)."""
-    cls = relation_class(backend)
-    if type(relation) is cls:
-        return relation
-    if cls is ColumnarRelation:
-        return ColumnarRelation.from_relation(relation)
-    return Relation._wrap(relation.name, relation.schema, relation.tuples)

@@ -1,7 +1,7 @@
 """In-memory relations over named variables.
 
 A :class:`Relation` is a named set of tuples together with a *schema*: an
-ordered tuple of variable names.  All engine operators (projection, selection,
+ordered tuple of variable names.  All engine operators (projection, union,
 semijoin, hash join) live here and report their work through the counters
 substrate so that benchmarks can measure probes/scans/stores instead of
 wall-clock time.
@@ -128,7 +128,7 @@ class Relation:
         """(Re)initialize every cache derived from the tuple set.
 
         Called on construction, unpickling, and mutation.  Subclasses
-        holding extra derived state (the columnar backend's column
+        holding extra derived state (``ColumnarRelation``'s column
         arrays) extend this instead of duplicating the invalidation
         points.
         """
@@ -396,10 +396,6 @@ class Relation:
             self._check_fresh()
         return self.tuples
 
-    def key_values(self, key: Sequence[str]) -> set:
-        """Distinct key tuples over ``key``."""
-        return set(self.index_on(key).keys())
-
     def degree(self, key: Sequence[str]) -> int:
         """Maximum number of tuples sharing one ``key`` value (0 if empty)."""
         index = self.index_on(key)
@@ -468,56 +464,6 @@ class Relation:
             ctr.scans += 1
             out.add(tuple(row[p] for p in pos))
         return type(self)._wrap(name or f"pi_{self.name}", onto, out)
-
-    def select(self, predicate: Callable[[dict], bool],
-               name: Optional[str] = None,
-               counters: Optional[Counters] = None) -> "Relation":
-        """Filter by an arbitrary predicate over a var->value mapping."""
-        if self._view_of is not None:
-            self._check_fresh()
-        ctr = counters or global_counters
-        out = set()
-        for row in self.tuples:
-            ctr.scans += 1
-            if predicate(dict(zip(self.schema, row))):
-                out.add(row)
-        return type(self)._wrap(name or f"sigma_{self.name}", self.schema,
-                                out)
-
-    def select_equals(self, bindings: dict, name: Optional[str] = None,
-                      counters: Optional[Counters] = None) -> "Relation":
-        """Equality selection via the hash index on the bound variables.
-
-        Every binding variable must be in the schema: a silently ignored
-        unknown variable (e.g. a typo) would return *unfiltered* rows, so
-        unknown variables raise :class:`SchemaError` instead.  Callers
-        that intentionally filter on whichever binding variables the
-        schema happens to contain must pass the pre-filtered dict
-        explicitly.
-        """
-        ctr = counters or global_counters
-        unknown = set(bindings) - self._variables
-        if unknown:
-            raise SchemaError(
-                f"select_equals binding variables {sorted(unknown)} not in "
-                f"schema {self.schema}"
-            )
-        key = tuple(v for v in self.schema if v in bindings)
-        if not key:
-            return self.copy(name)
-        index = self.index_on(key)
-        ctr.probes += 1
-        want = tuple(bindings[v] for v in key)
-        rows = index.get(want, [])
-        ctr.scans += len(rows)
-        return type(self)._wrap(name or f"sigma_{self.name}", self.schema,
-                                set(rows))
-
-    def rename(self, mapping: Dict[str, str],
-               name: Optional[str] = None) -> "Relation":
-        """Rename variables; ``mapping`` may be partial."""
-        new_schema = tuple(mapping.get(v, v) for v in self.schema)
-        return Relation(name or self.name, new_schema, self.tuples)
 
     def union(self, other: "Relation", name: Optional[str] = None) -> "Relation":
         """Set union; the other relation is reordered to this schema."""
@@ -608,31 +554,18 @@ class Relation:
         """True when the relation holds no tuples."""
         return not self.tuples
 
-    def to_bindings(self) -> Iterator[dict]:
-        """Yield each tuple as a var->value dict."""
-        for row in self.tuples:
-            yield dict(zip(self.schema, row))
-
-    @classmethod
-    def from_bindings(cls, name: str, schema: Sequence[str],
-                      bindings: Iterable[dict]) -> "Relation":
-        """Build a relation from var->value dicts (missing keys error)."""
-        schema = tuple(schema)
-        rows = [tuple(b[v] for v in schema) for b in bindings]
-        return cls(name, schema, rows)
-
 
 def apply_row_delta(members: Iterable[Relation], added: Iterable[Tuple_] = (),
                     removed: Iterable[Tuple_] = ()) -> int:
     """Apply one coordinated row delta to every handle of a logical relation.
 
     ``members`` are relation objects that must all reflect the delta:
-    private copies and handles sharing one tuple set (backend re-wraps,
-    view relabels).  The rows go into each *distinct* set once; every
-    member then gets a version bump and its derived caches reset — also
-    when the shared set had already been mutated through another handle
-    before this call, which makes the patch idempotent on the set but
-    never on the caches.  Returns the number of row changes applied.
+    private copies and handles sharing one tuple set (view relabels).
+    The rows go into each *distinct* set once; every member then gets a
+    version bump and its derived caches reset — also when the shared set
+    had already been mutated through another handle before this call,
+    which makes the patch idempotent on the set but never on the caches.
+    Returns the number of row changes applied.
     """
     seen: set = set()
     applied = 0

@@ -35,7 +35,6 @@ from repro.util.counters import Counters
 def prepare(cqap: CQAP, db: Database, space_budget: float,
             cache_size: int = 256,
             counters: Optional[Counters] = None,
-            backend: str = "set",
             **index_kwargs) -> "PreparedQuery":
     """Run the one-time preprocessing phase and return a serving handle.
 
@@ -46,15 +45,6 @@ def prepare(cqap: CQAP, db: Database, space_budget: float,
     estimated space/time land in :meth:`PreparedQuery.stats` under
     ``"selection"``.
 
-    ``backend`` picks the relation execution backend for the prepared
-    state: ``"set"`` (the row-at-a-time baseline) or ``"columnar"``
-    (batch kernels over dict-of-columns caches — same answers and the
-    same intrinsic work; the last end-to-end comparison had it *slower*
-    than ``"set"`` on the warm uncached probe path, see ROADMAP item 4).
-    Both serve through
-    either ``serve()`` backend; columnar payloads pickle to the process
-    fleet like any relation (caches are rebuilt worker-side).
-
     ``index_kwargs`` are forwarded to :class:`~repro.core.index.CQAPIndex`
     (``pmtds``, ``dc``, ``ac``, ``max_bags``, ``max_splits``,
     ``budget_slack``, ``measure_degrees``, ``threshold_scale``,
@@ -62,8 +52,7 @@ def prepare(cqap: CQAP, db: Database, space_budget: float,
     """
     ctr = counters or Counters()
     start = time.perf_counter()
-    index = CQAPIndex(cqap, db, space_budget,
-                      relation_backend=backend, **index_kwargs)
+    index = CQAPIndex(cqap, db, space_budget, **index_kwargs)
     index.preprocess(counters=ctr)
     elapsed = time.perf_counter() - start
     return PreparedQuery(index, cache_size=cache_size,
@@ -248,7 +237,6 @@ class PreparedQuery:
         ``probes_served`` and ``online_phases``.
         """
         return {
-            "relation_backend": self._index.relation_backend,
             "prepare_seconds": self.prepare_seconds,
             "prepare_counters": self.prepare_counters.snapshot(),
             "stored_tuples": self.stored_tuples,

@@ -72,7 +72,7 @@ def serve(prepared, *, backend: str = "thread", shards: int = 4,
     """
     if isinstance(backend, ShardBackend):
         shard_backend, owns = backend, False
-    elif backend in BACKENDS:
+    elif isinstance(backend, str) and backend in BACKENDS:
         shard_backend = BACKENDS[backend](_coerce_index(prepared),
                                           n_shards=shards)
         owns = True

@@ -132,9 +132,6 @@ class ShardPayload:
     pmtds: List
     pmtd_views: List[Dict]
     partitioned_tuples: int
-    #: relation backend the shard's executor must rebuild with, so a
-    #: columnar-prepared index serves columnar in every worker process
-    relation_backend: str = "set"
 
 
 def shard_payloads(index: CQAPIndex, n_shards: int) -> List[ShardPayload]:
@@ -172,7 +169,6 @@ def shard_payloads(index: CQAPIndex, n_shards: int) -> List[ShardPayload]:
             ],
             partitioned_tuples=sum(len(parts[shard_id])
                                    for parts in target_parts.values()),
-            relation_backend=index.relation_backend,
         ))
     return payloads
 
@@ -216,9 +212,7 @@ class ShardExecutor:
         self.cqap = payload.cqap
         self.steps = payload.steps
         self.executor = TwoPhaseExecutor(
-            payload.cqap, budget_slack=payload.budget_slack,
-            relation_backend=payload.relation_backend,
-        )
+            payload.cqap, budget_slack=payload.budget_slack)
         self.pmtds = payload.pmtds
         #: retained past the initial builds: a delta patches these raw
         #: views and rebuilds the affected passes from them (the passes

@@ -335,25 +335,17 @@ def apply_delta(index, op: str, name: str, row: Tuple_,
 
     # -- piece / step mutation -------------------------------------------
     # each hosting piece once, by identity; a touched step's relations are
-    # those pieces, or (non-set backend) handles sharing their tuple sets
+    # those same pieces (``verify_piece_sharing``), so it only recompiles
     members: Dict[int, Relation] = {}
-    hosted_atoms = {}
+    hosting_decisions = set()
     for decision, atoms in hosting:
-        hosted_atoms[id(decision)] = atoms
+        hosting_decisions.add(id(decision))
         for atom in atoms:
             piece = decision.subproblem.relations[atom]
             members[id(piece)] = piece
-    touched_steps = []
-    step_slots = []
-    for slot, step in enumerate(index._compiled_online):
-        atoms = hosted_atoms.get(id(step.decision))
-        if atoms is None:
-            continue
-        touched_steps.append(step)
-        step_slots.append(slot)
-        for atom, rel in zip(index.cqap.atoms, step.relations):
-            if atom in atoms:
-                members[id(rel)] = rel
+    step_slots = [slot for slot, step in enumerate(index._compiled_online)
+                  if id(step.decision) in hosting_decisions]
+    touched_steps = [index._compiled_online[slot] for slot in step_slots]
     if insert:
         apply_row_delta(members.values(), added=(row,))
     else:

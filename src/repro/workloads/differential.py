@@ -2,7 +2,8 @@
 
 For each workload (seeded random query + database + probe stream) the
 harness computes the exact per-binding answers with ``repro.oracle`` and
-then diffs eight checks across the repo's answer stacks against them:
+then diffs the eleven ``PATHS`` across the repo's answer stacks against
+them:
 
 * ``from_scratch``   — ``CQAP.answer_from_scratch`` (textbook join path);
 * ``index_lean``     — ``CQAPIndex.answer`` at a tiny space budget, so the
@@ -17,13 +18,6 @@ then diffs eight checks across the repo's answer stacks against them:
 * ``engine_probe`` / ``engine_probe_many`` — the serving engine
   (``PreparedQuery``) over the prepared indexes, cache and batch dedupe
   included;
-* ``*_columnar`` — the same index/engine/serving stacks re-run with
-  ``relation_backend="columnar"`` (batch-kernel relations); each columnar
-  path diffs against the oracle *and* must be bit-identical to its
-  set-backend sibling (the drop-in contract of the backend swap).  The
-  columnar process path uses a single partitioned shard count — its job
-  is to fuzz columnar payload pickling and worker-side cache rebuilds,
-  not to re-sweep shard counts;
 * ``serving_sharded`` / ``serving_process`` — the serving layer
   (``repro.serving``) through the one public entry point
   ``serve(prepared, backend=...)``: the same prepared index
@@ -34,13 +28,15 @@ then diffs eight checks across the repo's answer stacks against them:
   drop-in contract the API promises — and beyond the oracle diff each
   asserts *shard-count invariance*: answers must be bit-identical across
   shard counts;
-* ``update_replay`` / ``update_replay_columnar`` /
-  ``update_replay_process`` — seeded insert/delete scripts replayed
-  through ``index.apply_delta`` with a ``PreparedQuery`` *and* a full
-  ``serve()`` stack listening on the **same** index (the multi-listener
-  configuration production would run).  After every step both the
-  engine path and the serving path are diffed against the oracle on a
-  mirror database mutated in lockstep; probe keys rotate so the same
+* ``serving_observability`` — the thread/4-shard serving path again with
+  tracing on: oracle-equal *and* bit-identical to the untraced
+  ``serving_sharded`` answers;
+* ``update_replay`` / ``update_replay_process`` — seeded insert/delete
+  scripts replayed through ``index.apply_delta`` with a ``PreparedQuery``
+  *and* a full ``serve()`` stack listening on the **same** index (the
+  multi-listener configuration production would run).  After every step
+  both the engine path and the serving path are diffed against the oracle
+  on a mirror database mutated in lockstep; probe keys rotate so the same
   binding is asked before and after the mutations that affect it, which
   turns a missed cache eviction into a visible stale answer.  After the
   script, the replayed index must agree binding-for-binding with an
@@ -99,15 +95,7 @@ PATHS: Tuple[str, ...] = (
     "engine_probe_many",
     "serving_sharded",
     "serving_process",
-    "index_lean_columnar",
-    "index_medium_columnar",
-    "index_rich_columnar",
-    "engine_probe_columnar",
-    "engine_probe_many_columnar",
-    "serving_sharded_columnar",
-    "serving_process_columnar",
     "update_replay",
-    "update_replay_columnar",
     "update_replay_process",
     "serving_observability",
 )
@@ -122,12 +110,6 @@ SHARD_SWEEP: Tuple[int, ...] = (1, 4, 7)
 #: shard counts for the process fleet — worker start-up costs real time
 #: per scenario, so the sweep is the acceptance pair {1, 4}
 PROCESS_SHARD_SWEEP: Tuple[int, ...] = (1, 4)
-
-#: the columnar process path exists to fuzz one specific risk — columnar
-#: payloads pickling to workers and rebuilding their caches there — so a
-#: single partitioned shard count keeps per-scenario fleet start-up cost
-#: bounded (shard-count invariance is already swept on the other paths)
-PROCESS_SHARD_SWEEP_COLUMNAR: Tuple[int, ...] = (2,)
 
 #: batch width the sharded path chunks each probe stream into
 SHARD_BATCH = 3
@@ -274,8 +256,8 @@ def _scratch_answers(workload: Workload,
 
 
 def _run_update_replay(outcome: ScenarioOutcome, workload: Workload,
-                       repro: str, path: str, relation_backend: str,
-                       serve_backend: str, n_shards: int, steps: int,
+                       repro: str, path: str, serve_backend: str,
+                       n_shards: int, steps: int,
                        staleness_threshold: float = 0.5) -> None:
     """Replay a seeded insert/delete script through one live stack.
 
@@ -306,7 +288,6 @@ def _run_update_replay(outcome: ScenarioOutcome, workload: Workload,
         index = CQAPIndex(
             cqap, live, budget,
             auto_select_threshold=AUTO_SELECT_THRESHOLD,
-            relation_backend=relation_backend,
             staleness_threshold=staleness_threshold,
         ).preprocess(verify_plans=True)
     except PlanningError as exc:
@@ -407,7 +388,6 @@ def _run_update_replay(outcome: ScenarioOutcome, workload: Workload,
             rebuilt = CQAPIndex(
                 cqap, mirror.copy(), budget,
                 auto_select_threshold=AUTO_SELECT_THRESHOLD,
-                relation_backend=relation_backend,
             ).preprocess(verify_plans=True)
         except PlanningError as exc:
             outcome.skips.append((f"{path}.rebuild",
@@ -447,7 +427,7 @@ def run_scenario(workload: Workload,
     expected = oracle_probe_many(cqap, db, workload.probes)
     unique: List[Row] = list(expected)
 
-    #: path -> its produced answers; feeds the cross-backend identity diff
+    #: path -> its produced answers; feeds the traced-vs-untraced diff
     produced: Dict[str, Dict[Row, AnswerSet]] = {}
 
     def check(path: str, actual: Dict[Row, AnswerSet]) -> None:
@@ -471,55 +451,52 @@ def run_scenario(workload: Workload,
     # -- path 1: the textbook from-scratch evaluator --------------------
     run("from_scratch", lambda: _scratch_answers(workload, unique))
 
-    # -- paths 2-4 (x2 backends): CQAPIndex across the budget sweep -----
+    # -- paths 2-4: CQAPIndex across the budget sweep --------------------
     # catalog statistics depend only on (cqap, db): measure once, share
-    # across the three budget points and both relation backends
+    # across the three budget points
     from repro.tradeoff.cost import CatalogStatistics
 
     statistics = CatalogStatistics.from_database(cqap, db)
     indexes: Dict[str, CQAPIndex] = {}
-    for backend, suffix in (("set", ""), ("columnar", "_columnar")):
-        for base_path, budget in scenario_budgets(db).items():
-            path = base_path + suffix
+    for path, budget in scenario_budgets(db).items():
+        try:
+            indexes[path] = CQAPIndex(
+                cqap, db, budget,
+                auto_select_threshold=AUTO_SELECT_THRESHOLD,
+                statistics=statistics,
+            ).preprocess(verify_plans=True)
+        except PlanningError as exc:
+            # legitimately infeasible at this budget (S-only rules)
+            outcome.skips.append((path, f"PlanningError: {exc}"))
+            continue
+        except Exception as exc:
+            outcome.disagreements.append(
+                Disagreement(seed, path,
+                             f"preprocess raised {exc!r}", repro)
+            )
+            continue
+        index = indexes[path]
+        run(path, lambda index=index: {
+            b: answer_rows(index.answer(b), head) for b in unique
+        })
+        if path == "index_rich":
+            # batching must equal the union of the per-binding answers
             try:
-                indexes[path] = CQAPIndex(
-                    cqap, db, budget,
-                    auto_select_threshold=AUTO_SELECT_THRESHOLD,
-                    statistics=statistics,
-                    relation_backend=backend,
-                ).preprocess(verify_plans=True)
-            except PlanningError as exc:
-                # legitimately infeasible at this budget (S-only rules)
-                outcome.skips.append((path, f"PlanningError: {exc}"))
-                continue
-            except Exception as exc:
-                outcome.disagreements.append(
-                    Disagreement(seed, path,
-                                 f"preprocess raised {exc!r}", repro)
-                )
-                continue
-            index = indexes[path]
-            run(path, lambda index=index: {
-                b: answer_rows(index.answer(b), head) for b in unique
-            })
-            if base_path == "index_rich":
-                # batching must equal the union of the per-binding answers
-                try:
-                    batch = answer_rows(index.answer_batch(unique), head)
-                    union = frozenset().union(*expected.values()) \
-                        if expected else frozenset()
-                    outcome.comparisons += 1
-                    if batch != union:
-                        outcome.disagreements.append(Disagreement(
-                            seed, f"{path}.answer_batch",
-                            f"missing {sorted(union - batch)} "
-                            f"extra {sorted(batch - union)}", repro,
-                        ))
-                except Exception as exc:
+                batch = answer_rows(index.answer_batch(unique), head)
+                union = frozenset().union(*expected.values()) \
+                    if expected else frozenset()
+                outcome.comparisons += 1
+                if batch != union:
                     outcome.disagreements.append(Disagreement(
                         seed, f"{path}.answer_batch",
-                        f"raised {exc!r}", repro,
+                        f"missing {sorted(union - batch)} "
+                        f"extra {sorted(batch - union)}", repro,
                     ))
+            except Exception as exc:
+                outcome.disagreements.append(Disagreement(
+                    seed, f"{path}.answer_batch",
+                    f"raised {exc!r}", repro,
+                ))
 
     # -- route-stability invariant of the selection ledger --------------
     # re-route each preprocessed index's selected rule set across the
@@ -529,8 +506,6 @@ def run_scenario(workload: Workload,
 
     sweep = sorted(scenario_budgets(db).values())
     for path, index in indexes.items():
-        if path.endswith("_columnar"):
-            continue  # planning is backend-independent; check once
         try:
             previous = None
             for budget in sweep:
@@ -553,43 +528,40 @@ def run_scenario(workload: Workload,
                 seed, f"{path}.route_stability", f"raised {exc!r}", repro,
             ))
 
-    # -- paths 5-6 (x2 backends): the serving engine over the prepared
-    # indexes
-    def engine_probe_path(probe_index):
-        def thunk() -> Dict[Row, AnswerSet]:
-            pq = PreparedQuery(probe_index,
-                               cache_size=workload.cache_size)
-            out: Dict[Row, AnswerSet] = {}
-            for binding in workload.probes:  # duplicates exercise the cache
-                out[binding] = answer_rows(pq.probe(binding), head)
-            if pq.replanned:
-                raise AssertionError("probe path re-planned")
-            return out
-        return thunk
+    # -- paths 5-6: the serving engine over the prepared indexes ---------
+    probe_index = (indexes.get("index_lean") or indexes.get("index_medium")
+                   or indexes.get("index_rich"))
+    batch_index = (indexes.get("index_rich") or indexes.get("index_medium")
+                   or indexes.get("index_lean"))
 
-    def engine_probe_many_path(batch_index):
-        def thunk() -> Dict[Row, AnswerSet]:
-            pq = PreparedQuery(batch_index,
-                               cache_size=workload.cache_size)
-            first = pq.probe_many(workload.probes)
-            again = pq.probe_many(workload.probes)  # cache-served replay
-            if set(first) != set(again):
-                raise AssertionError("probe_many replay changed keys")
-            for key, rel in again.items():
-                if answer_rows(rel, head) != answer_rows(first[key], head):
-                    raise AssertionError(
-                        f"probe_many replay changed answers at {key}"
-                    )
-            if pq.replanned:
-                raise AssertionError("probe_many path re-planned")
-            return {b: answer_rows(rel, head) for b, rel in first.items()}
-        return thunk
+    def engine_probe_path() -> Dict[Row, AnswerSet]:
+        pq = PreparedQuery(probe_index, cache_size=workload.cache_size)
+        out: Dict[Row, AnswerSet] = {}
+        for binding in workload.probes:  # duplicates exercise the cache
+            out[binding] = answer_rows(pq.probe(binding), head)
+        if pq.replanned:
+            raise AssertionError("probe path re-planned")
+        return out
 
-    # -- paths 7-8 (x2 backends): the serving layer behind
-    # serve(backend=...), invariant across shard counts; the thread and
-    # process paths differ only in the backend arg
-    def serving_path(batch_index, backend: str,
-                     shard_sweep: Tuple[int, ...]):
+    def engine_probe_many_path() -> Dict[Row, AnswerSet]:
+        pq = PreparedQuery(batch_index, cache_size=workload.cache_size)
+        first = pq.probe_many(workload.probes)
+        again = pq.probe_many(workload.probes)  # cache-served replay
+        if set(first) != set(again):
+            raise AssertionError("probe_many replay changed keys")
+        for key, rel in again.items():
+            if answer_rows(rel, head) != answer_rows(first[key], head):
+                raise AssertionError(
+                    f"probe_many replay changed answers at {key}"
+                )
+        if pq.replanned:
+            raise AssertionError("probe_many path re-planned")
+        return {b: answer_rows(rel, head) for b, rel in first.items()}
+
+    # -- paths 7-8: the serving layer behind serve(backend=...),
+    # invariant across shard counts; the thread and process paths differ
+    # only in the backend arg
+    def serving_path(backend: str, shard_sweep: Tuple[int, ...]):
         def thunk() -> Dict[Row, AnswerSet]:
             from repro.serving import serve
 
@@ -617,42 +589,26 @@ def run_scenario(workload: Workload,
             return reference
         return thunk
 
-    for suffix, process_sweep in (("", PROCESS_SHARD_SWEEP),
-                                  ("_columnar",
-                                   PROCESS_SHARD_SWEEP_COLUMNAR)):
-        probe_index = (indexes.get("index_lean" + suffix)
-                       or indexes.get("index_medium" + suffix)
-                       or indexes.get("index_rich" + suffix))
-        if probe_index is None:
-            outcome.skips.append(("engine_probe" + suffix,
-                                  "no preprocessed index"))
-        else:
-            run("engine_probe" + suffix, engine_probe_path(probe_index))
+    if probe_index is None:
+        outcome.skips.append(("engine_probe", "no preprocessed index"))
+    else:
+        run("engine_probe", engine_probe_path)
 
-        batch_index = (indexes.get("index_rich" + suffix)
-                       or indexes.get("index_medium" + suffix)
-                       or indexes.get("index_lean" + suffix))
-        if batch_index is None:
-            for path in ("engine_probe_many", "serving_sharded",
-                         "serving_process"):
-                outcome.skips.append((path + suffix,
-                                      "no preprocessed index"))
-        else:
-            run("engine_probe_many" + suffix,
-                engine_probe_many_path(batch_index))
-            run("serving_sharded" + suffix,
-                serving_path(batch_index, "thread", SHARD_SWEEP))
-            run("serving_process" + suffix,
-                serving_path(batch_index, "process", process_sweep))
+    if batch_index is None:
+        for path in ("engine_probe_many", "serving_sharded",
+                     "serving_process"):
+            outcome.skips.append((path, "no preprocessed index"))
+    else:
+        run("engine_probe_many", engine_probe_many_path)
+        run("serving_sharded", serving_path("thread", SHARD_SWEEP))
+        run("serving_process", serving_path("process", PROCESS_SHARD_SWEEP))
 
-    # -- path 19: serving with observability enabled --------------------
+    # -- path 9: serving with observability enabled ---------------------
     # same thread/4-shard configuration the sharded sweep covers, but
     # with tracing on: proves the instrumented hot path is observation-
     # only (answers bit-identical to the oracle AND to the uninstrumented
-    # serving_sharded run below)
-    obs_index = (indexes.get("index_rich") or indexes.get("index_medium")
-                 or indexes.get("index_lean"))
-    if obs_index is None:
+    # serving_sharded run above)
+    if batch_index is None:
         outcome.skips.append(("serving_observability",
                               "no preprocessed index"))
     else:
@@ -661,7 +617,7 @@ def run_scenario(workload: Workload,
             from repro.serving import serve
 
             with obs.tracing():
-                with serve(obs_index, backend="thread", shards=4,
+                with serve(batch_index, backend="thread", shards=4,
                            batch_size=SHARD_BATCH,
                            cache_size=workload.cache_size) as server:
                     answers = {key: answer_rows(rel, head)
@@ -693,41 +649,14 @@ def run_scenario(workload: Workload,
                     repro,
                 ))
 
-    # -- paths 16-18: seeded update replay ------------------------------
+    # -- paths 10-11: seeded update replay -----------------------------
     _run_update_replay(outcome, workload, repro, "update_replay",
-                       relation_backend="set", serve_backend="thread",
-                       n_shards=4, steps=UPDATE_STEPS,
+                       serve_backend="thread", n_shards=4,
+                       steps=UPDATE_STEPS,
                        staleness_threshold=UPDATE_STALENESS)
-    _run_update_replay(outcome, workload, repro, "update_replay_columnar",
-                       relation_backend="columnar", serve_backend="thread",
-                       n_shards=4, steps=UPDATE_STEPS)
     _run_update_replay(outcome, workload, repro, "update_replay_process",
-                       relation_backend="set", serve_backend="process",
-                       n_shards=2, steps=UPDATE_STEPS_PROCESS)
-
-    # -- cross-backend bit-identity -------------------------------------
-    # oracle agreement already implies identical answer *sets*; this diff
-    # additionally pins the two backends to each other even on paths
-    # where both disagreed with the oracle the same way, and documents
-    # the drop-in contract as an explicit invariant
-    for base in ("index_lean", "index_medium", "index_rich",
-                 "engine_probe", "engine_probe_many",
-                 "serving_sharded", "serving_process"):
-        variant = base + "_columnar"
-        if base in produced and variant in produced:
-            outcome.comparisons += 1
-            if produced[base] != produced[variant]:
-                changed = sorted(
-                    key for key in set(produced[base])
-                    | set(produced[variant])
-                    if produced[base].get(key)
-                    != produced[variant].get(key)
-                )
-                outcome.disagreements.append(Disagreement(
-                    seed, f"{variant}.bit_identity",
-                    f"columnar answers differ from set-backend answers "
-                    f"at bindings {changed}", repro,
-                ))
+                       serve_backend="process", n_shards=2,
+                       steps=UPDATE_STEPS_PROCESS)
 
     return outcome
 

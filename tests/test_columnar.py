@@ -1,11 +1,15 @@
-"""Unit tests for the columnar relation backend and compiled probe kernels.
+"""Operator parity of ``ColumnarRelation`` with ``Relation``, and
+``CompiledProbePlan`` unit tests.
 
-The contract under test is the drop-in promise of ``backend="columnar"``:
-every operator produces bit-identical answers to the set backend, charges
-the same counter *totals*, survives pickling with its caches dropped, and
-preserves its type through every derivation path (operators, partition,
-``_wrap``).  ``CompiledProbePlan`` is held to the same standard against
-the interpreted :func:`~repro.core.joins.project_join`.
+``repro.data.columnar`` is an operator library nothing under ``src/``
+imports (``bench/run.py`` times it for the ``data.columnar.*`` rows).  The
+contract under test: every operator produces bit-identical answers to the
+base class, charges the same counter *totals*, survives pickling with its
+caches dropped, and preserves its type through every derivation path
+(operators, partition, ``_wrap``).  ``CompiledProbePlan`` is held to the
+same standard against the interpreted
+:func:`~repro.core.joins.project_join`; that class moves to
+``tests/test_kernels.py`` when this file leaves with the library.
 """
 
 import pickle
@@ -15,13 +19,7 @@ import pytest
 
 from repro.core.joins import project_join
 from repro.core.kernels import CompiledProbePlan
-from repro.data.columnar import (
-    HAVE_NUMPY,
-    RELATION_BACKENDS,
-    ColumnarRelation,
-    relation_class,
-    to_backend,
-)
+from repro.data.columnar import HAVE_NUMPY, ColumnarRelation
 from repro.data.relation import Relation, SchemaError
 from repro.util.counters import Counters
 
@@ -33,30 +31,6 @@ def crel(name, schema, rows):
 def random_rows(rng, arity, n, domain):
     return {tuple(rng.randrange(domain) for _ in range(arity))
             for _ in range(n)}
-
-
-class TestBackendRegistry:
-    def test_names_resolve(self):
-        assert relation_class("set") is Relation
-        assert relation_class("columnar") is ColumnarRelation
-        assert set(RELATION_BACKENDS) == {"set", "columnar"}
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="columnar"):
-            relation_class("arrow")
-
-    def test_to_backend_round_trip(self):
-        r = Relation("R", ("a", "b"), [(1, 2)])
-        c = to_backend(r, "columnar")
-        assert type(c) is ColumnarRelation
-        assert c.tuples is r.tuples  # zero-copy adoption
-        back = to_backend(c, "set")
-        assert type(back) is Relation
-        assert back == r
-
-    def test_to_backend_is_identity_on_matching_type(self):
-        c = crel("R", ("a",), [(1,)])
-        assert to_backend(c, "columnar") is c
 
 
 class TestOperatorEquivalence:
@@ -77,8 +51,6 @@ class TestOperatorEquivalence:
         assert r_col.semijoin(s_col).tuples == r_set.semijoin(s_set).tuples
         assert r_col.join(s_col).tuples == r_set.join(s_set).tuples
         assert r_col.index_on(("b",)).keys() == r_set.index_on(("b",)).keys()
-        assert r_col.select_equals({"a": 3}).tuples == \
-            r_set.select_equals({"a": 3}).tuples
 
     def test_counter_totals_match_set_backend(self):
         rng = random.Random(7)
@@ -115,8 +87,6 @@ class TestOperatorEquivalence:
             c.project(("z",))
         with pytest.raises(SchemaError):
             c.index_on(("z",))
-        with pytest.raises(SchemaError):
-            c.select_equals({"z": 1})
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy-less container")
     def test_vectorized_semijoin_matches_hash_path(self):
@@ -149,8 +119,7 @@ class TestTypePreservation:
     def test_operators_return_columnar(self):
         r = crel("R", ("a", "b"), [(1, 2), (3, 4)])
         s = crel("S", ("b", "c"), [(2, 5)])
-        for out in (r.project(("a",)), r.semijoin(s), r.join(s),
-                    r.select_equals({"a": 1}), r.copy(),
+        for out in (r.project(("a",)), r.semijoin(s), r.join(s), r.copy(),
                     r.union(crel("R2", ("a", "b"), [(9, 9)]))):
             assert type(out) is ColumnarRelation
 
@@ -236,14 +205,6 @@ class TestCompiledProbePlan:
         for part, held in pinned:
             if part.slot == 0:
                 assert not part.pinnable and not isinstance(held, dict)
-
-    def test_rel_cls_controls_output_backend(self):
-        r, s = self._setup(seed=4, n=50)
-        plan = CompiledProbePlan([r, s], ("x1", "x3"), ("x1",),
-                                 rel_cls=ColumnarRelation)
-        out = plan.execute(Relation("Q_A", ("x1",), {(1,)}),
-                           Counters(), "out")
-        assert type(out) is ColumnarRelation
 
     def test_pickle_recompiles_identically(self):
         r, s = self._setup(seed=6, n=120)

@@ -72,16 +72,15 @@ class TestDifferentialHarness:
         outcome = run_scenario(make_workload(TIER1_SEED))
         assert outcome.ok
         # every non-skipped probe path checked every unique binding, plus
-        # one answer_batch union check per rich index (both backends),
-        # plus the 3-budget route-stability sweep on every set-backend
-        # index, plus one cross-backend bit-identity diff per path pair,
-        # plus the update-replay paths (two per-step oracle diffs over
+        # one answer_batch union check on the rich index, plus the
+        # 3-budget route-stability sweep on every index, plus the
+        # traced-vs-untraced bit-identity diff, plus the two
+        # update-replay paths (two per-step oracle diffs over
         # the sliding probe window, the replanned-flag and stats-envelope
         # checks, and the final replay==rebuild diff per unique probe)
         unique = len({tuple(b) for b in outcome.workload.probes})
         skipped = {path for path, _ in outcome.skips}
         update_steps = {"update_replay": UPDATE_STEPS,
-                        "update_replay_columnar": UPDATE_STEPS,
                         "update_replay_process": UPDATE_STEPS_PROCESS}
         probe_cycle = list(dict.fromkeys(outcome.workload.probes))
 
@@ -100,21 +99,14 @@ class TestDifferentialHarness:
 
         ran = (len(PATHS) - len(skipped)
                - sum(1 for p in update_steps if p not in skipped))
-        batch_checks = sum(
-            1 for p in ("index_rich", "index_rich_columnar")
-            if p not in skipped)
+        batch_checks = int("index_rich" not in skipped)
         index_paths = ("index_lean", "index_medium", "index_rich")
         stability_checks = 3 * sum(1 for p in index_paths
                                    if p not in skipped)
-        identity_checks = sum(
-            1 for p in PATHS
-            if p.endswith("_columnar") and p not in update_steps
-            and p not in skipped and p[:-len("_columnar")] not in skipped)
         # the traced serving path adds one traced-vs-untraced
         # bit-identity diff when both serving paths produced answers
-        if ("serving_observability" not in skipped
-                and "serving_sharded" not in skipped):
-            identity_checks += 1
+        identity_checks = int("serving_observability" not in skipped
+                              and "serving_sharded" not in skipped)
         replay_checks = sum(update_checks(p, s)
                             for p, s in update_steps.items())
         assert outcome.comparisons == (ran * unique + batch_checks
@@ -281,19 +273,7 @@ class TestAbortScenario:
             assert outcome.ok
 
 
-class TestColumnarPathsInGate:
-    def test_columnar_paths_are_part_of_the_gate(self):
-        assert "index_rich_columnar" in PATHS
-        assert "engine_probe_columnar" in PATHS
-        assert "serving_process_columnar" in PATHS
-
-    def test_columnar_block_bit_identical(self):
-        # a focused fixed-seed block: every columnar path must both agree
-        # with the oracle and be bit-identical to its set sibling (the
-        # cross-backend diff inside run_scenario raises otherwise)
-        summary = run_differential(3, TIER1_SEED + 7000)
-        assert summary.ok, summary.describe()
-        for path in PATHS:
-            if path.endswith("_columnar"):
-                assert summary.path_runs.get(path, 0) >= 2, \
-                    summary.describe()
+class TestPathsInGate:
+    def test_eleven_paths_and_no_relation_backend_variants(self):
+        assert len(PATHS) == len(set(PATHS)) == 11
+        assert not any(path.endswith("_columnar") for path in PATHS)

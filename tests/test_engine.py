@@ -1,13 +1,17 @@
 """Tests for the serving engine: LRU cache accounting, the plan-once/
 probe-many contract, batched-probe equivalence, and budget-abort survival."""
 
+import ast
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import catalog, path_database, singleton_request
+from repro.core.index import CQAPIndex
 from repro.core.two_phase import S_PHASE, T_PHASE
 from repro.data import triangle_database
 from repro.engine import AnswerCache, PreparedQuery, prepare
@@ -351,46 +355,41 @@ class TestBudgetAbortFallback:
             assert decision in compiled_targets
 
 
-class TestColumnarBackend:
-    """backend="columnar" is a drop-in: same answers, labeled stats."""
+class TestRelationBackendSwitchIsGone:
+    """One relation class behind the engine: the PR 7 switch was removed,
+    not deprecated — its keywords fail like any other typo."""
 
-    def test_probe_answers_match_set_backend(self):
-        cqap, db = reach3_setup(n_edges=300, domain=40)
-        rng = random.Random(5)
-        pairs = [(rng.randrange(40), rng.randrange(40)) for _ in range(12)]
-        pq_set = prepare(cqap, db, space_budget=db.size, cache_size=0)
-        pq_col = prepare(cqap, db, space_budget=db.size, cache_size=0,
-                         backend="columnar")
-        for pair in pairs:
-            a = pq_set.probe(pair)
-            b = pq_col.probe(pair)
-            assert a.tuples == b.tuples
-            assert a.schema == b.schema
-
-    def test_probe_many_matches_set_backend(self):
-        cqap, db = reach3_setup(n_edges=250, domain=30)
-        rng = random.Random(6)
-        pairs = [(rng.randrange(30), rng.randrange(30)) for _ in range(9)]
-        pq_set = prepare(cqap, db, space_budget=db.size)
-        pq_col = prepare(cqap, db, space_budget=db.size,
-                         backend="columnar")
-        got_set = pq_set.probe_many(pairs)
-        got_col = pq_col.probe_many(pairs)
-        assert set(got_set) == set(got_col)
-        for key in got_set:
-            assert got_set[key].tuples == got_col[key].tuples
-
-    def test_stats_record_backend(self):
+    def test_prepare_backend_keyword_is_gone(self):
         cqap, db = reach3_setup(n_edges=200, domain=30)
-        pq = prepare(cqap, db, space_budget=db.size, backend="columnar")
-        assert pq.stats()["engine"]["relation_backend"] == "columnar"
-        default = prepare(cqap, db, space_budget=db.size)
-        assert default.stats()["engine"]["relation_backend"] == "set"
+        with pytest.raises(TypeError):
+            prepare(cqap, db, space_budget=db.size, backend="columnar")
 
-    def test_unknown_backend_rejected_at_prepare(self):
+    def test_index_relation_backend_keyword_is_gone(self):
         cqap, db = reach3_setup(n_edges=200, domain=30)
-        with pytest.raises(ValueError, match="backend"):
-            prepare(cqap, db, space_budget=db.size, backend="arrow")
+        with pytest.raises(TypeError):
+            CQAPIndex(cqap, db, db.size, relation_backend="set")
+
+    def test_stats_relation_backend_key_is_gone(self):
+        cqap, db = reach3_setup(n_edges=200, domain=30)
+        pq = prepare(cqap, db, space_budget=db.size)
+        assert "relation_backend" not in pq.stats()["engine"]
+
+    def test_package_does_not_import_columnar_is_gone(self):
+        root = Path(repro.__file__).parent
+        importers = []
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [
+                        f"{node.module}.{alias.name}"
+                        for alias in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if "repro.data.columnar" in names:
+                    importers.append(str(path.relative_to(root)))
+        assert importers == []
 
 
 class TestCacheCapacityGuard:

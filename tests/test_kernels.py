@@ -28,6 +28,7 @@ from repro.query.catalog import k_path_cqap
 from repro.util.counters import Counters
 
 VARS = ("a", "b", "c", "d")
+#: input classes only: a plan's output is a ``Relation`` whatever it reads
 BACKENDS = pytest.mark.parametrize("rel_cls", [Relation, ColumnarRelation])
 
 
@@ -84,10 +85,9 @@ class TestAgainstProjectJoin:
         body, onto, access, request = case
         static, q_a, joined = build(rel_cls, body, access, request)
         for pin in (True, False):
-            plan = CompiledProbePlan(static, onto, access, pin=pin,
-                                     rel_cls=rel_cls)
+            plan = CompiledProbePlan(static, onto, access, pin=pin)
             got = plan.execute(q_a, Counters(), "out")
-            assert type(got) is rel_cls and got.schema == onto
+            assert type(got) is Relation and got.schema == onto
             assert outcome(lambda c: plan.execute(q_a, c, "out")) \
                 == outcome(lambda c: project_join(
                     joined, onto, counters=c, order=plan.order))
@@ -100,7 +100,7 @@ class TestAgainstProjectJoin:
         body, onto, access, request = case
         static, q_a, joined = build(rel_cls, body, access, request)
         plan = CompiledProbePlan(static, onto, access, limit=limit,
-                                 pin=False, rel_cls=rel_cls)
+                                 pin=False)
         assert outcome(lambda c: plan.execute(q_a, c, "out")) \
             == outcome(lambda c: project_join(
                 joined, onto, limit=limit, counters=c, order=plan.order))
@@ -132,7 +132,7 @@ class TestAgainstProjectJoin:
         static, q_a, joined = build(rel_cls, body, ("x", "y"), request)
         for pin in (True, False):
             plan = CompiledProbePlan(static, ("x", "w"), ("x", "y"),
-                                     limit=limit, pin=pin, rel_cls=rel_cls)
+                                     limit=limit, pin=pin)
             assert plan.order == ("x", "y", "z", "w")
             whole = {(spec.slot, spec.var): spec
                      for spec in plan.iter_participants() if spec.whole_row}
@@ -198,6 +198,11 @@ class TestAgainstProjectJoin:
             # a plan that does not pin indexes only what a join reads
             assert bool(r._indexes) == pin
 
+    def test_rel_cls_keyword_is_gone(self):
+        r = Relation("R", ("a", "b"), {(1, 2)})
+        with pytest.raises(TypeError):
+            CompiledProbePlan([r], ("a", "b"), (), rel_cls=Relation)
+
 
 class TestShapeTable:
     def test_repins_leave_nothing_for_the_collector(self):
@@ -245,6 +250,8 @@ class TestShapeTable:
             op = "delete" if row in db[name].tuples else "insert"
             assert index.apply_delta(op, name, row).changed
         for step in index.compiled_online:
+            # relations, onto, access, limit, pin: nothing compiled ships
+            assert len(step.plan.__getstate__()) == 5
             clone = pickle.loads(pickle.dumps(step))
             assert clone.plan.kernel is not step.plan.kernel
             assert clone.plan.kernel.__code__ is step.plan.kernel.__code__

@@ -12,6 +12,7 @@ from repro.data import Database, Relation
 from repro.data.relation import SchemaError
 from repro.engine import PreparedQuery, prepare
 from repro.query import Atom, CQAP, ConjunctiveQuery
+from repro.serving import serve
 
 
 def tiny_db():
@@ -101,6 +102,14 @@ class TestEngineBoundary:
         bad = Relation("Q_A", ("u", "v"), [(1, 2)])
         with pytest.raises(ValueError, match="incompatible"):
             index.answer(bad)
+
+    @pytest.mark.parametrize("bad", ["greenlet", ["thread"], None])
+    def test_serve_rejects_any_bad_backend_with_value_error(self, bad):
+        # unhashable values used to escape as a bare "unhashable type"
+        # TypeError from the registry lookup
+        pq = prepare(tiny_cqap(), tiny_db(), space_budget=100)
+        with pytest.raises(ValueError, match="backend must be one of"):
+            serve(pq, backend=bad)
 
     def test_duplicate_relation_name_rejected(self):
         db = tiny_db()

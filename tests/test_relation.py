@@ -90,31 +90,6 @@ class TestProjection:
         assert ctr.scans == 2
 
 
-class TestSelection:
-    def test_select_equals_uses_index(self):
-        ctr = Counters()
-        r = rel("R", ("a", "b"), [(1, 2), (1, 3), (2, 4)])
-        out = r.select_equals({"a": 1}, counters=ctr)
-        assert len(out) == 2
-        assert ctr.probes == 1
-        # only matching rows are scanned, not the whole relation
-        assert ctr.scans == 2
-
-    def test_select_equals_multiple_vars(self):
-        r = rel("R", ("a", "b"), [(1, 2), (1, 3)])
-        out = r.select_equals({"a": 1, "b": 3})
-        assert out.tuples == {(1, 3)}
-
-    def test_select_predicate(self):
-        r = rel("R", ("a", "b"), [(1, 2), (3, 4)])
-        out = r.select(lambda t: t["a"] > 1)
-        assert out.tuples == {(3, 4)}
-
-    def test_select_equals_no_bindings_copies(self):
-        r = rel("R", ("a",), [(1,)])
-        assert r.select_equals({}).tuples == r.tuples
-
-
 class TestIndexes:
     def test_index_on(self):
         r = rel("R", ("a", "b"), [(1, 2), (1, 3), (2, 4)])
@@ -135,10 +110,6 @@ class TestIndexes:
         assert r.degree(("a",)) == 1
         r.add((1, 3))
         assert r.degree(("a",)) == 2
-
-    def test_key_values(self):
-        r = rel("R", ("a", "b"), [(1, 2), (1, 3)])
-        assert r.key_values(("a",)) == {(1,)}
 
 
 class TestJoinSemijoin:
@@ -191,19 +162,7 @@ class TestUnionRename:
         with pytest.raises(SchemaError):
             rel("R", ("a",), []).union(rel("S", ("b",), []))
 
-    def test_rename(self):
-        r = rel("R", ("a", "b"), [(1, 2)])
-        out = r.rename({"a": "x"})
-        assert out.schema == ("x", "b")
-        assert (1, 2) in out
-
-
 class TestBindings:
-    def test_roundtrip(self):
-        r = rel("R", ("a", "b"), [(1, 2), (3, 4)])
-        back = Relation.from_bindings("R2", ("a", "b"), r.to_bindings())
-        assert back == r
-
     def test_singleton_request(self):
         q = singleton_request(("x", "y"), (1, 2))
         assert q.tuples == {(1, 2)}
@@ -249,12 +208,13 @@ class TestIndexInvalidation:
         assert r.index_on(("a",)) is before  # cache survives a no-op add
 
     def test_selection_after_add_sees_new_tuples(self):
-        # select_equals routes through the lazy index; a stale index here
-        # would silently drop answers (the bug class this guards against)
+        # an equality selection is a read of the lazy index; a stale index
+        # here would silently drop answers (the bug class this guards
+        # against)
         r = rel("R", ("a", "b"), [(1, 2)])
-        assert len(r.select_equals({"a": 1})) == 1
+        assert r.degree_of(("a",), (1,)) == 1
         r.add((1, 7))
-        assert r.select_equals({"a": 1}).tuples == {(1, 2), (1, 7)}
+        assert set(r.index_on(("a",))[(1,)]) == {(1, 2), (1, 7)}
 
     def test_direct_tuples_mutation_is_documented_unsupported(self):
         # The regression this documents: raw .tuples mutation bypasses
@@ -410,16 +370,3 @@ class TestCounterHygiene:
         out = r1.union(r2)
         assert out.tuples == {(1, 2), (6, 5)}
         assert global_counters.scans == before
-
-
-class TestSelectEqualsValidation:
-    def test_unknown_binding_variable_raises(self):
-        r = rel("R", ("a", "b"), [(1, 2)])
-        with pytest.raises(SchemaError, match="z"):
-            r.select_equals({"z": 1})
-
-    def test_mixed_known_and_unknown_raises_not_filters(self):
-        # a typo must never silently return unfiltered rows
-        r = rel("R", ("a", "b"), [(1, 2), (3, 4)])
-        with pytest.raises(SchemaError):
-            r.select_equals({"a": 1, "typo": 2})

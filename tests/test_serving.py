@@ -526,25 +526,13 @@ class TestSchedulerIdleStats:
             assert section["probes_in"] == 0
 
 
-class TestColumnarServing:
-    def test_thread_backend_serves_columnar_identically(self, prepared,
-                                                        pairs):
-        cqap, db = prepared.cqap, prepared.db
-        columnar = CQAPIndex(cqap, db, prepared.space_budget,
-                             relation_backend="columnar").preprocess()
-        with serve(prepared, backend="thread", shards=3) as ref, \
-                serve(columnar, backend="thread", shards=3) as col:
-            want = {k: rel.tuples for k, rel in ref.serve(pairs)}
-            got = {k: rel.tuples for k, rel in col.serve(pairs)}
-        assert got == want
+class TestShardPayloadFields:
+    def test_relation_backend_field_is_gone(self, prepared):
+        import dataclasses
 
-    def test_shard_payloads_carry_backend(self, prepared):
-        from repro.serving.sharding import shard_payloads
+        from repro.serving.sharding import ShardPayload, shard_payloads
 
-        cqap, db = prepared.cqap, prepared.db
-        columnar = CQAPIndex(cqap, db, prepared.space_budget,
-                             relation_backend="columnar").preprocess()
-        for payload in shard_payloads(columnar, n_shards=2):
-            assert payload.relation_backend == "columnar"
+        assert "relation_backend" not in {
+            f.name for f in dataclasses.fields(ShardPayload)}
         for payload in shard_payloads(prepared, n_shards=2):
-            assert payload.relation_backend == "set"
+            assert not hasattr(payload, "relation_backend")

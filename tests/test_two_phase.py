@@ -209,19 +209,16 @@ class TestBudgetAbortRepricing:
 class TestCompiledStepsSharePieces:
     """compile_online runs every step on its subproblem's pieces."""
 
-    @pytest.mark.parametrize("backend", ["set", "columnar"])
-    def test_one_handle_per_piece_on_every_backend(self, backend):
+    def test_steps_run_on_the_pieces_themselves(self):
         cqap = k_path_cqap(3)
         db = path_database(3, 300, 40, seed=3, skew_hubs=3)
-        index = CQAPIndex(cqap, db, db.size ** 1.3,
-                          relation_backend=backend).preprocess()
+        index = CQAPIndex(cqap, db, db.size ** 1.3).preprocess()
         handle_of = {}          # id(piece) -> the step relation serving it
         for step in index.compiled_online:
             for atom, rel in zip(cqap.atoms, step.relations):
                 piece = step.decision.subproblem.relations[atom]
-                assert rel.tuples is piece.tuples
-                assert (rel is piece) == (backend == "set")
-                assert type(rel) is index.executor.rel_cls
+                assert rel is piece
+                assert type(rel) is Relation
                 assert handle_of.setdefault(id(piece), rel) is rel
         # steps outnumber the pieces they run on: the sharing is real
         slots = len(index.compiled_online) * len(cqap.atoms)

@@ -3,8 +3,7 @@
 Covers the delta driver itself (exact affected keys, S-target deltas,
 no-op detection, drift-triggered re-selection), the mutation-path
 guards it leans on (``SchemaError`` arity checks, the partition-view
-epoch guard), per-backend bit-identity of the maintained answers, the
-surgical answer-cache eviction in ``PreparedQuery``, the listener
+epoch guard), the surgical answer-cache eviction in ``PreparedQuery``, the listener
 registry, and the hypothesis property that replaying any script leaves
 the index answer-equivalent to one rebuilt from scratch on the final
 database.  The seeded multi-layer replay (serving stacks, process
@@ -42,11 +41,10 @@ def chain_db():
     ])
 
 
-def build_index(db=None, backend="set", **kwargs):
+def build_index(db=None, **kwargs):
     cqap = k_path_cqap(3)
     db = db or chain_db()
-    index = CQAPIndex(cqap, db, RICH, relation_backend=backend,
-                      **kwargs).preprocess()
+    index = CQAPIndex(cqap, db, RICH, **kwargs).preprocess()
     return cqap, db, index
 
 
@@ -61,18 +59,16 @@ class RecordingListener:
 
 
 class TestApplyDelta:
-    @pytest.mark.parametrize("backend", ["set", "columnar"])
-    def test_insert_opens_a_path(self, backend):
-        cqap, db, index = build_index(backend=backend)
+    def test_insert_opens_a_path(self):
+        cqap, db, index = build_index()
         assert not index.answer_boolean((0, 31))
         index.apply_delta("insert", "R3", (20, 31))
         assert index.answer_boolean((0, 31))
         assert answer_rows(index.answer((0, 31)), tuple(cqap.head)) == \
             oracle_probe(cqap, db, (0, 31))
 
-    @pytest.mark.parametrize("backend", ["set", "columnar"])
-    def test_delete_closes_a_path(self, backend):
-        cqap, db, index = build_index(backend=backend)
+    def test_delete_closes_a_path(self):
+        cqap, db, index = build_index()
         assert index.answer_boolean((0, 30))
         index.apply_delta("delete", "R2", (10, 20))
         assert not index.answer_boolean((0, 30))
@@ -122,22 +118,6 @@ class TestApplyDelta:
         index.apply_delta("insert", "R3", (20, 31))
         event = listener.events[-1]
         assert event.affected_keys == frozenset({(0, 31)})
-
-    def test_delta_bit_identity_across_backends(self):
-        """The same script leaves set and columnar indexes identical."""
-        script = [("insert", "R1", (2, 10)), ("insert", "R3", (20, 31)),
-                  ("delete", "R2", (11, 21)), ("insert", "R2", (10, 21)),
-                  ("delete", "R3", (21, 31)), ("insert", "R3", (21, 30))]
-        cqap, _, set_index = build_index(backend="set")
-        _, _, col_index = build_index(backend="columnar")
-        for op, name, row in script:
-            set_index.apply_delta(op, name, row)
-            col_index.apply_delta(op, name, row)
-        head = tuple(cqap.head)
-        for x1 in (0, 1, 2, 99):
-            for x4 in (30, 31, 99):
-                assert (answer_rows(set_index.answer((x1, x4)), head)
-                        == answer_rows(col_index.answer((x1, x4)), head))
 
 
 def lean_index():
@@ -266,13 +246,12 @@ class TestSharedPieces:
         assert probe_grid(cqap, index, domain) \
             == oracle_grid(cqap, db, domain)
 
-    @pytest.mark.parametrize("backend", ["set", "columnar"])
-    def test_no_index_duplicates_a_row_set(self, backend):
+    def test_no_index_duplicates_a_row_set(self):
         """Whole-row membership reads ``rel.tuples``: building, probing
         and thirty deltas leave no hash index keyed on a whole schema."""
         cqap = k_path_cqap(3)
         db = path_database(3, 300, 40, seed=3, skew_hubs=3)
-        prepared = prepare(cqap, db, db.size ** 1.3, backend=backend)
+        prepared = prepare(cqap, db, db.size ** 1.3)
         index = prepared.index
         assert any(plan.splits for plan in index.plans)
         assert index.compiled_online and index.stored_tuples
@@ -313,8 +292,7 @@ class TestSharedPieces:
             assert index.apply_delta(op, name, row).changed
             check_index(index)
             assert row_set_copies() == []
-        rebuilt = prepare(cqap, db.copy(), index.space_budget,
-                          backend=backend)
+        rebuilt = prepare(cqap, db.copy(), index.space_budget)
         assert answers(prepared) == answers(rebuilt) \
             == [oracle_probe(cqap, db, p) for p in probes]
         assert row_set_copies() == []
