@@ -32,6 +32,10 @@ parts) and reports every violation as a human-readable issue string:
 * **Piece sharing** — subproblems that agree on an atom's split path
   hold the same relation object, and every compiled step's static
   relations are its subproblem's pieces themselves.
+* **Delta plans** — every S-decision has its write-path plans
+  (:class:`repro.updates.DeltaPlans`), unpinned, over exactly (``is``)
+  the decision's current pieces, and no delta plan is reachable from a
+  shard payload (they would pickle into every fleet worker).
 
 ``check_index`` raises :class:`PlanVerificationError`;
 ``verify_index`` returns the issue list for callers that want to report.
@@ -39,9 +43,12 @@ parts) and reports every violation as a human-readable issue string:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple
+import io
+import pickle
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.split import split_path
+from repro.data.relation import Relation
 from repro.query.cq import CQAP
 from repro.tradeoff.selection import (
     PMTD_OVERHEAD,
@@ -55,6 +62,7 @@ __all__ = [
     "verify_selection",
     "verify_compiled_plans",
     "verify_piece_sharing",
+    "verify_delta_plans",
     "verify_index",
     "check_index",
 ]
@@ -318,6 +326,90 @@ def verify_piece_sharing(plans: Iterable[Any], steps: Iterable[Any],
     return issues
 
 
+class _PlanFinder(pickle.Pickler):
+    """Pickles a payload's structure and records the watched objects in it.
+
+    Relations are cut off: rows and cached indexes reach no plan, and
+    pickling them would cost the payload's bytes.
+    """
+
+    def __init__(self, watched: Dict[int, str]) -> None:
+        super().__init__(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL)
+        self.watched = watched
+        #: labels in first-seen order (the pickler asks once per reference)
+        self.found: Dict[str, None] = {}
+
+    def persistent_id(self, obj: Any) -> Optional[str]:
+        label = self.watched.get(id(obj))
+        if label is not None:
+            self.found[label] = None
+            return label
+        return "relation" if isinstance(obj, Relation) else None
+
+
+def verify_delta_plans(index: Any) -> List[str]:
+    """Check the write path's plans against the pieces a delta patches."""
+    issues: List[str] = []
+    atoms = index.cqap.atoms
+    delta = index.delta_plans
+    watched: Dict[int, str] = {}
+
+    def check(plan: Any, label: str, pinned: Any,
+              expected: Optional[Sequence[Any]]) -> None:
+        """``expected``: the pieces, or None for an affected-key plan,
+        whose calls pass fresh base handles — its own only fix schemas."""
+        if plan is None:
+            issues.append(f"{label}: missing")
+            return
+        watched[id(plan)] = label
+        access = pinned if isinstance(pinned, tuple) else pinned.variables
+        if plan.pin or plan.access != access:
+            issues.append(f"{label}: must be unpinned with access {access}")
+        if expected is None:
+            schemas = [atom.variables for atom in atoms if atom is not pinned]
+            if [rel.schema for rel in plan.relations] != schemas:
+                issues.append(f"{label}: relation schemas are not the other "
+                              f"atoms' variables {schemas}")
+        elif len(plan.relations) != len(expected) or any(
+                rel is not piece
+                for rel, piece in zip(plan.relations, expected)):
+            issues.append(
+                f"{label}: relations are not the decision's current pieces "
+                f"(a delta would join stale rows)")
+
+    decisions = [decision for plan in index.plans
+                 for decision in plan.preprocess_decisions]
+    if len(delta.targets) != len(decisions):
+        issues.append(f"{len(delta.targets)} delta plan sets for "
+                      f"{len(decisions)} S-decisions")
+    for decision in decisions:
+        name = f"S-decision [{decision.subproblem.label()}]"
+        entry = delta.targets.get(id(decision))
+        if entry is None or entry.decision is not decision:
+            issues.append(f"{name}: no delta plans")
+            continue
+        pieces = decision.subproblem.relations
+        for atom in atoms:
+            check(entry.pinned.get(atom), f"{name} pinned on {atom}", atom,
+                  [pieces[other] for other in atoms if other is not atom])
+        schema = tuple(sorted(decision.target))
+        check(entry.rederive, f"{name} re-derivation", schema,
+              [pieces[atom] for atom in atoms])
+    for atom in atoms:
+        check(delta.keys.get(atom), f"affected-key plan on {atom}", atom,
+              None)
+
+    # local import: the serving layer builds on core, as this module does
+    from repro.serving.sharding import shard_payloads
+
+    finder = _PlanFinder(watched)
+    finder.dump(shard_payloads(index, 1))
+    for label in finder.found:
+        issues.append(f"{label}: reachable from a shard payload (it would "
+                      f"ship to every fleet worker)")
+    return issues
+
+
 def verify_index(index: Any) -> List[str]:
     """All static checks on a preprocessed :class:`CQAPIndex`."""
     if not getattr(index, "ready", False):
@@ -353,6 +445,7 @@ def verify_index(index: Any) -> List[str]:
     issues.extend(verify_compiled_plans(index.compiled_online))
     issues.extend(verify_piece_sharing(index.plans, index.compiled_online,
                                        index.cqap.atoms))
+    issues.extend(verify_delta_plans(index))
     return issues
 
 

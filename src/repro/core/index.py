@@ -208,6 +208,8 @@ class CQAPIndex:
         self._s_targets: Dict[VarSet, Relation] = {}
         self._yannakakis: List[OnlineYannakakis] = []
         self._compiled_online: List[CompiledOnlineStep] = []
+        #: the write path's kernel plans (:class:`repro.updates.DeltaPlans`)
+        self._delta_plans = None
         self.stats = IndexStats()
         self._ready = False
 
@@ -331,6 +333,10 @@ class CQAPIndex:
             self.rules = self.selection.rules
             self._plan_and_materialize(ctr)
         self._compiled_online = self.executor.compile_online(self.plans)
+        # local import, as in apply_delta: repro.updates imports repro.core
+        from repro.updates import compile_delta_plans
+
+        self._delta_plans = compile_delta_plans(self)
         self._yannakakis = []
         self.stats = IndexStats()
         for pmtd in self.pmtds:
@@ -540,6 +546,17 @@ class CQAPIndex:
         if not self._ready:
             raise RuntimeError("call preprocess() before reading plans")
         return self._compiled_online
+
+    @property
+    def delta_plans(self):
+        """The :class:`repro.updates.DeltaPlans` a delta runs (index-only).
+
+        Compiled by :meth:`preprocess` over the current pieces and never
+        shipped to a shard: no step or decision references them.
+        """
+        if not self._ready:
+            raise RuntimeError("call preprocess() before reading plans")
+        return self._delta_plans
 
     @property
     def s_targets(self) -> Dict[VarSet, Relation]:

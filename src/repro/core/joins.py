@@ -11,12 +11,13 @@ A ``limit`` turns the routine into a budget-enforced materializer: the
 evaluator aborts with :class:`BudgetExceeded` as soon as the projection
 exceeds the given number of tuples.
 
-``project_join`` interprets the scheme node by node.  The build and probe
-paths run it as generated code instead (:mod:`repro.core.kernels`); this
-function is the oracle those kernels are held to — same rows, same
-``Counters`` — and the evaluator of joins that run once over throwaway
-relations (:mod:`repro.updates`' pinned delta joins), where there is no
-compile to amortise.
+``project_join`` interprets the scheme node by node.  Every runtime join
+— the build, the probe and the write path — runs it as generated code
+instead (:mod:`repro.core.kernels`); this function is what those kernels
+are held to in ``tests/test_kernels.py`` — same rows, same ``Counters``
+under the same variable order — and runs on no runtime path.
+:func:`choose_variable_order` and :class:`BudgetExceeded` are shared with
+the kernels.
 """
 
 from __future__ import annotations

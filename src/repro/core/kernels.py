@@ -2,8 +2,10 @@
 
 A :class:`CompiledProbePlan` evaluates ``Π_onto(R_1 ⋈ ... ⋈ R_m)`` over a
 fixed list of relations — the paper's online T-phase joins a step's split
-pieces with the per-probe request ``Q_A`` this way, and preprocessing
-materializes every S-target the same way with no request at all.  The
+pieces with the per-probe request ``Q_A`` this way, preprocessing
+materializes every S-target the same way with no request at all, and a
+delta (:mod:`repro.updates`) runs plans compiled at preprocess whose
+request is the delta's row or a set of removal candidates.  The
 algorithm is :func:`repro.core.joins.project_join`'s generic join (scan
 the smallest candidate bucket of a variable, probe the other participants
 through their ``bound_key + (var,)`` hash indexes — through their row
@@ -44,10 +46,14 @@ bound assumes S-views are only ever *probed* through indexes built during
 preprocessing.  The closure is the only place the pinned dicts live —
 :meth:`CompiledProbePlan.pinned` reads them back for the plan verifier.
 What is not pinned is *fetched* during the call: the request's indexes
-(its relation changes every probe), and every index of a plan that runs
-once (``pin=False``, S-target materialization) — a participant's
-candidate index up front, its membership index at first need, so a
-one-shot join builds only the indexes it really reads.
+(its relation changes every probe), and every index of an unpinned plan
+(``pin=False``: S-target materialization, which runs once, and the delta
+plans, whose pieces are patched in place between calls) — a participant's
+candidate index up front, its membership index at first need, so a call
+builds only the indexes it really reads.  Since an unpinned kernel holds
+nothing of its relations, :meth:`CompiledProbePlan.rows` may run it over
+stand-ins of the same schemas: the affected-key plans read per-call
+handles on the base relations that way.
 
 One kind of membership has no index at all.  Where ``bound_key + (var,)``
 covers the participant's whole schema the dict would be a ``row -> [row]``
@@ -68,7 +74,8 @@ object once per call (in a ``finally``, so a budget abort charges what it
 explored), and their totals equal, to the unit, what ``project_join``
 charges for the same relations: same variable order, same ranking, same
 set constructions in the same order.  ``project_join`` stays in the tree
-as that oracle; ``tests/test_kernels.py`` holds the two together.
+as that oracle and nothing else — no runtime path calls it;
+``tests/test_kernels.py`` holds the two together, delta plans included.
 
 Pickling: a plan ships to process-fleet workers inside its compiled step.
 Like :class:`~repro.data.relation.Relation`, it serializes payload only —
@@ -277,9 +284,10 @@ class CompiledProbePlan:
     A plan that serves many probes pins the static relations' indexes at
     compile time (``pin=True``); they must not move under it, and after a
     coordinated delta :mod:`repro.updates` calls ``_compile`` again to
-    re-pin the fresh ones.  A plan that runs once (``pin=False``)
-    compiles without touching its relations and fetches, during the
-    call, only the indexes the join really reads.
+    re-pin the fresh ones.  An unpinned plan (``pin=False``) compiles
+    without touching its relations and fetches, during the call, only the
+    indexes the join really reads — so its relations may change between
+    calls, and :meth:`rows` may even swap them for others.
     """
 
     __slots__ = ("relations", "onto", "access", "limit", "pin",
@@ -370,15 +378,27 @@ class CompiledProbePlan:
         self._compile()
 
     def execute(self, request: Optional[Relation], counters: Counters,
-                name: str) -> Relation:
+                name: str,
+                relations: Optional[Sequence[Relation]] = None) -> Relation:
         """Run the generated kernel once; returns ``Π_onto`` of the join.
 
         ``request`` fills slot 0 when the plan was compiled with a
         non-empty access schema (it must carry exactly that schema);
-        otherwise it is ignored.
+        otherwise it is ignored.  ``relations`` stands in for the static
+        relations for this call only — same schemas, same order, and only
+        on an unpinned plan, whose kernel holds nothing of them: that is
+        what lets a plan compiled once run over handles made per call.
         """
-        rels = [request] + self.relations if self.access else self.relations
-        rows: set = set()
-        if all(rel.tuples for rel in rels):
-            rows = self.kernel(rels, counters)
+        static = self.relations if relations is None else relations
+        rels = [request, *static] if self.access else static
+        rows = self.kernel(rels, counters) \
+            if all(rel.tuples for rel in rels) else set()
         return Relation._wrap(name, self.onto, rows)
+
+    def rows(self, request_rows: set, counters: Counters,
+             relations: Optional[Sequence[Relation]] = None) -> set:
+        """:meth:`execute` with the request given as a set of tuples over
+        ``access`` (shared, not copied); returns the rows only."""
+        request = Relation._wrap("Q_A", self.access, request_rows) \
+            if self.access else None
+        return self.execute(request, counters, "rows", relations).tuples

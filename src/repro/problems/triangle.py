@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Set, Tuple
 
-from repro.core.joins import project_join
+from repro.core.kernels import CompiledProbePlan
 from repro.data.relation import Relation
 from repro.util.counters import Counters, global_counters
 
@@ -31,9 +31,9 @@ class TrianglePairIndex:
             Relation("R2", ("x2", "x3"), edge_set),
             Relation("R3", ("x3", "x1"), edge_set),
         ]
-        self.pairs: Relation = project_join(rels, ("x1", "x3"),
-                                            name="triangle_pairs",
-                                            counters=ctr)
+        self.pairs: Relation = CompiledProbePlan(
+            rels, ("x1", "x3"), (), pin=False,
+        ).execute(None, ctr, "triangle_pairs")
         ctr.stores += len(self.pairs)
         self.stored_tuples = len(self.pairs)
         # linear-space guarantee: every stored pair is backed by an R3 edge
@@ -67,8 +67,9 @@ class EdgeTriangleIndex:
             Relation("R2", ("x2", "x3"), edge_set),
             Relation("R3", ("x3", "x1"), edge_set),
         ]
-        closed = project_join(rels, ("x1", "x2"), name="closing_edges",
-                              counters=ctr)
+        closed = CompiledProbePlan(
+            rels, ("x1", "x2"), (), pin=False,
+        ).execute(None, ctr, "closing_edges")
         # only actual edges can be queried; intersect for safety
         self._closed: Set[Tuple] = closed.tuples & edge_set
         ctr.stores += len(self._closed)

@@ -41,18 +41,24 @@ The maintenance algorithm, per delta ``±R(t)``:
    delete, candidates ``Π_target({t} ⋈ pre-state pieces)`` are computed
    first, then checked for re-derivability against *every* contributing
    decision's post-state pieces — a candidate is only removed when no
-   contributor can still derive it.  Both directions start their generic
-   join from the singleton, so the work scales with the delta's join
-   neighbourhood, not the database.
+   contributor can still derive it.  Every one of these joins, and step
+   2's, is a :class:`~repro.core.kernels.CompiledProbePlan` compiled once
+   at preprocess (:class:`DeltaPlans`): the delta's row, or the candidate
+   set, is the plan's request and the pieces are its static relations, so
+   a delta is a handful of generated-kernel calls whose work scales with
+   its join neighbourhood, not the database.  No join is interpreted;
+   the only relations a delta builds are step 2's per-call handles on the
+   base relations, which share the base rows.
 
 5. **Derived-state coherence.**  Each hosting piece is one object (shared
-   by every subproblem and compiled step on its split path): it is
-   patched once, the touched steps'
+   by every subproblem, compiled step and delta plan on its split path):
+   it is patched once, the touched steps'
    :class:`~repro.core.kernels.CompiledProbePlan`\\ s are re-pinned (their
    kernels close over the pieces' hash indexes; the generated code is
    found by its shape, not compiled again), and the per-PMTD Online
    Yannakakis instances are rebuilt whenever an S-target moved (their
-   semijoin-reduced views are preprocessing-time snapshots).
+   semijoin-reduced views are preprocessing-time snapshots).  The delta
+   plans pin nothing, so they need no refresh at all.
 
 6. **Drift re-selection.**  When the measured cardinality drift since the
    catalog statistics were taken exceeds ``index.staleness_threshold``,
@@ -69,14 +75,15 @@ eviction, shard-routed view deltas, worker messages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
-from repro.core.joins import project_join
+from repro.core.kernels import CompiledProbePlan
 from repro.core.split import HEAVY, LIGHT
-from repro.core.two_phase import S_PHASE
-from repro.data.relation import Relation, apply_row_delta
+from repro.core.two_phase import PhaseDecision
+from repro.data.relation import Relation, SchemaError, apply_row_delta
 from repro.obs.registry import REGISTRY
 from repro.obs.trace import STATE as _OBS
+from repro.query.cq import Atom
 from repro.query.hypergraph import VarSet
 from repro.util.counters import Counters, global_counters
 
@@ -179,45 +186,101 @@ def _hosting(base: Relation, plan, occurrences, row: Tuple_,
 
 
 # ----------------------------------------------------------------------
-# pinned joins
+# delta plans: every join of the write path, compiled at preprocess
 # ----------------------------------------------------------------------
-def _pinned_join(cqap, relation_of, occurrences, row: Tuple_,
-                 onto: Tuple[str, ...], ctr: Counters) -> set:
-    """``Π_onto(join with one of ``occurrences`` pinned to {row})``.
+class TargetPlans(NamedTuple):
+    """One S-decision's delta plans (see :class:`DeltaPlans`)."""
 
-    ``relation_of(atom)`` supplies each unpinned atom's relation; the
-    union runs over the given occurrences of the delta's relation in the
-    body, which is the standard single-tuple delta rule for self-joining
-    bodies.
+    decision: PhaseDecision
+    #: per body atom: ``Π_target({row} ⋈ the decision's other pieces)``,
+    #: the request a row over that atom's variables
+    pinned: Dict[Atom, CompiledProbePlan]
+    #: ``Π_target(candidates ⋈ every piece of the decision)``: which
+    #: removal candidates the decision still derives
+    rederive: CompiledProbePlan
+
+
+@dataclass
+class DeltaPlans:
+    """Every join :func:`apply_delta` runs, compiled once per preprocess.
+
+    :meth:`CQAPIndex.preprocess <repro.core.index.CQAPIndex.preprocess>`
+    builds them, so a re-selection rebuilds them with the pieces.  They
+    live on the index only, never on a step or a decision: those pickle
+    into every shard payload.  None pins: pieces are patched in place, so
+    a plan fetches the indexes it reads during the call, and a delta never
+    re-pins or recompiles one.
+
+    Each plan's variable order is chosen once, here, from the piece and
+    base sizes at preprocess — a re-derivation plan's as if its request
+    held one row.  Rows stay exact as the pieces drift; only the work per
+    delta may, and a re-selection (which re-runs preprocess) refreshes the
+    orders.
     """
-    out: set = set()
-    for pinned in occurrences:
-        relations = []
-        for atom in cqap.atoms:
-            if atom is pinned:
-                relations.append(
-                    Relation._wrap("__delta__", atom.variables, {row}))
-            else:
-                relations.append(relation_of(atom))
-        out |= project_join(relations, onto, name="__delta_join__",
-                            counters=ctr).tuples
-    return out
+
+    #: per body atom: the affected-key plan, ``Π_A(Q_A-free join with that
+    #: atom pinned)``, over the other atoms' base relations.  The handles
+    #: it was compiled over only fix its schemas and order: every call
+    #: passes fresh ones (:func:`_affected_keys`), never these.
+    keys: Dict[Atom, CompiledProbePlan]
+    #: per S-decision, keyed by ``id(decision)``
+    targets: Dict[int, TargetPlans]
 
 
-def _pinned_target_rows(cqap, hosting, row: Tuple_,
+def _base_handle(db, atom) -> Relation:
+    """``atom``'s base relation under the atom's variables (shared rows).
+
+    Made afresh per call: the base relation mutates under it, and a
+    long-lived handle would serve the indexes it cached before.
+    """
+    return Relation._wrap(atom.relation, atom.variables,
+                          db[atom.relation].tuples)
+
+
+def _pinned_plans(atoms, relation_of, onto: Tuple[str, ...],
+                  ) -> Dict[Atom, CompiledProbePlan]:
+    """Per atom, the join of the others with that atom as the request."""
+    return {pinned: CompiledProbePlan(
+                [relation_of(atom) for atom in atoms if atom is not pinned],
+                onto, pinned.variables, pin=False)
+            for pinned in atoms}
+
+
+def compile_delta_plans(index) -> DeltaPlans:
+    """The delta plans of a preprocessed ``index`` (its current pieces)."""
+    atoms = index.cqap.atoms
+    targets: Dict[int, TargetPlans] = {}
+    for plan in index.plans:
+        for decision in plan.preprocess_decisions:
+            pieces = decision.subproblem.relations
+            schema = tuple(sorted(decision.target))
+            targets[id(decision)] = TargetPlans(
+                decision, _pinned_plans(atoms, pieces.__getitem__, schema),
+                CompiledProbePlan([pieces[atom] for atom in atoms], schema,
+                                  schema, pin=False))
+    keys = _pinned_plans(atoms, lambda atom: _base_handle(index.db, atom),
+                         tuple(index.cqap.access))
+    return DeltaPlans(keys, targets)
+
+
+def _pinned_target_rows(plans: DeltaPlans, hosting, row: Tuple_,
                         ctr: Counters) -> Dict[VarSet, set]:
     """Per S-target, ``Π_target({row} ⋈ its hosting cells' other pieces)``.
 
     Evaluated against the pieces as they are: after the piece mutation for
     an insert's additions, before it for a delete's removal candidates.
+    The union over a decision's hosting occurrences is the standard
+    single-tuple delta rule for self-joining bodies.
     """
     rows_by_target: Dict[VarSet, set] = {}
+    request = {row}
     for decision, atoms in hosting:
-        if decision.phase == S_PHASE:
-            rows_by_target.setdefault(decision.target, set()).update(
-                _pinned_join(cqap, decision.subproblem.relations.__getitem__,
-                             atoms, row, tuple(sorted(decision.target)),
-                             ctr))
+        entry = plans.targets.get(id(decision))
+        if entry is None:
+            continue  # a T-decision: nothing stored
+        found = rows_by_target.setdefault(decision.target, set())
+        for atom in atoms:
+            found |= entry.pinned[atom].rows(request, ctr)
     return rows_by_target
 
 
@@ -230,14 +293,16 @@ def _affected_keys(index, occurrences, row: Tuple_,
     yields ``{()}`` iff the pinned join is nonempty — the Boolean
     query's single cached answer may have flipped.
     """
-    db = index.db
-
-    def relation_of(atom):
-        base = db[atom.relation]
-        return Relation._wrap(atom.relation, atom.variables, base.tuples)
-
-    return frozenset(_pinned_join(index.cqap, relation_of, occurrences, row,
-                                  index.cqap.access, ctr))
+    atoms = index.cqap.atoms
+    handles = [_base_handle(index.db, atom) for atom in atoms]
+    plans = index.delta_plans.keys
+    request = {row}
+    out: set = set()
+    for pinned in occurrences:
+        out |= plans[pinned].rows(
+            request, ctr, [handle for atom, handle in zip(atoms, handles)
+                           if atom is not pinned])
+    return frozenset(out)
 
 
 # ----------------------------------------------------------------------
@@ -282,6 +347,11 @@ def apply_delta(index, op: str, name: str, row: Tuple_,
 
     # -- no-op detection and (delete) pre-state capture -----------------
     base = index.db[name]
+    if len(row) != len(base.schema):
+        # before the presence test: a mis-sized row is never present, and
+        # a delete must not pass for a no-op
+        raise SchemaError(f"arity mismatch: {op} of {row} into {name}"
+                          f"{base.schema}")
     present = row in base.tuples
     if (insert and present) or (not insert and not present):
         return UpdateEvent(op, name, row, changed=False, in_query=in_query,
@@ -297,8 +367,8 @@ def apply_delta(index, op: str, name: str, row: Tuple_,
         affected = _affected_keys(index, occurrences, row, ctr)
         for plan in index.plans:
             hosting += _hosting(base, plan, occurrences, row, insert=False)
-        candidates_by_target = _pinned_target_rows(index.cqap, hosting, row,
-                                                   ctr)
+        candidates_by_target = _pinned_target_rows(index.delta_plans,
+                                                   hosting, row, ctr)
 
     # -- base mutation ---------------------------------------------------
     if insert:
@@ -355,8 +425,8 @@ def apply_delta(index, op: str, name: str, row: Tuple_,
     # -- S-target deltas --------------------------------------------------
     target_deltas: Dict[VarSet, Tuple[FrozenSet, FrozenSet]] = {}
     if insert:
-        for target, rows in _pinned_target_rows(index.cqap, hosting, row,
-                                                ctr).items():
+        for target, rows in _pinned_target_rows(index.delta_plans, hosting,
+                                                row, ctr).items():
             relation = index._s_targets.get(target)
             if relation is None:
                 continue
@@ -371,24 +441,15 @@ def apply_delta(index, op: str, name: str, row: Tuple_,
             relation = index._s_targets.get(target)
             if relation is None or not candidates:
                 continue
-            schema = tuple(sorted(target))
-            candidate_rel = Relation("__candidates__", schema, candidates)
             survivors: set = set()
             # a candidate survives when ANY decision contributing to this
             # target can still derive it from the post-state pieces
-            for plan in index.plans:
-                for decision in plan.decisions:
-                    if decision.phase != S_PHASE or decision.target != target:
-                        continue
-                    relations = [candidate_rel] + [
-                        decision.subproblem.relations[atom]
-                        for atom in index.cqap.atoms
-                    ]
-                    survivors |= project_join(
-                        relations, schema, name="__rederive__",
-                        counters=ctr).tuples
-                    if survivors >= candidates:
-                        break
+            for entry in index.delta_plans.targets.values():
+                if entry.decision.target != target:
+                    continue
+                survivors |= entry.rederive.rows(candidates, ctr)
+                if survivors >= candidates:
+                    break
             removed = frozenset(
                 r for r in candidates - survivors if r in relation.tuples)
             for r in removed:

@@ -9,6 +9,7 @@ from repro.analysis.verify_plan import (
     PlanVerificationError,
     check_index,
     verify_compiled_plans,
+    verify_delta_plans,
     verify_index,
     verify_piece_sharing,
     verify_selection,
@@ -254,6 +255,64 @@ class TestCorruptedIndex:
         issues = verify_piece_sharing(index.plans, index.compiled_online,
                                       index.cqap.atoms)
         assert any("does not share" in i for i in issues)
+
+
+def _split_index():
+    """A skewed 3-path at |D|^1.3: split plans with S- and T-decisions."""
+    db = path_database(k=3, n_edges=300, domain=40, seed=3, skew_hubs=3)
+    index = CQAPIndex(catalog.k_path_cqap(3), db,
+                      space_budget=db.size ** 1.3).preprocess()
+    assert index.compiled_online and index.delta_plans.targets
+    return index
+
+
+class TestDeltaPlans:
+    def test_clean_before_and_after_deltas(self):
+        index = _split_index()
+        assert verify_delta_plans(index) == []
+        for name, row in (("R1", (0, 900)), ("R2", (900, 901)),
+                          ("R3", (901, 0))):
+            index.apply_delta("insert", name, row)
+        index.apply_delta("delete", "R2", (900, 901))
+        assert verify_delta_plans(index) == []
+
+    def test_plan_off_its_piece_is_caught(self):
+        index = _split_index()
+        entry = next(iter(index.delta_plans.targets.values()))
+        entry.rederive.relations[0] = entry.rederive.relations[0].copy()
+        issues = verify_delta_plans(index)
+        assert any("re-derivation" in i and "current pieces" in i
+                   for i in issues)
+        assert any("current pieces" in i for i in verify_index(index))
+
+    def test_pinning_delta_plan_is_caught(self):
+        index = _split_index()
+        entry = next(iter(index.delta_plans.targets.values()))
+        plan = next(iter(entry.pinned.values()))
+        plan.pin = True
+        plan._compile()
+        assert any("must be unpinned" in i
+                   for i in verify_delta_plans(index))
+
+    def test_plans_of_an_earlier_build_are_caught(self):
+        """A re-preprocess whose delta plans were not rebuilt."""
+        index = _split_index()
+        stale = index.delta_plans
+        index.preprocess()
+        index._delta_plans = stale
+        issues = verify_delta_plans(index)
+        assert any("no delta plans" in i for i in issues)
+
+    def test_plan_reachable_from_a_shard_payload_is_caught(self):
+        index = _split_index()
+        entry = next(iter(index.delta_plans.targets.values()))
+        # parked on a decision a compiled step carries into every payload
+        index.compiled_online[0].decision.rederive = entry.rederive
+        issues = verify_delta_plans(index)
+        assert [i for i in issues if "shard payload" in i] == [
+            f"S-decision [{entry.decision.subproblem.label()}] "
+            f"re-derivation: reachable from a shard payload (it would "
+            f"ship to every fleet worker)"]
 
 
 class TestParticipantAccessor:

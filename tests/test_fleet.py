@@ -21,10 +21,13 @@ import time
 
 import pytest
 
+from repro import updates
 from repro.core.index import CQAPIndex
 from repro.data import path_database
 from repro.data.relation import Relation
+from repro.engine import prepare
 from repro.query.catalog import k_path_cqap
+from repro.query.cq import CQAP, Atom
 from repro.serving import (
     FleetError,
     ProcessShardFleet,
@@ -86,6 +89,32 @@ class TestRelationPickling:
             for views, cloned in zip(payload.pmtd_views, clone.pmtd_views):
                 for node, rel in views.items():
                     assert cloned[node].tuples == rel.tuples
+
+    def test_payload_bytes_hold_for_the_fleet_workload(self, monkeypatch):
+        """``path3enum_fleet``'s seed-11 inputs, 2 shards: the pickled
+        payloads are byte-for-byte as large as those of a build that
+        compiles no delta plans — the write path's plans stay on the
+        index and never ride to a worker."""
+        cqap = CQAP(("x1", "x2", "x3", "x4"), ("x1", "x4"),
+                    [Atom(f"R{i}", (f"x{i}", f"x{i + 1}"))
+                     for i in (1, 2, 3)], name="path3enum")
+
+        def payload_bytes():
+            db = path_database(3, 1_000, 100, seed=11 * 7919, skew_hubs=5)
+            index = prepare(cqap, db, int(db.size ** 2.0), shards=2).index
+            return index, [len(pickle.dumps(payload))
+                           for payload in shard_payloads(index, 2)]
+
+        # about 507 kB a shard on CPython 3.12 (116 419 stored tuples); the
+        # exact size follows the LP solver's vertex choice, so it is only
+        # compared within this process
+        index, with_plans = payload_bytes()
+        assert index.delta_plans.targets
+        monkeypatch.setattr(updates, "compile_delta_plans",
+                            lambda index: updates.DeltaPlans({}, {}))
+        index, without_plans = payload_bytes()
+        assert not index.delta_plans.targets
+        assert with_plans == without_plans
 
     def test_payloads_partition_disjointly(self, prepared):
         payloads = shard_payloads(prepared, 4)

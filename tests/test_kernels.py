@@ -5,8 +5,10 @@
 *and* charge the same ``probes``/``scans``/``joins_emitted`` — to the
 unit, budget aborts included — under the same variable order.  The second
 half pins the two properties of the shape table that a per-plan ``exec``
-or a source-keyed cache would lose, and the preprocessing path that now
-materializes S-targets through the same kernels.
+or a source-keyed cache would lose, the preprocessing path that now
+materializes S-targets through the same kernels, and the write path's
+delta plans, compiled at preprocess and run over the pieces as deltas
+patch them.
 """
 
 import gc
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import updates
 from repro.core import kernels
 from repro.core.index import CQAPIndex
 from repro.core.joins import BudgetExceeded, project_join
@@ -287,6 +290,14 @@ class TestPreprocessThroughKernels:
     def test_s_targets_and_counters_equal_project_join(self, monkeypatch):
         """``reach3_distinct``'s build (seed 11): same S, same work."""
         monkeypatch.setattr(kernels, "_SHAPES", {})
+        shapes_before_delta_plans = []
+        compile_delta_plans = updates.compile_delta_plans
+
+        def recording(index):
+            shapes_before_delta_plans.append(len(kernels._SHAPES))
+            return compile_delta_plans(index)
+
+        monkeypatch.setattr(updates, "compile_delta_plans", recording)
         cqap = k_path_cqap(3)
         atoms = cqap.atoms
         db = path_database(3, 10_000, 1_000, seed=11 * 7919, skew_hubs=5)
@@ -312,4 +323,72 @@ class TestPreprocessThroughKernels:
         # 36 plans — the online steps and the S-decisions — are 12
         # structures (4 + 2 level layouts, times the output orders)
         assert len(index.compiled_online) + len(decisions) == 36
-        assert len(kernels._SHAPES) <= 12
+        [before] = shapes_before_delta_plans
+        assert before <= 12
+        # the 91 delta plans compiled after them (a pinned plan per atom
+        # and a re-derivation plan per S-decision, an affected-key plan per
+        # atom) add at most 22
+        delta = index.delta_plans
+        assert len(delta.keys) + sum(len(entry.pinned) + 1
+                                     for entry in delta.targets.values()) \
+            == 91
+        assert len(kernels._SHAPES) - before <= 22
+
+
+class TestDeltaPlans:
+    """The write path's plans, held to the oracle on the live pieces."""
+
+    def test_rows_and_counters_equal_project_join(self):
+        cqap = k_path_cqap(3)
+        db = path_database(3, 300, 40, seed=3, skew_hubs=3)
+        index = CQAPIndex(cqap, db, db.size ** 1.3).preprocess()
+        delta = index.delta_plans
+        rng = random.Random(7)
+        emitted = 0
+
+        def same(plan, request_rows, relations=None):
+            """The plan's rows and work are project_join's (its order)."""
+            static = plan.relations if relations is None else relations
+            request = Relation._wrap("Q", plan.access, request_rows)
+            got = outcome(lambda c: Relation._wrap(
+                "out", plan.onto, plan.rows(request_rows, c, relations)))
+            assert got == outcome(lambda c: project_join(
+                [request] + list(static), plan.onto, counters=c,
+                order=plan.order))
+            return got[0]
+
+        def check_all():
+            nonlocal emitted
+            handles = {atom: Relation._wrap(atom.relation, atom.variables,
+                                            db[atom.relation].tuples)
+                       for atom in cqap.atoms}
+            for atom in cqap.atoms:
+                rows = sorted(db[atom.relation].tuples)
+                sample = rng.sample(rows, 4) + [(10 ** 6, 10 ** 6)]
+                for row in sample:
+                    emitted += len(same(
+                        delta.keys[atom], {row},
+                        [handles[a] for a in cqap.atoms if a is not atom]))
+                    for entry in delta.targets.values():
+                        candidates = same(entry.pinned[atom], {row})
+                        emitted += len(candidates)
+                        if not candidates:
+                            continue
+                        derived = same(entry.rederive, set(candidates))
+                        # a row the decision's piece holds derives its own
+                        # candidates again
+                        pieces = entry.decision.subproblem.relations
+                        if row in pieces[atom].tuples:
+                            assert derived == candidates
+
+        check_all()
+        for _ in range(20):
+            name = rng.choice(("R1", "R2", "R3"))
+            row = (rng.randrange(3), rng.randrange(40)) if rng.random() < .5 \
+                else (rng.randrange(40), rng.randrange(40))
+            op = "delete" if row in db[name].tuples else "insert"
+            assert index.apply_delta(op, name, row).changed
+        # the same plans, compiled at preprocess, over the patched pieces
+        assert index.delta_plans is delta
+        check_all()
+        assert emitted

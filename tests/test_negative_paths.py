@@ -111,6 +111,22 @@ class TestEngineBoundary:
         with pytest.raises(ValueError, match="backend must be one of"):
             serve(pq, backend=bad)
 
+    @pytest.mark.parametrize("preprocessed", [True, False])
+    def test_delta_arity_mismatch_raises_for_insert_and_delete(
+            self, preprocessed):
+        """A mis-sized row is never present: a delete must still raise,
+        not pass for a no-op."""
+        index = CQAPIndex(tiny_cqap(), tiny_db(), 10 ** 6)
+        if preprocessed:
+            index.preprocess()
+        for op in ("insert", "delete"):
+            for row in ((1, 2, 3), (1,)):
+                with pytest.raises(SchemaError, match="arity"):
+                    index.apply_delta(op, "R1", row)
+        assert index.update_counts == {"inserts": 0, "deletes": 0,
+                                       "deltas_applied": 0,
+                                       "reselections": 0}
+
     def test_duplicate_relation_name_rejected(self):
         db = tiny_db()
         with pytest.raises(KeyError, match="duplicate"):

@@ -12,6 +12,7 @@ paths; these tests pin the unit-level contracts.
 """
 
 import random
+import sys
 import weakref
 
 import pytest
@@ -25,6 +26,7 @@ from repro.data.database import Database
 from repro.data.relation import Relation, SchemaError, StalePartitionError
 from repro.engine.prepared import PreparedQuery, prepare
 from repro.oracle import answer_rows, oracle_probe
+from repro.problems import EdgeTriangleIndex, TrianglePairIndex
 from repro.query.catalog import k_path_cqap
 from repro.query.cq import CQAP, Atom
 from repro.util.counters import Counters
@@ -356,6 +358,119 @@ class TestSharedPieces:
         rebuilt = CQAPIndex(cqap, db.copy(), index.space_budget).preprocess()
         assert answers(index) == answers(rebuilt) \
             == [oracle_probe(cqap, db, p) for p in probes]
+
+
+@pytest.fixture
+def no_interpreter(monkeypatch):
+    """``project_join`` raises wherever a loaded ``repro`` module binds it."""
+    import repro.updates  # noqa: F401  (bound before it is patched)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("project_join ran on a runtime path")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and hasattr(module, "project_join"):
+            monkeypatch.setattr(module, "project_join", refuse)
+
+
+def hop2_index(exponent):
+    """The self-joined 2-path, split on both atoms below |D|^1.5."""
+    cqap = CQAP(("x1", "x3"), ("x1", "x3"),
+                [Atom("E", ("x1", "x2")), Atom("E", ("x2", "x3"))],
+                name="hop2")
+    rng = random.Random(5)
+    rows = {(rng.randrange(60), rng.randrange(60)) for _ in range(600)}
+    for hub in (0, 1):
+        rows |= {(hub, v) for v in range(60)}
+        rows |= {(v, hub) for v in range(60)}
+    db = Database([Relation("E", ("src", "dst"), rows)])
+    index = CQAPIndex(cqap, db, int(db.size ** exponent)) \
+        .preprocess(verify_plans=True)
+    return cqap, db, index
+
+
+class TestWritePathRunsKernels:
+    """Deltas run compiled kernel plans only: no join is interpreted."""
+
+    def test_three_path_script(self, no_interpreter):
+        cqap, db, index = lean_index()
+        assert index.delta_plans.targets
+        domain = [0, 1, 2, 5, 900, 901, 903, 904]
+        for op, name, row in TestSharedPieces.SCRIPT:
+            assert index.apply_delta(op, name, row).changed
+            check_index(index)
+        assert probe_grid(cqap, index, domain) \
+            == oracle_grid(cqap, db, domain)
+
+    @pytest.mark.parametrize("exponent", [1.25, 2.0])
+    def test_self_joined_two_path_script(self, exponent, no_interpreter):
+        cqap, db, index = hop2_index(exponent)
+        assert index.delta_plans.targets
+        rng = random.Random(9)
+        head = tuple(cqap.head)
+        probes = [(rng.randrange(62), rng.randrange(62)) for _ in range(100)]
+        for _ in range(20):
+            row = (rng.randrange(62), rng.randrange(62))
+            op = "delete" if row in db["E"].tuples else "insert"
+            assert index.apply_delta(op, "E", row).changed
+        check_index(index)
+        assert [answer_rows(index.answer(p), head) for p in probes] \
+            == [oracle_probe(cqap, db, p) for p in probes]
+
+    def test_delete_candidate_survives_through_another_decision(
+            self, no_interpreter):
+        """A removal candidate another S-decision still derives is kept."""
+        cqap, db, index = lean_index()
+        plans = index.delta_plans
+
+        def witness():
+            for atom in cqap.atoms:
+                for row in sorted(db[atom.relation].tuples):
+                    for entry in plans.targets.values():
+                        pieces = entry.decision.subproblem.relations
+                        if row not in pieces[atom].tuples:
+                            continue
+                        candidates = entry.pinned[atom].rows({row},
+                                                             Counters())
+                        for other in plans.targets.values():
+                            cell = other.decision.subproblem.relations
+                            if other.decision.target != entry.decision.target \
+                                    or row in cell[atom].tuples:
+                                continue
+                            kept = other.rederive.rows(candidates,
+                                                       Counters())
+                            if kept:
+                                return (atom, row, entry.decision.target,
+                                        kept, other)
+            return None
+
+        found = witness()
+        assert found is not None
+        atom, row, target, kept, other = found
+        event = index.apply_delta("delete", atom.relation, row)
+        # the other decision's pieces never held the row: it still derives
+        # the candidates, so the stored target keeps every one of them
+        assert other.rederive.rows(kept, Counters()) == kept
+        assert kept <= index.s_targets[target].tuples
+        assert not kept & event.target_deltas.get(
+            target, (frozenset(), frozenset()))[1]
+        assert event.affected_keys
+        domain = sorted({key[0] for key in event.affected_keys}
+                        | {key[1] for key in event.affected_keys})[:8]
+        assert probe_grid(cqap, index, domain) \
+            == oracle_grid(cqap, db, domain)
+        check_index(index)
+
+    def test_triangle_structures_build_through_kernels(self, no_interpreter):
+        rng = random.Random(4)
+        edges = {(rng.randrange(30), rng.randrange(30)) for _ in range(300)}
+        pairs = TrianglePairIndex(edges)
+        assert pairs.all_pairs() == {
+            (a, c) for a, b in edges for b2, c in edges
+            if b == b2 and (c, a) in edges}
+        closing = EdgeTriangleIndex(edges)
+        assert all(closing.query(edge) == closing.brute_force(edge, edges)
+                   for edge in sorted(edges))
 
 
 class TestDriftReselection:
