@@ -44,7 +44,7 @@ from repro.core.two_phase import (
     TwoPhasePlanner,
 )
 from repro.data.database import Database
-from repro.data.relation import Relation
+from repro.data.relation import Relation, row_getter
 from repro.decomposition.enumeration import enumerate_pmtds
 from repro.decomposition.pmtd import PMTD, trivial_pmtds
 from repro.query.constraints import ConstraintSet
@@ -77,12 +77,15 @@ def online_phase(cqap: CQAP, executor: TwoPhaseExecutor,
     for oy in yannakakis:
         t_views = CQAPIndex._assemble_views(oy.pmtd.t_views, t_targets)
         psi = oy.answer(q_a, t_views, counters=counters)
-        if set(psi.schema) == set(head):
-            out_rows |= psi.project(head, counters=counters).tuples
-        elif psi.schema == ():
+        if set(oy.schema) == set(head):
+            # the projection onto the head: one scan per ψ row
+            counters.scans += len(psi)
+            to_head = oy.onto(head)
+            out_rows |= psi if to_head is None else set(map(to_head, psi))
+        elif oy.schema == ():
             # Boolean ψ (empty head)
-            out_rows |= psi.tuples
-    return Relation(f"{cqap.name}_answer", head, out_rows)
+            out_rows |= psi
+    return Relation._wrap(f"{cqap.name}_answer", head, out_rows)
 
 
 def split_by_binding(batched: Relation, access: Tuple[str, ...],
@@ -97,12 +100,13 @@ def split_by_binding(batched: Relation, access: Tuple[str, ...],
     if not access:
         # the only possible binding is (): the whole answer is its rows
         return {key: batched for key in group}
-    access_pos = tuple(batched.schema.index(v) for v in access)
+    key_of = row_getter([batched.schema.index(v) for v in access])
     by_key: Dict[tuple, set] = {}
     for row in batched.tuples:
-        by_key.setdefault(tuple(row[p] for p in access_pos), set()).add(row)
+        by_key.setdefault(key_of(row), set()).add(row)
     return {
-        key: Relation(batched.name, batched.schema, by_key.get(key, ()))
+        key: Relation._wrap(batched.name, batched.schema,
+                            by_key.get(key) or set())
         for key in group
     }
 

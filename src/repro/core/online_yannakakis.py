@@ -21,20 +21,68 @@ The two passes follow Appendix A exactly:
 2. **Top-down join.**  Starting from the reduced ``Q_A``, each kept view is
    joined parent-to-child; free-connexity guarantees no dangling tuples, so
    the pass costs output time.
+
+**Passes over fixed positions.**  Which edges run, which T-views are
+truncated or dropped, and which columns every semijoin and join reads and
+appends depend on the decomposition alone, so ``__init__`` derives them
+once, each key a C-level extractor (:func:`~repro.data.relation.
+row_getter`: a tuple even for one column, like the hash indexes' keys).
+:meth:`OnlineYannakakis.answer` then runs both passes over plain row sets
+and builds no :class:`~repro.data.relation.Relation`.  Only the top-down
+pass depends on the request's column order, and only the projection onto
+the query head (:meth:`OnlineYannakakis.onto`) on the head's — both the
+caller's; their positions are derived once per order and kept.  S-view indexes
+are fetched per call (:meth:`Relation.membership_on <repro.data.relation.
+Relation.membership_on>`, ``index_on``), so a stale partition view still
+fails fast and a rebuilt index is never missed.
+
+**The counters contract.**  ``probes``, ``scans`` and ``joins_emitted`` are
+charged to the unit as the interpreted ``Relation.semijoin`` / ``project``
+/ ``join`` chain charges them: a semijoin one scan and one probe per row it
+filters (nothing when the sides share no column), a projection one scan
+per input row, a join one scan and one probe per left row and one emitted
+row per match (per kept row when the right side adds no column).  That
+chain runs on no runtime path; ``tests/test_online_yannakakis.py`` keeps it
+as the oracle and holds rows and counters equal to it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from itertools import compress
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.data.relation import Relation
-from repro.decomposition.pmtd import PMTD, S_VIEW
+from repro.data.relation import Relation, row_getter
+from repro.decomposition.pmtd import PMTD
 from repro.decomposition.tree_decomposition import NodeId
 from repro.util.counters import Counters, global_counters
 
+Schema = Tuple[str, ...]
+
+
+def _getter(schema: Schema, variables: Sequence[str]):
+    """Extractor of ``variables`` (in that order) from rows over ``schema``."""
+    return row_getter(tuple(schema.index(v) for v in variables))
+
+
+def _semijoin(rows: set, key, members, ctr: Counters) -> set:
+    """``rows ⋉ members`` on ``key``; ``key=None``: no shared column.
+
+    With no shared column the semijoin is an emptiness test of the other
+    side, whose rows ``members`` then is, and charges nothing.
+    """
+    if key is None:
+        return rows if members else set()
+    ctr.scans += len(rows)
+    ctr.probes += len(rows)
+    return set(compress(rows, map(members.__contains__, map(key, rows))))
+
 
 class OnlineYannakakis:
-    """A prepared PMTD: S-views fixed and indexed, T-views supplied per call."""
+    """A prepared PMTD: S-views fixed and indexed, T-views supplied per call.
+
+    :meth:`answer` returns ψ's rows over :attr:`schema`, the sorted head
+    variables the request and the kept views carry.
+    """
 
     def __init__(self, pmtd: PMTD, s_views: Dict[NodeId, Relation]) -> None:
         self.pmtd = pmtd
@@ -63,6 +111,7 @@ class OnlineYannakakis:
                                  key=lambda n: -self._depths[n])
         self._top_down = sorted(all_nodes, key=lambda n: self._depths[n])
         self._preprocess()
+        self._compile()
 
     # ------------------------------------------------------------------
     def _preprocess(self) -> None:
@@ -89,6 +138,109 @@ class OnlineYannakakis:
             if key:
                 relation.membership_on(key)
 
+    def _compile(self) -> None:
+        """Fix pass 1's steps and every view's working schema."""
+        head, s_views = self.pmtd.head, self.s_views
+        #: T-view schemas as the online phase produces them (sorted)
+        self._t_schemas: Dict[NodeId, Schema] = {
+            node: tuple(sorted(view.variables))
+            for node, view in self.pmtd.t_views.items()}
+        #: every node's schema as pass 1 leaves it
+        schemas: Dict[NodeId, Schema] = {
+            node: rel.schema for node, rel in s_views.items()}
+        schemas.update(self._t_schemas)
+        self._schemas = schemas
+        #: (parent, child source, parent key, child, truncation or None)
+        self._edges: List[Tuple] = []
+        removed = set()
+        for node in self._bottom_up:
+            parent = self._parents[node]
+            if parent is None or (node in s_views and parent in s_views):
+                continue  # the root, or an SS-edge reduced at preprocessing
+            child, above = schemas[node], schemas[parent]
+            shared = tuple(v for v in child if v in above)
+            head_part = set(child) & head
+            truncate = None
+            if head_part <= set(above):
+                removed.add(node)
+            elif node not in s_views:
+                onto = tuple(sorted(head_part))
+                truncate = _getter(child, onto)
+            self._edges.append((
+                parent, self._source(node, shared),
+                _getter(above, shared) if shared else None, node, truncate))
+            if truncate is not None:
+                schemas[node] = onto
+        root = self.pmtd.root
+        self._root_onto = None
+        if root not in s_views:
+            onto = tuple(sorted(set(schemas[root]) & head))
+            self._root_onto = _getter(schemas[root], onto)
+            schemas[root] = onto
+        self._join_order = [n for n in self._top_down if n not in removed]
+        kept = set(self.pmtd.access).union(
+            *(schemas[n] for n in self._join_order))
+        self.schema: Schema = tuple(sorted(kept & head))
+        #: request schema -> its half of the passes (:meth:`_plan`)
+        self._plans: Dict[Schema, Tuple] = {}
+        #: head order -> ψ-row extractor onto it (:meth:`onto`)
+        self._onto: Dict[Schema, Optional[Callable]] = {self.schema: None}
+
+    def _source(self, node: NodeId, shared: Schema) -> Tuple:
+        """``(S-view or None, shared, node, key getter or None)``.
+
+        What :meth:`_members` and :meth:`_index` read ``node`` through on
+        ``shared`` (in the node's column order): an S-view's own indexes,
+        or the T-view's rows of the call, keyed by the getter unless
+        ``shared`` is the T-view's whole schema.
+        """
+        relation = self.s_views.get(node)
+        if relation is not None:
+            return relation, shared, node, None
+        schema = self._schemas[node]
+        return (None, shared, node,
+                None if shared == schema else _getter(schema, shared))
+
+    def _plan(self, request: Schema) -> Tuple:
+        """The request-order half: root semijoin, top-down joins, output.
+
+        Each join is ``(appended-column getter or None, source, key)``;
+        ``None`` marks a view that adds no column (a semijoin).
+        """
+        plan = self._plans.get(request)
+        if plan is not None:
+            return plan
+        schemas, root = self._schemas, self.pmtd.root
+        shared = tuple(v for v in schemas[root] if v in request)
+        root_step = (self._source(root, shared),
+                     _getter(request, shared) if shared else None)
+        result = request
+        joins = []
+        for node in self._join_order:
+            other = schemas[node]
+            shared = tuple(v for v in other if v in result)
+            extra = tuple(v for v in other if v not in result)
+            if extra:
+                joins.append((_getter(other, extra),
+                              self._source(node, shared),
+                              _getter(result, shared)))
+                result += extra
+            else:
+                joins.append((None, self._source(node, shared),
+                              _getter(result, shared) if shared else None))
+        plan = self._plans[request] = (root_step, joins,
+                                       _getter(result, self.schema))
+        return plan
+
+    def onto(self, head: Schema):
+        """Extractor of ψ's rows in ``head``'s column order — ``None`` when
+        :attr:`schema` is already that order; derived once per order."""
+        try:
+            return self._onto[head]
+        except KeyError:
+            getter = self._onto[head] = _getter(self.schema, head)
+            return getter
+
     @property
     def stored_tuples(self) -> int:
         """Space held by the S-views (the data-structure share of Õ(S))."""
@@ -97,93 +249,98 @@ class OnlineYannakakis:
     # ------------------------------------------------------------------
     # per-probe execution: validate T-views, bottom-up reduce, top-down join
     # ------------------------------------------------------------------
-    def _working_views(self, t_views: Optional[Dict[NodeId, Relation]],
-                       ) -> Dict[NodeId, Tuple[str, Relation]]:
-        """Validated node -> (kind, relation) map for one probe."""
-        pmtd = self.pmtd
-        t_views = dict(t_views or {})
-        expected_t = set(pmtd.t_views)
-        if set(t_views) != expected_t:
-            raise ValueError(
-                f"T-views must be given for exactly the nodes {expected_t}"
-            )
-        working: Dict[NodeId, Tuple[str, Relation]] = {}
-        for node, relation in self.s_views.items():
-            working[node] = (S_VIEW, relation)
-        for node, relation in t_views.items():
-            schema = pmtd.view(node).variables
-            if relation.variables != schema:
+    def _t_rows(self, t_views: Optional[Dict[NodeId, Relation]],
+                ) -> Dict[NodeId, set]:
+        """node -> the T-view's rows in its sorted schema, validated."""
+        t_views = t_views or {}
+        if t_views.keys() != self._t_schemas.keys():
+            raise ValueError(f"T-views must be given for exactly the nodes "
+                             f"{set(self._t_schemas)}")
+        rows: Dict[NodeId, set] = {}
+        for node, schema in self._t_schemas.items():
+            relation = t_views[node]
+            if relation.schema == schema:
+                rows[node] = relation.tuples
+            elif relation.variables == set(schema):
+                rows[node] = set(map(_getter(relation.schema, schema),
+                                     relation.tuples))
+            else:
                 raise ValueError(
                     f"T-view at node {node} has schema "
                     f"{set(relation.variables)}, expected {set(schema)}"
                 )
-            working[node] = ("T", relation)
-        return working
+        return rows
+
+    @staticmethod
+    def _members(source: Tuple, rows: Dict[NodeId, set]):
+        """What a semijoin against ``source`` tests membership in."""
+        relation, shared, node, getter = source
+        if relation is not None:
+            return relation.membership_on(shared) if shared \
+                else relation.tuples
+        if getter is None:
+            return rows[node]
+        return set(map(getter, rows[node]))
+
+    @staticmethod
+    def _index(source: Tuple, rows: Dict[NodeId, set]) -> Dict:
+        """``source``'s rows bucketed by their ``shared`` columns."""
+        relation, shared, node, getter = source
+        if relation is not None:
+            return relation.index_on(shared)
+        index: Dict[tuple, list] = {}
+        for row in rows[node]:
+            index.setdefault(getter(row), []).append(row)
+        return index
 
     def answer(self, request: Relation,
                t_views: Optional[Dict[NodeId, Relation]] = None,
-               counters: Optional[Counters] = None) -> Relation:
-        """Run both passes; returns ψ over the PMTD's head variables."""
+               counters: Optional[Counters] = None) -> set:
+        """Run both passes; returns ψ's rows over :attr:`schema` (a new set).
+
+        ``request`` is ``Q_A`` over the access variables, in any column
+        order; ``t_views`` maps every T-view node to its relation.
+        """
         ctr = counters or global_counters
-        pmtd, root = self.pmtd, self.pmtd.root
-        head = pmtd.head
+        if request.variables != self.pmtd.access:
+            raise ValueError(
+                f"request schema {request.schema} is not the access "
+                f"pattern {sorted(self.pmtd.access)}"
+            )
+        rows = self._t_rows(t_views)
+        members = self._members
 
-        # working copies: node -> (kind, relation); schemas shrink in pass 1
-        working = self._working_views(t_views)
-        removed = self._reduce_bottom_up(working, self._parents, head, ctr)
+        # pass 1: semijoin-reduce child-before-parent
+        for parent, source, parent_key, node, truncate in self._edges:
+            rows[parent] = _semijoin(rows[parent], parent_key,
+                                     members(source, rows), ctr)
+            if truncate is not None:
+                ctr.scans += len(rows[node])
+                rows[node] = set(map(truncate, rows[node]))
+        root = self.pmtd.root
+        if self._root_onto is not None:
+            ctr.scans += len(rows[root])
+            rows[root] = set(map(self._root_onto, rows[root]))
+        (root_source, root_key), joins, output = self._plan(request.schema)
+        result = _semijoin(request.tuples, root_key,
+                           members(root_source, rows), ctr)
 
-        root_kind, root_rel = working[root]
-        if root_kind != S_VIEW:
-            head_part = root_rel.variables & head
-            root_rel = root_rel.project(sorted(head_part), counters=ctr)
-            working[root] = (root_kind, root_rel)
-        reduced_request = request.semijoin(root_rel, counters=ctr)
-
-        return self._join_top_down(working, removed, reduced_request,
-                                   head, ctr)
-
-    def _reduce_bottom_up(self, working: Dict[NodeId, Tuple[str, Relation]],
-                          parents: Dict, head,
-                          ctr: Counters) -> set:
-        """Pass 1: semijoin-reduce child-before-parent; returns dropped nodes."""
-        removed: set = set()
-        for node in self._bottom_up:
-            parent = parents[node]
-            if parent is None:
+        # pass 2: join the kept views parent-to-child
+        for append, source, key in joins:
+            if append is None:
+                result = _semijoin(result, key, members(source, rows), ctr)
+                ctr.joins_emitted += len(result)
                 continue
-            kind, relation = working[node]
-            p_kind, p_rel = working[parent]
-            if kind == S_VIEW and p_kind == S_VIEW:
-                continue  # SS-edge: handled at preprocessing time
-            if kind == S_VIEW:
-                # ST-edge: parent (T) semijoins against the child S-index
-                working[parent] = (p_kind, p_rel.semijoin(relation,
-                                                          counters=ctr))
-                if relation.variables & head <= p_rel.variables:
-                    removed.add(node)
-                continue
-            # TT-edge
-            working[parent] = (p_kind, p_rel.semijoin(relation,
-                                                      counters=ctr))
-            head_part = relation.variables & head
-            if head_part <= p_rel.variables:
-                removed.add(node)
-            else:
-                truncated = relation.project(sorted(head_part),
-                                             counters=ctr)
-                working[node] = (kind, truncated)
-        return removed
-
-    def _join_top_down(self, working: Dict[NodeId, Tuple[str, Relation]],
-                       removed: set, reduced_request: Relation,
-                       head, ctr: Counters) -> Relation:
-        """Pass 2: join kept views parent-to-child; costs output time."""
-        result = reduced_request
-        order = [n for n in self._top_down if n not in removed]
-        for node in order:
-            _, relation = working[node]
-            result = result.join(relation, counters=ctr)
-        out_schema = tuple(sorted(result.variables & head))
-        # access variables are part of the head by definition
-        return result.project(out_schema, name=f"psi_{id(self.pmtd)}",
-                              counters=ctr)
+            index = self._index(source, rows)
+            ctr.scans += len(result)
+            ctr.probes += len(result)
+            out: set = set()
+            emitted = 0
+            for row, bucket in zip(result, map(index.get, map(key, result))):
+                if bucket:
+                    emitted += len(bucket)
+                    out.update(map(row.__add__, map(append, bucket)))
+            ctr.joins_emitted += emitted
+            result = out
+        ctr.scans += len(result)
+        return set(map(output, result))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import weakref
+from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.util.counters import Counters, global_counters
@@ -60,6 +61,20 @@ def stable_hash(value) -> int:
     data = _canonical_bytes(value)
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(),
                           "big")
+
+
+def row_getter(positions: Sequence[int]) -> Callable[[Tuple_], Tuple_]:
+    """A C-level extractor of the columns at ``positions``, as a tuple.
+
+    ``operator.itemgetter`` of one position returns the bare value, which
+    never equals a hash index's 1-tuple key; a slice returns the 1-tuple
+    (and, for no positions, the ``()`` every row shares).
+    """
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    if not positions:
+        return itemgetter(slice(0, 0))
+    return itemgetter(*positions)
 
 
 class SchemaError(ValueError):

@@ -9,7 +9,8 @@ The serving stack, bottom to top::
               ├─ ShardedIndex      backend="thread": in-process, direct
               │                    calls, a batch's groups answered in order
               └─ ProcessShardFleet backend="process": the same executor
-                                   behind pickle, one worker per shard
+                                   in one worker process per shard,
+                                   behind one pipe each
               └─ BatchScheduler    # dedupe + answer cache + shard groups
                    └─ Server       # stream facade: backpressure + stats
 
