@@ -9,9 +9,10 @@ the command the ``static-analysis`` CI job runs.
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.analysis.lint import all_rules, lint_paths, render_json, render_text
 
@@ -68,16 +69,47 @@ def _scenario_matrix() -> List[Tuple[str, object, object]]:
     ]
 
 
+#: deltas each ``--verify-plans`` cell replays before verifying again
+REPLAY_DELTAS = 12
+
+
+def _replay(index: Any, seed: str) -> None:
+    """Apply a fixed seeded script of changing deltas through ``index``.
+
+    Every third delta deletes a present row; the others insert a row
+    recombined from the relation's column values that is not present.
+    """
+    rng = random.Random(seed)
+    names = sorted({atom.relation for atom in index.cqap.atoms})
+    for step in range(REPLAY_DELTAS):
+        name = names[step % len(names)]
+        rows = sorted(index.db[name].tuples)
+        if step % 3 == 2:
+            index.apply_delta("delete", name, rng.choice(rows))
+            continue
+        columns = [sorted({row[i] for row in rows})
+                   for i in range(len(rows[0]))]
+        while True:
+            row = tuple(rng.choice(values) for values in columns)
+            if row not in index.db[name].tuples:
+                break
+        index.apply_delta("insert", name, row)
+
+
 def _run_verify_plans() -> int:
     """Build the fixed scenario matrix and statically verify every index.
 
     Sweeps budget ∈ {lean, medium, rich} × shards ∈ {1, 4}, with a low
     ``auto_select_threshold`` so the budgeted beam selection is
     exercised, mirroring the differential harness's configuration axes.
+    Each cell then replays :data:`REPLAY_DELTAS` seeded deltas and is
+    verified again, so what deltas maintain in place (pieces, pinned
+    indexes, Online Yannakakis passes) is checked too.
     Budget-infeasible cells (PlanningError) are reported and skipped —
     infeasibility is a legitimate planner outcome, not a verification
     failure.
     """
+    from repro.analysis.verify_plan import check_index
     from repro.core.index import CQAPIndex
     from repro.core.two_phase import PlanningError
     from repro.tradeoff.cost import CatalogStatistics
@@ -93,11 +125,14 @@ def _run_verify_plans() -> int:
                 cell = f"{label} budget={budget:g} shards={shards}"
                 try:
                     index = CQAPIndex(
-                        cqap, db, space_budget=budget,
+                        cqap, db.copy(), space_budget=budget,
                         auto_select_threshold=4,
                         shards=shards,
                         statistics=statistics,
                     ).preprocess(verify_plans=True)
+                    stored = index.stats.stored_tuples
+                    _replay(index, cell)
+                    check_index(index)
                 except PlanningError as exc:
                     skipped += 1
                     print(f"  skip  {cell}: infeasible ({exc})")
@@ -108,7 +143,9 @@ def _run_verify_plans() -> int:
                     continue
                 print(f"  ok    {cell}: "
                       f"{len(index.selection.rules)} rules, "
-                      f"{index.stats.stored_tuples} stored tuples")
+                      f"{stored} stored tuples, "
+                      f"{index.stats.stored_tuples} after "
+                      f"{REPLAY_DELTAS} deltas")
     print(f"verify-plans: {cells - failures - skipped} ok, "
           f"{skipped} infeasible, {failures} failed, {cells} cells")
     return 1 if failures else 0

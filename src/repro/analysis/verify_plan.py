@@ -36,6 +36,10 @@ parts) and reports every violation as a human-readable issue string:
   (:class:`repro.updates.DeltaPlans`), unpinned, over exactly (``is``)
   the decision's current pieces, and no delta plan is reachable from a
   shard payload (they would pickle into every fleet worker).
+* **Maintained passes** — every Online Yannakakis S-view holds what a
+  fresh pass over the current S-targets derives, and every index it
+  caches is a fresh ``index_on`` of its rows: same keys, same buckets,
+  no empty bucket.
 
 ``check_index`` raises :class:`PlanVerificationError`;
 ``verify_index`` returns the issue list for callers that want to report.
@@ -63,6 +67,7 @@ __all__ = [
     "verify_compiled_plans",
     "verify_piece_sharing",
     "verify_delta_plans",
+    "verify_yannakakis",
     "verify_index",
     "check_index",
 ]
@@ -410,6 +415,69 @@ def verify_delta_plans(index: Any) -> List[str]:
     return issues
 
 
+def _index_issues(label: str, view: Relation, key: Tuple[str, ...],
+                  cached: Dict[Any, List[Any]]) -> List[str]:
+    """How a cached index of ``view`` differs from a fresh one."""
+    fresh = Relation._wrap(view.name, view.schema,
+                           set(view.tuples)).index_on(key)
+    issues: List[str] = []
+    missing = len(fresh.keys() - cached.keys())
+    extra = len(cached.keys() - fresh.keys())
+    empty = sum(not bucket for bucket in cached.values())
+    wrong = sum(1 for value, bucket in cached.items() if bucket and (
+        len(bucket) != len(set(bucket))
+        or set(bucket) != set(fresh.get(value, ()))))
+    if missing or extra:
+        issues.append(f"{label}: index on {key} lacks {missing} key(s) and "
+                      f"has {extra} the rows do not")
+    if empty:
+        issues.append(f"{label}: index on {key} keeps {empty} empty "
+                      f"bucket(s) (a key test would pass on no row)")
+    if wrong:
+        issues.append(f"{label}: index on {key} has {wrong} bucket(s) that "
+                      f"are not the rows on their key")
+    return issues
+
+
+def verify_yannakakis(index: Any) -> List[str]:
+    """Check every Online Yannakakis pass against a fresh build of it.
+
+    Each S-view must hold the rows a new pass over the current S-targets
+    derives (SS-reduction included), and each index a view caches must be
+    what ``index_on`` builds from the view's rows now: a delta patches
+    them in place (:meth:`OnlineYannakakis.maintain <repro.core.
+    online_yannakakis.OnlineYannakakis.maintain>`) instead of rebuilding.
+    """
+    # local imports: analysis depends on core, never the reverse
+    from repro.core.online_yannakakis import OnlineYannakakis
+    from repro.util.counters import Counters
+
+    issues: List[str] = []
+    for pos, oy in enumerate(index._yannakakis):
+        label = f"pass {pos} {oy.pmtd!r}"
+        fresh = OnlineYannakakis(
+            oy.pmtd, index._assemble_views(oy.pmtd.s_views, index.s_targets),
+            counters=Counters())
+        for node, view in oy.s_views.items():
+            want = fresh.s_views[node]
+            if view.schema != want.schema or view.tuples != want.tuples:
+                issues.append(
+                    f"{label}: S-view at node {node} holds {len(view)} "
+                    f"rows over {view.schema}; a fresh build derives "
+                    f"{len(want)} over {want.schema} "
+                    f"({len(view.tuples - want.tuples)} dangling, "
+                    f"{len(want.tuples - view.tuples)} missing)")
+        seen: Set[int] = set()
+        for node, view in [*oy.raw_views.items(), *oy.s_views.items()]:
+            if id(view) in seen:
+                continue
+            seen.add(id(view))
+            for key, cached in view._indexes.items():
+                issues.extend(_index_issues(f"{label}, node {node}", view,
+                                            key, cached))
+    return issues
+
+
 def verify_index(index: Any) -> List[str]:
     """All static checks on a preprocessed :class:`CQAPIndex`."""
     if not getattr(index, "ready", False):
@@ -446,6 +514,7 @@ def verify_index(index: Any) -> List[str]:
     issues.extend(verify_piece_sharing(index.plans, index.compiled_online,
                                        index.cqap.atoms))
     issues.extend(verify_delta_plans(index))
+    issues.extend(verify_yannakakis(index))
     return issues
 
 

@@ -343,9 +343,18 @@ class CQAPIndex:
         self._delta_plans = compile_delta_plans(self)
         self._yannakakis = []
         self.stats = IndexStats()
+        # one view relation per S-target, shared by every pass: each of
+        # its indexes is built once and patched once per delta
+        views: Dict[VarSet, Relation] = {}
         for pmtd in self.pmtds:
-            s_views = self._assemble_views(pmtd.s_views, self._s_targets)
-            self._yannakakis.append(OnlineYannakakis(pmtd, s_views))
+            s_views = {}
+            for node, view in pmtd.s_views.items():
+                if view.variables not in views:
+                    views[view.variables] = self._assemble_views(
+                        {node: view}, self._s_targets)[node]
+                s_views[node] = views[view.variables]
+            self._yannakakis.append(
+                OnlineYannakakis(pmtd, s_views, counters=ctr))
         self.stats.stored_tuples = sum(
             len(rel) for rel in self._s_targets.values()
         )

@@ -36,6 +36,25 @@ are fetched per call (:meth:`Relation.membership_on <repro.data.relation.
 Relation.membership_on>`, ``index_on``), so a stale partition view still
 fails fast and a rebuilt index is never missed.
 
+**Maintenance.**  A delta that moves S-target rows patches a pass in
+place (:meth:`OnlineYannakakis.maintain`); nothing is rebuilt.  A view
+with no SS-child shares its S-target's row set — one view relation per
+target, shared by every pass of an index — and each changed row is
+inserted into or removed from every index the view caches, a bucket left
+empty being deleted so that ``key in index`` stays exact.  An SS-reduced
+parent follows the delta-semijoin rule of Kara et al. ("Conjunctive
+Queries with Free Access Patterns under Updates"), bottom-up: a raw
+parent row that arrives is kept iff it matches every SS-child, one that
+leaves leaves; a child key that appears admits the raw rows on it that
+match the other children, one that disappears takes them out; and what
+the reduced view gained or lost is its own parent's child delta.  Raw
+rows on a key are one bucket read in the raw parent's index on the
+SS-edge's columns (built at the first delta that needs it, patched after
+it), and the reduced view's own indexes are patched with exactly the rows
+it gained or lost.  Writers are single-threaded with respect to readers,
+the discipline pinned row sets already rely on: no probe runs while a
+delta patches.
+
 **The counters contract.**  ``probes``, ``scans`` and ``joins_emitted`` are
 charged to the unit as the interpreted ``Relation.semijoin`` / ``project``
 / ``join`` chain charges them: a semijoin one scan and one probe per row it
@@ -49,7 +68,7 @@ as the oracle and holds rows and counters equal to it.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.data.relation import Relation, row_getter
 from repro.decomposition.pmtd import PMTD
@@ -77,6 +96,36 @@ def _semijoin(rows: set, key, members, ctr: Counters) -> set:
     return set(compress(rows, map(members.__contains__, map(key, rows))))
 
 
+def _members(relation: Relation, key: Schema):
+    """What a key over ``key`` is tested in: the index (or row set) on it.
+
+    With no key the test is one of emptiness, as in :func:`_semijoin`:
+    ``{()}`` holds the empty key iff ``relation`` has a row.
+    """
+    if key:
+        return relation.membership_on(key)
+    return {()} if relation.tuples else set()
+
+
+def _count(relation: Relation, key: Schema, value: tuple) -> int:
+    """How many of ``relation``'s rows carry ``value`` on ``key``."""
+    if not key:
+        return len(relation.tuples)
+    members = relation.membership_on(key)
+    if members is relation.tuples:
+        return int(value in members)
+    return len(members.get(value, ()))
+
+
+def _rows_on(relation: Relation, key: Schema, value: tuple):
+    """``relation``'s rows that carry ``value`` on ``key`` (schema order)."""
+    if not key:
+        return relation.tuples
+    if len(key) == len(relation.schema):
+        return (value,) if value in relation.tuples else ()
+    return relation.index_on(key).get(value, ())
+
+
 class OnlineYannakakis:
     """A prepared PMTD: S-views fixed and indexed, T-views supplied per call.
 
@@ -84,7 +133,8 @@ class OnlineYannakakis:
     variables the request and the kept views carry.
     """
 
-    def __init__(self, pmtd: PMTD, s_views: Dict[NodeId, Relation]) -> None:
+    def __init__(self, pmtd: PMTD, s_views: Dict[NodeId, Relation],
+                 counters: Optional[Counters] = None) -> None:
         self.pmtd = pmtd
         expected = set(pmtd.s_views)
         if set(s_views) != expected:
@@ -100,6 +150,9 @@ class OnlineYannakakis:
                     f"{set(relation.variables)}, expected {set(schema)}"
                 )
             self.s_views[node] = relation
+        #: the views as given: an SS-reduced parent's raw rows, which
+        #: :meth:`maintain` finds the rows entering its reduction in
+        self.raw_views: Dict[NodeId, Relation] = dict(self.s_views)
         # probe-invariant tree state, hoisted out of the per-probe passes:
         # parent/depth maps and the bottom-up/top-down node orders depend
         # only on the decomposition, never on the probe
@@ -110,13 +163,18 @@ class OnlineYannakakis:
         self._bottom_up = sorted(all_nodes,
                                  key=lambda n: -self._depths[n])
         self._top_down = sorted(all_nodes, key=lambda n: self._depths[n])
-        self._preprocess()
+        self._preprocess(counters or global_counters)
         self._compile()
 
     # ------------------------------------------------------------------
-    def _preprocess(self) -> None:
+    def _preprocess(self, ctr: Counters) -> None:
         """SS-edge bottom-up semijoin pass + index warm-up (space-linear)."""
-        parents = self._parents
+        parents, raw = self._parents, self.raw_views
+        #: SS-reduced parent -> its SS-edges, parents deepest first:
+        #: ``(child, child key, its getter on the parent's rows, the
+        #: parent's key on the same columns, its getter on the child's
+        #: rows, the child key's getter on the child's rows)``
+        self._ss_edges: Dict[NodeId, List[Tuple]] = {}
         order = [n for n in self._bottom_up if n in self.s_views]
         for node in order:
             parent = parents[node]
@@ -124,7 +182,18 @@ class OnlineYannakakis:
                 continue
             # SS-edge: reduce the parent S-view by the child (preprocessing)
             child_rel = self.s_views[node]
-            self.s_views[parent] = self.s_views[parent].semijoin(child_rel)
+            self.s_views[parent] = self.s_views[parent].semijoin(
+                child_rel, counters=ctr)
+            # both keys as the semijoin forms them: the child's in its own
+            # column order (a whole-schema key is its row set), the
+            # parent's in the parent's (for its raw rows' index)
+            child_schema, parent_schema = child_rel.schema, raw[parent].schema
+            key = tuple(v for v in child_schema if v in parent_schema)
+            parent_key = tuple(v for v in parent_schema if v in key)
+            self._ss_edges.setdefault(parent, []).append((
+                node, key, _getter(parent_schema, key), parent_key,
+                _getter(child_schema, parent_key),
+                _getter(child_schema, key)))
         # warm the hash indexes used online so those builds are paid here
         # (none for a key that is the view's whole schema: its row set)
         for node, relation in self.s_views.items():
@@ -245,6 +314,89 @@ class OnlineYannakakis:
     def stored_tuples(self) -> int:
         """Space held by the S-views (the data-structure share of Õ(S))."""
         return sum(len(rel) for rel in self.s_views.values())
+
+    # ------------------------------------------------------------------
+    # maintenance: one S-target delta, patched into the views in place
+    # ------------------------------------------------------------------
+    @staticmethod
+    def maintain(passes: Sequence["OnlineYannakakis"],
+                 target_deltas: Dict[frozenset, Tuple[Set, Set]],
+                 counters: Optional[Counters] = None) -> None:
+        """Bring every S-view of ``passes`` up to date with one delta.
+
+        ``target_deltas`` maps S-target variables to ``(added, removed)``
+        rows.  A view without SS-child takes them with its cached indexes
+        (once, however many passes share the view); then each pass
+        re-derives its SS-reduced parents by :meth:`_cascade`.
+        """
+        ctr = counters or global_counters
+        patched = set()
+        for oy in passes:
+            for relation in oy.raw_views.values():
+                delta = target_deltas.get(relation.variables)
+                if delta is not None and id(relation) not in patched:
+                    patched.add(id(relation))
+                    relation._delta_patch(*delta)
+        for oy in passes:
+            oy._cascade(target_deltas, ctr)
+
+    def _cascade(self, target_deltas: Dict[frozenset, Tuple[Set, Set]],
+                 ctr: Counters) -> None:
+        """The delta-semijoin rule, SS-reduced parents bottom-up.
+
+        A raw row that leaves leaves the reduction; one that arrives joins
+        it iff it matches every SS-child.  A child key that appears brings
+        the raw rows on it that match the other children; one that
+        disappears takes its raw rows out.  What a reduction gains or
+        loses is its own parent's child delta.
+        """
+        unchanged: Tuple[Set, Set] = (set(), set())
+        changes = {node: target_deltas.get(rel.variables, unchanged)
+                   for node, rel in self.raw_views.items()}
+        for parent, edges in self._ss_edges.items():
+            raw, view = self.raw_views[parent], self.s_views[parent]
+            held = view.tuples
+            # every child is up to date: raw ones patched, reduced deeper
+            children = [(edge, self.s_views[edge[0]]) for edge in edges]
+            tests = [(of_parent, _members(child, key))
+                     for (_, key, of_parent, *_), child in children]
+
+            def matches(row) -> bool:
+                for of_parent, members in tests:
+                    ctr.scans += 1
+                    ctr.probes += 1
+                    if of_parent(row) not in members:
+                        return False
+                return True
+
+            arrived, left = changes[parent]
+            lost = {row for row in left if row in held}
+            gained = {row for row in arrived
+                      if row not in held and matches(row)}
+            for (node, key, _, parent_key, parent_of, key_of), child \
+                    in children:
+                added, removed = changes[node]
+                # net rows per child key, and the parent key it maps to
+                moved: Dict[tuple, List] = {}
+                for rows, step in ((added, 1), (removed, -1)):
+                    for row in rows:
+                        entry = moved.setdefault(key_of(row),
+                                                 [parent_of(row), 0])
+                        entry[1] += step
+                for value, (parent_value, net) in moved.items():
+                    ctr.probes += 1
+                    now = _count(child, key, value)
+                    if (now > 0) == (now - net > 0):
+                        continue  # the key stayed present, or absent
+                    ctr.probes += 1
+                    rows = _rows_on(raw, parent_key, parent_value)
+                    if now:
+                        gained.update(row for row in rows
+                                      if row not in held and matches(row))
+                    else:
+                        lost.update(row for row in rows if row in held)
+            view._delta_patch(gained, lost)
+            changes[parent] = (gained, lost)
 
     # ------------------------------------------------------------------
     # per-probe execution: validate T-views, bottom-up reduce, top-down join

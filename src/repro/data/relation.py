@@ -108,9 +108,11 @@ class Relation:
     unsupported — cached indexes would keep serving the stale tuple set
     (``tests/test_relation.py::TestIndexInvalidation`` pins this down).
     A reader holding the row set (a compiled plan's whole-row membership)
-    sees a mutation at once, one holding an index only after it re-fetches:
-    writers must be single-threaded with respect to readers, as the
-    serving layers arrange (no probe runs inside ``apply_delta``).
+    sees a mutation at once, one holding an index only after it re-fetches
+    — or at once, for a :meth:`_delta_patch`, which patches the cached
+    indexes instead of dropping them: writers must be single-threaded
+    with respect to readers, as the serving layers arrange (no probe runs
+    inside ``apply_delta``).
     """
 
     __slots__ = ("name", "schema", "tuples", "_variables", "_indexes",
@@ -350,6 +352,31 @@ class Relation:
         self.version += 1
         self._reset_derived()
         return True
+
+    def _delta_patch(self, added: Iterable[Tuple_] = (),
+                     removed: Iterable[Tuple_] = ()) -> None:
+        """Coordinated delta that patches the cached indexes in place.
+
+        ``added`` and ``removed`` must be exactly the rows the cached
+        indexes do not yet, or still, hold.  The row set takes them
+        idempotently: it may be shared with a handle the delta already
+        went through.  Each cached index gains or loses exactly those
+        rows, and a bucket left empty is deleted, so ``key in index``
+        stays exact and a kernel or pass holding the dict sees the change.
+        """
+        self.tuples.difference_update(removed)
+        self.tuples.update(added)
+        for key, index in self._indexes.items():
+            key_of = row_getter(self.positions(key))
+            for row in removed:
+                value = key_of(row)
+                bucket = index[value]
+                bucket.remove(row)
+                if not bucket:
+                    del index[value]
+            for row in added:
+                index.setdefault(key_of(row), []).append(row)
+        self.version += 1
 
     def _sync_with_base(self) -> None:
         """Re-mark this partition view fresh after a coordinated delta."""

@@ -215,14 +215,17 @@ class ShardExecutor:
             payload.cqap, budget_slack=payload.budget_slack)
         self.pmtds = payload.pmtds
         #: retained past the initial builds: a delta patches these raw
-        #: views and rebuilds the affected passes from them (the passes
-        #: snapshot semijoin-reduced views, so they cannot be patched)
+        #: views and rebuilds the affected passes from them (see
+        #: :meth:`apply_delta`)
         self.pmtd_views = payload.pmtd_views
+        #: the work of building the passes (their SS-edge semijoins)
+        self.preprocess_counters = Counters()
         self.yannakakis = [self._pass(p) for p in range(len(self.pmtds))]
         self.preprocess_seconds = time.process_time() - t0
 
     def _pass(self, p: int) -> OnlineYannakakis:
-        return OnlineYannakakis(self.pmtds[p], self.pmtd_views[p])
+        return OnlineYannakakis(self.pmtds[p], self.pmtd_views[p],
+                                counters=self.preprocess_counters)
 
     def serve_group(self, keys: Sequence[Binding],
                     trace_ctx: Optional[Tuple[str, str]] = None,
@@ -278,6 +281,11 @@ class ShardExecutor:
         relation.apply_row_delta`, so a view that shares its tuple set
         with the index — already mutated when the event fired — still
         drops its stale indexes.
+
+        The pass rebuild is pending stage 2 of the maintained passes: the
+        index's own passes take a delta through
+        :meth:`OnlineYannakakis.maintain <repro.core.online_yannakakis.
+        OnlineYannakakis.maintain>` instead, and these move onto it next.
         """
         if delta.step_slots:
             members = [

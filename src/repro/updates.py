@@ -55,10 +55,14 @@ The maintenance algorithm, per delta ``±R(t)``:
    it is patched once, the touched steps'
    :class:`~repro.core.kernels.CompiledProbePlan`\\ s are re-pinned (their
    kernels close over the pieces' hash indexes; the generated code is
-   found by its shape, not compiled again), and the per-PMTD Online
-   Yannakakis instances are rebuilt whenever an S-target moved (their
-   semijoin-reduced views are preprocessing-time snapshots).  The delta
-   plans pin nothing, so they need no refresh at all.
+   found by its shape, not compiled again).  When an S-target moved,
+   :meth:`OnlineYannakakis.maintain <repro.core.online_yannakakis.
+   OnlineYannakakis.maintain>` brings the per-PMTD Online Yannakakis
+   passes up to date in place: the views over the S-targets patch their
+   cached indexes with the step-4 rows, and the SS-reduced views follow
+   by the delta-semijoin rule — one bucket read per changed key, never a
+   pass built again (only :meth:`CQAPIndex.reselect` builds new ones).
+   The delta plans pin nothing, so they need no refresh at all.
 
 6. **Drift re-selection.**  When the measured cardinality drift since the
    catalog statistics were taken exceeds ``index.staleness_threshold``,
@@ -78,6 +82,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from repro.core.kernels import CompiledProbePlan
+from repro.core.online_yannakakis import OnlineYannakakis
 from repro.core.split import HEAVY, LIGHT
 from repro.core.two_phase import PhaseDecision
 from repro.data.relation import Relation, SchemaError, apply_row_delta
@@ -463,12 +468,7 @@ def apply_delta(index, op: str, name: str, row: Tuple_,
     for step in touched_steps:
         step.plan._compile()
     if event.targets_changed:
-        index._yannakakis = [
-            type(oy)(oy.pmtd,
-                     index._assemble_views(oy.pmtd.s_views,
-                                           index._s_targets))
-            for oy in index._yannakakis
-        ]
+        OnlineYannakakis.maintain(index._yannakakis, target_deltas, ctr)
         index.stats.stored_tuples = sum(
             len(rel) for rel in index._s_targets.values())
         index.stats.s_view_tuples = {

@@ -38,9 +38,11 @@ them:
   both the engine path and the serving path are diffed against the oracle
   on a mirror database mutated in lockstep; probe keys rotate so the same
   binding is asked before and after the mutations that affect it, which
-  turns a missed cache eviction into a visible stale answer.  After the
-  script, the replayed index must agree binding-for-binding with an
-  index rebuilt from scratch on the final database (replay == rebuild).
+  turns a missed cache eviction into a visible stale answer.  Every step
+  also runs the plan verifier's maintained-pass and pinned-index liveness
+  checks on the index.  After the script, the replayed index must agree
+  binding-for-binding with an index rebuilt from scratch on the final
+  database (replay == rebuild).
   The thread path runs with a deliberately tight ``staleness_threshold``
   so drift-triggered re-selection (and every listener's rebind-on-
   reselect flow) is fuzzed too.
@@ -76,6 +78,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from repro.analysis.verify_plan import verify_compiled_plans, verify_yannakakis
 from repro.core.index import CQAPIndex
 from repro.core.two_phase import PlanningError
 from repro.data.relation import Relation
@@ -342,6 +345,14 @@ def _run_update_replay(outcome: ScenarioOutcome, workload: Workload,
             else:
                 mirror.delete(name, row)
                 deleted.append((name, row))
+            # the maintained structures, not only their answers: every
+            # Online Yannakakis pass equals a fresh build, every pinned
+            # index is live (the payload-pickling check of the whole
+            # check_index is too slow to run per step)
+            for issue in (verify_yannakakis(index)
+                          + verify_compiled_plans(index.compiled_online)):
+                outcome.disagreements.append(Disagreement(
+                    seed, f"{path}.step{step}.verify", issue, repro))
 
             lo = (step * UPDATE_PROBES_PER_STEP) % len(probe_cycle)
             sample = list(dict.fromkeys(

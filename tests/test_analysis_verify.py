@@ -13,8 +13,10 @@ from repro.analysis.verify_plan import (
     verify_index,
     verify_piece_sharing,
     verify_selection,
+    verify_yannakakis,
 )
 from repro.core.index import CQAPIndex
+from repro.query.cq import CQAP, Atom
 from repro.query.hypergraph import varset
 from repro.tradeoff.cost import RuleEstimate
 from repro.tradeoff.rules import TwoPhaseRule
@@ -351,3 +353,65 @@ class TestParticipantAccessor:
                     assert cell.cell_contents in (
                         spec.bound_key or (spec.var,),
                         spec.bound_key + (spec.var,))
+
+
+def _enumeration_index():
+    """3-path enumeration at |D|^2: an S123 child reduces an S134 root."""
+    atoms = [Atom(f"R{i}", (f"x{i}", f"x{i + 1}")) for i in (1, 2, 3)]
+    cqap = CQAP(("x1", "x2", "x3", "x4"), ("x1", "x4"), atoms,
+                name="path3enum")
+    db = path_database(k=3, n_edges=60, domain=12, seed=5, skew_hubs=2)
+    index = CQAPIndex(cqap, db, space_budget=db.size ** 2).preprocess()
+    reduced = [(oy, parent) for oy in index._yannakakis
+               for parent in oy._ss_edges if oy.s_views[parent].tuples]
+    assert reduced
+    return index, reduced
+
+
+def _cached_index(index):
+    """A view's cached (not whole-schema) index with a multi-row bucket."""
+    for oy in index._yannakakis:
+        for view in oy.s_views.values():
+            for key, cached in view._indexes.items():
+                for value, bucket in cached.items():
+                    if len(bucket) > 1:
+                        return cached, value
+    raise AssertionError("no multi-row bucket")
+
+
+class TestMaintainedPasses:
+    def test_clean_before_and_after_deltas(self):
+        index, _ = _enumeration_index()
+        assert verify_yannakakis(index) == []
+        for op, name in (("insert", "R2"), ("delete", "R1"),
+                         ("insert", "R3"), ("delete", "R2")):
+            rows = sorted(index.db[name].tuples)
+            row = rows[len(rows) // 2] if op == "delete" else (3, 11)
+            assert index.apply_delta(op, name, row).changed
+            assert verify_yannakakis(index) == []
+        check_index(index)
+
+    def test_index_missing_a_row_is_caught(self):
+        index, _ = _enumeration_index()
+        cached, value = _cached_index(index)
+        cached[value].pop()
+        issues = verify_yannakakis(index)
+        assert any("not the rows on their key" in i for i in issues)
+        assert any("not the rows on their key" in i
+                   for i in verify_index(index))
+
+    def test_emptied_bucket_left_behind_is_caught(self):
+        index, _ = _enumeration_index()
+        cached, value = _cached_index(index)
+        cached[tuple(10 ** 6 for _ in value)] = []
+        issues = verify_yannakakis(index)
+        assert any("empty bucket" in i for i in issues)
+
+    def test_reduced_view_with_a_dangling_row_is_caught(self):
+        index, reduced = _enumeration_index()
+        oy, parent = reduced[0]
+        view = oy.s_views[parent]
+        view.tuples.add(tuple(10 ** 6 for _ in view.schema))
+        issues = verify_yannakakis(index)
+        assert any(f"S-view at node {parent}" in i and "1 dangling" in i
+                   for i in issues)

@@ -10,17 +10,23 @@ unit, on this file's PMTDs and on every differential fuzz shape.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.verify_plan import verify_yannakakis
 from repro.core.index import CQAPIndex
 from repro.core.joins import project_join
 from repro.core.online_yannakakis import OnlineYannakakis
 from repro.core.two_phase import PlanningError
-from repro.data import Database, Relation
+from repro.data import Database, Relation, path_database
 from repro.decomposition import PMTD, TreeDecomposition
 from repro.decomposition.pmtd import S_VIEW
+from repro.engine.prepared import prepare
+from repro.oracle import answer_rows, oracle_probe_many
 from repro.query import Atom, ConjunctiveQuery
 from repro.query.catalog import k_path_cqap
-from repro.util.counters import Counters
+from repro.query.cq import CQAP
+from repro.util.counters import Counters, global_counters
 from repro.workloads.queries import QUERY_SHAPES
 from repro.workloads.workload import make_workload
 
@@ -385,3 +391,183 @@ class TestNoRelationBuilt:
         # the patch counts: the chain it replaced builds one per step
         chain_answer(oy_mixed, req, calls[0][2], Counters())
         assert built
+
+
+# -- maintained passes: a delta patches the views, nothing is rebuilt --
+
+def path3_enumeration():
+    """3-path enumeration: the fleet workload's query (head x1..x4)."""
+    atoms = [Atom(f"R{i}", (f"x{i}", f"x{i + 1}")) for i in (1, 2, 3)]
+    return CQAP(("x1", "x2", "x3", "x4"), ("x1", "x4"), atoms,
+                name="path3enum")
+
+
+def ss_edges_with_rows(index):
+    """``(pass, parent, child)`` for every SS-edge whose views hold rows."""
+    return [(oy, parent, edge[0]) for oy in index._yannakakis
+            for parent, edges in oy._ss_edges.items() for edge in edges
+            if oy.s_views[parent].tuples and oy.s_views[edge[0]].tuples]
+
+
+#: the two indexes of the property: enumeration at |D|^2, where an S123
+#: child reduces an S134 root as on the fleet, and reachability at |D|^1.3
+MAINTAINED = {"enumeration": (path3_enumeration, 2.0),
+              "reachability": (lambda: k_path_cqap(3), 1.3)}
+DOMAIN = 12
+
+delta_step = st.tuples(st.sampled_from(["insert", "delete"]),
+                       st.sampled_from(["R1", "R2", "R3"]),
+                       st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+
+
+class TestMaintainedPasses:
+    """``OnlineYannakakis.maintain`` against a fresh build, delta by delta."""
+
+    @pytest.mark.parametrize("kind", sorted(MAINTAINED))
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 50),
+           script=st.lists(delta_step, min_size=1, max_size=10))
+    def test_every_delta_leaves_every_pass_fresh(self, kind, seed, script):
+        make_cqap, exponent = MAINTAINED[kind]
+        cqap = make_cqap()
+        db = path_database(3, 60, DOMAIN, seed=seed, skew_hubs=2)
+        prepared = prepare(cqap, db, db.size ** exponent)
+        index = prepared.index
+        if kind == "enumeration":
+            assert ss_edges_with_rows(index)
+        assert verify_yannakakis(index) == []
+        probes = [(a, b) for a in range(0, DOMAIN + 2, 3)
+                  for b in range(0, DOMAIN + 2, 2)]
+        head = tuple(cqap.head)
+        for op, name, a, b in script:
+            rows = sorted(db[name].tuples)
+            if op == "delete" and rows:
+                row = rows[a % len(rows)]
+            else:
+                op, row = "insert", (a % (DOMAIN + 2), b % (DOMAIN + 2))
+            index.apply_delta(op, name, row)
+            # rows and index contents of every pass equal a fresh build's
+            assert verify_yannakakis(index) == []
+            got = {key: answer_rows(rel, head)
+                   for key, rel in prepared.probe_many(probes).items()}
+            assert got == oracle_probe_many(cqap, db, probes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(s37=st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                       max_size=8),
+           s78=st.sets(st.tuples(st.integers(0, 3), st.integers(0, 1)),
+                       max_size=4),
+           s45=st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                       max_size=12),
+           script=st.lists(st.tuples(st.sampled_from([3, 4, 5]),
+                                     st.booleans(), st.integers(0, 3),
+                                     st.integers(0, 3)),
+                           min_size=1, max_size=12))
+    def test_example_a1_views_under_deltas(self, s37, s78, s45, script):
+        """Independent S-views, few rows per key: raw S37 rows that match
+        no S78 row, and S78 keys that appear and disappear under them."""
+        relations, _, pmtd, _ = TestExampleA1().build(seed=1)
+        t_views = {node: relations[name].copy(name=pmtd.view(node).label)
+                   for node, name in ((0, "T12"), (1, "T13"), (2, "T345"))}
+        s_views = {3: Relation("S37", ("x3", "x7"), s37),
+                   4: Relation("S45", ("x4", "x5"), s45),
+                   5: Relation("S78", ("x7", "x8"), s78)}
+        oy = OnlineYannakakis(pmtd, s_views)
+        rng = random.Random(len(script))
+        for node, insert, a, b in script:
+            view = s_views[node]
+            if insert or not view.tuples:
+                row = (a, b % 2 if node == 5 else b)
+                delta = ({row} - view.tuples, set())
+            else:
+                rows = sorted(view.tuples)
+                delta = (set(), {rows[(a + 4 * b) % len(rows)]})
+            OnlineYannakakis.maintain([oy], {view.variables: delta},
+                                      Counters())
+            fresh = OnlineYannakakis(pmtd, {
+                node: Relation(rel.name, rel.schema, rel.tuples)
+                for node, rel in s_views.items()})
+            assert {node: rel.tuples for node, rel in oy.s_views.items()} \
+                == {node: rel.tuples for node, rel in fresh.s_views.items()}
+            for rel in (*oy.raw_views.values(), *oy.s_views.values()):
+                for key, cached in rel._indexes.items():
+                    assert all(cached.values())
+                    assert {k: set(bucket) for k, bucket in cached.items()} \
+                        == {k: set(bucket) for k, bucket in
+                            Relation(rel.name, rel.schema,
+                                     rel.tuples).index_on(key).items()}
+            request = Relation("Q", ("x1", "x2"),
+                               {(rng.randrange(6), rng.randrange(6))
+                                for _ in range(4)})
+            assert assert_matches_chain(oy, request, t_views) \
+                == fresh.answer(request, t_views)
+
+    def test_deleting_a_keys_last_row_drops_the_key(self):
+        """Every cached index over the access columns loses the key, and
+        the probe answers empty."""
+        cqap = path3_enumeration()
+        db = Database([
+            Relation("R1", ("x1", "x2"), {(0, 10), (1, 11), (0, 12)}),
+            Relation("R2", ("x2", "x3"), {(10, 20), (11, 21), (12, 22)}),
+            Relation("R3", ("x3", "x4"), {(20, 30), (21, 31), (22, 32)}),
+        ])
+        index = CQAPIndex(cqap, db, 10 ** 7).preprocess()
+        assert ss_edges_with_rows(index)
+
+        def buckets_on(value):
+            """``value``'s bucket in every view index keyed on x1, x4."""
+            views = {id(rel): rel for oy in index._yannakakis
+                     for rel in (*oy.raw_views.values(),
+                                 *oy.s_views.values())}
+            return [cached.get(value if key == ("x1", "x4") else value[::-1])
+                    for rel in views.values()
+                    for key, cached in rel._indexes.items()
+                    if set(key) == {"x1", "x4"}]
+
+        assert any(buckets_on((0, 30)))
+        event = index.apply_delta("delete", "R3", (20, 30))
+        assert event.targets_changed
+        assert buckets_on((0, 30)) and all(
+            bucket is None for bucket in buckets_on((0, 30)))
+        assert len(index.answer((0, 30))) == 0
+        assert len(index.answer((0, 32))) == 1
+        assert verify_yannakakis(index) == []
+
+
+class TestPreprocessCounters:
+    def test_prepare_counters_include_the_ss_pass(self, monkeypatch):
+        """The SS-edge semijoins charge the build's counters, not the
+        process-wide ones — in the index and in a shard executor."""
+        from repro.serving.sharding import ShardExecutor, shard_payloads
+
+        materialized = []
+        plan_and_materialize = CQAPIndex._plan_and_materialize
+
+        def spy(index, ctr):
+            plan_and_materialize(index, ctr)
+            materialized.append(ctr.copy())
+
+        monkeypatch.setattr(CQAPIndex, "_plan_and_materialize", spy)
+        cqap = path3_enumeration()
+        db = path_database(3, 60, DOMAIN, seed=5, skew_hubs=2)
+        before = global_counters.snapshot()
+        prepared = prepare(cqap, db, db.size ** 2)
+        assert global_counters.snapshot() == before
+        index = prepared.index
+        assert ss_edges_with_rows(index)
+        # the SS pass replayed over the raw views: one probe per row
+        ss = Counters()
+        for oy in index._yannakakis:
+            for parent, edges in oy._ss_edges.items():
+                reduced = oy.raw_views[parent]
+                for edge in edges:
+                    reduced = reduced.semijoin(oy.s_views[edge[0]],
+                                               counters=ss)
+        assert ss.probes > 0
+        [done] = materialized
+        assert prepared.prepare_counters.probes == done.probes + ss.probes
+        assert index.stats.preprocess_counters["probes"] \
+            == done.probes + ss.probes
+        [payload] = shard_payloads(index, 1)
+        executor = ShardExecutor(payload)
+        assert executor.preprocess_counters.probes == ss.probes

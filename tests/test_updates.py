@@ -473,6 +473,36 @@ class TestWritePathRunsKernels:
                    for edge in sorted(edges))
 
 
+class TestPassesAreMaintained:
+    def test_a_target_delta_constructs_no_pass(self, monkeypatch):
+        """S-target deltas patch the Online Yannakakis passes in place."""
+        from repro.analysis.verify_plan import verify_yannakakis
+        from repro.core.online_yannakakis import OnlineYannakakis
+
+        cqap, db, index = lean_index()
+        passes = list(index._yannakakis)
+        built = []
+        init = OnlineYannakakis.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(OnlineYannakakis, "__init__", counting_init)
+        moved = 0
+        for op, name, row in TestSharedPieces.SCRIPT:
+            moved += index.apply_delta(op, name, row).targets_changed
+        assert moved and built == []
+        assert index._yannakakis == passes
+        domain = [0, 1, 2, 5, 900, 901, 903, 904]
+        assert probe_grid(cqap, index, domain) \
+            == oracle_grid(cqap, db, domain)
+        # the patch counts: the verifier's fresh build is one construction
+        # per pass
+        assert verify_yannakakis(index) == []
+        assert len(built) == len(passes)
+
+
 class TestDriftReselection:
     def test_drift_past_threshold_triggers_reselect(self):
         cqap, db, index = build_index(staleness_threshold=0.01)
