@@ -102,16 +102,23 @@ def _run_verify_plans() -> int:
     Sweeps budget ∈ {lean, medium, rich} × shards ∈ {1, 4}, with a low
     ``auto_select_threshold`` so the budgeted beam selection is
     exercised, mirroring the differential harness's configuration axes.
-    Each cell then replays :data:`REPLAY_DELTAS` seeded deltas and is
-    verified again, so what deltas maintain in place (pieces, pinned
-    indexes, Online Yannakakis passes) is checked too.
+    Each cell then replays :data:`REPLAY_DELTAS` seeded deltas through
+    the index and an in-process shard backend with the cell's shard
+    count, and is verified again, so what deltas maintain in place
+    (pieces, pinned indexes, Online Yannakakis passes, the shards' views)
+    is checked too.
     Budget-infeasible cells (PlanningError) are reported and skipped —
     infeasibility is a legitimate planner outcome, not a verification
     failure.
     """
-    from repro.analysis.verify_plan import check_index
+    from repro.analysis.verify_plan import (
+        PlanVerificationError,
+        check_index,
+        verify_shards,
+    )
     from repro.core.index import CQAPIndex
     from repro.core.two_phase import PlanningError
+    from repro.serving.sharding import ShardedIndex
     from repro.tradeoff.cost import CatalogStatistics
 
     failures = 0
@@ -131,8 +138,12 @@ def _run_verify_plans() -> int:
                         statistics=statistics,
                     ).preprocess(verify_plans=True)
                     stored = index.stats.stored_tuples
+                    sharded = ShardedIndex(index, shards)
                     _replay(index, cell)
                     check_index(index)
+                    issues = verify_shards(sharded)
+                    if issues:
+                        raise PlanVerificationError(issues)
                 except PlanningError as exc:
                     skipped += 1
                     print(f"  skip  {cell}: infeasible ({exc})")

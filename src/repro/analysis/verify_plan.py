@@ -40,6 +40,11 @@ parts) and reports every violation as a human-readable issue string:
   fresh pass over the current S-targets derives, and every index it
   caches is a fresh ``index_on`` of its rows: same keys, same buckets,
   no empty bucket.
+* **Shard views** — every in-process shard executor reads one view
+  relation per S-target, holding exactly the target rows routed to its
+  shard, and its passes meet the maintained-pass checks over them
+  (:func:`verify_shards`; not part of :func:`verify_index`, which sees
+  the index only).
 
 ``check_index`` raises :class:`PlanVerificationError`;
 ``verify_index`` returns the issue list for callers that want to report.
@@ -52,7 +57,7 @@ import pickle
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.split import split_path
-from repro.data.relation import Relation
+from repro.data.relation import Relation, row_getter
 from repro.query.cq import CQAP
 from repro.tradeoff.selection import (
     PMTD_OVERHEAD,
@@ -68,6 +73,7 @@ __all__ = [
     "verify_piece_sharing",
     "verify_delta_plans",
     "verify_yannakakis",
+    "verify_shards",
     "verify_index",
     "check_index",
 ]
@@ -448,15 +454,67 @@ def verify_yannakakis(index: Any) -> List[str]:
     them in place (:meth:`OnlineYannakakis.maintain <repro.core.
     online_yannakakis.OnlineYannakakis.maintain>`) instead of rebuilding.
     """
+    return _pass_issues("", index._yannakakis, index.s_targets)
+
+
+def verify_shards(backend: Any) -> List[str]:
+    """Check an in-process shard backend's executors against the index.
+
+    Every executor must read one view relation per S-target — each of
+    its passes' raw views *is* that relation — holding exactly the index
+    S-target's rows routed to its shard (all of them for a replicated
+    target), and its passes must pass :func:`verify_yannakakis`' checks
+    over those views.  A delta patches each view once in place
+    (:meth:`ShardExecutor.apply_delta <repro.serving.sharding.
+    ShardExecutor.apply_delta>`); a second view object, a row on the
+    wrong shard or a stale index is caught here.
+    """
+    from repro.serving.sharding import access_hash
+
+    index, n_shards = backend.index, backend.n_shards
+    issues: List[str] = []
+    for executor in backend._executors:
+        label = f"shard {executor.shard_id}: "
+        for pos, oy in enumerate(executor.yannakakis):
+            for node, view in oy.raw_views.items():
+                if view is not executor.views.get(view.variables):
+                    issues.append(
+                        f"{label}pass {pos} reads node {node} through a "
+                        f"view other than the shard's one for "
+                        f"{sorted(view.variables)} (a delta patches only "
+                        f"that one)")
+        for target, view in executor.views.items():
+            source = index.s_targets.get(target)
+            rows = set() if source is None else source.tuples
+            prefix = backend._partition_prefix.get(target)
+            if prefix is not None and source is not None:
+                key_of = row_getter(source.positions(prefix))
+                rows = {row for row in rows
+                        if access_hash(key_of(row)) % n_shards
+                        == executor.shard_id}
+            if view.tuples != rows:
+                issues.append(
+                    f"{label}view of {sorted(target)} holds "
+                    f"{len(view.tuples - rows)} row(s) not routed to it "
+                    f"and lacks {len(rows - view.tuples)} that are")
+        issues.extend(_pass_issues(label, executor.yannakakis,
+                                   executor.views))
+    return issues
+
+
+def _pass_issues(prefix: str, passes: Sequence[Any],
+                 targets: Dict[Any, Relation]) -> List[str]:
+    """How ``passes`` differ from fresh passes over ``targets``."""
     # local imports: analysis depends on core, never the reverse
+    from repro.core.index import CQAPIndex
     from repro.core.online_yannakakis import OnlineYannakakis
     from repro.util.counters import Counters
 
     issues: List[str] = []
-    for pos, oy in enumerate(index._yannakakis):
-        label = f"pass {pos} {oy.pmtd!r}"
+    for pos, oy in enumerate(passes):
+        label = f"{prefix}pass {pos} {oy.pmtd!r}"
         fresh = OnlineYannakakis(
-            oy.pmtd, index._assemble_views(oy.pmtd.s_views, index.s_targets),
+            oy.pmtd, CQAPIndex._assemble_views(oy.pmtd.s_views, targets),
             counters=Counters())
         for node, view in oy.s_views.items():
             want = fresh.s_views[node]

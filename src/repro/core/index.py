@@ -341,20 +341,10 @@ class CQAPIndex:
         from repro.updates import compile_delta_plans
 
         self._delta_plans = compile_delta_plans(self)
-        self._yannakakis = []
         self.stats = IndexStats()
-        # one view relation per S-target, shared by every pass: each of
-        # its indexes is built once and patched once per delta
-        views: Dict[VarSet, Relation] = {}
-        for pmtd in self.pmtds:
-            s_views = {}
-            for node, view in pmtd.s_views.items():
-                if view.variables not in views:
-                    views[view.variables] = self._assemble_views(
-                        {node: view}, self._s_targets)[node]
-                s_views[node] = views[view.variables]
-            self._yannakakis.append(
-                OnlineYannakakis(pmtd, s_views, counters=ctr))
+        views = self._view_relations(self.pmtds, self._s_targets)
+        self._yannakakis = [OnlineYannakakis.over(pmtd, views, counters=ctr)
+                            for pmtd in self.pmtds]
         self.stats.stored_tuples = sum(
             len(rel) for rel in self._s_targets.values()
         )
@@ -449,6 +439,26 @@ class CQAPIndex:
                 out[node] = Relation._wrap(
                     view.label, matching.schema, matching.tuples)
         return out
+
+    @staticmethod
+    def _view_relations(pmtds: Sequence[PMTD],
+                        targets: Dict[VarSet, Relation],
+                        ) -> Dict[VarSet, Relation]:
+        """One view relation per S-view schema of ``pmtds``, for every pass.
+
+        Each is :meth:`_assemble_views`' relabel of the S-target of that
+        schema: it shares the target's row set but caches indexes of its
+        own, so every index is built once and a delta patches it once
+        however many passes read the view.  The index builds its passes
+        over its S-targets, and a shard executor over its slices of them.
+        """
+        views: Dict[VarSet, Relation] = {}
+        for pmtd in pmtds:
+            for node, view in pmtd.s_views.items():
+                if view.variables not in views:
+                    views[view.variables] = CQAPIndex._assemble_views(
+                        {node: view}, targets)[node]
+        return views
 
     # ------------------------------------------------------------------
     # online phase

@@ -33,13 +33,14 @@ pass depends on the request's column order, and only the projection onto
 the query head (:meth:`OnlineYannakakis.onto`) on the head's — both the
 caller's; their positions are derived once per order and kept.  S-view indexes
 are fetched per call (:meth:`Relation.membership_on <repro.data.relation.
-Relation.membership_on>`, ``index_on``), so a stale partition view still
-fails fast and a rebuilt index is never missed.
+Relation.membership_on>`, ``index_on``), so a rebuilt index is never
+missed.
 
 **Maintenance.**  A delta that moves S-target rows patches a pass in
 place (:meth:`OnlineYannakakis.maintain`); nothing is rebuilt.  A view
 with no SS-child shares its S-target's row set — one view relation per
-target, shared by every pass of an index — and each changed row is
+target, shared by every pass of an index or of a shard executor
+(:meth:`OnlineYannakakis.over`) — and each changed row is
 inserted into or removed from every index the view caches, a bucket left
 empty being deleted so that ``key in index`` stays exact.  An SS-reduced
 parent follows the delta-semijoin rule of Kara et al. ("Conjunctive
@@ -165,6 +166,19 @@ class OnlineYannakakis:
         self._top_down = sorted(all_nodes, key=lambda n: self._depths[n])
         self._preprocess(counters or global_counters)
         self._compile()
+
+    @classmethod
+    def over(cls, pmtd: PMTD, views: Dict[frozenset, Relation],
+             counters: Optional[Counters] = None) -> "OnlineYannakakis":
+        """A pass whose S-view at each node is ``views[its variables]``.
+
+        ``views`` holds one relation per S-view schema, shared by every
+        pass built over it (:meth:`CQAPIndex._view_relations <repro.core.
+        index.CQAPIndex._view_relations>`).
+        """
+        return cls(pmtd, {node: views[view.variables]
+                          for node, view in pmtd.s_views.items()},
+                   counters=counters)
 
     # ------------------------------------------------------------------
     def _preprocess(self, ctr: Counters) -> None:

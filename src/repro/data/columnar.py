@@ -122,8 +122,6 @@ class ColumnarRelation(Relation):
     # batch kernels (same outputs and counter totals as the base loops)
     # ------------------------------------------------------------------
     def index_on(self, key: Sequence[str]) -> Dict[Tuple_, list]:
-        if self._view_of is not None:
-            self._check_fresh()
         key = tuple(key)
         cached = self._indexes.get(key)
         if cached is not None:
@@ -149,8 +147,6 @@ class ColumnarRelation(Relation):
     def project(self, onto: Sequence[str], name: Optional[str] = None,
                 counters: Optional[Counters] = None) -> "ColumnarRelation":
         """Batch projection: one transpose, one bulk scan charge."""
-        if self._view_of is not None:
-            self._check_fresh()
         ctr = counters or global_counters
         onto = tuple(onto)
         self.positions(onto)
@@ -179,8 +175,6 @@ class ColumnarRelation(Relation):
         sides' key columns are plain ints.  Shared variables that cover
         ``other``'s schema probe its row set (``membership_on``).
         """
-        if self._view_of is not None:
-            self._check_fresh()
         ctr = counters or global_counters
         # in ``other``'s column order: a key covering its schema is a row
         shared = tuple(v for v in other.schema if v in self._variables)
@@ -219,8 +213,6 @@ class ColumnarRelation(Relation):
     def join(self, other: Relation, name: Optional[str] = None,
              counters: Optional[Counters] = None) -> "ColumnarRelation":
         """Natural hash join with hoisted positions and bulk counters."""
-        if self._view_of is not None:
-            self._check_fresh()
         ctr = counters or global_counters
         shared = tuple(v for v in self.schema if v in other.variables)
         extra = tuple(v for v in other.schema if v not in self.variables)

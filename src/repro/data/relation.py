@@ -13,7 +13,6 @@ use ints and strings).
 from __future__ import annotations
 
 import hashlib
-import weakref
 from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -81,19 +80,6 @@ class SchemaError(ValueError):
     """Raised when an operation references variables absent from a schema."""
 
 
-class StalePartitionError(RuntimeError):
-    """Raised when a mutation would desynchronize live partition views.
-
-    Partition views from :meth:`Relation.partition_by_hash` each hold an
-    independent row set: mutating the base (or a view) through the plain
-    :meth:`Relation.add`/:meth:`Relation.discard` API cannot keep the
-    other side coherent, and probing a view whose base has moved on would
-    return wrong answers.  The coordinated update path
-    (:mod:`repro.updates`) routes deltas into the right view explicitly
-    and re-marks views fresh; everything else fails fast here.
-    """
-
-
 class Relation:
     """A named set of tuples with an ordered schema of variable names.
 
@@ -112,11 +98,12 @@ class Relation:
     — or at once, for a :meth:`_delta_patch`, which patches the cached
     indexes instead of dropping them: writers must be single-threaded
     with respect to readers, as the serving layers arrange (no probe runs
-    inside ``apply_delta``).
+    inside ``apply_delta``).  ``version`` counts the mutations this handle
+    took.
     """
 
     __slots__ = ("name", "schema", "tuples", "_variables", "_indexes",
-                 "version", "_views", "_view_of", "__weakref__")
+                 "version")
 
     def __init__(self, name: str, schema: Sequence[str],
                  tuples: Iterable[Tuple_] = ()) -> None:
@@ -135,7 +122,7 @@ class Relation:
                     f"expects {width}"
                 )
             self.tuples.add(row)
-        self._init_epoch()
+        self.version = 0
         self._reset_derived()
 
     # ------------------------------------------------------------------
@@ -150,15 +137,6 @@ class Relation:
         points.
         """
         self._indexes: Dict[Tuple[str, ...], Dict[Tuple_, list]] = {}
-
-    def _init_epoch(self) -> None:
-        """Start the mutation epoch: fresh version, no partition links."""
-        self.version = 0
-        # weakrefs to live partition views (a plain list: relations are
-        # deliberately unhashable, so WeakSet cannot hold them); dead
-        # refs are pruned on the guard checks
-        self._views: Optional[List["weakref.ref[Relation]"]] = None
-        self._view_of: Optional[Tuple["weakref.ref[Relation]", int]] = None
 
     @classmethod
     def _wrap(cls, name: str, schema: Sequence[str],
@@ -178,7 +156,7 @@ class Relation:
         self.schema = tuple(schema)
         self._variables = frozenset(self.schema)
         self.tuples = tuples
-        self._init_epoch()
+        self.version = 0
         self._reset_derived()
         return self
 
@@ -202,9 +180,7 @@ class Relation:
         self.schema = schema
         self._variables = frozenset(schema)
         self.tuples = tuples
-        # partition links are process-local bookkeeping: a relation
-        # unpickled in a shard worker starts a fresh epoch of its own
-        self._init_epoch()
+        self.version = 0
         self._reset_derived()
 
     # ------------------------------------------------------------------
@@ -254,38 +230,6 @@ class Relation:
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
-    def _check_mutable(self) -> None:
-        """Fail fast when a plain mutation would desynchronize partitions."""
-        if self._view_of is not None and self._view_of[0]() is not None:
-            raise StalePartitionError(
-                f"{self.name!r} is a partition view of "
-                f"{self._view_of[0]().name!r}; mutate the base through the "
-                f"coordinated update path (repro.updates) instead"
-            )
-        if self._views is not None:
-            self._views = [ref for ref in self._views if ref() is not None]
-            if self._views:
-                raise StalePartitionError(
-                    f"{self.name!r} has live partition views; a plain "
-                    f"mutation would leave them silently stale — route the "
-                    f"delta through the coordinated update path "
-                    f"(repro.updates) instead"
-                )
-
-    def _check_fresh(self) -> None:
-        """Fail fast when probing a partition view whose base moved on."""
-        if self._view_of is None:
-            return
-        ref, recorded = self._view_of
-        base = ref()
-        if base is not None and base.version != recorded:
-            raise StalePartitionError(
-                f"partition view {self.name!r} is stale: base {base.name!r} "
-                f"mutated since the partition was taken (version "
-                f"{base.version} != {recorded}); rebuild the partition or "
-                f"route deltas through the coordinated update path"
-            )
-
     def add(self, row: Tuple_, counters: Optional[Counters] = None) -> bool:
         """Insert one tuple, invalidating cached indexes.
 
@@ -295,7 +239,6 @@ class Relation:
         row = tuple(row)
         if len(row) != len(self.schema):
             raise SchemaError(f"arity mismatch adding {row} to {self.schema}")
-        self._check_mutable()
         if row in self.tuples:
             return False
         self.tuples.add(row)
@@ -318,7 +261,6 @@ class Relation:
             raise SchemaError(
                 f"arity mismatch discarding {row} from {self.schema}"
             )
-        self._check_mutable()
         if row not in self.tuples:
             return False
         self.tuples.discard(row)
@@ -328,10 +270,10 @@ class Relation:
         return True
 
     # ------------------------------------------------------------------
-    # coordinated delta primitives (repro.updates) — these skip the
-    # partition-view guard because the caller takes responsibility for
-    # routing the same delta into the affected views and re-marking them
-    # fresh via _sync_with_base()
+    # coordinated delta primitives (repro.updates and the shard
+    # executors): no arity check and no counter charge — the caller
+    # routes trusted rows to every handle of the logical relation and
+    # accounts for them itself
     # ------------------------------------------------------------------
     def _delta_add(self, row: Tuple_) -> bool:
         """Unchecked insert for the coordinated update path."""
@@ -378,15 +320,6 @@ class Relation:
                 index.setdefault(key_of(row), []).append(row)
         self.version += 1
 
-    def _sync_with_base(self) -> None:
-        """Re-mark this partition view fresh after a coordinated delta."""
-        if self._view_of is None:
-            return
-        ref, _ = self._view_of
-        base = ref()
-        if base is not None:
-            self._view_of = (ref, base.version)
-
     # ------------------------------------------------------------------
     # positions and indexes
     # ------------------------------------------------------------------
@@ -409,8 +342,6 @@ class Relation:
         identical one — never a half-built dict.  Mutation remains
         single-threaded-only, as per the class contract above.
         """
-        if self._view_of is not None:
-            self._check_fresh()
         key = tuple(key)
         cached = self._indexes.get(key)
         if cached is not None:
@@ -429,13 +360,10 @@ class Relation:
         be a ``row -> [row]`` copy of the relation — so the live row set
         answers it, for a probe tuple arranged in *schema* order.  Any
         other key gets :meth:`index_on`'s dict, probed in ``key`` order.
-        ``key`` must consist of schema variables.  Stale partition views
-        fail here exactly as they do in :meth:`index_on`.
+        ``key`` must consist of schema variables.
         """
         if len(key) != len(self.schema):
             return self.index_on(key)
-        if self._view_of is not None:
-            self._check_fresh()
         return self.tuples
 
     def degree(self, key: Sequence[str]) -> int:
@@ -450,7 +378,7 @@ class Relation:
         return len(self.index_on(key).get(tuple(key_value), ()))
 
     # ------------------------------------------------------------------
-    # partition views
+    # hash partitioning
     # ------------------------------------------------------------------
     def partition_by_hash(self, key: Sequence[str], n_shards: int,
                           hasher: Optional[Callable[[Tuple_], int]] = None,
@@ -459,18 +387,14 @@ class Relation:
 
         Shard ``i`` holds exactly the tuples whose key-column values hash to
         ``i`` modulo ``n_shards`` (:func:`stable_hash` by default, so the
-        split is identical across processes).  The returned relations share
-        the stored tuple objects — a partition *view*, not a copy of the
-        payloads — and re-unioning them reproduces this relation exactly.
-        Each partition starts with an empty index cache of its own, so
-        mutating one partition invalidates only that partition's indexes.
-
-        Views are epoch-guarded: mutating this relation (or a view) through
-        the plain :meth:`add`/:meth:`discard` API while views are alive
-        raises :class:`StalePartitionError`, as does probing a view after
-        its base mutated through the coordinated delta path without the
-        view being resynced.  Registration is by weak reference, so
-        dropping every handle to the views lifts the guard.
+        split is identical across processes).  The slices share the stored
+        tuple objects, not a copy of the payloads, and re-unioning them
+        reproduces this relation exactly.  Each slice is a plain relation
+        with a row set and an index cache of its own: mutating it, or this
+        relation, touches nothing else.  Keeping slices in step with their
+        source is the caller's routing — the sharded serving layer hands
+        every delta row to the one slice its key hashes to
+        (:mod:`repro.serving.sharding`).
         """
         if n_shards <= 0:
             raise ValueError(f"n_shards must be positive, got {n_shards}")
@@ -479,16 +403,8 @@ class Relation:
         buckets: List[set] = [set() for _ in range(n_shards)]
         for row in self.tuples:
             buckets[hash_(tuple(row[p] for p in pos)) % n_shards].add(row)
-        parts = [type(self)._wrap(f"{self.name}@{i}", self.schema, bucket)
-                 for i, bucket in enumerate(buckets)]
-        if self._views is None:
-            self._views = []
-        else:
-            self._views = [ref for ref in self._views if ref() is not None]
-        for part in parts:
-            part._view_of = (weakref.ref(self), self.version)
-            self._views.append(weakref.ref(part))
-        return parts
+        return [type(self)._wrap(f"{self.name}@{i}", self.schema, bucket)
+                for i, bucket in enumerate(buckets)]
 
     # ------------------------------------------------------------------
     # relational operators
@@ -496,8 +412,6 @@ class Relation:
     def project(self, onto: Sequence[str], name: Optional[str] = None,
                 counters: Optional[Counters] = None) -> "Relation":
         """Duplicate-eliminating projection onto ``onto`` (ordered)."""
-        if self._view_of is not None:
-            self._check_fresh()
         ctr = counters or global_counters
         onto = tuple(onto)
         pos = self.positions(onto)
@@ -536,8 +450,6 @@ class Relation:
         ``self`` — never a scan of ``other`` (this is what makes Online
         Yannakakis independent of S-view sizes).
         """
-        if self._view_of is not None:
-            self._check_fresh()
         ctr = counters or global_counters
         # in ``other``'s column order: a key covering its schema is a row
         shared = tuple(v for v in other.schema if v in self._variables)
@@ -566,8 +478,6 @@ class Relation:
 
         Builds the hash side on ``other`` and streams ``self``.
         """
-        if self._view_of is not None:
-            self._check_fresh()
         ctr = counters or global_counters
         shared = tuple(v for v in self.schema if v in other.variables)
         extra = tuple(v for v in other.schema if v not in self.variables)

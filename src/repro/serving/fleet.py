@@ -6,9 +6,10 @@ under the GIL shards compete for the same core.  The fleet is the other
 transport over the same executor — it gives each shard its own process:
 
 * :func:`~repro.serving.sharding.shard_payloads` builds one picklable
-  payload per shard — CQAP, compiled T-phase steps, and the shard's raw
-  S-view slices (:class:`~repro.data.relation.Relation` pickles its
-  payload, never its index caches);
+  payload per shard — CQAP, compiled T-phase steps, and one relation per
+  S-target, the shard's slice of a partitioned one
+  (:class:`~repro.data.relation.Relation` pickles its payload, never its
+  index caches);
 * each shard gets one worker process for the fleet's lifetime (shard →
   process affinity: resubmissions hit warm per-shard hash indexes), which
   builds the shard's executor from the payload, so the *shard-aware

@@ -60,6 +60,7 @@ from repro.core.index import CQAPIndex, online_phase, split_by_binding
 from repro.core.online_yannakakis import OnlineYannakakis
 from repro.core.two_phase import TwoPhaseExecutor
 from repro.data.relation import Relation, apply_row_delta, stable_hash
+from repro.decomposition.pmtd import PMTD
 from repro.obs import metrics_section
 from repro.obs.hist import WORK_BUCKETS, Histogram
 from repro.obs.registry import REGISTRY
@@ -114,13 +115,13 @@ def partition_prefixes(index: CQAPIndex, n_shards: int,
 class ShardPayload:
     """Everything one shard executor needs to serve its shard, picklable.
 
-    ``pmtd_views`` holds the *raw* per-shard view relations (partition
-    slices for partitionable targets, the full relation for replicated
-    ones).  The executor builds its own :class:`~repro.core.
-    online_yannakakis.OnlineYannakakis` per PMTD from them, so the
-    per-shard preprocessing — semijoin reduction against the shard's own
-    slice, hash-index warm-up — happens where the shard is served, sized
-    by the shard's partition rather than derived from a global build.
+    ``targets`` holds one relation per S-target: this shard's slice of a
+    partitionable target, the whole relation of a replicated one.  The
+    executor builds its own :class:`~repro.core.online_yannakakis.
+    OnlineYannakakis` per PMTD over them, so the per-shard preprocessing
+    — semijoin reduction against the shard's own slice, hash-index
+    warm-up — happens where the shard is served, sized by the shard's
+    partition rather than derived from a global build.
     """
 
     shard_id: int
@@ -128,9 +129,8 @@ class ShardPayload:
     cqap: object
     steps: List
     budget_slack: float
-    #: parallel to ``pmtds``: per-PMTD ``{node: Relation}`` S-view dicts
     pmtds: List
-    pmtd_views: List[Dict]
+    targets: Dict[VarSet, Relation]
     partitioned_tuples: int
 
 
@@ -138,10 +138,11 @@ def shard_payloads(index: CQAPIndex, n_shards: int) -> List[ShardPayload]:
     """Build one serving payload per shard — the same for both transports.
 
     S-targets with a routable access prefix are hash-partitioned (one
-    slice per shard); the rest go to every shard whole.  View assembly
-    goes through the engine's own matcher, so sharded views can never
-    diverge from what :meth:`CQAPIndex.answer` would serve, and shard
-    contents can never depend on the transport.
+    plain slice relation per shard); the rest go to every shard whole.
+    The executor matches them to its views with the index's own
+    :meth:`CQAPIndex._view_relations`, so sharded views can never diverge
+    from what :meth:`CQAPIndex.answer` would serve, and shard contents
+    can never depend on the transport.
     """
     if not index.ready:
         raise ValueError("shard payloads need a preprocessed CQAPIndex; "
@@ -163,10 +164,7 @@ def shard_payloads(index: CQAPIndex, n_shards: int) -> List[ShardPayload]:
             steps=index.compiled_online,
             budget_slack=index.executor.budget_slack,
             pmtds=list(index.pmtds),
-            pmtd_views=[
-                CQAPIndex._assemble_views(pmtd.s_views, shard_targets)
-                for pmtd in index.pmtds
-            ],
+            targets=shard_targets,
             partitioned_tuples=sum(len(parts[shard_id])
                                    for parts in target_parts.values()),
         ))
@@ -196,14 +194,16 @@ class ShardExecutor:
     """One shard of the paper's data structure, and its online phase.
 
     Holds the shard's compiled T-phase steps, a :class:`TwoPhaseExecutor`
-    of its own, the raw per-PMTD S-views of its :class:`ShardPayload` and
-    the Online-Yannakakis passes built from them.  Building the passes
-    here — not once globally — is what makes preprocessing shard-aware:
-    the semijoin reductions and hash-index warm-ups run against this
-    shard's slices, wherever this object lives.  It runs unchanged in
-    the caller's thread and inside a fleet worker; a worker's copy came
-    through pickle and owns everything it holds, an in-process one shares
-    the steps and the replicated views' tuple *sets* with the index.
+    of its own, one view relation per S-target over its
+    :class:`ShardPayload`'s slices, and the Online-Yannakakis passes
+    built over those views — the index's layout, shard by shard.
+    Building the passes here — not once globally — is what makes
+    preprocessing shard-aware: the semijoin reductions and hash-index
+    warm-ups run against this shard's slices, wherever this object
+    lives.  It runs unchanged in the caller's thread and inside a fleet
+    worker; a worker's copy came through pickle and owns everything it
+    holds, an in-process one shares the steps and the replicated
+    targets' tuple *sets* with the index.
     """
 
     def __init__(self, payload: ShardPayload) -> None:
@@ -213,19 +213,18 @@ class ShardExecutor:
         self.steps = payload.steps
         self.executor = TwoPhaseExecutor(
             payload.cqap, budget_slack=payload.budget_slack)
-        self.pmtds = payload.pmtds
-        #: retained past the initial builds: a delta patches these raw
-        #: views and rebuilds the affected passes from them (see
-        #: :meth:`apply_delta`)
-        self.pmtd_views = payload.pmtd_views
+        #: one view relation per S-view schema, shared by every pass: a
+        #: delta patches each once (see :meth:`apply_delta`)
+        self.views = CQAPIndex._view_relations(payload.pmtds,
+                                               payload.targets)
         #: the work of building the passes (their SS-edge semijoins)
         self.preprocess_counters = Counters()
-        self.yannakakis = [self._pass(p) for p in range(len(self.pmtds))]
+        self.yannakakis = [self._pass(pmtd) for pmtd in payload.pmtds]
         self.preprocess_seconds = time.process_time() - t0
 
-    def _pass(self, p: int) -> OnlineYannakakis:
-        return OnlineYannakakis(self.pmtds[p], self.pmtd_views[p],
-                                counters=self.preprocess_counters)
+    def _pass(self, pmtd: PMTD) -> OnlineYannakakis:
+        return OnlineYannakakis.over(pmtd, self.views,
+                                     counters=self.preprocess_counters)
 
     def serve_group(self, keys: Sequence[Binding],
                     trace_ctx: Optional[Tuple[str, str]] = None,
@@ -271,16 +270,19 @@ class ShardExecutor:
         return answers, ctr, cpu, obs_payload
 
     def apply_delta(self, delta: ShardDelta) -> int:
-        """Patch this replica for one delta; returns S-view rows applied.
+        """Patch this replica for one delta; returns the S-view rows routed
+        to this shard.
 
         The replica-side half of :func:`repro.updates.apply_delta`: the
-        touched steps' piece relations take the row and their probe plans
-        recompile (they pin hash indexes at compile time); the raw
-        S-views take their routed rows and the affected Yannakakis passes
-        are rebuilt from them.  Both go through :func:`~repro.data.
-        relation.apply_row_delta`, so a view that shares its tuple set
-        with the index — already mutated when the event fired — still
-        drops its stale indexes.
+        touched steps' piece relations take the row through
+        :func:`~repro.data.relation.apply_row_delta` and their probe plans
+        recompile (they pin hash indexes at compile time).  Each routed
+        S-target delta goes once into its one view relation through
+        :meth:`Relation._delta_patch <repro.data.relation.Relation.
+        _delta_patch>`, which patches the view's cached indexes in place
+        (idempotent on a row set shared with the index, already mutated
+        when the event fired); the passes over a moved view are then
+        rebuilt from the views.
 
         The pass rebuild is pending stage 2 of the maintained passes: the
         index's own passes take a delta through
@@ -301,16 +303,16 @@ class ShardExecutor:
             for slot in delta.step_slots:
                 self.steps[slot].plan._compile()
         applied = 0
-        changed = set()
         for target, added, removed in delta.view_rows:
-            changed.add(target)
-            applied += apply_row_delta(
-                [rel for views in self.pmtd_views for rel in views.values()
-                 if rel.variables == target],
-                added, removed)
-        for p, views in enumerate(self.pmtd_views):
-            if any(rel.variables in changed for rel in views.values()):
-                self.yannakakis[p] = self._pass(p)
+            view = self.views.get(target)
+            if view is not None:
+                view._delta_patch(added, removed)
+                applied += len(added) + len(removed)
+        changed = {target for target, _, _ in delta.view_rows}
+        for p, oy in enumerate(self.yannakakis):
+            if any(rel.variables in changed
+                   for rel in oy.raw_views.values()):
+                self.yannakakis[p] = self._pass(oy.pmtd)
         return applied
 
 

@@ -40,7 +40,8 @@ them:
   binding is asked before and after the mutations that affect it, which
   turns a missed cache eviction into a visible stale answer.  Every step
   also runs the plan verifier's maintained-pass and pinned-index liveness
-  checks on the index.  After the script, the replayed index must agree
+  checks on the index, and on the thread path its shard-view check on
+  the in-process executors.  After the script, the replayed index must agree
   binding-for-binding with an index rebuilt from scratch on the final
   database (replay == rebuild).
   The thread path runs with a deliberately tight ``staleness_threshold``
@@ -78,7 +79,11 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.analysis.verify_plan import verify_compiled_plans, verify_yannakakis
+from repro.analysis.verify_plan import (
+    verify_compiled_plans,
+    verify_shards,
+    verify_yannakakis,
+)
 from repro.core.index import CQAPIndex
 from repro.core.two_phase import PlanningError
 from repro.data.relation import Relation
@@ -347,10 +352,14 @@ def _run_update_replay(outcome: ScenarioOutcome, workload: Workload,
                 deleted.append((name, row))
             # the maintained structures, not only their answers: every
             # Online Yannakakis pass equals a fresh build, every pinned
-            # index is live (the payload-pickling check of the whole
+            # index is live, every in-process shard reads one patched
+            # view per S-target (the payload-pickling check of the whole
             # check_index is too slow to run per step)
-            for issue in (verify_yannakakis(index)
-                          + verify_compiled_plans(index.compiled_online)):
+            issues = (verify_yannakakis(index)
+                      + verify_compiled_plans(index.compiled_online))
+            if serve_backend == "thread":
+                issues += verify_shards(server.backend)
+            for issue in issues:
                 outcome.disagreements.append(Disagreement(
                     seed, f"{path}.step{step}.verify", issue, repro))
 

@@ -13,6 +13,7 @@ from repro.analysis.verify_plan import (
     verify_index,
     verify_piece_sharing,
     verify_selection,
+    verify_shards,
     verify_yannakakis,
 )
 from repro.core.index import CQAPIndex
@@ -415,3 +416,67 @@ class TestMaintainedPasses:
         issues = verify_yannakakis(index)
         assert any(f"S-view at node {parent}" in i and "1 dangling" in i
                    for i in issues)
+
+
+def _sharded_enumeration():
+    """The enumeration index behind two in-process shards: a partitioned
+    S134 and a replicated S123 under it."""
+    from repro.serving.sharding import ShardedIndex
+
+    index, _ = _enumeration_index()
+    sharded = ShardedIndex(index, 2)
+    partitioned = set(sharded._partition_prefix)
+    assert partitioned and set(index.s_targets) - partitioned
+    return index, sharded
+
+
+class TestShardViews:
+    def test_clean_before_and_after_deltas(self):
+        index, sharded = _sharded_enumeration()
+        assert verify_shards(sharded) == []
+        for op, name in (("insert", "R2"), ("delete", "R1"),
+                         ("insert", "R3"), ("delete", "R2")):
+            rows = sorted(index.db[name].tuples)
+            row = rows[len(rows) // 2] if op == "delete" else (3, 11)
+            assert index.apply_delta(op, name, row).changed
+            assert verify_shards(sharded) == []
+
+    def test_a_second_view_object_is_caught(self):
+        _, sharded = _sharded_enumeration()
+        oy = next(oy for oy in sharded._executors[0].yannakakis
+                  if oy.raw_views)
+        node, view = next(iter(oy.raw_views.items()))
+        oy.raw_views[node] = view.copy()
+        assert any(f"reads node {node} through a view other than" in i
+                   for i in verify_shards(sharded))
+
+    def test_a_row_on_the_wrong_shard_is_caught(self):
+        _, sharded = _sharded_enumeration()
+        target = next(iter(sharded._partition_prefix))
+        home, away = (executor.views[target]
+                      for executor in sharded._executors)
+        row = next(iter(home.tuples))
+        home.tuples.discard(row)
+        away.tuples.add(row)
+        issues = verify_shards(sharded)
+        assert any(i.startswith("shard 0: ") and "lacks 1" in i
+                   for i in issues)
+        assert any(i.startswith("shard 1: ") and "holds 1 row(s) not "
+                   "routed" in i for i in issues)
+
+    def test_a_stale_shard_index_is_caught(self):
+        _, sharded = _sharded_enumeration()
+        for executor in sharded._executors:
+            for view in executor.views.values():
+                for cached in view._indexes.values():
+                    bucket = next((b for b in cached.values()
+                                   if len(b) > 1), None)
+                    if bucket is not None:
+                        bucket.pop()
+                        issues = verify_shards(sharded)
+                        assert any(
+                            i.startswith(f"shard {executor.shard_id}: ")
+                            and "not the rows on their key" in i
+                            for i in issues)
+                        return
+        raise AssertionError("no multi-row bucket")

@@ -118,9 +118,9 @@ class TestRelationPickling:
             clone = pickle.loads(pickle.dumps(payload))
             assert clone.shard_id == payload.shard_id
             assert clone.n_shards == 3
-            for views, cloned in zip(payload.pmtd_views, clone.pmtd_views):
-                for node, rel in views.items():
-                    assert cloned[node].tuples == rel.tuples
+            assert clone.targets.keys() == payload.targets.keys()
+            for target, rel in payload.targets.items():
+                assert clone.targets[target].tuples == rel.tuples
 
     def test_payload_bytes_hold_for_the_fleet_workload(self, monkeypatch):
         """``path3enum_fleet``'s seed-11 inputs, 2 shards: the pickled

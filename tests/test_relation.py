@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.core.joins import project_join
-from repro.core.kernels import CompiledProbePlan
-from repro.data.columnar import ColumnarRelation
 from repro.data.relation import (
     Relation,
     SchemaError,
-    StalePartitionError,
     singleton_request,
     stable_hash,
 )
@@ -294,55 +290,18 @@ class TestPartitionViews:
 
     def test_partition_index_invalidation_still_fires(self):
         r = self.sample()
-        part = r.partition_by_hash(("a",), 2)[0]
+        part, sibling = r.partition_by_hash(("a",), 2)
         index = part.index_on(("a",))
         row = next(iter(part.tuples))
-        # plain add on a view is guarded while the base lives — it would
-        # silently desynchronize the partition cover; mutations reach
-        # views through the coordinated delta path (repro.updates)
-        with pytest.raises(StalePartitionError):
-            part.add((99, 99, 99))
-        part._delta_add((99, 99, 99))
+        # a slice is a plain relation: its own mutation invalidates its
+        # own index cache and nothing else
+        assert part.add((99, 99, 99))
         rebuilt = part.index_on(("a",))
         assert rebuilt is not index
         assert (99,) in rebuilt and (row[0],) in rebuilt
         # the parent relation and sibling partitions are untouched
         assert (99, 99, 99) not in r.tuples
-
-    @pytest.mark.parametrize("rel_cls", [Relation, ColumnarRelation])
-    def test_stale_view_fails_on_the_row_set_path_too(self, rel_cls):
-        """Whole-row membership reads ``.tuples``, not ``index_on``: the
-        stale-partition guard must fire there exactly as it does on an
-        index build."""
-        base = rel_cls("S", ("b", "c"), [(i, i + 1) for i in range(8)])
-        [view] = base.partition_by_hash(("b",), 1)
-        r = rel_cls("R", ("a", "b", "c"),
-                    [(0, i, i + 1) for i in range(8)])
-        request = rel_cls("Q_A", ("a",), [(0,)])
-        plan = CompiledProbePlan([r, view], ("a", "c"), ("a",), pin=False)
-        assert any(part.whole_row and part.slot == 2
-                   for part in plan.iter_participants())
-
-        def readers():
-            yield lambda: view.membership_on(("b", "c"))
-            yield lambda: r.semijoin(view, counters=Counters())
-            yield lambda: r.join(view, counters=Counters())
-            yield lambda: project_join([r, view], ("a", "c"),
-                                       counters=Counters())
-            yield lambda: plan.execute(request, Counters(), "out")
-
-        fresh = [read() for read in readers()]
-        assert fresh[0] is view.tuples and not view._indexes.get(("b", "c"))
-        assert all(len(out) == 8 for out in fresh)
-        base._delta_add((99, 100))   # coordinated path skips the guard
-        for read in readers():
-            with pytest.raises(StalePartitionError):
-                read()
-        with pytest.raises(StalePartitionError):
-            CompiledProbePlan([r, view], ("a", "c"), ("a",))
-        view._delta_add((99, 100))
-        view._sync_with_base()
-        assert [len(read()) for read in readers()] == [9, 8, 8, 8, 8]
+        assert (99, 99, 99) not in sibling.tuples
 
     def test_partition_names_mark_the_shard(self):
         parts = self.sample().partition_by_hash(("a",), 2)

@@ -17,10 +17,12 @@ import warnings
 
 import pytest
 
+from repro.analysis.verify_plan import verify_shards
 from repro.core.index import CQAPIndex
 from repro.data import path_database
 from repro.engine import prepare
 from repro.query.catalog import k_path_cqap
+from repro.query.cq import CQAP, Atom
 from repro.serving import (
     BatchScheduler,
     Server,
@@ -100,11 +102,8 @@ class TestShardedIndex:
         sharded = ShardedIndex(prepared, n_shards=4)
         assert sharded._partition_prefix, "expected partitionable S-targets"
         for target in sharded._partition_prefix:
-            # one slice per shard executor (every PMTD view of the target
-            # on a shard wraps the same slice)
-            parts = [next(rel for views in executor.pmtd_views
-                          for rel in views.values()
-                          if rel.variables == target)
+            # one slice per shard executor, in its one view of the target
+            parts = [executor.views[target]
                      for executor in sharded._executors]
             original = prepared.s_targets[target]
             assert sum(len(p) for p in parts) == len(original)
@@ -162,6 +161,77 @@ class TestShardedIndex:
     def test_prepare_sharded_shim_is_gone(self):
         import repro.serving as serving
         assert not hasattr(serving, "prepare_sharded")
+
+
+def enumeration_index():
+    """3-path enumeration at |D|^2: S-targets on and off the access."""
+    atoms = [Atom(f"R{i}", (f"x{i}", f"x{i + 1}")) for i in (1, 2, 3)]
+    cqap = CQAP(("x1", "x2", "x3", "x4"), ("x1", "x4"), atoms,
+                name="path3enum")
+    db = path_database(3, 60, 12, seed=5, skew_hubs=2)
+    return CQAPIndex(cqap, db, db.size ** 2).preprocess()
+
+
+def moving_delta(index):
+    """Apply R1 inserts until one moves the replicated S-target x1 x2 x3
+    (indexed in every shard, unlike the partitioned roots); returns its
+    event."""
+    replicated = frozenset({"x1", "x2", "x3"})
+    for a in range(12):
+        event = index.apply_delta("insert", "R1", (a, 5))
+        if event.target_deltas.get(replicated):
+            return event
+    raise AssertionError("no insert moved the replicated S-target")
+
+
+class TestShardViews:
+    """One view relation per S-target in every shard, patched in place."""
+
+    def test_every_pass_reads_the_shards_one_view_per_target(self):
+        index = enumeration_index()
+        sharded = ShardedIndex(index, n_shards=2)
+        for executor in sharded._executors:
+            read = [rel for oy in executor.yannakakis
+                    for rel in oy.raw_views.values()]
+            assert read
+            assert all(rel is executor.views[rel.variables] for rel in read)
+        sharded.close()
+
+    def test_a_delta_patches_each_view_index_in_place(self):
+        index = enumeration_index()
+        sharded = ShardedIndex(index, n_shards=2)
+        cached = {(executor.shard_id, target, key): dict_
+                  for executor in sharded._executors
+                  for target, view in executor.views.items()
+                  for key, dict_ in view._indexes.items()}
+        assert cached
+        event = moving_delta(index)
+        for executor in sharded._executors:
+            for target, view in executor.views.items():
+                for key, dict_ in view._indexes.items():
+                    if (executor.shard_id, target, key) in cached:
+                        assert dict_ is cached[
+                            executor.shard_id, target, key]
+        moved = sum(len(added) + len(removed) for added, removed
+                    in event.target_deltas.values())
+        assert moved
+        assert verify_shards(sharded) == []
+        sharded.close()
+
+    def test_routed_rows_do_not_depend_on_transport(self):
+        """A replicated target's rows count on every shard of either
+        transport, also when the in-process view shares the index's
+        (already patched) row set."""
+        from repro.serving import ProcessShardFleet
+
+        index = enumeration_index()
+        sharded = ShardedIndex(index, n_shards=2)
+        with ProcessShardFleet(index, n_shards=2) as fleet:
+            moving_delta(index)
+            routed = fleet.stats()["updates"]["routed_rows"]
+            assert routed > 0
+            assert sharded.stats()["updates"]["routed_rows"] == routed
+        sharded.close()
 
 
 class TestTransportParity:

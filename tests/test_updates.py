@@ -2,8 +2,8 @@
 
 Covers the delta driver itself (exact affected keys, S-target deltas,
 no-op detection, drift-triggered re-selection), the mutation-path
-guards it leans on (``SchemaError`` arity checks, the partition-view
-epoch guard), the surgical answer-cache eviction in ``PreparedQuery``, the listener
+guards it leans on (``SchemaError`` arity checks), the surgical
+answer-cache eviction in ``PreparedQuery``, the listener
 registry, and the hypothesis property that replaying any script leaves
 the index answer-equivalent to one rebuilt from scratch on the final
 database.  The seeded multi-layer replay (serving stacks, process
@@ -23,7 +23,7 @@ from repro.analysis.verify_plan import check_index
 from repro.core.index import CQAPIndex
 from repro.data import path_database
 from repro.data.database import Database
-from repro.data.relation import Relation, SchemaError, StalePartitionError
+from repro.data.relation import Relation, SchemaError
 from repro.engine.prepared import PreparedQuery, prepare
 from repro.oracle import answer_rows, oracle_probe
 from repro.problems import EdgeTriangleIndex, TrianglePairIndex
@@ -679,28 +679,18 @@ class TestMutationPathGuards:
         assert not rel.discard((1, 2), counters=counters)  # no-op: free
         assert counters.stores == 2
 
-    def test_plain_mutation_with_live_views_raises(self):
+    def test_partition_slices_mutate_independently(self):
+        """Slices are plain relations: no link to their source survives
+        the split, so either side mutates through the plain API and the
+        other never moves (the serving layer routes rows to slices)."""
         rel = Relation("R", ("a", "b"), {(1, 2), (3, 4)})
         parts = rel.partition_by_hash(("a",), 2)
-        with pytest.raises(StalePartitionError):
-            rel.add((5, 6))
-        with pytest.raises(StalePartitionError):
-            rel.discard((1, 2))
-        with pytest.raises(StalePartitionError):
-            parts[0].add((5, 6))
-        # dropping every view handle lifts the guard
-        del parts
+        before = [set(part.tuples) for part in parts]
         assert rel.add((5, 6))
-
-    def test_stale_view_probe_raises_until_synced(self):
-        rel = Relation("R", ("a", "b"), {(1, 2), (3, 4)})
-        parts = rel.partition_by_hash(("a",), 2)
-        rel._delta_add((5, 6))   # coordinated path skips the guard
-        with pytest.raises(StalePartitionError):
-            parts[0].index_on(("a",))
-        for part in parts:
-            part._sync_with_base()
-        assert sum(len(part) for part in parts) >= 2  # readable again
+        assert rel.discard((1, 2))
+        assert [part.tuples for part in parts] == before
+        assert parts[0].add((7, 8))
+        assert (7, 8) not in rel.tuples
 
 
 # -- the replay == rebuild property -----------------------------------
