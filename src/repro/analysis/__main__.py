@@ -105,8 +105,8 @@ def _run_verify_plans() -> int:
     Each cell then replays :data:`REPLAY_DELTAS` seeded deltas through
     the index and an in-process shard backend with the cell's shard
     count, and is verified again, so what deltas maintain in place
-    (pieces, pinned indexes, Online Yannakakis passes, the shards' views)
-    is checked too.
+    (pieces, pinned indexes, S-targets, Online Yannakakis passes, the
+    shards' views) is checked too.
     Budget-infeasible cells (PlanningError) are reported and skipped —
     infeasibility is a legitimate planner outcome, not a verification
     failure.

@@ -36,6 +36,10 @@ parts) and reports every violation as a human-readable issue string:
   (:class:`repro.updates.DeltaPlans`), unpinned, over exactly (``is``)
   the decision's current pieces, and no delta plan is reachable from a
   shard payload (they would pickle into every fleet worker).
+* **S-targets** — every materialized S-target holds exactly the union,
+  over the S-decisions designating it, of a fresh materialization of
+  that decision's current pieces: what preprocessing (one materialization
+  per distinct subproblem) and every delta since must leave there.
 * **Maintained passes** — every Online Yannakakis S-view holds what a
   fresh pass over the current S-targets derives, and every index it
   caches is a fresh ``index_on`` of its rows: same keys, same buckets,
@@ -72,6 +76,7 @@ __all__ = [
     "verify_compiled_plans",
     "verify_piece_sharing",
     "verify_delta_plans",
+    "verify_s_targets",
     "verify_yannakakis",
     "verify_shards",
     "verify_index",
@@ -421,6 +426,48 @@ def verify_delta_plans(index: Any) -> List[str]:
     return issues
 
 
+def verify_s_targets(index: Any) -> List[str]:
+    """Check every S-target against fresh materializations of its decisions.
+
+    Each decision is materialized on its own, through a new unpinned
+    kernel over its current pieces: preprocessing materializes a repeated
+    subproblem once and reuses its rows, and a delta maintains the target
+    in place, so a row set reused across different subproblems, or a
+    delta missed or misapplied, shows here as a stray or missing row.
+    """
+    # local imports: analysis depends on core, never the reverse
+    from repro.core.kernels import CompiledProbePlan
+    from repro.util.counters import Counters
+
+    atoms = index.cqap.atoms
+    want: Dict[Any, Set[Tuple[Any, ...]]] = {}
+    for plan in index.plans:
+        for decision in plan.preprocess_decisions:
+            schema = tuple(sorted(decision.target))
+            rows = CompiledProbePlan(
+                [decision.subproblem.relations[atom] for atom in atoms],
+                schema, (), pin=False,
+            ).execute(None, Counters(), "verify").tuples
+            want.setdefault(decision.target, set()).update(rows)
+    issues: List[str] = []
+    targets = index.s_targets
+    for target in sorted(want.keys() | targets.keys(), key=sorted):
+        relation = targets.get(target)
+        if relation is None:
+            issues.append(f"S-target {sorted(target)} has S-decisions but "
+                          f"was not materialized")
+            continue
+        # preprocessing stores every S-target over its sorted variables
+        rows = relation.tuples
+        expected = want.get(target, set())
+        if rows != expected:
+            issues.append(
+                f"S-target {sorted(target)} holds {len(rows - expected)} "
+                f"row(s) its decisions do not derive and lacks "
+                f"{len(expected - rows)} they do")
+    return issues
+
+
 def _index_issues(label: str, view: Relation, key: Tuple[str, ...],
                   cached: Dict[Any, List[Any]]) -> List[str]:
     """How a cached index of ``view`` differs from a fresh one."""
@@ -572,6 +619,7 @@ def verify_index(index: Any) -> List[str]:
     issues.extend(verify_piece_sharing(index.plans, index.compiled_online,
                                        index.cqap.atoms))
     issues.extend(verify_delta_plans(index))
+    issues.extend(verify_s_targets(index))
     issues.extend(verify_yannakakis(index))
     return issues
 

@@ -142,13 +142,11 @@ class CQAPIndex:
         ac: Optional[ConstraintSet] = None,
         request_size: float = 1,
         max_bags: int = 3,
-        max_splits: int = 4,
         budget_slack: float = 8.0,
         measure_degrees: bool = False,
         threshold_scale: float = 1.0,
         rule_selection: str = "auto",
         auto_select_threshold: int = 8,
-        beam_width: int = 3,
         max_selected_pmtds: Optional[int] = None,
         statistics: Optional[CatalogStatistics] = None,
         shards: int = 1,
@@ -173,12 +171,10 @@ class CQAPIndex:
         self._dc_given = dc
         self._ac = ac
         self._request_size = request_size
-        self._max_splits = max_splits
         self._measure_degrees = measure_degrees
         self._threshold_scale = threshold_scale
         self._rule_selection = rule_selection
         self._auto_select_threshold = auto_select_threshold
-        self._beam_width = beam_width
         self._max_selected_pmtds = max_selected_pmtds
         #: relative cardinality drift past which a delta triggers full
         #: re-selection instead of incremental view maintenance
@@ -247,7 +243,7 @@ class CQAPIndex:
         self.planner = TwoPhasePlanner(
             self.cqap, self.db, self.space_budget,
             dc=dc, ac=self._ac,
-            request_size=self._request_size, max_splits=self._max_splits,
+            request_size=self._request_size,
             threshold_scale=self._threshold_scale,
         )
         self._lp_oracle = SizeBoundOracle(self.planner.program)
@@ -262,7 +258,6 @@ class CQAPIndex:
             self.selection: SelectionResult = select_rules(
                 self.pmtds, self.cost_model,
                 space_budget=self.space_budget,
-                beam_width=self._beam_width,
                 max_selected=self._max_selected_pmtds,
                 lp_oracle=self._lp_oracle,
                 shards=self.shards,
@@ -319,7 +314,6 @@ class CQAPIndex:
                     self._selection_pool,
                     self.cost_model,
                     space_budget=self.space_budget,
-                    beam_width=self._beam_width,
                     max_selected=self._max_selected_pmtds,
                     require_online_fallback=True,
                     lp_oracle=self._lp_oracle,

@@ -36,6 +36,10 @@ from repro.query.hypergraph import VarSet, varset
 HEAVY = "H"
 LIGHT = "L"
 
+#: split steps a rule plan keeps at most, the most binding first: each
+#: one doubles the subproblem count
+MAX_SPLITS = 4
+
 #: the ordered ``(x_vars, threshold, side)`` restrictions of one atom
 SplitPath = Tuple[Tuple[Tuple[str, ...], float, str], ...]
 #: every piece of one planning pass: ``(atom, split path) -> relation``
@@ -168,7 +172,6 @@ def split_steps_from_duals(
     h_s: Dict[VarSet, float],
     h_t: Dict[VarSet, float],
     tolerance: float = 1e-7,
-    max_splits: int = 4,
 ) -> List[SplitStep]:
     """Derive the split sequence from an optimal joint-flow solution.
 
@@ -177,8 +180,8 @@ def split_steps_from_duals(
     binding inequality is ``Δ = 2^{h_T(Y) - h_T(X)}`` for the
     heavy-X-materialized orientation and ``Δ = 2^{h_S(Y) - h_S(X)}`` for the
     light orientation — both sides of the same binary partition, so a single
-    step per (atom, X) suffices.  The most-binding ``max_splits`` pairs are
-    kept (each split doubles the subproblem count).
+    step per (atom, X) suffices.  The most-binding :data:`MAX_SPLITS`
+    pairs are kept (each split doubles the subproblem count).
     """
     candidates: Dict[Tuple[Atom, Tuple[str, ...]], Tuple[float, float]] = {}
     for name, value in duals.items():
@@ -206,4 +209,4 @@ def split_steps_from_duals(
                 break
     ranked = sorted(candidates.items(), key=lambda kv: -kv[1][0])
     return [SplitStep(atom, x_vars, max(1.0, delta))
-            for (atom, x_vars), (_, delta) in ranked[:max_splits]]
+            for (atom, x_vars), (_, delta) in ranked[:MAX_SPLITS]]

@@ -114,7 +114,6 @@ class TwoPhasePlanner:
                  dc: Optional[ConstraintSet] = None,
                  ac: Optional[ConstraintSet] = None,
                  request_size: float = 1,
-                 max_splits: int = 4,
                  threshold_scale: float = 1.0) -> None:
         self.cqap = cqap
         self.db = db
@@ -123,7 +122,6 @@ class TwoPhasePlanner:
         self.dc = dc if dc is not None else cqap.default_constraints(db)
         self.ac = ac if ac is not None else cqap.access_constraints(request_size)
         self.program = JointFlowProgram(cqap.variables, self.dc, self.ac)
-        self.max_splits = max_splits
         # multiplies every LP-derived split threshold; 1.0 is the optimum,
         # other values exist for the threshold-sensitivity ablation
         self.threshold_scale = threshold_scale
@@ -206,7 +204,6 @@ class TwoPhasePlanner:
             )
         splits = split_steps_from_duals(
             self.cqap, self.db, obj.duals, obj.h_s, obj.h_t,
-            max_splits=self.max_splits,
         )
         if self.threshold_scale != 1.0:
             splits = [
@@ -285,6 +282,12 @@ class TwoPhaseExecutor:
                    ) -> Dict[VarSet, Relation]:
         """Materialize every designated S-target; returns schema -> union.
 
+        Each distinct subproblem — a target over the same piece objects —
+        is materialized once: rules planned against one piece table
+        repeat subproblems (the PMTD rule product designates one S-target
+        over the same pieces from several rules), and every identical
+        decision reuses the first one's row set, or its abort.
+
         A subproblem whose exact projection outgrows ``budget_slack × S``
         falls back to the online phase (Algorithm 1's abort), mutating the
         plan in place.  When ``planner`` is given, the replacement
@@ -298,18 +301,26 @@ class TwoPhaseExecutor:
         self.preprocess_runs += 1
         limit = int(self.budget_slack * max(1.0, space_budget)) + 1
         targets: Dict[VarSet, Relation] = {}
+        #: (target, piece ids) -> its rows, or None for a budget abort
+        done: Dict[Tuple, Optional[Relation]] = {}
         for plan in plans:
             for decision in list(plan.decisions):
                 if decision.phase != S_PHASE:
                     continue
                 relations = [decision.subproblem.relations[atom]
                              for atom in self.cqap.atoms]
-                schema = tuple(sorted(decision.target))
-                try:
-                    piece = CompiledProbePlan(
-                        relations, schema, (), limit=limit, pin=False,
-                    ).execute(None, ctr, f"S_{''.join(schema)}")
-                except BudgetExceeded:
+                subproblem = (decision.target, tuple(map(id, relations)))
+                repeat = subproblem in done
+                if not repeat:
+                    schema = tuple(sorted(decision.target))
+                    try:
+                        done[subproblem] = CompiledProbePlan(
+                            relations, schema, (), limit=limit, pin=False,
+                        ).execute(None, ctr, f"S_{''.join(schema)}")
+                    except BudgetExceeded:
+                        done[subproblem] = None
+                piece = done[subproblem]
+                if piece is None:
                     if not plan.rule.t_targets:
                         raise PlanningError(
                             f"rule {plan.rule.label}: S-target outgrew the "
@@ -332,6 +343,8 @@ class TwoPhaseExecutor:
                     decision.target = target
                     decision.predicted_log_size = bound
                     continue
+                if repeat:
+                    continue  # its rows are in the target already
                 key = decision.target
                 if key in targets:
                     targets[key] = targets[key].union(piece,

@@ -34,7 +34,15 @@ def _canonical_bytes(value) -> bytes:
     their raw contents, each behind a type tag; anything exotic falls back
     to ``repr`` (equality-consistent for values of one type, which is all
     the engine's generators and workloads produce).
+
+    Routed keys are tuples of ints, so those two cases are tested first:
+    an exact ``int`` as ``b"i%d"``, the bytes ``b"i" + repr(int(value))``
+    gives it, and a tuple (never a number, string or bytes) next.
     """
+    if type(value) is int:
+        return b"i%d" % value
+    if isinstance(value, tuple):
+        return b"t" + b"\x00".join(map(_canonical_bytes, value))
     if isinstance(value, (bool, int, float)):
         if isinstance(value, float) and not value.is_integer():
             return b"f" + repr(value).encode()
@@ -43,8 +51,6 @@ def _canonical_bytes(value) -> bytes:
         return b"s" + value.encode("utf-8", "backslashreplace")
     if isinstance(value, bytes):
         return b"b" + value
-    if isinstance(value, tuple):
-        return b"t" + b"\x00".join(_canonical_bytes(v) for v in value)
     return b"o" + repr(value).encode("utf-8", "backslashreplace")
 
 
@@ -387,22 +393,30 @@ class Relation:
 
         Shard ``i`` holds exactly the tuples whose key-column values hash to
         ``i`` modulo ``n_shards`` (:func:`stable_hash` by default, so the
-        split is identical across processes).  The slices share the stored
-        tuple objects, not a copy of the payloads, and re-unioning them
-        reproduces this relation exactly.  Each slice is a plain relation
-        with a row set and an index cache of its own: mutating it, or this
-        relation, touches nothing else.  Keeping slices in step with their
-        source is the caller's routing — the sharded serving layer hands
-        every delta row to the one slice its key hashes to
+        split is identical across processes).  Each distinct key value is
+        hashed once, however many rows share it: keys equal as dict keys
+        (``1``, ``1.0``, ``True``) share the first one's shard, which an
+        equality-consistent hasher gives them anyway.  The slices share the
+        stored tuple objects, not a copy of the payloads, and re-unioning
+        them reproduces this relation exactly.  Each slice is a plain
+        relation with a row set and an index cache of its own: mutating it,
+        or this relation, touches nothing else.  Keeping slices in step
+        with their source is the caller's routing — the sharded serving
+        layer hands every delta row to the one slice its key hashes to
         (:mod:`repro.serving.sharding`).
         """
         if n_shards <= 0:
             raise ValueError(f"n_shards must be positive, got {n_shards}")
-        pos = self.positions(key)
+        key_of = row_getter(self.positions(key))
         hash_ = hasher or stable_hash
         buckets: List[set] = [set() for _ in range(n_shards)]
+        shard_of: Dict[Tuple_, int] = {}
         for row in self.tuples:
-            buckets[hash_(tuple(row[p] for p in pos)) % n_shards].add(row)
+            value = key_of(row)
+            shard = shard_of.get(value)
+            if shard is None:
+                shard = shard_of[value] = hash_(value) % n_shards
+            buckets[shard].add(row)
         return [type(self)._wrap(f"{self.name}@{i}", self.schema, bucket)
                 for i, bucket in enumerate(buckets)]
 
@@ -448,7 +462,9 @@ class Relation:
         Probes a hash index on ``other`` (its row set when the shared
         variables are its whole schema); cost is one probe per tuple of
         ``self`` — never a scan of ``other`` (this is what makes Online
-        Yannakakis independent of S-view sizes).
+        Yannakakis independent of S-view sizes).  The keys come from one
+        :func:`row_getter`, and the counters are charged once per call
+        with the per-row totals (one scan and one probe per tuple).
         """
         ctr = counters or global_counters
         # in ``other``'s column order: a key covering its schema is a row
@@ -463,13 +479,10 @@ class Relation:
         # set): building a fresh key set would cost O(|other|) per call,
         # which on a hot probe path re-scans the S-view every probe
         other_index = other.membership_on(shared)
-        pos = self.positions(shared)
-        out = set()
-        for row in self.tuples:
-            ctr.scans += 1
-            ctr.probes += 1
-            if tuple(row[p] for p in pos) in other_index:
-                out.add(row)
+        key_of = row_getter(self.positions(shared))
+        out = {row for row in self.tuples if key_of(row) in other_index}
+        ctr.scans += len(self.tuples)
+        ctr.probes += len(self.tuples)
         return type(self)._wrap(name or self.name, self.schema, out)
 
     def join(self, other: "Relation", name: Optional[str] = None,

@@ -46,9 +46,9 @@ def prepare(cqap: CQAP, db: Database, space_budget: float,
     ``"selection"``.
 
     ``index_kwargs`` are forwarded to :class:`~repro.core.index.CQAPIndex`
-    (``pmtds``, ``dc``, ``ac``, ``max_bags``, ``max_splits``,
-    ``budget_slack``, ``measure_degrees``, ``threshold_scale``,
-    ``rule_selection``, ``beam_width``, ``auto_select_threshold``, ...).
+    (``pmtds``, ``dc``, ``ac``, ``max_bags``, ``budget_slack``,
+    ``measure_degrees``, ``threshold_scale``, ``rule_selection``,
+    ``auto_select_threshold``, ...).
     """
     ctr = counters or Counters()
     start = time.perf_counter()

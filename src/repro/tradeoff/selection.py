@@ -56,6 +56,9 @@ PMTD_OVERHEAD = 1.0
 #: probe cost of a rule served from a materialized S-target (hash lookup)
 S_PROBE_COST = 1.0
 
+#: candidate subsets each round of the beam selection keeps growing
+BEAM_WIDTH = 3
+
 
 @dataclass
 class SelectionResult:
@@ -338,14 +341,13 @@ def _reprice(candidate: _Candidate, model: CostModel,
 
 def select_rules(pmtds: Sequence[PMTD], model: CostModel,
                  space_budget: Optional[float] = None,
-                 beam_width: int = 3,
                  max_selected: Optional[int] = None,
                  require_online_fallback: bool = False,
                  lp_oracle=None,
                  shards: int = 1) -> SelectionResult:
     """Beam-select the PMTD subset whose rule set probes fastest in budget.
 
-    Seeds with every single PMTD, then grows the ``beam_width`` best
+    Seeds with every single PMTD, then grows the :data:`BEAM_WIDTH` best
     subsets one PMTD at a time, stopping as soon as a growth round fails
     to improve the best estimated probe time (adding PMTDs multiplies the
     rule set, so unhelpful growth gets priced immediately).  Subsets are
@@ -397,7 +399,7 @@ def select_rules(pmtds: Sequence[PMTD], model: CostModel,
             "no admissible PMTD subset: every candidate rule set contains "
             "an S-only rule that cannot be risked at this budget"
         )
-    beam = sorted(seeds, key=lambda c: c.rank)[:max(1, beam_width)]
+    beam = sorted(seeds, key=lambda c: c.rank)[:BEAM_WIDTH]
     best = beam[0]
     for _ in range(1, max_selected):
         grown: List[_Candidate] = []
@@ -416,7 +418,7 @@ def select_rules(pmtds: Sequence[PMTD], model: CostModel,
         grown.sort(key=lambda c: c.rank)
         if grown[0].rank >= best.rank:
             break
-        beam = grown[:max(1, beam_width)]
+        beam = grown[:BEAM_WIDTH]
         best = beam[0]
 
     lp_blend = None

@@ -39,9 +39,9 @@ them:
   on a mirror database mutated in lockstep; probe keys rotate so the same
   binding is asked before and after the mutations that affect it, which
   turns a missed cache eviction into a visible stale answer.  Every step
-  also runs the plan verifier's maintained-pass and pinned-index liveness
-  checks on the index, and on the thread path its shard-view check on
-  the in-process executors.  After the script, the replayed index must agree
+  also runs the plan verifier's S-target, maintained-pass and
+  pinned-index liveness checks on the index, and on the thread path its
+  shard-view check on the in-process executors.  After the script, the replayed index must agree
   binding-for-binding with an index rebuilt from scratch on the final
   database (replay == rebuild).
   The thread path runs with a deliberately tight ``staleness_threshold``
@@ -81,6 +81,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.analysis.verify_plan import (
     verify_compiled_plans,
+    verify_s_targets,
     verify_shards,
     verify_yannakakis,
 )
@@ -351,11 +352,13 @@ def _run_update_replay(outcome: ScenarioOutcome, workload: Workload,
                 mirror.delete(name, row)
                 deleted.append((name, row))
             # the maintained structures, not only their answers: every
+            # S-target equals its decisions' fresh materializations, every
             # Online Yannakakis pass equals a fresh build, every pinned
             # index is live, every in-process shard reads one patched
             # view per S-target (the payload-pickling check of the whole
             # check_index is too slow to run per step)
-            issues = (verify_yannakakis(index)
+            issues = (verify_s_targets(index)
+                      + verify_yannakakis(index)
                       + verify_compiled_plans(index.compiled_online))
             if serve_backend == "thread":
                 issues += verify_shards(server.backend)

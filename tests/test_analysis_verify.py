@@ -12,6 +12,7 @@ from repro.analysis.verify_plan import (
     verify_delta_plans,
     verify_index,
     verify_piece_sharing,
+    verify_s_targets,
     verify_selection,
     verify_shards,
     verify_yannakakis,
@@ -416,6 +417,57 @@ class TestMaintainedPasses:
         issues = verify_yannakakis(index)
         assert any(f"S-view at node {parent}" in i and "1 dangling" in i
                    for i in issues)
+
+
+class TestSTargets:
+    def test_clean_before_and_after_deltas(self):
+        for index in (_enumeration_index()[0], _split_index()):
+            assert verify_s_targets(index) == []
+            for op, name in (("insert", "R2"), ("delete", "R1"),
+                             ("insert", "R3"), ("delete", "R2")):
+                rows = sorted(index.db[name].tuples)
+                row = rows[len(rows) // 2] if op == "delete" else (3, 11)
+                assert index.apply_delta(op, name, row).changed
+                assert verify_s_targets(index) == []
+
+    def test_a_stray_row_is_caught(self):
+        index, _ = _enumeration_index()
+        target, relation = next(iter(index.s_targets.items()))
+        relation.tuples.add(tuple(10 ** 6 for _ in relation.schema))
+        assert [i for i in verify_s_targets(index)] == [
+            f"S-target {sorted(target)} holds 1 row(s) its decisions do "
+            f"not derive and lacks 0 they do"]
+        assert any("do not derive" in i for i in verify_index(index))
+
+    def test_a_missing_row_is_caught(self):
+        index, _ = _enumeration_index()
+        target, relation = next(iter(index.s_targets.items()))
+        relation.tuples.discard(next(iter(relation.tuples)))
+        assert verify_s_targets(index) == [
+            f"S-target {sorted(target)} holds 0 row(s) its decisions do "
+            f"not derive and lacks 1 they do"]
+
+    def test_one_subproblems_rows_standing_for_another_are_caught(self):
+        """What a materialization memo keyed by the target alone leaves:
+        each target holds its first decision's rows only."""
+        from repro.core.kernels import CompiledProbePlan
+        from repro.data.relation import Relation
+        from repro.util.counters import Counters
+
+        index = _split_index()
+        atoms = index.cqap.atoms
+        first = {}
+        for plan in index.plans:
+            for decision in plan.preprocess_decisions:
+                first.setdefault(decision.target, decision)
+        for target, decision in first.items():
+            schema = tuple(sorted(target))
+            rows = CompiledProbePlan(
+                [decision.subproblem.relations[atom] for atom in atoms],
+                schema, (), pin=False).execute(None, Counters(), "S").tuples
+            index._s_targets[target] = Relation._wrap("S", schema, rows)
+        issues = verify_s_targets(index)
+        assert issues and all("holds 0 row(s)" in i for i in issues)
 
 
 def _sharded_enumeration():

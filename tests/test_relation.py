@@ -5,6 +5,7 @@ import pytest
 from repro.data.relation import (
     Relation,
     SchemaError,
+    _canonical_bytes,
     singleton_request,
     stable_hash,
 )
@@ -128,6 +129,16 @@ class TestJoinSemijoin:
         assert out.tuples == {(1, 2)}
         assert out.schema == r.schema
 
+    def test_semijoin_charges_one_scan_and_probe_per_row(self):
+        r = rel("R", ("a", "b", "c"), [(1, 2, 3), (2, 3, 4), (1, 5, 3)])
+        for other, kept in (
+                (rel("S", ("c", "a"), [(3, 1)]), {(1, 2, 3), (1, 5, 3)}),
+                (rel("S", ("b", "z"), [(3, 0), (9, 0)]), {(2, 3, 4)}),
+                (rel("S", ("a",), []), set())):
+            ctr = Counters()
+            assert r.semijoin(other, counters=ctr).tuples == kept
+            assert (ctr.scans, ctr.probes, ctr.stores) == (3, 3, 0)
+
     def test_semijoin_disjoint_nonempty_other(self):
         r = rel("R", ("a",), [(1,)])
         s = rel("S", ("b",), [(5,)])
@@ -241,16 +252,21 @@ class TestPartitionViews:
         assert merged == r
 
     def test_partitions_are_disjoint_and_routed_by_hash(self):
-        r = self.sample()
-        parts = r.partition_by_hash(("a",), 3)
-        seen = set()
-        for i, part in enumerate(parts):
-            assert part.schema == r.schema
-            assert not (part.tuples & seen)
-            seen |= part.tuples
-            for row in part.tuples:
-                assert stable_hash((row[0],)) % 3 == i
-        assert seen == r.tuples
+        r = self.sample(60)
+        for key in (("a",), ("c", "a"), ()):
+            pos = r.positions(key)
+            for n in (1, 2, 3, 5):
+                seen = set()
+                for i, part in enumerate(r.partition_by_hash(key, n)):
+                    assert part.schema == r.schema
+                    assert not (part.tuples & seen)
+                    seen |= part.tuples
+                    # the per-row definition: a slice is exactly the rows
+                    # whose key hashes to it
+                    assert part.tuples == {
+                        row for row in r.tuples
+                        if stable_hash(tuple(row[p] for p in pos)) % n == i}
+                assert seen == r.tuples
 
     def test_tuple_payloads_are_shared_not_copied(self):
         r = self.sample(10)
@@ -306,6 +322,59 @@ class TestPartitionViews:
     def test_partition_names_mark_the_shard(self):
         parts = self.sample().partition_by_hash(("a",), 2)
         assert [p.name for p in parts] == ["R@0", "R@1"]
+
+    def test_each_distinct_key_is_hashed_once(self):
+        r = self.sample(70)  # 7 distinct values of a, 10 rows each
+        hashed = []
+
+        def counting(key):
+            hashed.append(key)
+            return stable_hash(key)
+
+        parts = r.partition_by_hash(("a",), 3, hasher=counting)
+        assert sorted(hashed) == [(a,) for a in range(7)]
+        assert sum(len(part) for part in parts) == 70
+
+    def test_equal_numbers_land_on_one_shard(self):
+        r = rel("R", ("a", "b"), [(1, "int"), (1.0, "float"),
+                                  (True, "bool"), (2, "other")])
+        for n in range(2, 8):
+            home = stable_hash((1,)) % n
+            for i, part in enumerate(r.partition_by_hash(("a",), n)):
+                ones = {row for row in part.tuples if row[0] == 1}
+                assert len(ones) == (3 if i == home else 0)
+
+
+class TestCanonicalBytes:
+    """The routing encoding is pinned: a change re-shards every fleet."""
+
+    @pytest.mark.parametrize("value, encoded", [
+        (0, b"i0"),
+        (7, b"i7"),
+        (-42, b"i-42"),
+        (2 ** 70, b"i1180591620717411303424"),
+        (-(2 ** 70), b"i-1180591620717411303424"),
+        (True, b"i1"),
+        (False, b"i0"),
+        (2.0, b"i2"),
+        (-0.0, b"i0"),
+        (1.5, b"f1.5"),
+        ("ab", b"sab"),
+        ("\u00e9", b"s\xc3\xa9"),
+        (b"\x00x", b"b\x00x"),
+        ((), b"t"),
+        ((1, 2), b"ti1\x00i2"),
+        ((True, 1.0), b"ti1\x00i1"),
+        ((1, ("a", 2.5)), b"ti1\x00tsa\x00f2.5"),
+        (None, b"oNone"),
+    ])
+    def test_encoding(self, value, encoded):
+        assert _canonical_bytes(value) == encoded
+
+    def test_stable_hash_is_pinned(self):
+        assert stable_hash((3, 17)) == 4791316452990420745
+        assert stable_hash((0,)) == 5114700751797195142
+        assert stable_hash(("a", 1)) == 14619405000738917114
 
 
 class TestCounterHygiene:

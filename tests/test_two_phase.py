@@ -158,6 +158,82 @@ class TestExecutor:
         assert ctr.stores >= stored
 
 
+def _count_materializations(monkeypatch):
+    """Record every S-target materialization's kernel run by name."""
+    from repro.core.kernels import CompiledProbePlan
+
+    names = []
+    execute = CompiledProbePlan.execute
+
+    def counting(self, request, counters, name, relations=None):
+        if name.startswith("S_"):
+            names.append(name)
+        return execute(self, request, counters, name, relations)
+
+    monkeypatch.setattr(CompiledProbePlan, "execute", counting)
+    return names
+
+
+class TestOneMaterializationPerSubproblem:
+    """Identical S-decisions share one materialization (or one abort)."""
+
+    def _twin_plans(self, **setup):
+        cqap, db = two_reach_setup(**setup)
+        planner = TwoPhasePlanner(cqap, db, space_budget=db.size ** 2)
+        rule = TwoPhaseRule(frozenset({v(1, 3)}), frozenset({v(1, 2, 3)}))
+        pieces = {}
+        plans = [planner.plan_rule(rule, pieces=pieces) for _ in range(2)]
+        assert plans[0].preprocess_decisions
+        return cqap, db, planner, rule, plans
+
+    def test_fleet_shaped_index_materializes_9_of_14(self, monkeypatch):
+        from repro.analysis.verify_plan import verify_s_targets
+        from repro.query.cq import CQAP, Atom
+
+        atoms = [Atom(f"R{i}", (f"x{i}", f"x{i + 1}")) for i in (1, 2, 3)]
+        cqap = CQAP(("x1", "x2", "x3", "x4"), ("x1", "x4"), atoms,
+                    name="path3enum")
+        db = path_database(k=3, n_edges=120, domain=20, seed=5,
+                           skew_hubs=2)
+        names = _count_materializations(monkeypatch)
+        index = CQAPIndex(cqap, db, space_budget=db.size ** 2).preprocess()
+        decisions = [d for plan in index.plans
+                     for d in plan.preprocess_decisions]
+        atoms = index.cqap.atoms
+        distinct = {(d.target, tuple(id(d.subproblem.relations[atom])
+                                     for atom in atoms))
+                    for d in decisions}
+        assert (len(decisions), len(distinct), len(names)) == (14, 9, 9)
+        assert verify_s_targets(index) == []
+
+    def test_identical_decisions_reuse_the_rows(self, monkeypatch):
+        cqap, db, planner, rule, plans = self._twin_plans()
+        names = _count_materializations(monkeypatch)
+        targets = TwoPhaseExecutor(cqap).preprocess(plans, db.size ** 2)
+        once = len(plans[0].preprocess_decisions)
+        assert len(names) == once
+        alone = TwoPhaseExecutor(cqap).preprocess(
+            [planner.plan_rule(rule)], db.size ** 2)
+        assert {key: rel.tuples for key, rel in targets.items()} == {
+            key: rel.tuples for key, rel in alone.items()}
+
+    def test_budget_abort_flips_every_identical_decision(self, monkeypatch):
+        cqap, _db, planner, rule, plans = self._twin_plans(
+            n_edges=300, domain=20, skew=0)
+        first, twin = plans
+        designated = len(first.preprocess_decisions)
+        names = _count_materializations(monkeypatch)
+        executor = TwoPhaseExecutor(cqap, budget_slack=1e-9)
+        executor.preprocess(plans, space_budget=1, planner=planner)
+        assert len(names) == designated
+        flipped = [d.phase == T_PHASE for d in first.decisions]
+        assert any(flipped)
+        assert [d.phase == T_PHASE for d in twin.decisions] == flipped
+        assert [(d.target, d.predicted_log_size) for d in twin.decisions] \
+            == [(d.target, d.predicted_log_size) for d in first.decisions]
+        assert executor.budget_aborts == 2 * sum(flipped)
+
+
 class TestBudgetAbortRepricing:
     """The abort fallback must re-price, not punt to inf (satellite fix)."""
 
