@@ -103,15 +103,18 @@ def _run_verify_plans() -> int:
     ``auto_select_threshold`` so the budgeted beam selection is
     exercised, mirroring the differential harness's configuration axes.
     Each cell then replays :data:`REPLAY_DELTAS` seeded deltas through
-    the index and an in-process shard backend with the cell's shard
-    count, and is verified again, so what deltas maintain in place
-    (pieces, pinned indexes, S-targets, Online Yannakakis passes, the
-    shards' views) is checked too.
+    the index and two in-process shard backends with the cell's shard
+    count — one whose executors share the index's steps, one whose
+    executors hold pickled payload copies as fleet workers do — and is
+    verified again, so what deltas maintain in place (pieces, pinned
+    indexes, S-targets, Online Yannakakis passes, the shards' views and
+    piece copies) is checked too.
     Budget-infeasible cells (PlanningError) are reported and skipped —
     infeasibility is a legitimate planner outcome, not a verification
     failure.
     """
     from repro.analysis.verify_plan import (
+        PickledReplicas,
         PlanVerificationError,
         check_index,
         verify_shards,
@@ -138,10 +141,12 @@ def _run_verify_plans() -> int:
                         statistics=statistics,
                     ).preprocess(verify_plans=True)
                     stored = index.stats.stored_tuples
-                    sharded = ShardedIndex(index, shards)
+                    backends = (ShardedIndex(index, shards),
+                                PickledReplicas(index, shards))
                     _replay(index, cell)
                     check_index(index)
-                    issues = verify_shards(sharded)
+                    issues = [issue for backend in backends
+                              for issue in verify_shards(backend)]
                     if issues:
                         raise PlanVerificationError(issues)
                 except PlanningError as exc:

@@ -40,15 +40,15 @@ parts) and reports every violation as a human-readable issue string:
   over the S-decisions designating it, of a fresh materialization of
   that decision's current pieces: what preprocessing (one materialization
   per distinct subproblem) and every delta since must leave there.
-* **Maintained passes** — every Online Yannakakis S-view holds what a
-  fresh pass over the current S-targets derives, and every index it
-  caches is a fresh ``index_on`` of its rows: same keys, same buckets,
-  no empty bucket.
-* **Shard views** — every in-process shard executor reads one view
-  relation per S-target, holding exactly the target rows routed to its
-  shard, and its passes meet the maintained-pass checks over them
-  (:func:`verify_shards`; not part of :func:`verify_index`, which sees
-  the index only).
+* **Replicas** — the index's replica, and every executor of a shard
+  backend (:func:`verify_shards`; not part of :func:`verify_index`,
+  which sees the index only), reads one view relation per S-target
+  holding exactly the target rows routed to its shard; every Online
+  Yannakakis S-view holds what a fresh pass over those views derives,
+  and every index it caches is a fresh ``index_on`` of its rows (same
+  keys, same buckets, no empty bucket).  A replica holding pickled step
+  copies holds the index's rows in every copied piece, and its copies'
+  pinned indexes are live.
 
 ``check_index`` raises :class:`PlanVerificationError`;
 ``verify_index`` returns the issue list for callers that want to report.
@@ -60,9 +60,11 @@ import io
 import pickle
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.core.replica import ShardExecutor
 from repro.core.split import split_path
 from repro.data.relation import Relation, row_getter
 from repro.query.cq import CQAP
+from repro.serving.sharding import ShardedIndex, access_hash, shard_payloads
 from repro.tradeoff.selection import (
     PMTD_OVERHEAD,
     SelectionResult,
@@ -79,6 +81,7 @@ __all__ = [
     "verify_s_targets",
     "verify_yannakakis",
     "verify_shards",
+    "PickledReplicas",
     "verify_index",
     "check_index",
 ]
@@ -415,9 +418,6 @@ def verify_delta_plans(index: Any) -> List[str]:
         check(delta.keys.get(atom), f"affected-key plan on {atom}", atom,
               None)
 
-    # local import: the serving layer builds on core, as this module does
-    from repro.serving.sharding import shard_payloads
-
     finder = _PlanFinder(watched)
     finder.dump(shard_payloads(index, 1))
     for label in finder.found:
@@ -493,81 +493,91 @@ def _index_issues(label: str, view: Relation, key: Tuple[str, ...],
 
 
 def verify_yannakakis(index: Any) -> List[str]:
-    """Check every Online Yannakakis pass against a fresh build of it.
-
-    Each S-view must hold the rows a new pass over the current S-targets
-    derives (SS-reduction included), and each index a view caches must be
-    what ``index_on`` builds from the view's rows now: a delta patches
-    them in place (:meth:`OnlineYannakakis.maintain <repro.core.
-    online_yannakakis.OnlineYannakakis.maintain>`) instead of rebuilding.
-    """
-    return _pass_issues("", index._yannakakis, index.s_targets)
+    """Check the index's replica as :func:`verify_shards` checks a shard's."""
+    return _replica_issues("", index._replica, index, {}, 1)
 
 
 def verify_shards(backend: Any) -> List[str]:
-    """Check an in-process shard backend's executors against the index.
-
-    Every executor must read one view relation per S-target — each of
-    its passes' raw views *is* that relation — holding exactly the index
-    S-target's rows routed to its shard (all of them for a replicated
-    target), and its passes must pass :func:`verify_yannakakis`' checks
-    over those views.  A delta patches each view once in place
-    (:meth:`ShardExecutor.apply_delta <repro.serving.sharding.
-    ShardExecutor.apply_delta>`); a second view object, a row on the
-    wrong shard or a stale index is caught here.
-    """
-    from repro.serving.sharding import access_hash
-
-    index, n_shards = backend.index, backend.n_shards
+    """Check every executor of an in-process shard backend (its views
+    against the index S-target rows routed to its shard)."""
     issues: List[str] = []
     for executor in backend._executors:
-        label = f"shard {executor.shard_id}: "
-        for pos, oy in enumerate(executor.yannakakis):
-            for node, view in oy.raw_views.items():
-                if view is not executor.views.get(view.variables):
-                    issues.append(
-                        f"{label}pass {pos} reads node {node} through a "
-                        f"view other than the shard's one for "
-                        f"{sorted(view.variables)} (a delta patches only "
-                        f"that one)")
-        for target, view in executor.views.items():
-            source = index.s_targets.get(target)
-            rows = set() if source is None else source.tuples
-            prefix = backend._partition_prefix.get(target)
-            if prefix is not None and source is not None:
-                key_of = row_getter(source.positions(prefix))
-                rows = {row for row in rows
-                        if access_hash(key_of(row)) % n_shards
-                        == executor.shard_id}
-            if view.tuples != rows:
-                issues.append(
-                    f"{label}view of {sorted(target)} holds "
-                    f"{len(view.tuples - rows)} row(s) not routed to it "
-                    f"and lacks {len(rows - view.tuples)} that are")
-        issues.extend(_pass_issues(label, executor.yannakakis,
-                                   executor.views))
+        issues.extend(_replica_issues(
+            f"shard {executor.shard_id}: ", executor, backend.index,
+            backend._partition_prefix, backend.n_shards))
     return issues
 
 
-def _pass_issues(prefix: str, passes: Sequence[Any],
-                 targets: Dict[Any, Relation]) -> List[str]:
-    """How ``passes`` differ from fresh passes over ``targets``."""
+class PickledReplicas(ShardedIndex):
+    """An in-process shard backend whose executors hold pickled payloads,
+    as fleet workers do, so :func:`verify_shards` can check their copies."""
+
+    def _start(self) -> None:
+        self._executors = [ShardExecutor(pickle.loads(pickle.dumps(payload)))
+                           for payload in self._payloads()]
+
+
+def _replica_issues(label: str, replica: Any, index: Any,
+                    prefixes: Dict[Any, Tuple[str, ...]],
+                    n_shards: int) -> List[str]:
+    """How one replica differs from what ``index`` says it must hold.
+
+    Every pass reads the replica's one view per S-target, holding exactly
+    the target rows hashed to its shard on ``prefixes`` (all of them
+    without a prefix); each S-view holds what a fresh pass over the views
+    derives, and each cached index is a fresh ``index_on`` of its rows.
+    Pickled step copies hold the index's rows at every step slot and
+    body-atom position, and their pinned indexes are live.
+    """
     # local imports: analysis depends on core, never the reverse
-    from repro.core.index import CQAPIndex
     from repro.core.online_yannakakis import OnlineYannakakis
+    from repro.core.replica import assemble_views
     from repro.util.counters import Counters
 
     issues: List[str] = []
-    for pos, oy in enumerate(passes):
-        label = f"{prefix}pass {pos} {oy.pmtd!r}"
+    for target, view in replica.views.items():
+        source = index.s_targets.get(target)
+        rows = set() if source is None else source.tuples
+        prefix = prefixes.get(target)
+        if prefix is not None and source is not None:
+            key_of = row_getter(source.positions(prefix))
+            rows = {row for row in rows
+                    if access_hash(key_of(row)) % n_shards
+                    == replica.shard_id}
+        if view.tuples != rows:
+            issues.append(
+                f"{label}view of {sorted(target)} holds "
+                f"{len(view.tuples - rows)} row(s) not routed to it and "
+                f"lacks {len(rows - view.tuples)} that are")
+    if replica.steps is not index.compiled_online:
+        for slot, (copy, step) in enumerate(zip(replica.steps,
+                                                index.compiled_online)):
+            for pos, (mine, theirs) in enumerate(zip(copy.relations,
+                                                     step.relations)):
+                if mine.tuples != theirs.tuples:
+                    issues.append(
+                        f"{label}step {slot} piece {pos} ({theirs.name!r}) "
+                        f"holds {len(mine.tuples - theirs.tuples)} row(s) "
+                        f"the index's does not and lacks "
+                        f"{len(theirs.tuples - mine.tuples)} it holds")
+        issues.extend(label + issue
+                      for issue in verify_compiled_plans(replica.steps))
+    for pos, oy in enumerate(replica.yannakakis):
+        where = f"{label}pass {pos} {oy.pmtd!r}"
+        for node, view in oy.raw_views.items():
+            if view is not replica.views.get(view.variables):
+                issues.append(
+                    f"{where} reads node {node} through a view other than "
+                    f"the replica's one for {sorted(view.variables)} (a "
+                    f"delta patches only that one)")
         fresh = OnlineYannakakis(
-            oy.pmtd, CQAPIndex._assemble_views(oy.pmtd.s_views, targets),
+            oy.pmtd, assemble_views(oy.pmtd.s_views, replica.views),
             counters=Counters())
         for node, view in oy.s_views.items():
             want = fresh.s_views[node]
             if view.schema != want.schema or view.tuples != want.tuples:
                 issues.append(
-                    f"{label}: S-view at node {node} holds {len(view)} "
+                    f"{where}: S-view at node {node} holds {len(view)} "
                     f"rows over {view.schema}; a fresh build derives "
                     f"{len(want)} over {want.schema} "
                     f"({len(view.tuples - want.tuples)} dangling, "
@@ -578,7 +588,7 @@ def _pass_issues(prefix: str, passes: Sequence[Any],
                 continue
             seen.add(id(view))
             for key, cached in view._indexes.items():
-                issues.extend(_index_issues(f"{label}, node {node}", view,
+                issues.extend(_index_issues(f"{where}, node {node}", view,
                                             key, cached))
     return issues
 

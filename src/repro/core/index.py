@@ -22,19 +22,22 @@ The pipeline is §4.2/§4.3 verbatim:
   subset — ``rule_selection`` picks the mode (``"auto"``/``"all"``/
   ``"budget"``);
 * plan each kept rule with the 2PP planner;
-* preprocessing materializes every designated S-target, unions same-schema
-  targets into the PMTDs' S-views, and builds their hash indexes;
-* answering runs the online phase of every plan, unions T-targets into
-  T-views, runs Online Yannakakis per PMTD, and unions the ψ_i.
+* preprocessing materializes every designated S-target and builds the
+  index's replica over them (:mod:`repro.core.replica`, the one-shard case
+  of every serving shard): one view per S-view schema, each PMTD's Online
+  Yannakakis pass over the views, and their hash indexes;
+* answering runs the replica's online phase: the compiled T-phase of every
+  plan, T-targets unioned into T-views, Online Yannakakis per PMTD, and
+  the union of the ψ_i.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.core.online_yannakakis import OnlineYannakakis
+from repro.core.replica import ShardExecutor, ShardPayload
 from repro.core.split import PieceTable
 from repro.core.two_phase import (
     CompiledOnlineStep,
@@ -44,10 +47,9 @@ from repro.core.two_phase import (
     TwoPhasePlanner,
 )
 from repro.data.database import Database
-from repro.data.relation import Relation, row_getter
+from repro.data.relation import Relation
 from repro.decomposition.enumeration import enumerate_pmtds
 from repro.decomposition.pmtd import PMTD, trivial_pmtds
-from repro.query.constraints import ConstraintSet
 from repro.query.cq import CQAP
 from repro.query.hypergraph import VarSet
 from repro.tradeoff.cost import CatalogStatistics, CostModel
@@ -56,59 +58,8 @@ from repro.tradeoff.rules import TwoPhaseRule, rules_from_pmtds
 from repro.tradeoff.selection import SelectionResult, keep_all_rules, select_rules
 from repro.util.counters import Counters
 
-
-def online_phase(cqap: CQAP, executor: TwoPhaseExecutor,
-                 steps: Sequence[CompiledOnlineStep],
-                 yannakakis: Sequence[OnlineYannakakis], q_a: Relation,
-                 counters: Counters) -> Relation:
-    """The paper's online phase for one access request relation ``Q_A``.
-
-    One compiled T-phase pass over ``steps``, the T-targets unioned into
-    each PMTD's T-views, Online Yannakakis per PMTD, and the union of the
-    per-PMTD ``ψ_i`` projected onto the head.  This is the only online
-    phase in the package: :meth:`CQAPIndex.answer` runs it over the whole
-    index and every serving shard (:class:`~repro.serving.sharding.
-    ShardExecutor`) over its slice.  It reads the structures it is handed
-    and charges ``counters``; it has no other side effect.
-    """
-    t_targets = executor.online_compiled(steps, q_a, counters=counters)
-    head = tuple(cqap.head)
-    out_rows: set = set()
-    for oy in yannakakis:
-        t_views = CQAPIndex._assemble_views(oy.pmtd.t_views, t_targets)
-        psi = oy.answer(q_a, t_views, counters=counters)
-        if set(oy.schema) == set(head):
-            # the projection onto the head: one scan per ψ row
-            counters.scans += len(psi)
-            to_head = oy.onto(head)
-            out_rows |= psi if to_head is None else set(map(to_head, psi))
-        elif oy.schema == ():
-            # Boolean ψ (empty head)
-            out_rows |= psi
-    return Relation._wrap(f"{cqap.name}_answer", head, out_rows)
-
-
-def split_by_binding(batched: Relation, access: Tuple[str, ...],
-                     group: Sequence[tuple]) -> Dict[tuple, Relation]:
-    """Split one group's batched answer back into per-binding relations.
-
-    Every batched caller — ``PreparedQuery.probe_many`` and the shard
-    executors, in the parent or inside a fleet worker — splits through
-    here, so a binding's answer relation is constructed identically
-    wherever the online phase ran.
-    """
-    if not access:
-        # the only possible binding is (): the whole answer is its rows
-        return {key: batched for key in group}
-    key_of = row_getter([batched.schema.index(v) for v in access])
-    by_key: Dict[tuple, set] = {}
-    for row in batched.tuples:
-        by_key.setdefault(key_of(row), set()).add(row)
-    return {
-        key: Relation._wrap(batched.name, batched.schema,
-                            by_key.get(key) or set())
-        for key in group
-    }
+#: the largest tree decomposition the PMTD enumeration tries, in bags
+MAX_BAGS = 3
 
 
 @dataclass
@@ -138,10 +89,7 @@ class CQAPIndex:
         db: Database,
         space_budget: float,
         pmtds: Optional[Sequence[PMTD]] = None,
-        dc: Optional[ConstraintSet] = None,
-        ac: Optional[ConstraintSet] = None,
         request_size: float = 1,
-        max_bags: int = 3,
         budget_slack: float = 8.0,
         measure_degrees: bool = False,
         threshold_scale: float = 1.0,
@@ -168,8 +116,6 @@ class CQAPIndex:
         # knobs retained verbatim so drift-triggered re-selection
         # (repro.updates) can redo the whole configuration pipeline
         # against freshly measured statistics
-        self._dc_given = dc
-        self._ac = ac
         self._request_size = request_size
         self._measure_degrees = measure_degrees
         self._threshold_scale = threshold_scale
@@ -185,7 +131,7 @@ class CQAPIndex:
         self.shards = max(1, int(shards))
         if pmtds is None:
             try:
-                pmtds = enumerate_pmtds(cqap, max_bags=max_bags)
+                pmtds = enumerate_pmtds(cqap, max_bags=MAX_BAGS)
             except Exception:
                 pmtds = trivial_pmtds(cqap)
             if not pmtds:
@@ -206,7 +152,9 @@ class CQAPIndex:
         self._configure(statistics)
         self.plans: List[RulePlan] = []
         self._s_targets: Dict[VarSet, Relation] = {}
-        self._yannakakis: List[OnlineYannakakis] = []
+        #: the index's replica (:class:`~repro.core.replica.ShardExecutor`):
+        #: its views, Online Yannakakis passes and online phase
+        self._replica: Optional[ShardExecutor] = None
         self._compiled_online: List[CompiledOnlineStep] = []
         #: the write path's kernel plans (:class:`repro.updates.DeltaPlans`)
         self._delta_plans = None
@@ -225,8 +173,8 @@ class CQAPIndex:
         if statistics is None:
             statistics = CatalogStatistics.from_database(self.cqap, self.db)
         self.statistics = statistics
-        dc = self._dc_given
-        if dc is None and self._measure_degrees:
+        dc = None
+        if self._measure_degrees:
             from repro.query.constraints import constraints_from_statistics
 
             # the catalog already measured every single- and multi-variable
@@ -242,7 +190,7 @@ class CQAPIndex:
         # final ranking (SizeBoundOracle caches per-target solves)
         self.planner = TwoPhasePlanner(
             self.cqap, self.db, self.space_budget,
-            dc=dc, ac=self._ac,
+            dc=dc,
             request_size=self._request_size,
             threshold_scale=self._threshold_scale,
         )
@@ -336,9 +284,14 @@ class CQAPIndex:
 
         self._delta_plans = compile_delta_plans(self)
         self.stats = IndexStats()
-        views = self._view_relations(self.pmtds, self._s_targets)
-        self._yannakakis = [OnlineYannakakis.over(pmtd, views, counters=ctr)
-                            for pmtd in self.pmtds]
+        self._replica = ShardExecutor(ShardPayload(
+            shard_id=0, n_shards=1, cqap=self.cqap,
+            steps=self._compiled_online,
+            budget_slack=self.executor.budget_slack, pmtds=list(self.pmtds),
+            targets=self._s_targets, partitioned_tuples=0))
+        # the index counts its online runs on its own executor
+        self._replica.executor = self.executor
+        ctr += self._replica.preprocess_counters
         self.stats.stored_tuples = sum(
             len(rel) for rel in self._s_targets.values()
         )
@@ -417,43 +370,6 @@ class CQAPIndex:
             planner=self.planner,
         )
 
-    @staticmethod
-    def _assemble_views(views: Dict, targets: Dict[VarSet, Relation],
-                        ) -> Dict:
-        """Match materialized targets to a PMTD's views by schema."""
-        out: Dict = {}
-        for node, view in views.items():
-            matching = targets.get(view.variables)
-            schema = tuple(sorted(view.variables))
-            if matching is None:
-                out[node] = Relation(view.label, schema, ())
-            else:
-                # relabel, not copy: the view shares the target's tuple
-                # set (``Relation._wrap``'s read-only serving discipline)
-                out[node] = Relation._wrap(
-                    view.label, matching.schema, matching.tuples)
-        return out
-
-    @staticmethod
-    def _view_relations(pmtds: Sequence[PMTD],
-                        targets: Dict[VarSet, Relation],
-                        ) -> Dict[VarSet, Relation]:
-        """One view relation per S-view schema of ``pmtds``, for every pass.
-
-        Each is :meth:`_assemble_views`' relabel of the S-target of that
-        schema: it shares the target's row set but caches indexes of its
-        own, so every index is built once and a delta patches it once
-        however many passes read the view.  The index builds its passes
-        over its S-targets, and a shard executor over its slices of them.
-        """
-        views: Dict[VarSet, Relation] = {}
-        for pmtd in pmtds:
-            for node, view in pmtd.s_views.items():
-                if view.variables not in views:
-                    views[view.variables] = CQAPIndex._assemble_views(
-                        {node: view}, targets)[node]
-        return views
-
     # ------------------------------------------------------------------
     # online phase
     # ------------------------------------------------------------------
@@ -478,10 +394,8 @@ class CQAPIndex:
         """Return the access CQ's output for ``request`` (tuple(s) or Relation)."""
         if not self._ready:
             raise RuntimeError("call preprocess() before answer()")
-        return online_phase(self.cqap, self.executor, self._compiled_online,
-                            self._yannakakis,
-                            self._normalize_request(request),
-                            counters or Counters())
+        return self._replica.online_phase(self._normalize_request(request),
+                                          counters or Counters())
 
     def answer_boolean(self, request,
                        counters: Optional[Counters] = None) -> bool:

@@ -63,10 +63,11 @@ membership_on>`), the probe tuple laid out in schema order — decided from
 the schema's arity at compile time, part of the shape.  A pinned
 participant's closure holds ``rel.tuples`` itself, the *live* set: unlike
 a pinned dict, which a delta drops and the re-pin replaces, it shows
-``apply_row_delta``'s patch before the re-pin.  That is sound because
-writers are single-threaded with respect to readers (no probe runs inside
-``apply_delta``), the same discipline every pinned dict already relies
-on; ROADMAP item 5's snapshot checker is where it becomes executable.
+the piece patch (:func:`~repro.core.replica.patch_pieces`) before the
+re-pin.  That is sound because writers are single-threaded with respect
+to readers (no probe runs inside ``apply_delta``), the same discipline
+every pinned dict already relies on; ROADMAP item 5's snapshot checker
+is where it becomes executable.
 
 **The counters contract.**  ``probes``, ``scans`` and ``joins_emitted``
 accumulate in locals and reach the :class:`~repro.util.counters.Counters`

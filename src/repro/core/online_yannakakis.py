@@ -39,10 +39,11 @@ missed.
 **Maintenance.**  A delta that moves S-target rows patches a pass in
 place (:meth:`OnlineYannakakis.maintain`); nothing is rebuilt.  A view
 with no SS-child shares its S-target's row set — one view relation per
-target, shared by every pass of an index or of a shard executor
-(:meth:`OnlineYannakakis.over`) — and each changed row is
-inserted into or removed from every index the view caches, a bucket left
-empty being deleted so that ``key in index`` stays exact.  An SS-reduced
+target, shared by every pass of a replica (:meth:`OnlineYannakakis.over`;
+the index's :class:`~repro.core.replica.ShardExecutor` and every shard's)
+— and each changed row is inserted into or removed from every index the
+view caches, a bucket left empty being deleted so that ``key in index``
+stays exact.  An SS-reduced
 parent follows the delta-semijoin rule of Kara et al. ("Conjunctive
 Queries with Free Access Patterns under Updates"), bottom-up: a raw
 parent row that arrives is kept iff it matches every SS-child, one that
@@ -173,8 +174,7 @@ class OnlineYannakakis:
         """A pass whose S-view at each node is ``views[its variables]``.
 
         ``views`` holds one relation per S-view schema, shared by every
-        pass built over it (:meth:`CQAPIndex._view_relations <repro.core.
-        index.CQAPIndex._view_relations>`).
+        pass built over it (:func:`repro.core.replica.view_relations`).
         """
         return cls(pmtd, {node: views[view.variables]
                           for node, view in pmtd.s_views.items()},
@@ -335,15 +335,15 @@ class OnlineYannakakis:
     @staticmethod
     def maintain(passes: Sequence["OnlineYannakakis"],
                  target_deltas: Dict[frozenset, Tuple[Set, Set]],
-                 counters: Optional[Counters] = None) -> None:
+                 counters: Counters) -> None:
         """Bring every S-view of ``passes`` up to date with one delta.
 
         ``target_deltas`` maps S-target variables to ``(added, removed)``
         rows.  A view without SS-child takes them with its cached indexes
         (once, however many passes share the view); then each pass
-        re-derives its SS-reduced parents by :meth:`_cascade`.
+        re-derives its SS-reduced parents by :meth:`_cascade`, charging
+        ``counters`` (a replica's delta counters: never a shared default).
         """
-        ctr = counters or global_counters
         patched = set()
         for oy in passes:
             for relation in oy.raw_views.values():
@@ -352,7 +352,7 @@ class OnlineYannakakis:
                     patched.add(id(relation))
                     relation._delta_patch(*delta)
         for oy in passes:
-            oy._cascade(target_deltas, ctr)
+            oy._cascade(target_deltas, counters)
 
     def _cascade(self, target_deltas: Dict[frozenset, Tuple[Set, Set]],
                  ctr: Counters) -> None:

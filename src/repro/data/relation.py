@@ -520,30 +520,6 @@ class Relation:
         return not self.tuples
 
 
-def apply_row_delta(members: Iterable[Relation], added: Iterable[Tuple_] = (),
-                    removed: Iterable[Tuple_] = ()) -> int:
-    """Apply one coordinated row delta to every handle of a logical relation.
-
-    ``members`` are relation objects that must all reflect the delta:
-    private copies and handles sharing one tuple set (view relabels).
-    The rows go into each *distinct* set once; every member then gets a
-    version bump and its derived caches reset — also when the shared set
-    had already been mutated through another handle before this call,
-    which makes the patch idempotent on the set but never on the caches.
-    Returns the number of row changes applied.
-    """
-    seen: set = set()
-    applied = 0
-    for rel in members:
-        if id(rel.tuples) not in seen:
-            seen.add(id(rel.tuples))
-            applied += sum(rel._delta_add(row) for row in added)
-            applied += sum(rel._delta_discard(row) for row in removed)
-        rel.version += 1
-        rel._reset_derived()
-    return applied
-
-
 def singleton_request(schema: Sequence[str], values: Tuple_,
                       name: str = "Q_A") -> Relation:
     """The most natural access request: a single fixed binding (|Q_A| = 1)."""

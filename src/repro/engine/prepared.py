@@ -23,7 +23,8 @@ import time
 from functools import partial
 from typing import Dict, Iterable, List, Optional
 
-from repro.core.index import CQAPIndex, split_by_binding
+from repro.core.index import CQAPIndex
+from repro.core.replica import split_by_binding
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine.cache import AnswerCache, Binding, Resolved
@@ -46,9 +47,8 @@ def prepare(cqap: CQAP, db: Database, space_budget: float,
     ``"selection"``.
 
     ``index_kwargs`` are forwarded to :class:`~repro.core.index.CQAPIndex`
-    (``pmtds``, ``dc``, ``ac``, ``max_bags``, ``budget_slack``,
-    ``measure_degrees``, ``threshold_scale``, ``rule_selection``,
-    ``auto_select_threshold``, ...).
+    (``pmtds``, ``budget_slack``, ``measure_degrees``, ``threshold_scale``,
+    ``rule_selection``, ``auto_select_threshold``, ...).
     """
     ctr = counters or Counters()
     start = time.perf_counter()

@@ -1,7 +1,7 @@
 """The process-parallel shard fleet: one worker process per shard.
 
 :class:`~repro.serving.sharding.ShardedIndex` serves every shard's
-:class:`~repro.serving.sharding.ShardExecutor` inside one interpreter, so
+:class:`~repro.core.replica.ShardExecutor` inside one interpreter, so
 under the GIL shards compete for the same core.  The fleet is the other
 transport over the same executor — it gives each shard its own process:
 
@@ -30,8 +30,8 @@ value)`` or ``(False, exception)``, in the order they arrived:
   observability payload.  The parent wraps each key's rows in a Relation
   with :meth:`Relation._wrap <repro.data.relation.Relation._wrap>`: the
   engine built them, nothing re-validates them;
-* ``delta`` a :class:`~repro.serving.sharding.ShardDelta` → the S-view rows
-  the worker applied;
+* ``delta`` a :class:`~repro.core.replica.ShardDelta` → the S-view rows
+  the worker applied (it patches its own copies of the pieces named);
 * ``stop`` → no reply: the worker exits.
 
 **Per-shard ordering.**  One pipe per shard, read by one worker in order,
@@ -79,15 +79,9 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.index import CQAPIndex
+from repro.core.replica import Binding, ShardDelta, ShardExecutor
 from repro.data.relation import Relation
-from repro.serving.sharding import (
-    Binding,
-    GroupAnswer,
-    ShardBackend,
-    ShardDelta,
-    ShardExecutor,
-    ViewRows,
-)
+from repro.serving.sharding import GroupAnswer, ShardBackend
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
 #: seconds a stopped worker gets to exit before it is killed
@@ -409,19 +403,17 @@ class ProcessShardFleet(ShardBackend):
         if not self._closed:
             super().on_index_delta(event)
 
-    def _deliver(self, event, view_rows: List[List[ViewRows]]) -> int:
+    def _deliver(self, deltas: List[ShardDelta]) -> int:
         """Ship the delta to every worker it touches; returns rows applied.
 
-        The workers hold pickled *copies* of the T-phase steps, so the
-        event's step slots travel with the rows.  Each is sent before any
-        ack is read, and FIFO per shard (see the module docstring).
+        The workers hold pickled *copies* of the T-phase steps, so every
+        message names the pieces to patch.  Each is sent before any ack is
+        read, and FIFO per shard (see the module docstring).
         """
         pending = [
-            (worker, worker.request("delta", ShardDelta(
-                event.op, event.relation, event.row, event.step_slots,
-                rows)))
-            for worker, rows in zip(self._workers, view_rows)
-            if event.step_slots or rows
+            (worker, worker.request("delta", delta))
+            for worker, delta in zip(self._workers, deltas)
+            if delta.pieces or delta.view_rows
         ]
         return sum(worker.wait(reply) for worker, reply in pending)
 

@@ -12,8 +12,9 @@ missing part of the prefix, the compiled T-phase steps and the base
 relation pieces they scan — goes to every shard whole ("replicated",
 T-route state included).
 
-One :class:`ShardExecutor` serves one shard's payload, and it is the same
-code wherever it runs.  The two backends are *transports* over it:
+One :class:`~repro.core.replica.ShardExecutor` serves one shard's payload,
+and it is the same code wherever it runs — the index's own replica is the
+one-shard case.  The two backends are *transports* over it:
 :class:`ShardedIndex` calls its executors directly, in the calling thread,
 one group after the other; :class:`~repro.serving.fleet.ProcessShardFleet`
 puts each executor in a worker process behind pickle.  Routing, delta
@@ -51,28 +52,27 @@ reproducible across processes (Python's builtin string hash is salted).
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.index import CQAPIndex, online_phase, split_by_binding
-from repro.core.online_yannakakis import OnlineYannakakis
-from repro.core.two_phase import TwoPhaseExecutor
-from repro.data.relation import Relation, apply_row_delta, stable_hash
-from repro.decomposition.pmtd import PMTD
+from repro.core.index import CQAPIndex
+from repro.core.replica import (
+    Binding,
+    ShardDelta,
+    ShardExecutor,
+    ShardPayload,
+    ViewRows,
+)
+from repro.data.relation import Relation, stable_hash
 from repro.obs import metrics_section
-from repro.obs.hist import WORK_BUCKETS, Histogram
+from repro.obs.hist import WORK_BUCKETS
 from repro.obs.registry import REGISTRY
-from repro.obs.trace import TRACER, new_id
+from repro.obs.trace import TRACER
 from repro.query.cq import normalize_access_binding
 from repro.query.hypergraph import VarSet
 from repro.serving.stats import stats_envelope
 from repro.util.counters import Counters
 
-Binding = Tuple[object, ...]
-#: one S-target's routed row delta: (target variables, added, removed)
-ViewRows = Tuple[frozenset, frozenset, frozenset]
 #: what answering one shard group yields: per-binding answers + its work
 GroupAnswer = Tuple[Dict[Binding, Relation], Counters]
 
@@ -111,38 +111,15 @@ def partition_prefixes(index: CQAPIndex, n_shards: int,
     return prefixes
 
 
-@dataclass
-class ShardPayload:
-    """Everything one shard executor needs to serve its shard, picklable.
-
-    ``targets`` holds one relation per S-target: this shard's slice of a
-    partitionable target, the whole relation of a replicated one.  The
-    executor builds its own :class:`~repro.core.online_yannakakis.
-    OnlineYannakakis` per PMTD over them, so the per-shard preprocessing
-    — semijoin reduction against the shard's own slice, hash-index
-    warm-up — happens where the shard is served, sized by the shard's
-    partition rather than derived from a global build.
-    """
-
-    shard_id: int
-    n_shards: int
-    cqap: object
-    steps: List
-    budget_slack: float
-    pmtds: List
-    targets: Dict[VarSet, Relation]
-    partitioned_tuples: int
-
-
 def shard_payloads(index: CQAPIndex, n_shards: int) -> List[ShardPayload]:
     """Build one serving payload per shard — the same for both transports.
 
     S-targets with a routable access prefix are hash-partitioned (one
     plain slice relation per shard); the rest go to every shard whole.
-    The executor matches them to its views with the index's own
-    :meth:`CQAPIndex._view_relations`, so sharded views can never diverge
-    from what :meth:`CQAPIndex.answer` would serve, and shard contents
-    can never depend on the transport.
+    Each executor builds its views as the index's replica does
+    (:func:`~repro.core.replica.view_relations`), so sharded views can
+    never diverge from what :meth:`CQAPIndex.answer` would serve, and
+    shard contents can never depend on the transport.
     """
     if not index.ready:
         raise ValueError("shard payloads need a preprocessed CQAPIndex; "
@@ -169,151 +146,6 @@ def shard_payloads(index: CQAPIndex, n_shards: int) -> List[ShardPayload]:
                                    for parts in target_parts.values()),
         ))
     return payloads
-
-
-@dataclass
-class ShardDelta:
-    """One routed delta message, transport → shard executor (picklable).
-
-    ``view_rows`` is already routed: for a partitioned target it carries
-    only the rows whose access-prefix hash lands on this shard; for a
-    replicated target every shard receives all rows.  ``step_slots``
-    indexes the executor's compiled T-phase steps and is empty when the
-    executor runs on the index's own step objects, which
-    :func:`repro.updates.apply_delta` has already patched.
-    """
-
-    op: str
-    relation: str
-    row: tuple
-    step_slots: Tuple[int, ...]
-    view_rows: List[ViewRows]
-
-
-class ShardExecutor:
-    """One shard of the paper's data structure, and its online phase.
-
-    Holds the shard's compiled T-phase steps, a :class:`TwoPhaseExecutor`
-    of its own, one view relation per S-target over its
-    :class:`ShardPayload`'s slices, and the Online-Yannakakis passes
-    built over those views — the index's layout, shard by shard.
-    Building the passes here — not once globally — is what makes
-    preprocessing shard-aware: the semijoin reductions and hash-index
-    warm-ups run against this shard's slices, wherever this object
-    lives.  It runs unchanged in the caller's thread and inside a fleet
-    worker; a worker's copy came through pickle and owns everything it
-    holds, an in-process one shares the steps and the replicated
-    targets' tuple *sets* with the index.
-    """
-
-    def __init__(self, payload: ShardPayload) -> None:
-        t0 = time.process_time()
-        self.shard_id = payload.shard_id
-        self.cqap = payload.cqap
-        self.steps = payload.steps
-        self.executor = TwoPhaseExecutor(
-            payload.cqap, budget_slack=payload.budget_slack)
-        #: one view relation per S-view schema, shared by every pass: a
-        #: delta patches each once (see :meth:`apply_delta`)
-        self.views = CQAPIndex._view_relations(payload.pmtds,
-                                               payload.targets)
-        #: the work of building the passes (their SS-edge semijoins)
-        self.preprocess_counters = Counters()
-        self.yannakakis = [self._pass(pmtd) for pmtd in payload.pmtds]
-        self.preprocess_seconds = time.process_time() - t0
-
-    def _pass(self, pmtd: PMTD) -> OnlineYannakakis:
-        return OnlineYannakakis.over(pmtd, self.views,
-                                     counters=self.preprocess_counters)
-
-    def serve_group(self, keys: Sequence[Binding],
-                    trace_ctx: Optional[Tuple[str, str]] = None,
-                    ) -> Tuple[Dict[Binding, Relation], Counters, float,
-                               Optional[Dict]]:
-        """One online phase for a group of this shard's bindings.
-
-        Returns the per-binding answers, the intrinsic work, the CPU
-        seconds spent, and — when the scheduler handed down a
-        ``trace_ctx`` (trace id, parent span id) — an observability
-        payload: this executor's child span (pid and CPU
-        ``process_time`` stamped where it ran, so it survives a pickle
-        boundary) and a group-local work histogram the parent merges
-        exactly into ``repro_worker_probe_work``.
-        """
-        t0 = time.process_time()
-        ctr = Counters()
-        access = tuple(self.cqap.access)
-        batched = online_phase(self.cqap, self.executor, self.steps,
-                               self.yannakakis,
-                               Relation("Q_A", access, keys), ctr)
-        answers = split_by_binding(batched, access, keys)
-        cpu = time.process_time() - t0
-        obs_payload: Optional[Dict] = None
-        if trace_ctx is not None:
-            trace_id, parent_id = trace_ctx
-            work_hist = Histogram(WORK_BUCKETS)
-            amortized = ctr.online_work / len(keys) if keys else 0.0
-            work_hist.record(amortized, n=len(keys))
-            obs_payload = {
-                "span": {
-                    "name": "shard.serve_group",
-                    "trace_id": trace_id,
-                    "parent_id": parent_id,
-                    "span_id": new_id("w"),
-                    "duration": cpu,
-                    "attrs": {"shard": self.shard_id, "pid": os.getpid(),
-                              "process_time": cpu, "n_keys": len(keys),
-                              "work": ctr.online_work},
-                },
-                "work_hist": work_hist,
-            }
-        return answers, ctr, cpu, obs_payload
-
-    def apply_delta(self, delta: ShardDelta) -> int:
-        """Patch this replica for one delta; returns the S-view rows routed
-        to this shard.
-
-        The replica-side half of :func:`repro.updates.apply_delta`: the
-        touched steps' piece relations take the row through
-        :func:`~repro.data.relation.apply_row_delta` and their probe plans
-        recompile (they pin hash indexes at compile time).  Each routed
-        S-target delta goes once into its one view relation through
-        :meth:`Relation._delta_patch <repro.data.relation.Relation.
-        _delta_patch>`, which patches the view's cached indexes in place
-        (idempotent on a row set shared with the index, already mutated
-        when the event fired); the passes over a moved view are then
-        rebuilt from the views.
-
-        The pass rebuild is pending stage 2 of the maintained passes: the
-        index's own passes take a delta through
-        :meth:`OnlineYannakakis.maintain <repro.core.online_yannakakis.
-        OnlineYannakakis.maintain>` instead, and these move onto it next.
-        """
-        if delta.step_slots:
-            members = [
-                rel for slot in delta.step_slots
-                for atom, rel in zip(self.cqap.atoms,
-                                     self.steps[slot].relations)
-                if atom.relation == delta.relation
-            ]
-            if delta.op == "insert":
-                apply_row_delta(members, added=(delta.row,))
-            else:
-                apply_row_delta(members, removed=(delta.row,))
-            for slot in delta.step_slots:
-                self.steps[slot].plan._compile()
-        applied = 0
-        for target, added, removed in delta.view_rows:
-            view = self.views.get(target)
-            if view is not None:
-                view._delta_patch(added, removed)
-                applied += len(added) + len(removed)
-        changed = {target for target, _, _ in delta.view_rows}
-        for p, oy in enumerate(self.yannakakis):
-            if any(rel.variables in changed
-                   for rel in oy.raw_views.values()):
-                self.yannakakis[p] = self._pass(oy.pmtd)
-        return applied
 
 
 @dataclass
@@ -404,13 +236,14 @@ class ShardBackend:
             return 0
         return access_hash(key) % self.n_shards
 
-    def route_delta(self, event) -> List[List[ViewRows]]:
-        """Per-shard ``(target, added, removed)`` lists for one event.
+    def route_delta(self, event) -> List[ShardDelta]:
+        """Per-shard delta messages for one event.
 
-        A partitioned target's rows are hashed on its access prefix to
-        the one shard whose slice holds (or must gain) them; a replicated
-        target's rows go to every shard.  The ledgers' partition sizes
-        move with the rows.
+        Every message names the event's patched pieces.  A partitioned
+        target's rows are hashed on its access prefix to the one shard
+        whose slice holds (or must gain) them; a replicated target's rows
+        go to every shard.  The ledgers' partition sizes move with the
+        rows.
         """
         view_rows: List[List[ViewRows]] = [[] for _ in self.shards]
         for target, (added, removed) in event.target_deltas.items():
@@ -434,7 +267,8 @@ class ShardBackend:
                 if more or fewer:
                     rows.append((target, frozenset(more), frozenset(fewer)))
                     ledger.partitioned_tuples += len(more) - len(fewer)
-        return view_rows
+        return [ShardDelta(event.op, event.row, event.pieces, rows)
+                for rows in view_rows]
 
     # ------------------------------------------------------------------
     # answering
@@ -489,18 +323,18 @@ class ShardBackend:
     def on_index_delta(self, event) -> None:
         """Bring every shard's executor up to date with one index delta.
 
-        S-target rows are routed (:meth:`route_delta`) and delivered with
-        the T-phase step slots the delta touched; a drift re-selection
-        replaced the frozen plan state wholesale, so the executors are
-        rebuilt from fresh payloads instead.
+        Each shard gets the message the index's replica took, its S-target
+        rows routed (:meth:`route_delta`); a drift re-selection replaced
+        the frozen plan state wholesale, so the executors are rebuilt from
+        fresh payloads instead.
         """
         if not event.changed:
             return
         if event.reselected:
             self._start()
             self.rebuilds += 1
-        elif event.step_slots or event.targets_changed:
-            self.routed_rows += self._deliver(event, self.route_delta(event))
+        elif event.pieces or event.targets_changed:
+            self.routed_rows += self._deliver(self.route_delta(event))
 
     def close(self) -> None:
         """Detach from the index's delta feed."""
@@ -614,13 +448,12 @@ class ShardedIndex(ShardBackend):
         self._account(shard_id, len(group), ctr, cpu, obs_payload)
         return answers, ctr
 
-    def _deliver(self, event, view_rows: List[List[ViewRows]]) -> int:
-        """Hand each shard its routed rows; the steps need no patch here
-        (the executors run the index's own, already patched)."""
-        return sum(
-            executor.apply_delta(
-                ShardDelta(event.op, event.relation, event.row, (), rows))
-            for executor, rows in zip(self._executors, view_rows) if rows)
+    def _deliver(self, deltas: List[ShardDelta]) -> int:
+        """Hand each shard its message (pieces they share with the index
+        are already patched: only their views move)."""
+        return sum(executor.apply_delta(delta)
+                   for executor, delta in zip(self._executors, deltas)
+                   if delta.pieces or delta.view_rows)
 
     def on_index_delta(self, event) -> None:
         super().on_index_delta(event)

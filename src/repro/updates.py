@@ -51,18 +51,17 @@ The maintenance algorithm, per delta ``±R(t)``:
    base relations, which share the base rows.
 
 5. **Derived-state coherence.**  Each hosting piece is one object (shared
-   by every subproblem, compiled step and delta plan on its split path):
-   it is patched once, the touched steps'
-   :class:`~repro.core.kernels.CompiledProbePlan`\\ s are re-pinned (their
-   kernels close over the pieces' hash indexes; the generated code is
-   found by its shape, not compiled again).  When an S-target moved,
-   :meth:`OnlineYannakakis.maintain <repro.core.online_yannakakis.
-   OnlineYannakakis.maintain>` brings the per-PMTD Online Yannakakis
-   passes up to date in place: the views over the S-targets patch their
-   cached indexes with the step-4 rows, and the SS-reduced views follow
-   by the delta-semijoin rule — one bucket read per changed key, never a
-   pass built again (only :meth:`CQAPIndex.reselect` builds new ones).
-   The delta plans pin nothing, so they need no refresh at all.
+   by every subproblem, compiled step and delta plan on its split path),
+   patched once before step 4 reads the post-state, and the steps holding
+   it re-pin (:func:`~repro.core.replica.patch_pieces`).  The index's
+   replica then takes the message every serving shard takes, a
+   :class:`~repro.core.replica.ShardDelta` naming the patched pieces'
+   ``(step slot, body-atom position)`` and the step-4 rows: its
+   :meth:`~repro.core.replica.ShardExecutor.apply_delta` patches the
+   views' cached indexes, and the SS-reduced views follow by the
+   delta-semijoin rule — one bucket read per changed key, never a pass
+   built again (only :meth:`CQAPIndex.reselect` builds new ones).  The
+   delta plans pin nothing, so they need no refresh at all.
 
 6. **Drift re-selection.**  When the measured cardinality drift since the
    catalog statistics were taken exceeds ``index.staleness_threshold``,
@@ -82,10 +81,10 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from repro.core.kernels import CompiledProbePlan
-from repro.core.online_yannakakis import OnlineYannakakis
+from repro.core.replica import ShardDelta, patch_pieces
 from repro.core.split import HEAVY, LIGHT
 from repro.core.two_phase import PhaseDecision
-from repro.data.relation import Relation, SchemaError, apply_row_delta
+from repro.data.relation import Relation, SchemaError
 from repro.obs.registry import REGISTRY
 from repro.obs.trace import STATE as _OBS
 from repro.query.cq import Atom
@@ -120,10 +119,10 @@ class UpdateEvent:
     target_deltas: Dict[VarSet, Tuple[FrozenSet[Tuple_], FrozenSet[Tuple_]]] \
         = field(default_factory=dict)
     affected_keys: Optional[FrozenSet[Tuple_]] = None
-    #: indices into ``index.compiled_online`` of the T-phase steps whose
-    #: piece relations this delta mutated — what a remote replica (the
-    #: process fleet's workers) must patch in its own copy of the steps
-    step_slots: Tuple[int, ...] = ()
+    #: ``(step slot, body-atom position)`` in ``index.compiled_online`` of
+    #: every step piece this delta patched — what a replica holding copies
+    #: of the steps (a fleet worker's) patches in its own
+    pieces: Tuple[Tuple[int, int], ...] = ()
     #: True when the delta pushed measured drift past the staleness
     #: threshold and the index re-selected + re-preprocessed itself
     reselected: bool = False
@@ -335,6 +334,10 @@ def apply_delta(index, op: str, name: str, row: Tuple_,
     changed; the event has already been fanned out to every registered
     delta listener when this returns.
 
+    ``counters`` is charged the base mutation, the delta plans' joins and
+    the S-target stores; the Online Yannakakis maintenance is charged to
+    the index replica's ``delta_counters``, as it is on every shard.
+
     On an index that has not been preprocessed yet, only the database
     (and, past the drift threshold, the rule selection) moves — there is
     no materialized state to maintain.
@@ -408,24 +411,17 @@ def apply_delta(index, op: str, name: str, row: Tuple_,
         for plan in index.plans:
             hosting += _hosting(base, plan, occurrences, row, insert=True)
 
-    # -- piece / step mutation -------------------------------------------
-    # each hosting piece once, by identity; a touched step's relations are
-    # those same pieces (``verify_piece_sharing``), so it only recompiles
-    members: Dict[int, Relation] = {}
-    hosting_decisions = set()
-    for decision, atoms in hosting:
-        hosting_decisions.add(id(decision))
-        for atom in atoms:
-            piece = decision.subproblem.relations[atom]
-            members[id(piece)] = piece
-    step_slots = [slot for slot, step in enumerate(index._compiled_online)
-                  if id(step.decision) in hosting_decisions]
-    touched_steps = [index._compiled_online[slot] for slot in step_slots]
-    if insert:
-        apply_row_delta(members.values(), added=(row,))
-    else:
-        apply_row_delta(members.values(), removed=(row,))
-    event.step_slots = tuple(step_slots)
+    # -- piece mutation ---------------------------------------------------
+    # each hosting piece once, by identity; a step's relations are those
+    # same pieces (``verify_piece_sharing``), so a step holding one re-pins
+    members: Dict[int, Relation] = {
+        id(piece): piece for decision, atoms in hosting
+        for piece in map(decision.subproblem.relations.__getitem__, atoms)}
+    steps = index._compiled_online
+    patch_pieces(op, row, members.values(), steps)
+    event.pieces = tuple(
+        (slot, pos) for slot, step in enumerate(steps)
+        for pos, piece in enumerate(step.relations) if id(piece) in members)
 
     # -- S-target deltas --------------------------------------------------
     target_deltas: Dict[VarSet, Tuple[FrozenSet, FrozenSet]] = {}
@@ -464,11 +460,12 @@ def apply_delta(index, op: str, name: str, row: Tuple_,
                 target_deltas[target] = (frozenset(), removed)
     event.target_deltas = target_deltas
 
-    # -- derived-structure refresh ----------------------------------------
-    for step in touched_steps:
-        step.plan._compile()
+    # -- the index's replica: the message every shard replica takes ------
+    index._replica.apply_delta(ShardDelta(
+        op, row, event.pieces,
+        [(target, added, removed)
+         for target, (added, removed) in target_deltas.items()]))
     if event.targets_changed:
-        OnlineYannakakis.maintain(index._yannakakis, target_deltas, ctr)
         index.stats.stored_tuples = sum(
             len(rel) for rel in index._s_targets.values())
         index.stats.s_view_tuples = {

@@ -364,7 +364,7 @@ def _enumeration_index():
                 name="path3enum")
     db = path_database(k=3, n_edges=60, domain=12, seed=5, skew_hubs=2)
     index = CQAPIndex(cqap, db, space_budget=db.size ** 2).preprocess()
-    reduced = [(oy, parent) for oy in index._yannakakis
+    reduced = [(oy, parent) for oy in index._replica.yannakakis
                for parent in oy._ss_edges if oy.s_views[parent].tuples]
     assert reduced
     return index, reduced
@@ -372,7 +372,7 @@ def _enumeration_index():
 
 def _cached_index(index):
     """A view's cached (not whole-schema) index with a multi-row bucket."""
-    for oy in index._yannakakis:
+    for oy in index._replica.yannakakis:
         for view in oy.s_views.values():
             for key, cached in view._indexes.items():
                 for value, bucket in cached.items():

@@ -369,7 +369,7 @@ class TestPipeTransport:
                             row = (10 ** 6 + i, 10 ** 6 + i)
                             for op in ("insert", "delete"):
                                 event = index.apply_delta(op, "R2", row)
-                                acks.append(bool(event.step_slots))
+                                acks.append(bool(event.pieces))
                     except Exception as exc:
                         errors.append(repr(exc))
 
@@ -426,8 +426,15 @@ class TestWorkerFailures:
         db = path_database(3, 200, 30, seed=4, skew_hubs=2)
         index = CQAPIndex(k_path_cqap(3), db, int(db.size ** 1.2))
         index.preprocess()
-        monkeypatch.setattr(ShardExecutor, "apply_delta",
-                            lambda self, delta: os._exit(13))
+        parent, apply_delta = os.getpid(), ShardExecutor.apply_delta
+
+        def dying(self, delta):
+            # the index's own replica takes the delta in this process
+            if os.getpid() != parent:
+                os._exit(13)
+            return apply_delta(self, delta)
+
+        monkeypatch.setattr(ShardExecutor, "apply_delta", dying)
         with ProcessShardFleet(index, n_shards=2) as fleet:
             pids = [s.pid for s in fleet.shards]
             with pytest.raises(FleetError,

@@ -17,6 +17,7 @@ from repro.analysis.verify_plan import verify_yannakakis
 from repro.core.index import CQAPIndex
 from repro.core.joins import project_join
 from repro.core.online_yannakakis import OnlineYannakakis
+from repro.core.replica import assemble_views
 from repro.core.two_phase import PlanningError
 from repro.data import Database, Relation, path_database
 from repro.decomposition import PMTD, TreeDecomposition
@@ -308,8 +309,8 @@ def _pass_inputs(index, bindings):
     q_a = index._normalize_request(list(bindings))
     t_targets = index.executor.online_compiled(index.compiled_online, q_a,
                                                counters=Counters())
-    return q_a, [CQAPIndex._assemble_views(oy.pmtd.t_views, t_targets)
-                 for oy in index._yannakakis]
+    return q_a, [assemble_views(oy.pmtd.t_views, t_targets)
+                 for oy in index._replica.yannakakis]
 
 
 class TestOperatorChainOracle:
@@ -350,7 +351,7 @@ class TestOperatorChainOracle:
             probes = list(dict.fromkeys(workload.probes))
             for bindings in [[b] for b in probes] + [probes]:
                 q_a, t_views = _pass_inputs(index, bindings)
-                for oy, views in zip(index._yannakakis, t_views):
+                for oy, views in zip(index._replica.yannakakis, t_views):
                     assert_matches_chain(oy, q_a, views)
                     checked += 1
         assert checked
@@ -404,7 +405,7 @@ def path3_enumeration():
 
 def ss_edges_with_rows(index):
     """``(pass, parent, child)`` for every SS-edge whose views hold rows."""
-    return [(oy, parent, edge[0]) for oy in index._yannakakis
+    return [(oy, parent, edge[0]) for oy in index._replica.yannakakis
             for parent, edges in oy._ss_edges.items() for edge in edges
             if oy.s_views[parent].tuples and oy.s_views[edge[0]].tuples]
 
@@ -516,7 +517,7 @@ class TestMaintainedPasses:
 
         def buckets_on(value):
             """``value``'s bucket in every view index keyed on x1, x4."""
-            views = {id(rel): rel for oy in index._yannakakis
+            views = {id(rel): rel for oy in index._replica.yannakakis
                      for rel in (*oy.raw_views.values(),
                                  *oy.s_views.values())}
             return [cached.get(value if key == ("x1", "x4") else value[::-1])
@@ -557,7 +558,7 @@ class TestPreprocessCounters:
         assert ss_edges_with_rows(index)
         # the SS pass replayed over the raw views: one probe per row
         ss = Counters()
-        for oy in index._yannakakis:
+        for oy in index._replica.yannakakis:
             for parent, edges in oy._ss_edges.items():
                 reduced = oy.raw_views[parent]
                 for edge in edges:

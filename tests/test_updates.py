@@ -19,9 +19,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.verify_plan import check_index
+from repro.analysis.verify_plan import (
+    PickledReplicas,
+    check_index,
+    verify_shards,
+    verify_yannakakis,
+)
 from repro.core.index import CQAPIndex
-from repro.data import path_database
+from repro.core.online_yannakakis import OnlineYannakakis
+from repro.core.replica import split_by_binding
+from repro.data import path_database, random_edge_relation
 from repro.data.database import Database
 from repro.data.relation import Relation, SchemaError
 from repro.engine.prepared import PreparedQuery, prepare
@@ -29,6 +36,7 @@ from repro.oracle import answer_rows, oracle_probe
 from repro.problems import EdgeTriangleIndex, TrianglePairIndex
 from repro.query.catalog import k_path_cqap
 from repro.query.cq import CQAP, Atom
+from repro.serving.sharding import ShardedIndex
 from repro.util.counters import Counters
 
 RICH = 10 ** 7
@@ -266,7 +274,7 @@ class TestSharedPieces:
                     yield from decision.subproblem.relations.values()
             for step in index.compiled_online:
                 yield from step.relations
-            for yannakakis in index._yannakakis:
+            for yannakakis in index._replica.yannakakis:
                 yield from yannakakis.s_views.values()
 
         def row_set_copies():
@@ -473,6 +481,45 @@ class TestWritePathRunsKernels:
                    for edge in sorted(edges))
 
 
+ENUM_DOMAIN = 12
+
+
+def enumeration_index():
+    """3-path enumeration at |D|^2: an S123 child reduces an S134 root."""
+    atoms = [Atom(f"R{i}", (f"x{i}", f"x{i + 1}")) for i in (1, 2, 3)]
+    cqap = CQAP(("x1", "x2", "x3", "x4"), ("x1", "x4"), atoms,
+                name="path3enum")
+    db = path_database(3, 60, ENUM_DOMAIN, seed=5, skew_hubs=2)
+    index = CQAPIndex(cqap, db, db.size ** 2).preprocess()
+    assert any(oy._ss_edges for oy in index._replica.yannakakis)
+    return cqap, db, index
+
+
+def enumeration_deltas(index, db, seed, n=24):
+    """``n`` changing deltas over R1..R3, every third a delete."""
+    rng = random.Random(seed)
+    events = []
+    for i in range(n):
+        name = f"R{i % 3 + 1}"
+        if i % 3 == 2:
+            op, row = "delete", rng.choice(sorted(db[name].tuples))
+        else:
+            op, row = "insert", (0, 0)
+            while row in db[name].tuples:
+                row = (rng.randrange(ENUM_DOMAIN), rng.randrange(ENUM_DOMAIN))
+        events.append(index.apply_delta(op, name, row))
+    return events
+
+
+def reach3_self_join(exponent):
+    """3-reachability over one skewed edge relation, at |D|^exponent."""
+    atoms = [Atom("E", (f"x{i}", f"x{i + 1}")) for i in (1, 2, 3)]
+    cqap = CQAP(("x1", "x4"), ("x1", "x4"), atoms, name="reach3E")
+    db = Database([random_edge_relation("E", ("src", "dst"), n_edges=500,
+                                        domain=40, seed=3, skew_hubs=4)])
+    return cqap, db, CQAPIndex(cqap, db, db.size ** exponent).preprocess()
+
+
 class TestPassesAreMaintained:
     def test_a_target_delta_constructs_no_pass(self, monkeypatch):
         """S-target deltas patch the Online Yannakakis passes in place."""
@@ -480,7 +527,7 @@ class TestPassesAreMaintained:
         from repro.core.online_yannakakis import OnlineYannakakis
 
         cqap, db, index = lean_index()
-        passes = list(index._yannakakis)
+        passes = list(index._replica.yannakakis)
         built = []
         init = OnlineYannakakis.__init__
 
@@ -493,7 +540,7 @@ class TestPassesAreMaintained:
         for op, name, row in TestSharedPieces.SCRIPT:
             moved += index.apply_delta(op, name, row).targets_changed
         assert moved and built == []
-        assert index._yannakakis == passes
+        assert index._replica.yannakakis == passes
         domain = [0, 1, 2, 5, 900, 901, 903, 904]
         assert probe_grid(cqap, index, domain) \
             == oracle_grid(cqap, db, domain)
@@ -501,6 +548,82 @@ class TestPassesAreMaintained:
         # per pass
         assert verify_yannakakis(index) == []
         assert len(built) == len(passes)
+
+    def test_no_replica_builds_a_pass_on_a_delta(self, monkeypatch):
+        """With SS-edges, the index's replica, a 2-shard ShardedIndex and
+        two pickled replicas take every delta without a pass built."""
+        cqap, db, index = enumeration_index()
+        backends = (ShardedIndex(index, 2), PickledReplicas(index, 2))
+        built = []
+        init = OnlineYannakakis.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(OnlineYannakakis, "__init__", counting_init)
+        events = enumeration_deltas(index, db, 8)
+        assert any(event.targets_changed for event in events)
+        assert built == []
+        for backend in backends:
+            assert verify_shards(backend) == []
+        assert verify_yannakakis(index) == []
+        want = oracle_grid(cqap, db, range(ENUM_DOMAIN))
+        for backend in backends:
+            assert {key: answer_rows(backend.probe(key), tuple(cqap.head))
+                    for key in want} == want
+
+    def test_maintenance_charges_each_replicas_delta_counters(self):
+        """Writes move no replica's build counters: the passes'
+        maintenance is charged to the replica's own delta counters."""
+        cqap, db, index = enumeration_index()
+        sharded = ShardedIndex(index, 2)
+        replicas = [index._replica, *sharded._executors]
+        built = [replica.preprocess_counters.snapshot()
+                 for replica in replicas]
+        assert all(replica.delta_counters.snapshot()
+                   == Counters().snapshot() for replica in replicas)
+        enumeration_deltas(index, db, 9)
+        assert [replica.preprocess_counters.snapshot()
+                for replica in replicas] == built
+        assert index._replica.delta_counters.probes > 0
+        assert sum(executor.delta_counters.probes
+                   for executor in sharded._executors) > 0
+
+
+class TestPickledReplicas:
+    """A replica holding pickled step copies, as a fleet worker does."""
+
+    @pytest.mark.parametrize("exponent", [1.0, 1.2, 1.4])
+    def test_self_join_copies_take_exactly_the_index_patches(self, exponent):
+        """Each delta patches the copy of every piece the index patched,
+        found by step slot and body-atom position: on a self-join a lookup
+        by relation name patches occurrences the index routed elsewhere."""
+        cqap, db, index = reach3_self_join(exponent)
+        replicas = PickledReplicas(index, 1)
+        [executor] = replicas._executors
+        assert executor.steps is not index.compiled_online
+        rng = random.Random(3)
+        for i in range(60):
+            rows = sorted(db["E"].tuples)
+            if i % 3 == 2:
+                op, row = "delete", rng.choice(rows)
+            else:
+                op, row = "insert", (rng.randrange(40), rng.randrange(40))
+                while row in db["E"].tuples:
+                    row = (rng.randrange(40), rng.randrange(40))
+            assert index.apply_delta(op, "E", row).changed
+            assert [[piece.tuples for piece in step.relations]
+                    for step in executor.steps] \
+                == [[piece.tuples for piece in step.relations]
+                    for step in index.compiled_online], (i, op, row)
+        assert verify_shards(replicas) == []
+        keys = [(a, b) for a in range(40) for b in range(40)]
+        answered, ctr, _, _ = executor.serve_group(keys)
+        theirs = Counters()
+        batched = index.answer(keys, counters=theirs)
+        assert answered == split_by_binding(batched, cqap.access, keys)
+        assert ctr.snapshot() == theirs.snapshot()
 
 
 class TestDriftReselection:
