@@ -376,8 +376,11 @@ class CQAPIndex:
     def _normalize_request(self, request) -> Relation:
         if isinstance(request, Relation):
             if set(request.schema) == set(self.cqap.access):
-                return Relation("Q_A", self.cqap.access,
-                                request.project(self.cqap.access).tuples)
+                # reordering the request's columns is plumbing, not query
+                # work: charge a throwaway counter, as Relation.union does
+                rows = request.project(self.cqap.access,
+                                       counters=Counters()).tuples
+                return Relation("Q_A", self.cqap.access, rows)
             if len(request.schema) == len(self.cqap.access):
                 return Relation("Q_A", self.cqap.access, request.tuples)
             raise ValueError(

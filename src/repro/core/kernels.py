@@ -66,8 +66,8 @@ a pinned dict, which a delta drops and the re-pin replaces, it shows
 the piece patch (:func:`~repro.core.replica.patch_pieces`) before the
 re-pin.  That is sound because writers are single-threaded with respect
 to readers (no probe runs inside ``apply_delta``), the same discipline
-every pinned dict already relies on; ROADMAP item 5's snapshot checker
-is where it becomes executable.
+every pinned dict already relies on; the ROADMAP's snapshot-consistency
+checker is where it becomes executable.
 
 **The counters contract.**  ``probes``, ``scans`` and ``joins_emitted``
 accumulate in locals and reach the :class:`~repro.util.counters.Counters`

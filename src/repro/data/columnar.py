@@ -5,7 +5,8 @@ this module (the engine, the executors, the generated kernels and both
 ``serve()`` transports construct :class:`~repro.data.relation.Relation`
 only).  Its one consumer is ``bench/run.py``'s ``data.columnar.*``
 per-layer rows; the file and ``tests/test_columnar.py`` leave with the
-``[benchmark]`` change that drops those rows (ROADMAP item 4).
+``[benchmark]`` change that drops those rows (the ROADMAP's write-path
+instrument).
 
 :class:`ColumnarRelation` is a :class:`~repro.data.relation.Relation`
 whose operators run as *batch* kernels over lazily materialized column

@@ -14,10 +14,9 @@ The serving stack, bottom to top::
               └─ BatchScheduler    # dedupe + answer cache + shard groups
                    └─ Server       # stream facade: backpressure + stats
 
-``serve()`` takes exactly five keywords — ``backend``, ``shards``,
-``batch_size``, ``max_pending_batches``, ``cache_size`` — and there is
-nothing else to tune: how a batch's groups are dispatched follows from
-the transport.
+``serve()`` takes exactly four keywords — ``backend``, ``shards``,
+``batch_size``, ``cache_size`` — and there is nothing else to tune: how
+a batch's groups are dispatched follows from the transport.
 
 Because every S-view that serves probes is keyed by the access-variable
 binding, partitioning the stored side by a hash of that binding commutes

@@ -49,8 +49,7 @@ def _coerce_index(prepared) -> CQAPIndex:
 
 
 def serve(prepared, *, backend: str = "thread", shards: int = 4,
-          batch_size: int = 32, max_pending_batches: int = 4,
-          cache_size: int = 256) -> Server:
+          batch_size: int = 32, cache_size: int = 256) -> Server:
     """Front a prepared query with a shard backend; returns a Server.
 
     Keyword-only configuration; the backend choice is the *only* thing
@@ -62,8 +61,8 @@ def serve(prepared, *, backend: str = "thread", shards: int = 4,
       *instance* is also accepted and merely fronted — the server then
       does **not** own it and ``shards`` is ignored;
     * ``shards`` — shard count; answers are identical for every value;
-    * ``batch_size`` / ``max_pending_batches`` — stream batching and the
-      backpressure window, see :meth:`Server.serve`;
+    * ``batch_size`` — stream batching; the backpressure window is
+      ``PENDING_BATCHES`` batches, see :meth:`Server.serve`;
     * ``cache_size`` — the scheduler's LRU answer cache.
 
     The returned server *owns* its backend: closing it (or leaving the
@@ -80,5 +79,4 @@ def serve(prepared, *, backend: str = "thread", shards: int = 4,
         raise ValueError(
             f"backend must be one of {tuple(BACKENDS)}, got {backend!r}")
     return Server(shard_backend, batch_size=batch_size,
-                  max_pending_batches=max_pending_batches,
                   cache_size=cache_size, owns_backend=owns)

@@ -12,7 +12,7 @@ you::
 
 ``serve`` is a generator, which makes the backpressure real rather than
 advisory: the server pulls from the workload stream *lazily*, buffering at
-most ``batch_size * max_pending_batches`` bindings ahead of what the
+most ``batch_size * PENDING_BATCHES`` bindings ahead of what the
 consumer has taken, and it does not read further until the consumer drains
 the batch it was handed.  A slow consumer therefore throttles the producer
 instead of growing an unbounded queue.
@@ -38,6 +38,9 @@ from repro.serving.batching import BatchScheduler
 from repro.serving.sharding import ShardBackend
 from repro.serving.stats import stats_envelope
 
+#: how many execution batches the server buffers ahead of the consumer
+PENDING_BATCHES = 4
+
 
 class Server:
     """Batched, sharded serving of a probe stream with bounded buffering.
@@ -52,18 +55,13 @@ class Server:
     """
 
     def __init__(self, backend: ShardBackend, batch_size: int = 32,
-                 max_pending_batches: int = 4, cache_size: int = 256,
-                 owns_backend: bool = False) -> None:
+                 cache_size: int = 256, owns_backend: bool = False) -> None:
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if max_pending_batches <= 0:
-            raise ValueError("max_pending_batches must be positive, got "
-                             f"{max_pending_batches}")
         self.backend = backend
         self.owns_backend = owns_backend
         self.scheduler = BatchScheduler(backend, cache_size=cache_size)
         self.batch_size = batch_size
-        self.max_pending_batches = max_pending_batches
         self.batches_served = 0
         self.probes_served = 0
         self.peak_pending = 0
@@ -99,7 +97,7 @@ class Server:
                 else:
                     yield item
 
-        window = self.batch_size * self.max_pending_batches
+        window = self.batch_size * PENDING_BATCHES
         buffer: deque = deque()
         source = flatten(workload_stream)
         exhausted = False
@@ -136,7 +134,6 @@ class Server:
         """The envelope's ``server`` section (stream/backpressure)."""
         return {
             "batch_size": self.batch_size,
-            "max_pending_batches": self.max_pending_batches,
             "batches_served": self.batches_served,
             "probes_served": self.probes_served,
             "peak_pending": self.peak_pending,

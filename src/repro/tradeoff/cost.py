@@ -84,21 +84,19 @@ class AtomStatistics:
                 f"degree for variable {variable!r}"
             ) from None
 
-    def degree_for(self, pinned: Iterable[str],
-                   multivariable: bool = True) -> int:
+    def degree_for(self, pinned: Iterable[str]) -> int:
         """Tightest measured degree given that ``pinned`` is fixed.
 
         Consults every measured key that is a subset of ``pinned``: the
-        single-variable degrees always, and (with ``multivariable``) the
-        variable-set degrees, which are never looser.  Raises ``KeyError``
-        when some pinned variable is not in the atom's schema.
+        single-variable degrees and the variable-set degrees, which are
+        never looser.  Raises ``KeyError`` when some pinned variable is
+        not in the atom's schema.
         """
         pinned = frozenset(pinned)
         best = min(self.degree_of(v) for v in pinned)
-        if multivariable:
-            for key, degree in self.set_degrees:
-                if key <= pinned and degree < best:
-                    best = degree
+        for key, degree in self.set_degrees:
+            if key <= pinned and degree < best:
+                best = degree
         return best
 
 
@@ -373,24 +371,18 @@ class RuleEstimate:
 class CostModel:
     """Prices targets, rules, and PMTDs from catalog statistics.
 
-    ``use_multivar_degrees`` / ``use_join_samples`` gate the two upgraded
-    estimate refinements so benchmarks can diff the single-variable
-    baseline against the full model.  ``bound_oracle`` (anything with
-    ``log_s_bound(target)`` / ``log_t_bound(target)``) clamps estimates to
-    provable worst-case LP bounds; see :meth:`with_bound_oracle`.
+    ``bound_oracle`` (anything with ``log_s_bound(target)`` /
+    ``log_t_bound(target)``) clamps estimates to provable worst-case LP
+    bounds; see :meth:`with_bound_oracle`.
     """
 
     def __init__(self, cqap: CQAP, stats: CatalogStatistics,
                  request_size: float = 1.0,
-                 use_multivar_degrees: bool = True,
-                 use_join_samples: bool = True,
                  bound_oracle=None) -> None:
         self.cqap = cqap
         self.stats = stats
         self.access: VarSet = varset(cqap.access)
         self.log_request = math.log2(max(1.0, request_size))
-        self.use_multivar_degrees = use_multivar_degrees
-        self.use_join_samples = use_join_samples
         self.bound_oracle = bound_oracle
         self._cache: Dict[Tuple[VarSet, FrozenSet[str], bool], float] = {}
 
@@ -438,11 +430,9 @@ class CostModel:
         for atom in self.stats.atoms:
             if target <= atom.varset:
                 cap = min(cap, math.log2(atom.cardinality))
-        if self.use_join_samples:
-            for sample in self.stats.join_samples:
-                if target <= sample.variables:
-                    cap = min(cap,
-                              math.log2(max(1.0, sample.estimated_size)))
+        for sample in self.stats.join_samples:
+            if target <= sample.variables:
+                cap = min(cap, math.log2(max(1.0, sample.estimated_size)))
         return cap
 
     def log_size_worst(self, target: VarSet) -> float:
@@ -501,10 +491,7 @@ class CostModel:
                          worst_case: bool) -> float:
         pinned = set(atom.variables) & set(covered)
         if pinned and not worst_case:
-            degree = atom.degree_for(
-                pinned, multivariable=self.use_multivar_degrees
-            )
-            return math.log2(degree)
+            return math.log2(atom.degree_for(pinned))
         return math.log2(atom.cardinality)
 
     def s_space(self, target: VarSet) -> float:

@@ -176,6 +176,8 @@ class ScenarioOutcome:
     """What happened on one workload."""
 
     workload: Workload
+    #: the CLI replay every recorded disagreement carries
+    repro: str
     comparisons: int = 0
     disagreements: List[Disagreement] = field(default_factory=list)
     skips: List[Tuple[str, str]] = field(default_factory=list)
@@ -183,6 +185,31 @@ class ScenarioOutcome:
     @property
     def ok(self) -> bool:
         return not self.disagreements
+
+    def flag(self, path: str, detail: str) -> None:
+        """Record one disagreement (or crash) on ``path``."""
+        self.disagreements.append(
+            Disagreement(self.workload.seed, path, detail, self.repro))
+
+    def compare(self, path: str, expected: Dict[Row, AnswerSet],
+                actual: Dict[Row, AnswerSet],
+                step: Optional[int] = None) -> None:
+        """Diff ``actual`` against the oracle's ``expected`` answers.
+
+        Every checked binding counts as a comparison and every differing
+        one is flagged on ``path`` (``path.stepN`` after update step
+        ``step``).
+        """
+        context = {"seed": self.workload.seed}
+        label = path
+        if step is not None:
+            context["step"] = step
+            label = f"{path}.step{step}"
+        report = compare_answers(expected, actual, path=path,
+                                 context=context)
+        self.comparisons += report.bindings_checked
+        for diff in report.diffs:
+            self.flag(label, diff.describe())
 
 
 @dataclass
@@ -264,9 +291,34 @@ def _scratch_answers(workload: Workload,
     return {b: frozenset(s) for b, s in grouped.items()}
 
 
-def _run_update_replay(outcome: ScenarioOutcome, workload: Workload,
-                       repro: str, path: str, serve_backend: str,
-                       n_shards: int, steps: int,
+def _build_index(outcome: ScenarioOutcome, path: str, cqap, db,
+                 budget: float, **options) -> Optional[CQAPIndex]:
+    """Preprocess and verify one index for ``path``, or None.
+
+    A ``PlanningError`` is a skip (the budget is legitimately infeasible
+    for S-only rules); any other exception is flagged on ``path``.
+    """
+    try:
+        return CQAPIndex(
+            cqap, db, budget,
+            auto_select_threshold=AUTO_SELECT_THRESHOLD, **options,
+        ).preprocess(verify_plans=True)
+    except PlanningError as exc:
+        outcome.skips.append((path, f"PlanningError: {exc}"))
+    except Exception as exc:
+        outcome.flag(path, f"preprocess raised {exc!r}")
+    return None
+
+
+def _drain(server, probes: Sequence[Row],
+           head: Tuple[str, ...]) -> Dict[Row, AnswerSet]:
+    """Serve ``probes`` through ``server``: answer rows per binding."""
+    return {key: answer_rows(rel, head)
+            for key, rel in server.serve(probes)}
+
+
+def _run_update_replay(outcome: ScenarioOutcome, path: str,
+                       serve_backend: str, n_shards: int, steps: int,
                        staleness_threshold: float = 0.5) -> None:
     """Replay a seeded insert/delete script through one live stack.
 
@@ -287,27 +339,17 @@ def _run_update_replay(outcome: ScenarioOutcome, workload: Workload,
 
     from repro.serving import serve, validate_stats
 
+    workload = outcome.workload
     cqap = workload.cqap
     head = tuple(cqap.head)
-    seed = workload.seed
     budget = max(LEAN_BUDGET + 1, workload.db.size)
-    live = workload.db.copy()
     mirror = workload.db.copy()
-    try:
-        index = CQAPIndex(
-            cqap, live, budget,
-            auto_select_threshold=AUTO_SELECT_THRESHOLD,
-            staleness_threshold=staleness_threshold,
-        ).preprocess(verify_plans=True)
-    except PlanningError as exc:
-        outcome.skips.append((path, f"PlanningError: {exc}"))
-        return
-    except Exception as exc:
-        outcome.disagreements.append(Disagreement(
-            seed, path, f"preprocess raised {exc!r}", repro))
+    index = _build_index(outcome, path, cqap, workload.db.copy(), budget,
+                         staleness_threshold=staleness_threshold)
+    if index is None:
         return
 
-    rng = random.Random(seed * 7919 + steps)
+    rng = random.Random(workload.seed * 7919 + steps)
     names = sorted({atom.relation for atom in cqap.atoms})
     pools = {
         name: [sorted({row[i] for row in mirror[name].tuples})
@@ -363,8 +405,7 @@ def _run_update_replay(outcome: ScenarioOutcome, workload: Workload,
             if serve_backend == "thread":
                 issues += verify_shards(server.backend)
             for issue in issues:
-                outcome.disagreements.append(Disagreement(
-                    seed, f"{path}.step{step}.verify", issue, repro))
+                outcome.flag(f"{path}.step{step}.verify", issue)
 
             lo = (step * UPDATE_PROBES_PER_STEP) % len(probe_cycle)
             sample = list(dict.fromkeys(
@@ -374,61 +415,39 @@ def _run_update_replay(outcome: ScenarioOutcome, workload: Workload,
             want = oracle_probe_many(cqap, mirror, sample)
             got = {b: answer_rows(rel, head)
                    for b, rel in pq.probe_many(sample).items()}
-            report = compare_answers(want, got, path=path,
-                                     context={"seed": seed, "step": step})
-            outcome.comparisons += report.bindings_checked
-            for diff in report.diffs:
-                outcome.disagreements.append(Disagreement(
-                    seed, f"{path}.step{step}", diff.describe(), repro))
-            served = {key: answer_rows(rel, head)
-                      for key, rel in server.serve(sample)}
-            report = compare_answers(want, served, path=f"{path}.serving",
-                                     context={"seed": seed, "step": step})
-            outcome.comparisons += report.bindings_checked
-            for diff in report.diffs:
-                outcome.disagreements.append(Disagreement(
-                    seed, f"{path}.serving.step{step}", diff.describe(),
-                    repro))
+            outcome.compare(path, want, got, step=step)
+            outcome.compare(f"{path}.serving", want,
+                            _drain(server, sample, head), step=step)
 
         # sanctioned update-path replans must not flip the anomaly flag
         outcome.comparisons += 1
         if pq.replanned:
-            outcome.disagreements.append(Disagreement(
-                seed, path,
-                "PreparedQuery.replanned flipped during update replay",
-                repro))
+            outcome.flag(path, "PreparedQuery.replanned flipped during "
+                               "update replay")
         stats = server.stats()
         validate_stats(stats)
         outcome.comparisons += 1
         if stats["updates"] is None:
-            outcome.disagreements.append(Disagreement(
-                seed, path, "stats envelope lost its updates section",
-                repro))
+            outcome.flag(path, "stats envelope lost its updates section")
 
         # -- replay == rebuild: the replayed index must be answer-
         # equivalent to an index built from scratch on the final database
-        try:
-            rebuilt = CQAPIndex(
-                cqap, mirror.copy(), budget,
-                auto_select_threshold=AUTO_SELECT_THRESHOLD,
-            ).preprocess(verify_plans=True)
-        except PlanningError as exc:
-            outcome.skips.append((f"{path}.rebuild",
-                                  f"PlanningError: {exc}"))
+        rebuilt = _build_index(outcome, f"{path}.rebuild", cqap,
+                               mirror.copy(), budget)
+        if rebuilt is None:
             return
         for binding in probe_cycle:
             outcome.comparisons += 1
             replayed = answer_rows(index.answer(binding), head)
             fresh = answer_rows(rebuilt.answer(binding), head)
             if replayed != fresh:
-                outcome.disagreements.append(Disagreement(
-                    seed, f"{path}.rebuild",
+                outcome.flag(
+                    f"{path}.rebuild",
                     f"replayed index disagrees with rebuilt index at "
                     f"{binding}: replay-only {sorted(replayed - fresh)} "
-                    f"rebuild-only {sorted(fresh - replayed)}", repro))
+                    f"rebuild-only {sorted(fresh - replayed)}")
     except Exception as exc:
-        outcome.disagreements.append(Disagreement(
-            seed, path, f"raised {exc!r}", repro))
+        outcome.flag(path, f"raised {exc!r}")
     finally:
         if server is not None:
             server.close()
@@ -441,11 +460,10 @@ def run_scenario(workload: Workload,
     ``pins`` names the generator dimensions that were pinned when
     ``workload`` was made (see :func:`_repro_command`).
     """
-    outcome = ScenarioOutcome(workload)
+    outcome = ScenarioOutcome(workload,
+                              repro=_repro_command(workload.seed, pins))
     cqap, db = workload.cqap, workload.db
     head = tuple(cqap.head)
-    seed = workload.seed
-    repro = _repro_command(seed, pins)
 
     expected = oracle_probe_many(cqap, db, workload.probes)
     unique: List[Row] = list(expected)
@@ -453,23 +471,12 @@ def run_scenario(workload: Workload,
     #: path -> its produced answers; feeds the traced-vs-untraced diff
     produced: Dict[str, Dict[Row, AnswerSet]] = {}
 
-    def check(path: str, actual: Dict[Row, AnswerSet]) -> None:
-        produced[path] = actual
-        report = compare_answers(expected, actual, path=path,
-                                 context={"seed": seed})
-        outcome.comparisons += report.bindings_checked
-        for diff in report.diffs:
-            outcome.disagreements.append(
-                Disagreement(seed, path, diff.describe(), repro)
-            )
-
     def run(path: str, thunk) -> None:
         try:
-            check(path, thunk())
+            produced[path] = thunk()
+            outcome.compare(path, expected, produced[path])
         except Exception as exc:  # a crash is a failure, not a skip
-            outcome.disagreements.append(
-                Disagreement(seed, path, f"raised {exc!r}", repro)
-            )
+            outcome.flag(path, f"raised {exc!r}")
 
     # -- path 1: the textbook from-scratch evaluator --------------------
     run("from_scratch", lambda: _scratch_answers(workload, unique))
@@ -482,23 +489,11 @@ def run_scenario(workload: Workload,
     statistics = CatalogStatistics.from_database(cqap, db)
     indexes: Dict[str, CQAPIndex] = {}
     for path, budget in scenario_budgets(db).items():
-        try:
-            indexes[path] = CQAPIndex(
-                cqap, db, budget,
-                auto_select_threshold=AUTO_SELECT_THRESHOLD,
-                statistics=statistics,
-            ).preprocess(verify_plans=True)
-        except PlanningError as exc:
-            # legitimately infeasible at this budget (S-only rules)
-            outcome.skips.append((path, f"PlanningError: {exc}"))
+        index = _build_index(outcome, path, cqap, db, budget,
+                             statistics=statistics)
+        if index is None:
             continue
-        except Exception as exc:
-            outcome.disagreements.append(
-                Disagreement(seed, path,
-                             f"preprocess raised {exc!r}", repro)
-            )
-            continue
-        index = indexes[path]
+        indexes[path] = index
         run(path, lambda index=index: {
             b: answer_rows(index.answer(b), head) for b in unique
         })
@@ -510,16 +505,11 @@ def run_scenario(workload: Workload,
                     if expected else frozenset()
                 outcome.comparisons += 1
                 if batch != union:
-                    outcome.disagreements.append(Disagreement(
-                        seed, f"{path}.answer_batch",
-                        f"missing {sorted(union - batch)} "
-                        f"extra {sorted(batch - union)}", repro,
-                    ))
+                    outcome.flag(f"{path}.answer_batch",
+                                 f"missing {sorted(union - batch)} "
+                                 f"extra {sorted(batch - union)}")
             except Exception as exc:
-                outcome.disagreements.append(Disagreement(
-                    seed, f"{path}.answer_batch",
-                    f"raised {exc!r}", repro,
-                ))
+                outcome.flag(f"{path}.answer_batch", f"raised {exc!r}")
 
     # -- route-stability invariant of the selection ledger --------------
     # re-route each preprocessed index's selected rule set across the
@@ -539,17 +529,13 @@ def run_scenario(workload: Workload,
                             if est.route == "S"}
                 outcome.comparisons += 1
                 if previous is not None and not previous <= s_routed:
-                    outcome.disagreements.append(Disagreement(
-                        seed, f"{path}.route_stability",
+                    outcome.flag(
+                        f"{path}.route_stability",
                         f"rules {sorted(previous - s_routed)} lost their "
-                        f"S-route when the budget grew to {budget:g}",
-                        repro,
-                    ))
+                        f"S-route when the budget grew to {budget:g}")
                 previous = s_routed
         except Exception as exc:
-            outcome.disagreements.append(Disagreement(
-                seed, f"{path}.route_stability", f"raised {exc!r}", repro,
-            ))
+            outcome.flag(f"{path}.route_stability", f"raised {exc!r}")
 
     # -- paths 5-6: the serving engine over the prepared indexes ---------
     probe_index = (indexes.get("index_lean") or indexes.get("index_medium")
@@ -593,10 +579,8 @@ def run_scenario(workload: Workload,
                 with serve(batch_index, backend=backend,
                            shards=n_shards, batch_size=SHARD_BATCH,
                            cache_size=workload.cache_size) as server:
-                    answers: Dict[Row, AnswerSet] = {}
-                    for key, rel in server.serve(workload.probes):
-                        answers[key] = answer_rows(rel, head)
-                per_count[n_shards] = answers
+                    per_count[n_shards] = _drain(server, workload.probes,
+                                                 head)
             reference = per_count[shard_sweep[0]]
             for n_shards, answers in per_count.items():
                 if answers != reference:
@@ -643,9 +627,7 @@ def run_scenario(workload: Workload,
                 with serve(batch_index, backend="thread", shards=4,
                            batch_size=SHARD_BATCH,
                            cache_size=workload.cache_size) as server:
-                    answers = {key: answer_rows(rel, head)
-                               for key, rel
-                               in server.serve(workload.probes)}
+                    answers = _drain(server, workload.probes, head)
                 hist = obs.probe_work_histogram()
                 if hist is None or hist.count == 0:
                     raise AssertionError(
@@ -665,19 +647,16 @@ def run_scenario(workload: Workload,
                     if produced["serving_sharded"].get(key)
                     != produced["serving_observability"].get(key)
                 )
-                outcome.disagreements.append(Disagreement(
-                    seed, "serving_observability.bit_identity",
+                outcome.flag(
+                    "serving_observability.bit_identity",
                     f"tracing-enabled answers differ from the "
-                    f"uninstrumented serving path at bindings {changed}",
-                    repro,
-                ))
+                    f"uninstrumented serving path at bindings {changed}")
 
     # -- paths 10-11: seeded update replay -----------------------------
-    _run_update_replay(outcome, workload, repro, "update_replay",
-                       serve_backend="thread", n_shards=4,
-                       steps=UPDATE_STEPS,
+    _run_update_replay(outcome, "update_replay", serve_backend="thread",
+                       n_shards=4, steps=UPDATE_STEPS,
                        staleness_threshold=UPDATE_STALENESS)
-    _run_update_replay(outcome, workload, repro, "update_replay_process",
+    _run_update_replay(outcome, "update_replay_process",
                        serve_backend="process", n_shards=2,
                        steps=UPDATE_STEPS_PROCESS)
 
@@ -709,25 +688,15 @@ def run_abort_scenario(workload: Workload,
     """
     import math
 
-    outcome = ScenarioOutcome(workload)
+    outcome = ScenarioOutcome(workload,
+                              repro=_repro_command(workload.seed, pins))
     cqap, db = workload.cqap, workload.db
     head = tuple(cqap.head)
-    seed = workload.seed
-    repro = _repro_command(seed, pins)
     expected = oracle_probe_many(cqap, db, workload.probes)
 
-    try:
-        index = CQAPIndex(
-            cqap, db, RICH_BUDGET,
-            auto_select_threshold=AUTO_SELECT_THRESHOLD,
-            budget_slack=ABORT_SLACK,
-        ).preprocess(verify_plans=True)
-    except PlanningError as exc:
-        outcome.skips.append(("abort", f"PlanningError: {exc}"))
-        return outcome
-    except Exception as exc:
-        outcome.disagreements.append(Disagreement(
-            seed, "abort", f"preprocess raised {exc!r}", repro))
+    index = _build_index(outcome, "abort", cqap, db, RICH_BUDGET,
+                         budget_slack=ABORT_SLACK)
+    if index is None:
         return outcome
     if index.executor.budget_aborts == 0:
         outcome.skips.append(
@@ -741,11 +710,9 @@ def run_abort_scenario(workload: Workload,
     ]
     outcome.comparisons += 1
     if infinite:
-        outcome.disagreements.append(Disagreement(
-            seed, "abort.repricing",
-            f"aborted decisions kept infinite predictions: {infinite}",
-            repro,
-        ))
+        outcome.flag("abort.repricing",
+                     f"aborted decisions kept infinite predictions: "
+                     f"{infinite}")
 
     from repro.serving import serve
 
@@ -755,18 +722,10 @@ def run_abort_scenario(workload: Workload,
             with serve(index, backend=backend, shards=2,
                        batch_size=SHARD_BATCH,
                        cache_size=workload.cache_size) as server:
-                actual: Dict[Row, AnswerSet] = {}
-                for key, rel in server.serve(workload.probes):
-                    actual[key] = answer_rows(rel, head)
-            report = compare_answers(expected, actual, path=path,
-                                     context={"seed": seed})
-            outcome.comparisons += report.bindings_checked
-            for diff in report.diffs:
-                outcome.disagreements.append(
-                    Disagreement(seed, path, diff.describe(), repro))
+                actual = _drain(server, workload.probes, head)
+            outcome.compare(path, expected, actual)
         except Exception as exc:
-            outcome.disagreements.append(Disagreement(
-                seed, path, f"raised {exc!r}", repro))
+            outcome.flag(path, f"raised {exc!r}")
     return outcome
 
 

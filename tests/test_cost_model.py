@@ -13,6 +13,7 @@ Pins the estimation-stack upgrade down at the statistics layer:
   constraints (``constraints_from_statistics``).
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -30,6 +31,15 @@ def two_atom_cqap():
     """R(a, b, c) ⋈ S(c, d) with access pattern (a, b)."""
     atoms = [Atom("R", ("a", "b", "c")), Atom("S", ("c", "d"))]
     return CQAP(("a", "b", "c", "d"), ("a", "b"), atoms, name="two_atom")
+
+
+def single_variable(stats):
+    """``stats`` without either refinement: no variable-set degrees and no
+    join samples, which prices every target as the single-variable model
+    the refinements upgrade."""
+    atoms = [dataclasses.replace(atom, set_degrees=())
+             for atom in stats.atoms]
+    return dataclasses.replace(stats, atoms=atoms, join_samples=[])
 
 
 def multivar_database():
@@ -88,21 +98,15 @@ class TestMultiVariableDegrees:
         # pinning a and b together determines c: joint degree 1 beats
         # either single-variable degree
         assert atom.degree_for(("a", "b")) == 1
-        assert atom.degree_for(("a", "b"), multivariable=False) == 4
+        assert min(atom.degree_of(v) for v in ("a", "b")) == 4
 
     def test_bound_probe_estimate_tightens(self):
         upgraded = CostModel(self.cqap, self.stats)
-        baseline = CostModel(self.cqap, self.stats,
-                             use_multivar_degrees=False,
-                             use_join_samples=False)
+        baseline = CostModel(self.cqap, single_variable(self.stats))
         target = varset(("a", "b", "c"))
         bound = ("a", "b")
         assert upgraded.log_size(target, bound=bound) < \
             baseline.log_size(target, bound=bound) - 1.0
-
-    def test_flags_default_on(self):
-        model = CostModel(self.cqap, self.stats)
-        assert model.use_multivar_degrees and model.use_join_samples
 
 
 class TestJoinSamples:
@@ -139,8 +143,7 @@ class TestJoinSamples:
         cqap, db = self.make_skewed()
         stats = CatalogStatistics.from_database(cqap, db)
         upgraded = CostModel(cqap, stats)
-        baseline = CostModel(cqap, stats, use_multivar_degrees=False,
-                             use_join_samples=False)
+        baseline = CostModel(cqap, single_variable(stats))
         target = varset(("a", "b", "c"))
         # greedy cover prices S at its max degree (the 50-wide hub); the
         # sampled join averages over the data and lands far lower

@@ -10,7 +10,7 @@ import pytest
 from repro.data.relation import Relation
 from repro.engine import prepare
 from repro.oracle import OracleMismatch, answer_rows, assert_equivalent, oracle_probe
-from repro.workloads import make_workload
+from repro.workloads import QUERY_SHAPES, make_workload
 from repro.workloads.differential import (
     LEAN_BUDGET,
     PATHS,
@@ -50,10 +50,10 @@ class TestDifferentialHarness:
                                      path_runs={"from_scratch": 1})
         assert replay.ok
 
-    @pytest.mark.parametrize("shape", ["path", "cycle", "star",
-                                       "hierarchical", "random"])
+    @pytest.mark.parametrize("shape", QUERY_SHAPES)
     def test_each_shape_clean(self, shape):
         summary = run_differential(4, TIER1_SEED + 1000, shape=shape)
+        assert summary.comparisons > 0
         assert summary.ok, summary.describe()
 
     @pytest.mark.parametrize("probe_kind", ["uniform", "hot", "cold"])
@@ -113,6 +113,30 @@ class TestDifferentialHarness:
                                        + stability_checks
                                        + identity_checks
                                        + replay_checks)
+
+    def test_a_serving_crash_is_reported_under_its_own_path(
+            self, monkeypatch):
+        """A crash inside the shared drain helper names every path that
+        serves through it, and only those."""
+        from repro.serving.server import Server
+
+        def crash(self, workload_stream):
+            raise RuntimeError("injected serve() crash")
+            yield  # a generator, like Server.serve
+
+        monkeypatch.setattr(Server, "serve", crash)
+        outcome = run_scenario(make_workload(TIER1_SEED))
+        serving = {"serving_sharded", "serving_process",
+                   "serving_observability", "update_replay",
+                   "update_replay_process"}
+        assert {d.path for d in outcome.disagreements} == serving
+        assert all("injected serve() crash" in d.detail
+                   for d in outcome.disagreements)
+        # from_scratch, the three index paths and both engine paths ran
+        # and compared every unique binding cleanly
+        assert not {path for path, _ in outcome.skips} & set(PATHS)
+        unique = len(set(outcome.workload.probes))
+        assert outcome.comparisons >= 6 * unique
 
     def test_harness_catches_injected_corruption(self):
         """The tester is itself tested: a corrupted path must be flagged."""

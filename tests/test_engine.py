@@ -198,13 +198,29 @@ class TestPlanOnceProbeMany:
         rng = random.Random(3)
         bindings = [(rng.randrange(90), rng.randrange(90))
                     for _ in range(30)]
+        warm = Counters()
         for binding in bindings:
-            pq.probe_boolean(binding)
+            pq.probe_boolean(binding, counters=warm)
         pq.probe_many(bindings)
         assert planner.plan_calls == plan_calls
         assert executor.preprocess_runs == 1
         assert executor.compile_runs == 1
         assert pq.stored_tuples == stored
+        assert not pq.replanned
+        # a warm probe costs a small fraction of the prepare phase, and
+        # so does maintaining the index under a single-tuple delta
+        prepare_ops = pq.prepare_counters.online_work
+        assert 10 * warm.online_work < prepare_ops * len(bindings)
+        present = set(db["R2"].tuples)
+        fresh = sorted({(rng.randrange(90), rng.randrange(90))
+                        for _ in range(40)} - present)[:20]
+        delta = Counters()
+        for row in fresh:
+            pq.index.apply_delta("insert", "R2", row, counters=delta)
+            pq.index.apply_delta("delete", "R2", row, counters=delta)
+        assert pq.index.update_counts["deltas_applied"] == 2 * len(fresh)
+        assert 10 * (delta.online_work + delta.stores) \
+            <= prepare_ops * 2 * len(fresh)
         assert not pq.replanned
 
     def test_prepare_counters_frozen(self):

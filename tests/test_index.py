@@ -25,7 +25,7 @@ from repro.query.catalog import (
     k_set_disjointness_cqap,
     square_cqap,
 )
-from repro.util.counters import Counters
+from repro.util.counters import Counters, global_counters
 
 
 def check_index_against_scratch(cqap, db, index, access_domain, trials=40,
@@ -120,6 +120,21 @@ class TestThreeReach:
         index = CQAPIndex(self.cqap, db, db.size).preprocess()
         check_index_against_scratch(self.cqap, db, index, 70,
                                     trials=20, seed=4)
+
+    def test_relation_request_leaves_global_counters_alone(self):
+        # normalizing a Relation request (same or reordered access
+        # columns) is plumbing: the caller's counters take the online
+        # work, the process-wide counters take nothing
+        db = path_database(3, 200, 40, seed=5)
+        index = CQAPIndex(self.cqap, db, db.size).preprocess()
+        rows = [(1, 2), (3, 4)]
+        before = global_counters.snapshot()
+        for schema, request in ((("x1", "x4"), rows),
+                                (("x4", "x1"), [r[::-1] for r in rows])):
+            expected = index.answer(rows).tuples
+            assert index.answer(Relation("Q", schema, request)).tuples \
+                == expected
+        assert global_counters.snapshot() == before
 
 
 class TestSquare:

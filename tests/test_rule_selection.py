@@ -15,6 +15,7 @@ Three layers of protection for the §4.2 rule machinery:
   its lifecycle stats.
 """
 
+import math
 import random
 import time
 import warnings
@@ -42,6 +43,7 @@ from repro.tradeoff.selection import (
     keep_all_rules,
     select_rules,
 )
+from repro.util.counters import Counters
 from repro.workloads.databases import random_database
 from repro.workloads.queries import random_cqap
 
@@ -127,6 +129,9 @@ class TestHangRegression:
     def test_21_pmtds_plan_under_two_seconds_without_cap(self):
         pmtds = list(pmtd_pool("fuzz_path4"))
         assert len(pmtds) == 21
+        # the eager cartesian product would enumerate 3^21 view choices:
+        # only the streamed sweep can run at this size
+        assert math.prod(len(p.views) for p in pmtds) == 3 ** 21
         start = time.perf_counter()
         full = rules_from_pmtds(pmtds)
         elapsed = time.perf_counter() - start
@@ -232,6 +237,20 @@ class TestBudgetedSelection:
         # and the rich point should probe faster than the tight point
         tight = select_rules(self.pmtds, self.model, space_budget=2)
         assert result.estimated_time <= tight.estimated_time + 1e-9
+        # the built indexes cash the estimate in: the rich budget stores
+        # S-views and spends them on exact per-probe online work
+        rng = random.Random(99)
+        probes = [(rng.randrange(50), rng.randrange(50)) for _ in range(40)]
+        built = {}
+        for point, budget in (("tight", 2), ("rich", self.db.size ** 2 + 1)):
+            index = CQAPIndex(self.cqap, self.db, budget,
+                              rule_selection="budget").preprocess()
+            ctr = Counters()
+            for probe in probes:
+                index.answer(probe, counters=ctr)
+            built[point] = (index.stored_tuples, ctr.online_work)
+        assert built["rich"][0] > built["tight"][0]
+        assert built["rich"][1] < built["tight"][1]
 
     def test_never_selects_nothing(self):
         result = select_rules(self.pmtds, self.model, space_budget=0)

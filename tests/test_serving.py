@@ -31,6 +31,7 @@ from repro.serving import (
     serve,
     validate_stats,
 )
+from repro.serving.server import PENDING_BATCHES
 from repro.util.counters import Counters
 
 DOMAIN = 60
@@ -136,6 +137,8 @@ class TestShardedIndex:
             split["partitioned_tuples"]
         assert split["partitioned_tuples"] + split["replicated_tuples"] \
             == prepared.stored_tuples
+        # more than one shard actually partitions stored state
+        assert split["partitioned_tuples"] > 0
 
     def test_selection_snapshot_records_budget_split(self, prepared):
         sharded = ShardedIndex(prepared, n_shards=3)
@@ -148,15 +151,22 @@ class TestShardedIndex:
         json.dumps(stats)  # the whole snapshot is JSON-serializable
 
     def test_per_shard_lifecycle_counters(self, prepared, pairs):
-        sharded = ShardedIndex(prepared, n_shards=4)
-        for pair in pairs:
-            sharded.probe(pair)
-        per_shard = [s.probes_served for s in sharded.shards]
-        assert sum(per_shard) == len(pairs)
-        # online phases happen on the probed shard only
-        for shard, executor in zip(sharded.shards, sharded._executors):
-            assert shard.online_phases == shard.probes_served
-            assert executor.executor.online_runs == shard.online_phases
+        busiest = []
+        for n_shards in (1, 2, 4):
+            sharded = ShardedIndex(prepared, n_shards=n_shards)
+            for pair in pairs:
+                sharded.probe(pair)
+            per_shard = [s.probes_served for s in sharded.shards]
+            assert sum(per_shard) == len(pairs)
+            # online phases happen on the probed shard only
+            for shard, executor in zip(sharded.shards, sharded._executors):
+                assert shard.online_phases == shard.probes_served
+                assert executor.executor.online_runs == shard.online_phases
+            busiest.append(max(s.counters.online_work
+                               for s in sharded.shards))
+        # the busiest shard's online work — a fleet's critical path —
+        # strictly falls as the shard count grows
+        assert busiest[0] > busiest[1] > busiest[2]
 
     def test_prepare_sharded_shim_is_gone(self):
         import repro.serving as serving
@@ -299,23 +309,33 @@ class TestBatchScheduler:
         for key, rel in reference.items():
             assert frozenset(out[key].tuples) == frozenset(rel.tuples)
 
-    def test_dedupe_and_cache_accounting(self, prepared):
-        sharded = ShardedIndex(prepared, n_shards=4)
+    def test_dedupe_and_cache_accounting(self, prepared, pairs):
+        # dedupe and the answer cache sit in front of the shards: what
+        # they absorb does not depend on how many shards are behind them
         batch = [(1, 2), (1, 2), (3, 4), (1, 2)]
-        with BatchScheduler(sharded) as sched:
-            sched.run(batch)
-            assert sched.cache.probes_in == 4
-            assert sched.cache.unique_probes == 2
-            assert sched.cache.hits == 0
-            phases = sched.cache.phases
-            # an identical batch is served wholly from the cache
-            sched.run(batch)
-            assert sched.cache.hits == 2
-            assert sched.cache.phases == phases
-            assert sched.dedupe_ratio == pytest.approx(8 / 4)
-            stats = validate_stats(sched.stats())
-            assert stats["scheduler"]["batch_calls"] == 2
-            assert stats["scheduler"]["cache"]["hits"] == 2
+        for n_shards in (1, 4):
+            sharded = ShardedIndex(prepared, n_shards=n_shards)
+            with BatchScheduler(sharded) as sched:
+                sched.run(batch)
+                assert sched.cache.probes_in == 4
+                assert sched.cache.unique_probes == 2
+                assert sched.cache.hits == 0
+                phases = sched.cache.phases
+                # an identical batch is served wholly from the cache
+                sched.run(batch)
+                assert sched.cache.hits == 2
+                assert sched.cache.phases == phases
+                assert sched.dedupe_ratio == pytest.approx(8 / 4)
+                stats = validate_stats(sched.stats())
+                assert stats["scheduler"]["batch_calls"] == 2
+                assert stats["scheduler"]["cache"]["hits"] == 2
+            # one online phase per shard group a batch's misses fall in,
+            # so a wider batch never needs more phases
+            with BatchScheduler(sharded, cache_size=0) as wide:
+                wide.run(pairs)
+                homes = {sharded.shard_of(sharded.normalize(p))
+                         for p in pairs}
+                assert wide.cache.phases == len(homes)
 
     def test_counters_forwarded(self, prepared):
         sharded = ShardedIndex(prepared, n_shards=2)
@@ -408,9 +428,9 @@ class TestServeFacade:
                 produced.append(pair)
                 yield pair
 
-        window = 2 * 2  # batch_size * max_pending_batches
-        with serve(prepared, backend="thread", shards=2, batch_size=2,
-                   max_pending_batches=2) as server:
+        window = 2 * PENDING_BATCHES  # batch_size * PENDING_BATCHES
+        with serve(prepared, backend="thread", shards=2,
+                   batch_size=2) as server:
             consumed = 0
             for _ in server.serve(stream()):
                 consumed += 1
@@ -423,9 +443,9 @@ class TestServeFacade:
     def test_backpressure_holds_for_burst_batches(self, prepared, pairs):
         # one huge pre-formed batch must not blow past the pending window:
         # pre-batched items are unpacked lazily, one binding per pull
-        window = 2 * 2
-        with serve(prepared, backend="thread", shards=2, batch_size=2,
-                   max_pending_batches=2) as server:
+        window = 2 * PENDING_BATCHES
+        with serve(prepared, backend="thread", shards=2,
+                   batch_size=2) as server:
             served = list(server.serve([list(pairs)]))
         assert len(served) == len(pairs)
         assert server.peak_pending <= window
@@ -465,8 +485,6 @@ class TestServeFacade:
     def test_parameter_validation(self, prepared):
         with pytest.raises(ValueError):
             serve(prepared, backend="thread", batch_size=0)
-        with pytest.raises(ValueError):
-            serve(prepared, backend="thread", max_pending_batches=0)
 
     def test_probe_server_shim_is_gone(self):
         import repro.serving as serving
