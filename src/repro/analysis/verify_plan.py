@@ -10,10 +10,6 @@ parts) and reports every violation as a human-readable issue string:
   selected PMTDs' views (matching kind), the union of each rule's S∪T
   targets covers the query head, and every PMTD's views jointly cover
   the head (so Online Yannakakis can produce ψ_i at all).
-* **Routing well-definedness** — the per-rule S-view key schemas agree
-  with :func:`~repro.tradeoff.selection.shard_fraction`: a view is
-  priced as partitioned iff its schema contains every access variable,
-  which is exactly when hash-routing a probe to one shard is sound.
 * **Ledger re-derivation** — re-running the pure routing core
   (:func:`~repro.tradeoff.selection.route_estimates`) on the stored
   estimates reproduces the stored routes, space/time totals (per-shard
@@ -69,7 +65,6 @@ from repro.tradeoff.selection import (
     PMTD_OVERHEAD,
     SelectionResult,
     route_estimates,
-    shard_fraction,
 )
 
 __all__ = [
@@ -208,34 +203,6 @@ def verify_selection(selection: SelectionResult, cqap: CQAP) -> List[str]:
                     f"(componentwise containment): rule set is not "
                     f"subset-minimal"
                 )
-
-    # --- routing well-definedness ---------------------------------------
-    for entry in selection.s_view_keys(access):
-        target = set(entry["s_target"])
-        partitionable = bool(access) and set(access) <= target
-        if entry["partitionable"] != partitionable:
-            issues.append(
-                f"rule {entry['rule']}: s_view_keys says partitionable="
-                f"{entry['partitionable']} but access {access} ⊆ "
-                f"{sorted(target)} is {partitionable}"
-            )
-        expected_prefix = access if partitionable else ()
-        if tuple(entry["access_prefix"]) != expected_prefix:
-            issues.append(
-                f"rule {entry['rule']}: access_prefix "
-                f"{entry['access_prefix']} disagrees with partitionability "
-                f"(expected {expected_prefix})"
-            )
-        # the pricing fraction must agree with the routing key: a target
-        # priced as partitioned (fraction < 1) must be hash-routable
-        frac = shard_fraction(target, access, shards=max(2, selection.shards))
-        if (frac < 1.0) != partitionable:
-            issues.append(
-                f"rule {entry['rule']}: shard_fraction prices target "
-                f"{sorted(target)} as "
-                f"{'partitioned' if frac < 1.0 else 'replicated'} but the "
-                f"routing key says partitionable={partitionable}"
-            )
 
     # --- ledger re-derivation -------------------------------------------
     space, time, routed, over = route_estimates(
@@ -494,7 +461,7 @@ def _index_issues(label: str, view: Relation, key: Tuple[str, ...],
 
 def verify_yannakakis(index: Any) -> List[str]:
     """Check the index's replica as :func:`verify_shards` checks a shard's."""
-    return _replica_issues("", index._replica, index, {}, 1)
+    return _replica_issues("", index._replica, index, set(), 1)
 
 
 def verify_shards(backend: Any) -> List[str]:
@@ -504,7 +471,7 @@ def verify_shards(backend: Any) -> List[str]:
     for executor in backend._executors:
         issues.extend(_replica_issues(
             f"shard {executor.shard_id}: ", executor, backend.index,
-            backend._partition_prefix, backend.n_shards))
+            set(backend._partitioned), backend.n_shards))
     return issues
 
 
@@ -518,14 +485,14 @@ class PickledReplicas(ShardedIndex):
 
 
 def _replica_issues(label: str, replica: Any, index: Any,
-                    prefixes: Dict[Any, Tuple[str, ...]],
-                    n_shards: int) -> List[str]:
+                    partitioned: Set[Any], n_shards: int) -> List[str]:
     """How one replica differs from what ``index`` says it must hold.
 
     Every pass reads the replica's one view per S-target, holding exactly
-    the target rows hashed to its shard on ``prefixes`` (all of them
-    without a prefix); each S-view holds what a fresh pass over the views
-    derives, and each cached index is a fresh ``index_on`` of its rows.
+    the target rows whose access tuple hashes to its shard (all of them
+    for a target not in ``partitioned``); each S-view holds what a fresh
+    pass over the views derives, and each cached index is a fresh
+    ``index_on`` of its rows.
     Pickled step copies hold the index's rows at every step slot and
     body-atom position, and their pinned indexes are live.
     """
@@ -538,9 +505,8 @@ def _replica_issues(label: str, replica: Any, index: Any,
     for target, view in replica.views.items():
         source = index.s_targets.get(target)
         rows = set() if source is None else source.tuples
-        prefix = prefixes.get(target)
-        if prefix is not None and source is not None:
-            key_of = row_getter(source.positions(prefix))
+        if target in partitioned and source is not None:
+            key_of = row_getter(source.positions(index.cqap.access))
             rows = {row for row in rows
                     if access_hash(key_of(row)) % n_shards
                     == replica.shard_id}

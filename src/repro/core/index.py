@@ -37,7 +37,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.core.replica import ShardExecutor, ShardPayload
+from repro.core.replica import ShardExecutor, shard_payloads
 from repro.core.split import PieceTable
 from repro.core.two_phase import (
     CompiledOnlineStep,
@@ -136,8 +136,8 @@ class CQAPIndex:
                 pmtds = trivial_pmtds(cqap)
             if not pmtds:
                 pmtds = trivial_pmtds(cqap)
-        #: full candidate pool, kept for preprocess()'s re-selection
-        #: backstop and for drift-triggered re-selection
+        #: full candidate pool every selection draws from: at construction,
+        #: in preprocess()'s re-selection backstop and on drift
         self._pmtd_pool: List[PMTD] = list(pmtds)
         self.executor = TwoPhaseExecutor(cqap, budget_slack=budget_slack)
         #: delta listeners (PreparedQuery, ShardedIndex, fleets, servers);
@@ -181,7 +181,6 @@ class CQAPIndex:
             # degree key: feed exactly those to the planner's LP instead of
             # re-scanning the relations
             dc = constraints_from_statistics(statistics)
-        self.pmtds: List[PMTD] = list(self._pmtd_pool)
         self.cost_model = CostModel(
             self.cqap, statistics, request_size=self._request_size,
         )
@@ -197,27 +196,30 @@ class CQAPIndex:
         self._lp_oracle = SizeBoundOracle(self.planner.program)
         mode = self._rule_selection
         if mode == "auto":
-            mode = ("all" if len(self.pmtds) <= self._auto_select_threshold
-                    else "budget")
-        #: candidate pool for preprocess()'s re-selection backstop when
-        #: the planner refutes an estimated-feasible rule
-        self._selection_pool: List[PMTD] = list(self.pmtds)
+            mode = ("all" if len(self._pmtd_pool)
+                    <= self._auto_select_threshold else "budget")
         if mode == "budget":
-            self.selection: SelectionResult = select_rules(
-                self.pmtds, self.cost_model,
-                space_budget=self.space_budget,
-                max_selected=self._max_selected_pmtds,
-                lp_oracle=self._lp_oracle,
-                shards=self.shards,
-            )
-            self.pmtds = self.selection.pmtds
+            self.selection: SelectionResult = self._select()
         else:
             self.selection = keep_all_rules(
-                self.pmtds, rules_from_pmtds(self.pmtds), self.cost_model,
-                space_budget=self.space_budget,
+                self._pmtd_pool, rules_from_pmtds(self._pmtd_pool),
+                self.cost_model, space_budget=self.space_budget,
                 shards=self.shards,
             )
+        self.pmtds: List[PMTD] = self.selection.pmtds
         self.rules: List[TwoPhaseRule] = self.selection.rules
+
+    def _select(self, require_online_fallback: bool = False,
+                ) -> SelectionResult:
+        """Budget-select from the whole PMTD pool (:func:`select_rules`)."""
+        return select_rules(
+            self._pmtd_pool, self.cost_model,
+            space_budget=self.space_budget,
+            max_selected=self._max_selected_pmtds,
+            require_online_fallback=require_online_fallback,
+            lp_oracle=self._lp_oracle,
+            shards=self.shards,
+        )
 
     # ------------------------------------------------------------------
     # preprocessing phase
@@ -258,15 +260,7 @@ class CQAPIndex:
                 # selection may have spent the cap, and this is the pass
                 # that just learned the estimates were wrong
                 self._lp_oracle.reset_budget()
-                self.selection = select_rules(
-                    self._selection_pool,
-                    self.cost_model,
-                    space_budget=self.space_budget,
-                    max_selected=self._max_selected_pmtds,
-                    require_online_fallback=True,
-                    lp_oracle=self._lp_oracle,
-                    shards=self.shards,
-                )
+                self.selection = self._select(require_online_fallback=True)
             except ValueError as exc:
                 # keep the error contract: callers (and the differential
                 # harness's skip logic) see budget infeasibility as
@@ -283,22 +277,14 @@ class CQAPIndex:
         from repro.updates import compile_delta_plans
 
         self._delta_plans = compile_delta_plans(self)
-        self.stats = IndexStats()
-        self._replica = ShardExecutor(ShardPayload(
-            shard_id=0, n_shards=1, cqap=self.cqap,
-            steps=self._compiled_online,
-            budget_slack=self.executor.budget_slack, pmtds=list(self.pmtds),
-            targets=self._s_targets, partitioned_tuples=0))
+        # the serving state is frozen: the replica reads it as a shard does
+        self._ready = True
+        self._replica = ShardExecutor(shard_payloads(self, 1)[0])
         # the index counts its online runs on its own executor
         self._replica.executor = self.executor
         ctr += self._replica.preprocess_counters
-        self.stats.stored_tuples = sum(
-            len(rel) for rel in self._s_targets.values()
-        )
-        self.stats.s_view_tuples = {
-            "|".join(sorted(schema)): len(rel)
-            for schema, rel in self._s_targets.items()
-        }
+        self.stats = IndexStats()
+        self._count_stored()
         self.stats.plans = [plan.describe() for plan in self.plans]
         self.stats.selection = self.selection.snapshot()
         self.stats.statistics = {
@@ -307,13 +293,21 @@ class CQAPIndex:
         }
         self.stats.estimate_error = self._measure_estimate_error()
         self.stats.preprocess_counters = ctr.snapshot()
-        self._ready = True
         if verify_plans:
             # local import: analysis depends on core, never the reverse
             from repro.analysis.verify_plan import check_index
 
             check_index(self)
         return self
+
+    def _count_stored(self) -> None:
+        """Re-read the space accounting off the S-targets."""
+        self.stats.stored_tuples = sum(
+            len(rel) for rel in self._s_targets.values())
+        self.stats.s_view_tuples = {
+            "|".join(sorted(schema)): len(rel)
+            for schema, rel in self._s_targets.items()
+        }
 
     def _measure_estimate_error(self) -> Dict:
         """Estimated vs measured S-target sizes (the estimate_error counter).

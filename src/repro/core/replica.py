@@ -4,10 +4,11 @@ A :class:`ShardExecutor` holds what the online phase reads — the compiled
 T-phase steps, one view relation per S-target, each PMTD's Online
 Yannakakis pass over the views — and both operations on it:
 :meth:`~ShardExecutor.online_phase` and :meth:`~ShardExecutor.apply_delta`.
-The index is the one-shard case: :class:`~repro.core.index.CQAPIndex`
-builds its replica over the whole S-targets, every serving shard one over
-its :class:`ShardPayload` (in process, or from a pickled copy in a fleet
-worker), and a delta reaches each of them as the same :class:`ShardDelta`.
+The index is the one-shard case: :func:`shard_payloads` cuts a prepared
+index into ``n`` payloads, :class:`~repro.core.index.CQAPIndex` builds its
+replica from the one payload of ``n = 1``, every serving shard one from
+its own (in process, or from a pickled copy in a fleet worker), and a
+delta reaches each of them as the same :class:`ShardDelta`.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.online_yannakakis import OnlineYannakakis
 from repro.core.two_phase import CompiledOnlineStep, TwoPhaseExecutor
-from repro.data.relation import Relation, row_getter
+from repro.data.relation import Relation, row_getter, stable_hash
 from repro.decomposition.pmtd import PMTD
 from repro.obs.hist import WORK_BUCKETS, Histogram
 from repro.obs.trace import new_id
 from repro.query.hypergraph import VarSet
+from repro.tradeoff.selection import shard_fraction
 from repro.util.counters import Counters
 
 Binding = Tuple[object, ...]
@@ -123,6 +125,56 @@ class ShardPayload:
     pmtds: List
     targets: Dict[VarSet, Relation]
     partitioned_tuples: int
+
+
+def access_hash(key: Binding) -> int:
+    """The deterministic shard-routing hash of one access binding."""
+    return stable_hash(tuple(key))
+
+
+def partitioned_targets(index, n_shards: int) -> List[VarSet]:
+    """The S-targets an ``n_shards``-way split hash-partitions.
+
+    Exactly those the selection ledger prices at ``1/n_shards``
+    (:func:`~repro.tradeoff.selection.shard_fraction`), each on its access
+    tuple; none when ``n_shards <= 1``.
+    """
+    access = tuple(index.cqap.access)
+    return [target for target in index.s_targets
+            if shard_fraction(target, access, n_shards) < 1]
+
+
+def shard_payloads(index, n_shards: int) -> List[ShardPayload]:
+    """One payload per shard of a prepared index — the same for every
+    transport and, at ``n_shards = 1``, the index's own replica.
+
+    A partitioned S-target (:func:`partitioned_targets`) is cut into one
+    :func:`access_hash` slice per shard; every other target goes to every
+    shard whole.
+    """
+    access = tuple(index.cqap.access)
+    target_parts = {
+        target: index.s_targets[target].partition_by_hash(
+            access, n_shards, hasher=access_hash)
+        for target in partitioned_targets(index, n_shards)
+    }
+    payloads: List[ShardPayload] = []
+    for shard_id in range(n_shards):
+        shard_targets = dict(index.s_targets)
+        for target, parts in target_parts.items():
+            shard_targets[target] = parts[shard_id]
+        payloads.append(ShardPayload(
+            shard_id=shard_id,
+            n_shards=n_shards,
+            cqap=index.cqap,
+            steps=index.compiled_online,
+            budget_slack=index.executor.budget_slack,
+            pmtds=list(index.pmtds),
+            targets=shard_targets,
+            partitioned_tuples=sum(len(parts[shard_id])
+                                   for parts in target_parts.values()),
+        ))
+    return payloads
 
 
 @dataclass

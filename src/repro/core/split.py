@@ -67,12 +67,17 @@ class SplitStep:
         return (f"Split({self.atom.relation} on ({', '.join(self.x_vars)}) "
                 f"@ {self.threshold:g})")
 
+    def side(self, degree: int) -> str:
+        """The side of a row whose ``x_vars`` key has ``degree`` rows:
+        heavy iff strictly above the threshold (Def. C.2)."""
+        return HEAVY if degree > self.threshold else LIGHT
+
     def partition(self, relation: Relation) -> Tuple[Relation, Relation]:
         """(heavy, light) pieces of ``relation`` (schema = atom variables)."""
         heavy: set = set()
         light: set = set()
         for rows in relation.index_on(self.x_vars).values():
-            (heavy if len(rows) > self.threshold else light).update(rows)
+            (heavy if self.side(len(rows)) == HEAVY else light).update(rows)
         return (Relation._wrap(f"{relation.name}^H", relation.schema, heavy),
                 Relation._wrap(f"{relation.name}^L", relation.schema, light))
 

@@ -52,7 +52,7 @@ from repro.serving.sharding import (
     ShardedIndex,
     ShardExecutor,
     access_hash,
-    partition_prefixes,
+    partitioned_targets,
     shard_payloads,
 )
 from repro.serving.stats import (
@@ -71,7 +71,7 @@ __all__ = [
     "ShardExecutor",
     "ShardedIndex",
     "access_hash",
-    "partition_prefixes",
+    "partitioned_targets",
     "serve",
     "shard_payloads",
     "stats_envelope",

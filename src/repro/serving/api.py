@@ -61,8 +61,9 @@ def serve(prepared, *, backend: str = "thread", shards: int = 4,
       *instance* is also accepted and merely fronted — the server then
       does **not** own it and ``shards`` is ignored;
     * ``shards`` — shard count; answers are identical for every value;
-    * ``batch_size`` — stream batching; the backpressure window is
-      ``PENDING_BATCHES`` batches, see :meth:`Server.serve`;
+    * ``batch_size`` — stream batching and the backpressure window: the
+      server reads one batch ahead of the consumer at most, see
+      :meth:`Server.serve`;
     * ``cache_size`` — the scheduler's LRU answer cache.
 
     The returned server *owns* its backend: closing it (or leaving the

@@ -11,8 +11,8 @@ you::
             ...
 
 ``serve`` is a generator, which makes the backpressure real rather than
-advisory: the server pulls from the workload stream *lazily*, buffering at
-most ``batch_size * PENDING_BATCHES`` bindings ahead of what the
+advisory: the server pulls one execution batch at a time off the workload
+stream, so it is never more than ``batch_size`` bindings ahead of what the
 consumer has taken, and it does not read further until the consumer drains
 the batch it was handed.  A slow consumer therefore throttles the producer
 instead of growing an unbounded queue.
@@ -27,7 +27,7 @@ server (stream/backpressure), and the per-shard lifecycle snapshots.
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import chain, islice
 from typing import Dict, Iterable, Iterator, Tuple
 
 from repro.data.relation import Relation
@@ -37,9 +37,6 @@ from repro.obs.trace import STATE as _OBS
 from repro.serving.batching import BatchScheduler
 from repro.serving.sharding import ShardBackend
 from repro.serving.stats import stats_envelope
-
-#: how many execution batches the server buffers ahead of the consumer
-PENDING_BATCHES = 4
 
 
 class Server:
@@ -84,35 +81,19 @@ class Server:
         """Yield ``(normalized binding, answer)`` pairs in stream order.
 
         The stream may yield single bindings or lists of bindings
-        (pre-formed batches get flattened into the buffer); execution
-        batches are always ``batch_size`` wide regardless of how the
-        stream chunks its input.
+        (pre-formed batches get flattened); execution batches are always
+        ``batch_size`` wide regardless of how the stream chunks its input.
         """
-        def flatten(stream):
-            # pre-formed batches are unpacked lazily, one binding per
-            # pull, so a single huge list can't blow past the window
-            for item in stream:
-                if isinstance(item, list):
-                    yield from item
-                else:
-                    yield item
-
-        window = self.batch_size * PENDING_BATCHES
-        buffer: deque = deque()
-        source = flatten(workload_stream)
-        exhausted = False
+        # pre-formed batches are unpacked lazily, one binding per pull, so
+        # a single huge list can't run past the batch being taken
+        source = chain.from_iterable(
+            item if isinstance(item, list) else (item,)
+            for item in workload_stream)
         while True:
-            while not exhausted and len(buffer) < window:
-                try:
-                    buffer.append(next(source))
-                except StopIteration:
-                    exhausted = True
-                    break
-            self.peak_pending = max(self.peak_pending, len(buffer))
-            if not buffer:
+            batch = list(islice(source, self.batch_size))
+            if not batch:
                 return
-            batch = [buffer.popleft()
-                     for _ in range(min(self.batch_size, len(buffer)))]
+            self.peak_pending = max(self.peak_pending, len(batch))
             keys, answers = self.scheduler.run_keyed(batch)
             self.batches_served += 1
             self.probes_served += len(batch)

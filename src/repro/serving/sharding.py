@@ -5,12 +5,14 @@ access binding ``b`` only ever consults view rows that agree with ``b`` on
 the access variables.  The stored side of a prepared index therefore
 partitions exactly by a hash of the access-variable binding — a sharding
 scheme that commutes with probe semantics by construction, unlike generic
-join sharding.  :func:`shard_payloads` realizes this: S-views whose schema
-contains the full access prefix are hash-partitioned across ``n_shards``
-(each probe routed to exactly one shard), while everything else — S-views
-missing part of the prefix, the compiled T-phase steps and the base
-relation pieces they scan — goes to every shard whole ("replicated",
-T-route state included).
+join sharding.  :func:`~repro.core.replica.shard_payloads` realizes this:
+the S-targets whose schema contains every access variable (those the
+selection ledger prices at ``1/n_shards``,
+:func:`~repro.tradeoff.selection.shard_fraction`) are hash-partitioned on
+the access tuple across ``n_shards`` (each probe routed to exactly one
+shard), while everything else — S-targets missing an access variable, the
+compiled T-phase steps and the base relation pieces they scan — goes to
+every shard whole ("replicated", T-route state included).
 
 One :class:`~repro.core.replica.ShardExecutor` serves one shard's payload,
 and it is the same code wherever it runs — the index's own replica is the
@@ -62,90 +64,21 @@ from repro.core.replica import (
     ShardExecutor,
     ShardPayload,
     ViewRows,
+    access_hash,
+    partitioned_targets,
+    shard_payloads,
 )
-from repro.data.relation import Relation, stable_hash
+from repro.data.relation import Relation, row_getter
 from repro.obs import metrics_section
 from repro.obs.hist import WORK_BUCKETS
 from repro.obs.registry import REGISTRY
 from repro.obs.trace import TRACER
 from repro.query.cq import normalize_access_binding
-from repro.query.hypergraph import VarSet
 from repro.serving.stats import stats_envelope
 from repro.util.counters import Counters
 
 #: what answering one shard group yields: per-binding answers + its work
 GroupAnswer = Tuple[Dict[Binding, Relation], Counters]
-
-
-def access_hash(key: Binding) -> int:
-    """The deterministic shard-routing hash of one access binding."""
-    return stable_hash(tuple(key))
-
-
-def partition_prefixes(index: CQAPIndex, n_shards: int,
-                       ) -> Dict[VarSet, Tuple[str, ...]]:
-    """The access prefix each partitionable S-target is hash-routed on.
-
-    What a parent needs to send probe bindings *and delta rows* to the
-    shard whose slice holds (or must gain) them.  Empty when
-    ``n_shards <= 1`` (nothing is partitioned).
-    """
-    if n_shards <= 1:
-        return {}
-    access = tuple(index.cqap.access)
-    declared = {
-        frozenset(entry["s_target"]): tuple(entry["access_prefix"])
-        for entry in index.selection.s_view_keys(access)
-        if entry["partitionable"]
-    }
-    prefixes: Dict[VarSet, Tuple[str, ...]] = {}
-    for target in index.s_targets:
-        prefix = declared.get(target)
-        if prefix is None and access and set(access) <= set(target):
-            # materialized by a planner decision the selection ledger
-            # didn't route (e.g. a post-abort re-target): the schema
-            # test is the same invariant the declaration encodes
-            prefix = access
-        if prefix:
-            prefixes[target] = prefix
-    return prefixes
-
-
-def shard_payloads(index: CQAPIndex, n_shards: int) -> List[ShardPayload]:
-    """Build one serving payload per shard — the same for both transports.
-
-    S-targets with a routable access prefix are hash-partitioned (one
-    plain slice relation per shard); the rest go to every shard whole.
-    Each executor builds its views as the index's replica does
-    (:func:`~repro.core.replica.view_relations`), so sharded views can
-    never diverge from what :meth:`CQAPIndex.answer` would serve, and
-    shard contents can never depend on the transport.
-    """
-    if not index.ready:
-        raise ValueError("shard payloads need a preprocessed CQAPIndex; "
-                         "call preprocess() (or repro.prepare) first")
-    target_parts = {
-        target: index.s_targets[target].partition_by_hash(
-            prefix, n_shards, hasher=access_hash)
-        for target, prefix in partition_prefixes(index, n_shards).items()
-    }
-    payloads: List[ShardPayload] = []
-    for shard_id in range(n_shards):
-        shard_targets = dict(index.s_targets)
-        for target, parts in target_parts.items():
-            shard_targets[target] = parts[shard_id]
-        payloads.append(ShardPayload(
-            shard_id=shard_id,
-            n_shards=n_shards,
-            cqap=index.cqap,
-            steps=index.compiled_online,
-            budget_slack=index.executor.budget_slack,
-            pmtds=list(index.pmtds),
-            targets=shard_targets,
-            partitioned_tuples=sum(len(parts[shard_id])
-                                   for parts in target_parts.values()),
-        ))
-    return payloads
 
 
 @dataclass
@@ -217,8 +150,12 @@ class ShardBackend:
         plan state (no delta can describe "everything you hold is gone").
         """
         payloads = shard_payloads(self.index, self.n_shards)
-        self._partition_prefix = partition_prefixes(self.index,
-                                                    self.n_shards)
+        #: each partitioned S-target -> the getter of its rows' access
+        #: tuple, which routes them (:meth:`route_delta`)
+        self._partitioned = {
+            target: row_getter(
+                self.index.s_targets[target].positions(self.access))
+            for target in partitioned_targets(self.index, self.n_shards)}
         for ledger, payload in zip(self.shards, payloads):
             ledger.partitioned_tuples = payload.partitioned_tuples
         return payloads
@@ -240,7 +177,7 @@ class ShardBackend:
         """Per-shard delta messages for one event.
 
         Every message names the event's patched pieces.  A partitioned
-        target's rows are hashed on its access prefix to the one shard
+        target's rows are hashed on their access tuple to the one shard
         whose slice holds (or must gain) them; a replicated target's rows
         go to every shard.  The ledgers' partition sizes move with the
         rows.
@@ -249,18 +186,16 @@ class ShardBackend:
         for target, (added, removed) in event.target_deltas.items():
             if not (added or removed):
                 continue
-            prefix = self._partition_prefix.get(target)
-            if prefix is None:
+            key_of = self._partitioned.get(target)
+            if key_of is None:
                 for rows in view_rows:
                     rows.append((target, added, removed))
                 continue
-            schema = tuple(sorted(target))
-            pos = tuple(schema.index(v) for v in prefix)
             gained: List[set] = [set() for _ in self.shards]
             lost: List[set] = [set() for _ in self.shards]
             for rows, by_shard in ((added, gained), (removed, lost)):
                 for row in rows:
-                    by_shard[access_hash(tuple(row[p] for p in pos))
+                    by_shard[access_hash(key_of(row))
                              % self.n_shards].add(row)
             for ledger, rows, more, fewer in zip(self.shards, view_rows,
                                                  gained, lost):
@@ -378,13 +313,12 @@ class ShardBackend:
 
     def engine_section(self) -> Dict:
         """The envelope's ``engine`` section for this partitioned index."""
-        split = self.budget_split()
         return {
             "n_shards": self.n_shards,
-            "budget_split": split,
+            "budget_split": self.budget_split(),
             "partitioned_targets": sorted(
-                "|".join(sorted(t)) for t in self._partition_prefix),
-            "selection": self.index.selection.snapshot(budget_split=split),
+                "|".join(sorted(t)) for t in self._partitioned),
+            "selection": self.index.selection.snapshot(),
             "probes_served": sum(s.probes_served for s in self.shards),
             "online_phases": sum(s.online_phases for s in self.shards),
         }

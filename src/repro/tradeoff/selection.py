@@ -79,16 +79,9 @@ class SelectionResult:
     #: LP-bound blend summary (None when selection ran estimates-only)
     lp_blend: Optional[Dict] = None
 
-    def snapshot(self, budget_split: Optional[Dict] = None) -> Dict:
-        """JSON-friendly summary for lifecycle counters / stats().
-
-        ``budget_split`` is the sharded serving layer's per-shard division
-        of the space budget (:meth:`repro.serving.ShardedIndex.stats`
-        computes it); when given it is recorded verbatim so a selection
-        snapshot always names the budget regime it is actually serving
-        under — global for a single index, per-shard once partitioned.
-        """
-        snap = {
+    def snapshot(self) -> Dict:
+        """JSON-friendly summary for lifecycle counters / stats()."""
+        return {
             "mode": self.mode,
             "space_budget": self.space_budget,
             "candidate_pmtds": self.candidate_pmtds,
@@ -103,41 +96,6 @@ class SelectionResult:
             "shards": self.shards,
             "lp_blend": self.lp_blend,
         }
-        if budget_split is not None:
-            snap["budget_split"] = dict(budget_split)
-        return snap
-
-    def s_view_keys(self, access: Sequence[str]) -> List[Dict]:
-        """Per-rule S-view key schemas — what the sharder routes on.
-
-        Every S-routed rule serves probes out of a materialized view whose
-        *key* is its schema; a view is hash-partitionable by access tuple
-        exactly when its schema contains every access variable (rows that
-        could answer a probe then all carry that probe's access binding,
-        so partitioning commutes with probe semantics).  Returns one entry
-        per rule with an S-target::
-
-            {"rule": label, "s_target": sorted schema tuple,
-             "access_prefix": access vars in access-pattern order,
-             "partitionable": bool}
-
-        ``access_prefix`` is the key the sharder hashes — ordered like the
-        access pattern so routing and probe normalization agree.
-        """
-        access = tuple(access)
-        out: List[Dict] = []
-        for est in self.estimates:
-            if est.s_target is None:
-                continue
-            target = est.s_target
-            partitionable = bool(access) and set(access) <= set(target)
-            out.append({
-                "rule": est.rule.label,
-                "s_target": tuple(sorted(target)),
-                "access_prefix": access if partitionable else (),
-                "partitionable": partitionable,
-            })
-        return out
 
     def describe(self) -> str:
         return (f"selection[{self.mode}]: {len(self.pmtds)}/"
@@ -151,10 +109,14 @@ class SelectionResult:
 def shard_fraction(target, access: Sequence[str], shards: int) -> float:
     """The share of an S-target resident on one of ``shards`` workers.
 
-    A target whose schema contains every access variable partitions by
-    access hash (see :meth:`SelectionResult.s_view_keys`), so each shard
-    holds ~``1/shards`` of it; any other target is replicated whole to
-    every shard and costs each worker its full size.  This is what makes
+    The one statement of the partition rule: a target whose schema
+    contains every access variable is hash-partitioned on the access
+    tuple (rows that could answer a probe all carry that probe's binding,
+    so partitioning commutes with probe semantics), and each shard holds
+    ~``1/shards`` of it; any other target is replicated whole to every
+    shard and costs each worker its full size.  The sharder partitions
+    exactly the targets priced below 1
+    (:func:`~repro.core.replica.partitioned_targets`), which is what makes
     the fleet's per-process space budget *honest*: replicated state must
     fit every per-shard budget, partitioned state splits.
     """

@@ -82,7 +82,6 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from repro.core.kernels import CompiledProbePlan
 from repro.core.replica import ShardDelta, patch_pieces
-from repro.core.split import HEAVY, LIGHT
 from repro.core.two_phase import PhaseDecision
 from repro.data.relation import Relation, SchemaError
 from repro.obs.registry import REGISTRY
@@ -141,13 +140,12 @@ def _row_sides(base: Relation, atom, row: Tuple_, splits,
                ) -> Dict[int, str]:
     """The inserted row's deterministic H/L side per split of ``atom``.
 
-    Keyed by the split's slot in ``splits``.  Heavy iff the row's X-key
-    bucket in the full post-insert base relation is strictly larger than
-    the split threshold — the same shape of rule ``SplitStep.partition``
-    uses, evaluated against the freshest state available.  Any
-    deterministic per-row rule preserves the partition-cover invariant
-    (module docstring, step 3), and plans that share a piece share its
-    split path, so they route the row alike.
+    Keyed by the split's slot in ``splits``.  The build's rule
+    (:meth:`SplitStep.side <repro.core.split.SplitStep.side>`) applied to
+    the row's X-key bucket in the full post-insert base relation, the
+    freshest state available.  Any deterministic per-row rule preserves
+    the partition-cover invariant (module docstring, step 3), and plans
+    that share a piece share its split path, so they route the row alike.
     """
     sides = {}
     for slot, split in enumerate(splits):
@@ -157,7 +155,7 @@ def _row_sides(base: Relation, atom, row: Tuple_, splits,
         base_key = tuple(base.schema[p] for p in pos)
         key = tuple(row[p] for p in pos)
         degree = len(base.index_on(base_key).get(key, ()))
-        sides[slot] = HEAVY if degree > split.threshold else LIGHT
+        sides[slot] = split.side(degree)
     return sides
 
 
@@ -466,12 +464,7 @@ def apply_delta(index, op: str, name: str, row: Tuple_,
         [(target, added, removed)
          for target, (added, removed) in target_deltas.items()]))
     if event.targets_changed:
-        index.stats.stored_tuples = sum(
-            len(rel) for rel in index._s_targets.values())
-        index.stats.s_view_tuples = {
-            "|".join(sorted(schema)): len(rel)
-            for schema, rel in index._s_targets.items()
-        }
+        index._count_stored()
     index.update_counts["deltas_applied"] += 1
 
     # -- drift-triggered re-selection --------------------------------------

@@ -477,7 +477,7 @@ def _sharded_enumeration():
 
     index, _ = _enumeration_index()
     sharded = ShardedIndex(index, 2)
-    partitioned = set(sharded._partition_prefix)
+    partitioned = set(sharded._partitioned)
     assert partitioned and set(index.s_targets) - partitioned
     return index, sharded
 
@@ -504,7 +504,7 @@ class TestShardViews:
 
     def test_a_row_on_the_wrong_shard_is_caught(self):
         _, sharded = _sharded_enumeration()
-        target = next(iter(sharded._partition_prefix))
+        target = next(iter(sharded._partitioned))
         home, away = (executor.views[target]
                       for executor in sharded._executors)
         row = next(iter(home.tuples))

@@ -538,9 +538,7 @@ class TestMaintainedPasses:
 class TestPreprocessCounters:
     def test_prepare_counters_include_the_ss_pass(self, monkeypatch):
         """The SS-edge semijoins charge the build's counters, not the
-        process-wide ones — in the index and in a shard executor."""
-        from repro.serving.sharding import ShardExecutor, shard_payloads
-
+        process-wide ones — in the index and in its replica."""
         materialized = []
         plan_and_materialize = CQAPIndex._plan_and_materialize
 
@@ -569,6 +567,4 @@ class TestPreprocessCounters:
         assert prepared.prepare_counters.probes == done.probes + ss.probes
         assert index.stats.preprocess_counters["probes"] \
             == done.probes + ss.probes
-        [payload] = shard_payloads(index, 1)
-        executor = ShardExecutor(payload)
-        assert executor.preprocess_counters.probes == ss.probes
+        assert index._replica.preprocess_counters.probes == ss.probes

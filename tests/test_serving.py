@@ -31,7 +31,7 @@ from repro.serving import (
     serve,
     validate_stats,
 )
-from repro.serving.server import PENDING_BATCHES
+from repro.tradeoff.selection import shard_fraction
 from repro.util.counters import Counters
 
 DOMAIN = 60
@@ -101,8 +101,8 @@ class TestShardedIndex:
 
     def test_partitions_disjointly_cover_targets(self, prepared):
         sharded = ShardedIndex(prepared, n_shards=4)
-        assert sharded._partition_prefix, "expected partitionable S-targets"
-        for target in sharded._partition_prefix:
+        assert sharded._partitioned, "expected partitioned S-targets"
+        for target in sharded._partitioned:
             # one slice per shard executor, in its one view of the target
             parts = [executor.views[target]
                      for executor in sharded._executors]
@@ -139,16 +139,6 @@ class TestShardedIndex:
             == prepared.stored_tuples
         # more than one shard actually partitions stored state
         assert split["partitioned_tuples"] > 0
-
-    def test_selection_snapshot_records_budget_split(self, prepared):
-        sharded = ShardedIndex(prepared, n_shards=3)
-        stats = validate_stats(sharded.stats())
-        selection = stats["engine"]["selection"]
-        assert selection["budget_split"]["shards"] == 3
-        assert selection["budget_split"] == stats["engine"]["budget_split"]
-        # the unsharded snapshot stays split-free
-        assert "budget_split" not in prepared.selection.snapshot()
-        json.dumps(stats)  # the whole snapshot is JSON-serializable
 
     def test_per_shard_lifecycle_counters(self, prepared, pairs):
         busiest = []
@@ -269,19 +259,25 @@ class TestTransportParity:
         sharded.close()
 
 
-class TestSelectionKeyExposure:
-    def test_s_view_keys_declare_access_prefix(self, prepared):
+class TestPartitionRule:
+    @pytest.mark.parametrize("n_shards", [2, 4, 7])
+    def test_sharder_partitions_what_the_ledger_prices_per_shard(
+            self, prepared, n_shards):
         access = tuple(prepared.cqap.access)
-        entries = prepared.selection.s_view_keys(access)
-        assert entries, "expected at least one S-routed rule"
-        for entry in entries:
-            assert entry["s_target"] == tuple(sorted(entry["s_target"]))
-            expected = set(access) <= set(entry["s_target"])
-            assert entry["partitionable"] == expected
-            if entry["partitionable"]:
-                assert entry["access_prefix"] == access
+        priced = {target for target in prepared.s_targets
+                  if shard_fraction(target, access, n_shards) < 1}
+        assert priced and set(prepared.s_targets) - priced
+        sharded = ShardedIndex(prepared, n_shards=n_shards)
+        assert set(sharded._partitioned) == priced
+        for target, relation in prepared.s_targets.items():
+            views = [executor.views[target].tuples
+                     for executor in sharded._executors]
+            if target in priced:
+                assert sum(map(len, views)) == len(relation)
             else:
-                assert entry["access_prefix"] == ()
+                assert all(view == relation.tuples for view in views)
+        assert sharded.engine_section()["partitioned_targets"] == sorted(
+            "|".join(sorted(target)) for target in priced)
 
 
 class TestBatchScheduler:
@@ -428,27 +424,25 @@ class TestServeFacade:
                 produced.append(pair)
                 yield pair
 
-        window = 2 * PENDING_BATCHES  # batch_size * PENDING_BATCHES
         with serve(prepared, backend="thread", shards=2,
                    batch_size=2) as server:
             consumed = 0
             for _ in server.serve(stream()):
                 consumed += 1
-                # the producer never ran more than the window ahead of
+                # the producer never ran more than one batch ahead of
                 # what the consumer has taken out
-                assert len(produced) - consumed <= window
+                assert len(produced) - consumed <= server.batch_size
         assert consumed == len(pairs)
-        assert server.peak_pending <= window
+        assert server.peak_pending <= server.batch_size
 
     def test_backpressure_holds_for_burst_batches(self, prepared, pairs):
-        # one huge pre-formed batch must not blow past the pending window:
-        # pre-batched items are unpacked lazily, one binding per pull
-        window = 2 * PENDING_BATCHES
+        # one huge pre-formed batch must not blow past one batch: pre-
+        # batched items are unpacked lazily, one binding per pull
         with serve(prepared, backend="thread", shards=2,
                    batch_size=2) as server:
             served = list(server.serve([list(pairs)]))
         assert len(served) == len(pairs)
-        assert server.peak_pending <= window
+        assert server.peak_pending <= server.batch_size
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_stats_envelope_shape(self, prepared, pairs, backend):
