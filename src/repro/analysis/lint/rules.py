@@ -184,13 +184,14 @@ class CounterHygieneRule(Rule):
     """REP002: no shared-``Counters`` bumps reachable from value dunders.
 
     ``__eq__``/``__hash__``/``__repr__`` run inside asserts, logging and
-    test comparisons; charging the global (or an engine's) instrumentation
-    counters from them makes counter parity checks flaky — the PR 7
-    ``Relation.__eq__`` bug.  Starting from each dunder and following
-    ``self.*`` calls, flags (a) ``+=`` bumps of counter fields on anything
-    but a local throwaway ``Counters()``, and (b) calls to same-class
-    methods that take a ``counters`` parameter without passing an explicit
-    ``counters=`` argument (the default routes to the shared instance).
+    test comparisons; charging an engine's instrumentation counters from
+    them makes counter parity checks flaky, as a ``Relation.__eq__`` that
+    charged its reordering once did.  Starting from each dunder and
+    following ``self.*`` calls, flags (a) ``+=`` bumps of counter fields
+    on anything but a local throwaway ``Counters()``, and (b) calls to
+    same-class methods that take a ``counters`` parameter without passing
+    an explicit ``counters=`` argument (the dunder must name the bundle
+    it charges).
     """
 
     code = "REP002"

@@ -499,7 +499,6 @@ def _replica_issues(label: str, replica: Any, index: Any,
     # local imports: analysis depends on core, never the reverse
     from repro.core.online_yannakakis import OnlineYannakakis
     from repro.core.replica import assemble_views
-    from repro.util.counters import Counters
 
     issues: List[str] = []
     for target, view in replica.views.items():
@@ -537,8 +536,7 @@ def _replica_issues(label: str, replica: Any, index: Any,
                     f"the replica's one for {sorted(view.variables)} (a "
                     f"delta patches only that one)")
         fresh = OnlineYannakakis(
-            oy.pmtd, assemble_views(oy.pmtd.s_views, replica.views),
-            counters=Counters())
+            oy.pmtd, assemble_views(oy.pmtd.s_views, replica.views))
         for node, view in oy.s_views.items():
             want = fresh.s_views[node]
             if view.schema != want.schema or view.tuples != want.tuples:

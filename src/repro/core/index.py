@@ -13,8 +13,8 @@ Preprocess once against a space budget, then answer any access request:
 
 The pipeline is §4.2/§4.3 verbatim:
 
-* choose a PMTD set (given, or enumerated, falling back to the two trivial
-  PMTDs when enumeration is too large);
+* choose a PMTD set (given, or enumerated up to ``MAX_BAGS`` bags,
+  falling back to the two trivial PMTDs when enumeration finds none);
 * *select* the rule set against the space budget: small PMTD sets keep
   every streamed 2-phase disjunctive rule, large ones go through the
   budgeted beam selection (``repro.tradeoff.selection``) so planning
@@ -130,12 +130,11 @@ class CQAPIndex:
         #: per-shard budget slice whole (see selection.shard_fraction)
         self.shards = max(1, int(shards))
         if pmtds is None:
-            try:
-                pmtds = enumerate_pmtds(cqap, max_bags=MAX_BAGS)
-            except Exception:
-                pmtds = trivial_pmtds(cqap)
-            if not pmtds:
-                pmtds = trivial_pmtds(cqap)
+            # a body whose components split the head (R(x, z), S(y, w)
+            # with head {x, y}) has no free-connex decomposition over
+            # connected bags: the one-bag PMTDs still answer it
+            pmtds = enumerate_pmtds(cqap, max_bags=MAX_BAGS) \
+                or trivial_pmtds(cqap)
         #: full candidate pool every selection draws from: at construction,
         #: in preprocess()'s re-selection backstop and on drift
         self._pmtd_pool: List[PMTD] = list(pmtds)
@@ -360,9 +359,7 @@ class CQAPIndex:
             for rule, estimate in zip(self.rules, self.selection.estimates)
         ]
         self._s_targets = self.executor.preprocess(
-            self.plans, self.space_budget, counters=ctr,
-            planner=self.planner,
-        )
+            self.plans, self.space_budget, self.planner, counters=ctr)
 
     # ------------------------------------------------------------------
     # online phase
@@ -371,9 +368,8 @@ class CQAPIndex:
         if isinstance(request, Relation):
             if set(request.schema) == set(self.cqap.access):
                 # reordering the request's columns is plumbing, not query
-                # work: charge a throwaway counter, as Relation.union does
-                rows = request.project(self.cqap.access,
-                                       counters=Counters()).tuples
+                # work: it charges nothing, as in Relation.union
+                rows = request.project(self.cqap.access).tuples
                 return Relation("Q_A", self.cqap.access, rows)
             if len(request.schema) == len(self.cqap.access):
                 return Relation("Q_A", self.cqap.access, request.tuples)

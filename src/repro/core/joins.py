@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.data.relation import Relation, SchemaError
-from repro.util.counters import Counters, global_counters
+from repro.util.counters import Counters
 
 
 class BudgetExceeded(RuntimeError):
@@ -96,7 +96,7 @@ def project_join(
     an atom's variables).  An empty ``onto`` produces the Boolean result: a
     nullary relation holding the empty tuple iff the join is nonempty.
     """
-    ctr = counters or global_counters
+    ctr = counters or Counters()
     onto = tuple(onto)
     all_vars: Set[str] = set()
     for rel in relations:

@@ -75,7 +75,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.data.relation import Relation, row_getter
 from repro.decomposition.pmtd import PMTD
 from repro.decomposition.tree_decomposition import NodeId
-from repro.util.counters import Counters, global_counters
+from repro.util.counters import Counters
 
 Schema = Tuple[str, ...]
 
@@ -165,7 +165,7 @@ class OnlineYannakakis:
         self._bottom_up = sorted(all_nodes,
                                  key=lambda n: -self._depths[n])
         self._top_down = sorted(all_nodes, key=lambda n: self._depths[n])
-        self._preprocess(counters or global_counters)
+        self._preprocess(counters or Counters())
         self._compile()
 
     @classmethod
@@ -467,7 +467,7 @@ class OnlineYannakakis:
         ``request`` is ``Q_A`` over the access variables, in any column
         order; ``t_views`` maps every T-view node to its relation.
         """
-        ctr = counters or global_counters
+        ctr = counters or Counters()
         if request.variables != self.pmtd.access:
             raise ValueError(
                 f"request schema {request.schema} is not the access "

@@ -34,7 +34,7 @@ from repro.data.relation import Relation
 from repro.polymatroid.lattice import SubsetSpace
 from repro.polymatroid.shannon import ProofSequence, ProofStep
 from repro.query.hypergraph import VarSet, varset
-from repro.util.counters import Counters, global_counters
+from repro.util.counters import Counters
 
 
 class InterpretationError(RuntimeError):
@@ -124,7 +124,7 @@ class ProofSequenceInterpreter:
     def __init__(self, space: SubsetSpace,
                  counters: Optional[Counters] = None) -> None:
         self.space = space
-        self.ctr = counters or global_counters
+        self.ctr = counters or Counters()
         self.pool: List[CondTable] = []
 
     # ------------------------------------------------------------------

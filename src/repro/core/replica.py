@@ -121,7 +121,6 @@ class ShardPayload:
     n_shards: int
     cqap: object
     steps: List
-    budget_slack: float
     pmtds: List
     targets: Dict[VarSet, Relation]
     partitioned_tuples: int
@@ -168,7 +167,6 @@ def shard_payloads(index, n_shards: int) -> List[ShardPayload]:
             n_shards=n_shards,
             cqap=index.cqap,
             steps=index.compiled_online,
-            budget_slack=index.executor.budget_slack,
             pmtds=list(index.pmtds),
             targets=shard_targets,
             partitioned_tuples=sum(len(parts[shard_id])
@@ -208,8 +206,7 @@ class ShardExecutor:
         self.shard_id = payload.shard_id
         self.cqap = payload.cqap
         self.steps = payload.steps
-        self.executor = TwoPhaseExecutor(
-            payload.cqap, budget_slack=payload.budget_slack)
+        self.executor = TwoPhaseExecutor(payload.cqap)
         #: one view relation per S-view schema, shared by every pass: a
         #: delta patches each once (see :meth:`apply_delta`)
         self.views = view_relations(payload.pmtds, payload.targets)

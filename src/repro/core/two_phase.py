@@ -47,7 +47,7 @@ from repro.query.cq import CQAP
 from repro.query.hypergraph import VarSet
 from repro.tradeoff.joint_flow import JointFlowProgram
 from repro.tradeoff.rules import TwoPhaseRule
-from repro.util.counters import Counters, global_counters
+from repro.util.counters import Counters
 
 S_PHASE = "S"
 T_PHASE = "T"
@@ -112,7 +112,6 @@ class TwoPhasePlanner:
 
     def __init__(self, cqap: CQAP, db: Database, space_budget: float,
                  dc: Optional[ConstraintSet] = None,
-                 ac: Optional[ConstraintSet] = None,
                  request_size: float = 1,
                  threshold_scale: float = 1.0) -> None:
         self.cqap = cqap
@@ -120,7 +119,7 @@ class TwoPhasePlanner:
         self.space_budget = float(space_budget)
         self.log_budget = math.log2(max(1.0, space_budget))
         self.dc = dc if dc is not None else cqap.default_constraints(db)
-        self.ac = ac if ac is not None else cqap.access_constraints(request_size)
+        self.ac = cqap.access_constraints(request_size)
         self.program = JointFlowProgram(cqap.variables, self.dc, self.ac)
         # multiplies every LP-derived split threshold; 1.0 is the optimum,
         # other values exist for the threshold-sensitivity ablation
@@ -277,8 +276,8 @@ class TwoPhaseExecutor:
 
     # ------------------------------------------------------------------
     def preprocess(self, plans: Sequence[RulePlan], space_budget: float,
+                   planner: TwoPhasePlanner,
                    counters: Optional[Counters] = None,
-                   planner: Optional[TwoPhasePlanner] = None,
                    ) -> Dict[VarSet, Relation]:
         """Materialize every designated S-target; returns schema -> union.
 
@@ -290,14 +289,12 @@ class TwoPhaseExecutor:
 
         A subproblem whose exact projection outgrows ``budget_slack × S``
         falls back to the online phase (Algorithm 1's abort), mutating the
-        plan in place.  When ``planner`` is given, the replacement
-        T-target is re-priced with the planner's polymatroid bound
-        (cheapest online target under the subproblem's split constraints)
-        and the decision records that finite predicted size; without a
-        planner the fallback degrades to the lexicographically-first
-        T-target with an ``inf`` prediction.
+        plan in place: the replacement T-target is the one ``planner``
+        (the planner that made ``plans``) prices cheapest by its
+        polymatroid bound under the subproblem's split constraints, and
+        the decision records that predicted size.
         """
-        ctr = counters or global_counters
+        ctr = counters or Counters()
         self.preprocess_runs += 1
         limit = int(self.budget_slack * max(1.0, space_budget)) + 1
         targets: Dict[VarSet, Relation] = {}
@@ -329,19 +326,11 @@ class TwoPhaseExecutor:
                         )
                     self.budget_aborts += 1
                     decision.phase = T_PHASE
-                    target, bound = None, math.inf
-                    if planner is not None:
-                        target, bound = planner.best_online_target(
+                    decision.target, decision.predicted_log_size = \
+                        planner.best_online_target(
                             plan.rule.t_targets,
                             extra=decision.subproblem.constraints,
                         )
-                    if target is None:
-                        target = min(
-                            plan.rule.t_targets,
-                            key=lambda t: tuple(sorted(t)),
-                        )
-                    decision.target = target
-                    decision.predicted_log_size = bound
                     continue
                 if repeat:
                     continue  # its rows are in the target already
@@ -382,7 +371,7 @@ class TwoPhaseExecutor:
                         counters: Optional[Counters] = None,
                         ) -> Dict[VarSet, Relation]:
         """Run the compiled T-phase against one access request relation."""
-        ctr = counters or global_counters
+        ctr = counters or Counters()
         self.online_runs += 1
         targets: Dict[VarSet, Relation] = {}
         access = self.cqap.access

@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.data.relation import Relation, SchemaError
-from repro.util.counters import Counters, global_counters
+from repro.util.counters import Counters
 
 try:  # pragma: no cover - exercised implicitly on numpy-equipped hosts
     import numpy as _np
@@ -148,7 +148,7 @@ class ColumnarRelation(Relation):
     def project(self, onto: Sequence[str], name: Optional[str] = None,
                 counters: Optional[Counters] = None) -> "ColumnarRelation":
         """Batch projection: one transpose, one bulk scan charge."""
-        ctr = counters or global_counters
+        ctr = counters or Counters()
         onto = tuple(onto)
         self.positions(onto)
         n = len(self.tuples)
@@ -176,7 +176,7 @@ class ColumnarRelation(Relation):
         sides' key columns are plain ints.  Shared variables that cover
         ``other``'s schema probe its row set (``membership_on``).
         """
-        ctr = counters or global_counters
+        ctr = counters or Counters()
         # in ``other``'s column order: a key covering its schema is a row
         shared = tuple(v for v in other.schema if v in self._variables)
         if not shared:
@@ -214,7 +214,7 @@ class ColumnarRelation(Relation):
     def join(self, other: Relation, name: Optional[str] = None,
              counters: Optional[Counters] = None) -> "ColumnarRelation":
         """Natural hash join with hoisted positions and bulk counters."""
-        ctr = counters or global_counters
+        ctr = counters or Counters()
         shared = tuple(v for v in self.schema if v in other.variables)
         extra = tuple(v for v in other.schema if v not in self.variables)
         if not extra:

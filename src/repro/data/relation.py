@@ -16,7 +16,7 @@ import hashlib
 from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.util.counters import Counters, global_counters
+from repro.util.counters import Counters
 
 Tuple_ = Tuple[object, ...]
 
@@ -104,12 +104,10 @@ class Relation:
     — or at once, for a :meth:`_delta_patch`, which patches the cached
     indexes instead of dropping them: writers must be single-threaded
     with respect to readers, as the serving layers arrange (no probe runs
-    inside ``apply_delta``).  ``version`` counts the mutations this handle
-    took.
+    inside ``apply_delta``).
     """
 
-    __slots__ = ("name", "schema", "tuples", "_variables", "_indexes",
-                 "version")
+    __slots__ = ("name", "schema", "tuples", "_variables", "_indexes")
 
     def __init__(self, name: str, schema: Sequence[str],
                  tuples: Iterable[Tuple_] = ()) -> None:
@@ -128,7 +126,6 @@ class Relation:
                     f"expects {width}"
                 )
             self.tuples.add(row)
-        self.version = 0
         self._reset_derived()
 
     # ------------------------------------------------------------------
@@ -162,7 +159,6 @@ class Relation:
         self.schema = tuple(schema)
         self._variables = frozenset(self.schema)
         self.tuples = tuples
-        self.version = 0
         self._reset_derived()
         return self
 
@@ -186,7 +182,6 @@ class Relation:
         self.schema = schema
         self._variables = frozenset(schema)
         self.tuples = tuples
-        self.version = 0
         self._reset_derived()
 
     # ------------------------------------------------------------------
@@ -209,8 +204,7 @@ class Relation:
         if set(self.schema) != set(other.schema):
             return False
         # the reordering is bookkeeping internal to the comparison: it
-        # goes against a throwaway local counter so equality checks in
-        # tests/benchmarks never inflate the global scan counts
+        # charges a throwaway bundle, never a caller's
         reordered = other.project(self.schema, name=other.name,
                                   counters=Counters())
         return self.tuples == reordered.tuples
@@ -248,8 +242,8 @@ class Relation:
         if row in self.tuples:
             return False
         self.tuples.add(row)
-        (counters or global_counters).stores += 1
-        self.version += 1
+        if counters is not None:
+            counters.stores += 1
         self._reset_derived()
         return True
 
@@ -270,8 +264,8 @@ class Relation:
         if row not in self.tuples:
             return False
         self.tuples.discard(row)
-        (counters or global_counters).stores += 1
-        self.version += 1
+        if counters is not None:
+            counters.stores += 1
         self._reset_derived()
         return True
 
@@ -287,7 +281,6 @@ class Relation:
         if row in self.tuples:
             return False
         self.tuples.add(row)
-        self.version += 1
         self._reset_derived()
         return True
 
@@ -297,7 +290,6 @@ class Relation:
         if row not in self.tuples:
             return False
         self.tuples.discard(row)
-        self.version += 1
         self._reset_derived()
         return True
 
@@ -324,7 +316,6 @@ class Relation:
                     del index[value]
             for row in added:
                 index.setdefault(key_of(row), []).append(row)
-        self.version += 1
 
     # ------------------------------------------------------------------
     # positions and indexes
@@ -426,7 +417,7 @@ class Relation:
     def project(self, onto: Sequence[str], name: Optional[str] = None,
                 counters: Optional[Counters] = None) -> "Relation":
         """Duplicate-eliminating projection onto ``onto`` (ordered)."""
-        ctr = counters or global_counters
+        ctr = counters or Counters()
         onto = tuple(onto)
         pos = self.positions(onto)
         out = set()
@@ -444,12 +435,8 @@ class Relation:
         if other.schema == self.schema:
             rows = self.tuples | other.tuples
         else:
-            # the reordering is internal plumbing, not query work: it is
-            # accounted to a throwaway local counter so unions (T-target
-            # assembly runs one per same-schema step) never inflate the
-            # global scan counts
-            reordered = other.project(self.schema, name=other.name,
-                                      counters=Counters())
+            # the reordering is plumbing, not query work: it charges nothing
+            reordered = other.project(self.schema, name=other.name)
             rows = self.tuples | reordered.tuples
         return type(self)._wrap(name or f"{self.name}_u_{other.name}",
                                 self.schema, rows)
@@ -466,7 +453,7 @@ class Relation:
         :func:`row_getter`, and the counters are charged once per call
         with the per-row totals (one scan and one probe per tuple).
         """
-        ctr = counters or global_counters
+        ctr = counters or Counters()
         # in ``other``'s column order: a key covering its schema is a row
         shared = tuple(v for v in other.schema if v in self._variables)
         if not shared:
@@ -491,7 +478,7 @@ class Relation:
 
         Builds the hash side on ``other`` and streams ``self``.
         """
-        ctr = counters or global_counters
+        ctr = counters or Counters()
         shared = tuple(v for v in self.schema if v in other.variables)
         extra = tuple(v for v in other.schema if v not in self.variables)
         if not extra:

@@ -100,21 +100,16 @@ class AnswerCache:
                 self._entries.popitem(last=False)
                 self.evictions += 1
 
-    def evict(self, affected_keys: Optional[Iterable[Hashable]]) -> int:
+    def evict(self, affected_keys: Iterable[Hashable]) -> int:
         """Drop what one index delta made stale; returns the drop count.
 
         ``affected_keys`` is :attr:`repro.updates.UpdateEvent.
-        affected_keys`: the exact stale keys, or ``None`` for the
-        conservative "anything may have moved" flush.
+        affected_keys`: the exact stale keys.
         """
         with self._lock:
             self.generation += 1
-            if affected_keys is None:
-                dropped = len(self._entries)
-                self._entries.clear()
-            else:
-                dropped = sum(self._entries.pop(key, None) is not None
-                              for key in affected_keys)
+            dropped = sum(self._entries.pop(key, None) is not None
+                          for key in affected_keys)
             self.invalidations += dropped
             return dropped
 

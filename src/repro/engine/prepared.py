@@ -135,14 +135,6 @@ class PreparedQuery:
             bindings, self._normalize_binding,
             partial(self._resolve, counters), "engine.probe_many")[1]
 
-    def probe_many_boolean(self, bindings: Iterable,
-                           counters: Optional[Counters] = None,
-                           ) -> Dict[Binding, bool]:
-        """Batched Boolean variant: binding -> has-answer."""
-        return {key: len(rel) > 0
-                for key, rel in self.probe_many(bindings,
-                                                counters=counters).items()}
-
     # ------------------------------------------------------------------
     # incremental updates (repro.updates delta events)
     # ------------------------------------------------------------------

@@ -4,8 +4,9 @@ The paper's guarantees are per-probe, so this package records
 *distributions and traces*, not just sums:
 
 * :mod:`repro.obs.trace` — per-probe spans through scheduler → dispatch →
-  worker, a bounded ring buffer, and slow-probe exemplars (top-K by
-  intrinsic ``online_work``, carrying the binding / route / worker pid);
+  worker, a bounded ring buffer (the last 512 spans), and slow-probe
+  exemplars (the top 8 by intrinsic ``online_work``, carrying the binding /
+  route / worker pid);
 * :mod:`repro.obs.hist` — fixed-bucket log-spaced histograms for wall
   latency and intrinsic work, merged exactly worker→parent;
 * :mod:`repro.obs.registry` — the process-wide metrics registry every
@@ -22,6 +23,9 @@ window with::
     with obs.tracing():
         ...serve...
         print(obs.render_prometheus())
+
+A window opened while tracing is off starts from empty stores; one opened
+inside another records into the outer one.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from repro.obs.registry import (
     MetricsRegistry,
 )
 from repro.obs.trace import (
+    RING_CAPACITY,
     STATE,
     TRACER,
     Span,
@@ -87,21 +92,15 @@ def is_enabled() -> bool:
     return STATE.enabled
 
 
-def enable(*, ring_capacity: Optional[int] = None,
-           exemplar_k: Optional[int] = None, reset: bool = True) -> None:
-    """Turn observability on (optionally starting a fresh window).
+def enable() -> None:
+    """Turn observability on.
 
-    ``reset=True`` (the default) drops previously retained spans,
-    exemplars, and metric families so the window's histogram counts line
-    up with its ``probes_served``; pass ``reset=False`` to accumulate
-    across windows.
+    A window opened while tracing was off drops previously retained
+    spans, exemplars, and metric families, so its histogram counts line
+    up with its ``probes_served``; enabling while already on keeps them.
     """
-    if reset:
-        TRACER.reset()
-        REGISTRY.reset()
-    if ring_capacity is not None or exemplar_k is not None:
-        TRACER.configure(ring_capacity=ring_capacity,
-                         exemplar_k=exemplar_k)
+    if not STATE.enabled:
+        reset()
     STATE.enabled = True
     REGISTRY.gauge("repro_tracing_enabled",
                    "1 while the observability layer is recording").set(1)
@@ -116,13 +115,13 @@ def disable() -> None:
 
 
 @contextmanager
-def tracing(*, ring_capacity: Optional[int] = None,
-            exemplar_k: Optional[int] = None,
-            reset: bool = True) -> Iterator[None]:
-    """Observability on for the block; prior flag restored on exit."""
+def tracing() -> Iterator[None]:
+    """Observability on for the block; prior flag restored on exit.
+
+    Nested in an open window, the block records into that window.
+    """
     prior = STATE.enabled
-    enable(ring_capacity=ring_capacity, exemplar_k=exemplar_k,
-           reset=reset)
+    enable()
     try:
         yield
     finally:
@@ -194,7 +193,7 @@ def metrics_section() -> Optional[Dict]:
         "tracing_enabled": STATE.enabled,
         "spans_total": TRACER.spans_total,
         "spans_retained": len(TRACER.spans()),
-        "ring_capacity": TRACER.ring_capacity,
+        "ring_capacity": RING_CAPACITY,
         "exemplars": TRACER.exemplars(),
         "families": REGISTRY.collect(),
     }

@@ -31,11 +31,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
-#: default ring-buffer capacity (finished spans retained)
-DEFAULT_RING_CAPACITY = 512
+#: ring-buffer capacity (finished spans retained)
+RING_CAPACITY = 512
 
-#: default exemplar reservoir size (top-K probes by online_work)
-DEFAULT_EXEMPLAR_K = 8
+#: exemplar reservoir size (top-K probes by online_work)
+EXEMPLAR_K = 8
 
 
 class _ObsState:
@@ -84,46 +84,23 @@ class Span:
 class Tracer:
     """Span factory + bounded ring buffer + slow-probe exemplar top-K."""
 
-    def __init__(self, ring_capacity: int = DEFAULT_RING_CAPACITY,
-                 exemplar_k: int = DEFAULT_EXEMPLAR_K) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._ring: Deque[Span] = deque(maxlen=ring_capacity)
-        self._exemplar_k = exemplar_k
+        self._ring: Deque[Span] = deque(maxlen=RING_CAPACITY)
         #: min-heap of (work, tiebreak, exemplar-dict); smallest evicted
         self._exemplars: List[Tuple[float, int, Dict]] = []
         self._tiebreak = itertools.count()
         self.spans_total = 0
 
     # ------------------------------------------------------------------
-    # configuration / lifecycle
+    # lifecycle
     # ------------------------------------------------------------------
-    def configure(self, ring_capacity: Optional[int] = None,
-                  exemplar_k: Optional[int] = None) -> None:
-        """Resize the ring / reservoir (existing contents preserved)."""
-        with self._lock:
-            if ring_capacity is not None:
-                if ring_capacity <= 0:
-                    raise ValueError("ring_capacity must be positive, got "
-                                     f"{ring_capacity}")
-                self._ring = deque(self._ring, maxlen=ring_capacity)
-            if exemplar_k is not None:
-                if exemplar_k <= 0:
-                    raise ValueError("exemplar_k must be positive, got "
-                                     f"{exemplar_k}")
-                self._exemplar_k = exemplar_k
-                while len(self._exemplars) > exemplar_k:
-                    heapq.heappop(self._exemplars)
-
     def reset(self) -> None:
-        """Drop every retained span and exemplar (capacities kept)."""
+        """Drop every retained span and exemplar."""
         with self._lock:
             self._ring.clear()
             self._exemplars = []
             self.spans_total = 0
-
-    @property
-    def ring_capacity(self) -> int:
-        return self._ring.maxlen or 0
 
     # ------------------------------------------------------------------
     # spans
@@ -196,7 +173,7 @@ class Tracer:
         }
         with self._lock:
             entry = (float(work), next(self._tiebreak), exemplar)
-            if len(self._exemplars) < self._exemplar_k:
+            if len(self._exemplars) < EXEMPLAR_K:
                 heapq.heappush(self._exemplars, entry)
             elif entry[0] > self._exemplars[0][0]:
                 heapq.heapreplace(self._exemplars, entry)

@@ -30,7 +30,7 @@ from repro.decomposition.tree_decomposition import TreeDecomposition
 from repro.query.cq import Atom, CQAP, ConjunctiveQuery
 from repro.query.catalog import hierarchical_binary_tree_cqap
 from repro.tradeoff.edge_cover import fractional_edge_cover
-from repro.util.counters import Counters, global_counters
+from repro.util.counters import Counters
 
 
 def atom_sets(cq: ConjunctiveQuery) -> Dict[str, frozenset]:
@@ -324,7 +324,7 @@ class AdaptedKaraBaseline:
                  counters: Optional[Counters] = None) -> None:
         if not 0 <= epsilon <= 1:
             raise ValueError("epsilon must be in [0, 1]")
-        ctr = counters or global_counters
+        ctr = counters or Counters()
         self.epsilon = epsilon
         r, s, t, u = (db["R"], db["S"], db["T"], db["U"])
         n = max(1, db.size)
@@ -434,7 +434,7 @@ class AdaptedKaraBaseline:
               counters: Optional[Counters] = None) -> bool:
         """Boolean answer for the access request (z1, z2, z3, z4)."""
         z1, z2, z3, z4 = tuple(z_values)
-        ctr = counters or global_counters
+        ctr = counters or Counters()
         ctr.probes += 1
         if (z1, z2, z3, z4) in self.v0:
             return True

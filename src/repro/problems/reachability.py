@@ -33,7 +33,7 @@ from repro.decomposition.enumeration import (
 )
 from repro.decomposition.tree_decomposition import TreeDecomposition
 from repro.query.catalog import k_path_cqap
-from repro.util.counters import Counters, global_counters
+from repro.util.counters import Counters
 
 STRATEGIES = ("framework", "chain", "full", "bfs")
 
@@ -106,7 +106,6 @@ class KReachOracle:
         if self.strategy == "full":
             self._pairs = set(self.cqap.evaluate(self.db).tuples)
             self.stored_tuples = len(self._pairs)
-            global_counters.stores += self.stored_tuples
             return
         if self.strategy == "bfs":
             self.stored_tuples = 0
@@ -121,7 +120,7 @@ class KReachOracle:
     def query(self, source, target,
               counters: Optional[Counters] = None) -> bool:
         """Is there a path of length exactly k from source to target?"""
-        ctr = counters or global_counters
+        ctr = counters or Counters()
         if self.strategy == "full":
             ctr.probes += 1
             return (source, target) in self._pairs
@@ -132,7 +131,7 @@ class KReachOracle:
     def answer_batch(self, pairs: Sequence[Tuple],
                      counters: Optional[Counters] = None) -> Set[Tuple]:
         """All pairs of ``pairs`` connected by a k-path (one online pass)."""
-        ctr = counters or global_counters
+        ctr = counters or Counters()
         if self.strategy == "full":
             ctr.probes += len(pairs)
             return {p for p in pairs if p in self._pairs}
@@ -206,7 +205,7 @@ class AtMostKReachOracle:
     def query(self, source, target,
               counters: Optional[Counters] = None) -> bool:
         """Is there a path of length 1..k from source to target?"""
-        ctr = counters or global_counters
+        ctr = counters or Counters()
         ctr.probes += 1
         if (source, target) in self.edges:
             return True

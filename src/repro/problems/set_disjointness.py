@@ -23,7 +23,7 @@ from itertools import product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.data.relation import Relation
-from repro.util.counters import Counters, global_counters
+from repro.util.counters import Counters
 
 
 class SetFamily:
@@ -71,7 +71,7 @@ class KSetDisjointnessIndex:
             key=str,
         )
         self._heavy_set = set(self.heavy)
-        ctr = counters or global_counters
+        ctr = counters or Counters()
         self._table: Set[Tuple] = set()
         for combo in product(self.heavy, repeat=k):
             if self._intersect_scan(combo, ctr, preprocessing=True):
@@ -107,7 +107,7 @@ class KSetDisjointnessIndex:
         """True iff the k sets have a common element."""
         if len(set_ids) != self.k:
             raise ValueError(f"expected {self.k} set ids")
-        ctr = counters or global_counters
+        ctr = counters or Counters()
         if all(s in self._heavy_set for s in set_ids):
             ctr.probes += 1
             return tuple(set_ids) in self._table
@@ -144,7 +144,7 @@ class KSetIntersectionIndex:
             key=str,
         )
         self._heavy_set = set(self.heavy)
-        ctr = counters or global_counters
+        ctr = counters or Counters()
         self._table: Dict[Tuple, FrozenSet] = {}
         for combo in product(self.heavy, repeat=k):
             groups = [self.family.members(s) for s in combo]
@@ -161,7 +161,7 @@ class KSetIntersectionIndex:
         """The full intersection of the k sets."""
         if len(set_ids) != self.k:
             raise ValueError(f"expected {self.k} set ids")
-        ctr = counters or global_counters
+        ctr = counters or Counters()
         if all(s in self._heavy_set for s in set_ids):
             ctr.probes += 1
             return set(self._table.get(tuple(set_ids), frozenset()))

@@ -15,7 +15,7 @@ from repro.data.database import Database
 from repro.data.relation import Relation, singleton_request
 from repro.decomposition.enumeration import paper_pmtds_square
 from repro.query.catalog import square_cqap
-from repro.util.counters import Counters, global_counters
+from repro.util.counters import Counters
 
 
 def square_graph_database(edges: Iterable[Tuple]) -> Database:

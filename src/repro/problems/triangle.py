@@ -11,7 +11,7 @@ from typing import Iterable, Optional, Set, Tuple
 
 from repro.core.kernels import CompiledProbePlan
 from repro.data.relation import Relation
-from repro.util.counters import Counters, global_counters
+from repro.util.counters import Counters
 
 
 class TrianglePairIndex:
@@ -24,7 +24,7 @@ class TrianglePairIndex:
 
     def __init__(self, edges: Iterable[Tuple],
                  counters: Optional[Counters] = None) -> None:
-        ctr = counters or global_counters
+        ctr = counters or Counters()
         edge_set = set(tuple(e) for e in edges)
         rels = [
             Relation("R1", ("x1", "x2"), edge_set),
@@ -60,7 +60,7 @@ class EdgeTriangleIndex:
 
     def __init__(self, edges: Iterable[Tuple],
                  counters: Optional[Counters] = None) -> None:
-        ctr = counters or global_counters
+        ctr = counters or Counters()
         edge_set = set(tuple(e) for e in edges)
         rels = [
             Relation("R1", ("x1", "x2"), edge_set),
@@ -77,7 +77,8 @@ class EdgeTriangleIndex:
 
     def query(self, edge: Tuple,
               counters: Optional[Counters] = None) -> bool:
-        (counters or global_counters).probes += 1
+        if counters is not None:
+            counters.probes += 1
         return tuple(edge) in self._closed
 
     def brute_force(self, edge: Tuple, edges: Iterable[Tuple]) -> bool:

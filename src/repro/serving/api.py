@@ -30,7 +30,7 @@ from __future__ import annotations
 from repro.core.index import CQAPIndex
 from repro.serving.fleet import ProcessShardFleet
 from repro.serving.server import Server
-from repro.serving.sharding import ShardBackend, ShardedIndex
+from repro.serving.sharding import ShardedIndex
 
 #: the valid ``backend=`` arguments and the transport each one builds
 BACKENDS = {"thread": ShardedIndex, "process": ProcessShardFleet}
@@ -57,9 +57,6 @@ def serve(prepared, *, backend: str = "thread", shards: int = 4,
 
     * ``backend`` — ``"thread"`` (in-process shards, groups answered in
       order) or ``"process"`` (one worker process per shard, the fleet);
-      an already-built :class:`~repro.serving.sharding.ShardBackend`
-      *instance* is also accepted and merely fronted — the server then
-      does **not** own it and ``shards`` is ignored;
     * ``shards`` — shard count; answers are identical for every value;
     * ``batch_size`` — stream batching and the backpressure window: the
       server reads one batch ahead of the consumer at most, see
@@ -70,14 +67,9 @@ def serve(prepared, *, backend: str = "thread", shards: int = 4,
     ``with`` block) tears the backend down too — for the process backend
     that reaps the worker processes.
     """
-    if isinstance(backend, ShardBackend):
-        shard_backend, owns = backend, False
-    elif isinstance(backend, str) and backend in BACKENDS:
-        shard_backend = BACKENDS[backend](_coerce_index(prepared),
-                                          n_shards=shards)
-        owns = True
-    else:
+    if not isinstance(backend, str) or backend not in BACKENDS:
         raise ValueError(
             f"backend must be one of {tuple(BACKENDS)}, got {backend!r}")
-    return Server(shard_backend, batch_size=batch_size,
-                  cache_size=cache_size, owns_backend=owns)
+    return Server(BACKENDS[backend](_coerce_index(prepared),
+                                    n_shards=shards),
+                  batch_size=batch_size, cache_size=cache_size)

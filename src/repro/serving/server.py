@@ -45,18 +45,16 @@ class Server:
     Backend-agnostic: ``backend`` is a :class:`~repro.serving.sharding.
     ShardedIndex` (in-process) or :class:`~repro.serving.fleet.
     ProcessShardFleet` (worker processes); nothing above the backend's
-    own dispatch distinguishes them.  When ``owns_backend`` is true (the
-    :func:`~repro.serving.serve` path) closing the server also closes the
-    backend — for the process fleet that is what reaps the worker
-    processes.
+    own dispatch distinguishes them.  The server owns its backend:
+    closing the server also closes the backend — for the process fleet
+    that is what reaps the worker processes.
     """
 
     def __init__(self, backend: ShardBackend, batch_size: int = 32,
-                 cache_size: int = 256, owns_backend: bool = False) -> None:
+                 cache_size: int = 256) -> None:
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         self.backend = backend
-        self.owns_backend = owns_backend
         self.scheduler = BatchScheduler(backend, cache_size=cache_size)
         self.batch_size = batch_size
         self.batches_served = 0
@@ -70,10 +68,9 @@ class Server:
         self.close()
 
     def close(self) -> None:
-        """Detach the scheduler (and close the backend, when owned)."""
+        """Detach the scheduler and close the backend."""
         self.scheduler.close()
-        if self.owns_backend:
-            self.backend.close()
+        self.backend.close()
 
     # ------------------------------------------------------------------
     def serve(self, workload_stream: Iterable,
@@ -118,7 +115,6 @@ class Server:
             "batches_served": self.batches_served,
             "probes_served": self.probes_served,
             "peak_pending": self.peak_pending,
-            "owns_backend": self.owns_backend,
         }
 
     def stats(self) -> Dict:

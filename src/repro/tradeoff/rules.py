@@ -19,9 +19,10 @@ The production generator, :func:`stream_rules_from_pmtds`, applies both
 reductions *incrementally*: it sweeps the PMTDs one at a time, keeping a
 frontier of reduced partial heads instead of the cartesian product, so rule
 generation for 20+-PMTD sets (a ~1e10-combination product) terminates in
-milliseconds.  The eager product survives as the private reference
-implementation ``_rules_from_pmtds_eager`` that the property tests diff the
-stream against.
+milliseconds.  The eager product survives only as the private reference
+implementation ``_rules_from_pmtds_eager``: the property tests diff the
+stream against it, and its ``reduce_rules=False`` is the raw product the
+tests count.
 """
 
 from __future__ import annotations
@@ -195,9 +196,9 @@ def _rules_from_pmtds_eager(pmtds: Sequence[PMTD],
                             reduce_rules: bool = True) -> List[TwoPhaseRule]:
     """Reference implementation: the full cartesian product (pre-stream).
 
-    Exponential in the PMTD count — kept (a) for ``reduce_rules=False``,
-    where the raw product *is* the requested output, and (b) as the oracle
-    the property tests diff :func:`stream_rules_from_pmtds` against.
+    Exponential in the PMTD count — a test reference only: the oracle
+    the property tests diff :func:`stream_rules_from_pmtds` against, and
+    with ``reduce_rules=False`` the raw (deduplicated) product.
     """
     if not pmtds:
         raise ValueError("need at least one PMTD")
@@ -228,20 +229,14 @@ def _rules_from_pmtds_eager(pmtds: Sequence[PMTD],
     return kept
 
 
-def rules_from_pmtds(pmtds: Sequence[PMTD],
-                     reduce_rules: bool = True) -> List[TwoPhaseRule]:
+def rules_from_pmtds(pmtds: Sequence[PMTD]) -> List[TwoPhaseRule]:
     """§4.2: one rule per choice of one view from every PMTD.
 
-    With ``reduce_rules`` (default), within-rule target reduction and the
-    across-rule subset-minimality filter are applied, reproducing Table 1;
-    the work is done by the streamed frontier sweep, so large PMTD sets are
-    fine.  Rules come back in canonical order (fewest targets first).
-
-    ``reduce_rules=False`` returns the raw cartesian product (deduplicated,
-    product order) and is only usable for small PMTD sets.
+    Within-rule target reduction and the across-rule subset-minimality
+    filter are applied, reproducing Table 1; the work is done by the
+    streamed frontier sweep, so large PMTD sets are fine.  Rules come back
+    in canonical order (fewest targets first).
     """
-    if not reduce_rules:
-        return _rules_from_pmtds_eager(pmtds, reduce_rules=False)
     return list(stream_rules_from_pmtds(pmtds))
 
 

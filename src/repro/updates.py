@@ -88,7 +88,7 @@ from repro.obs.registry import REGISTRY
 from repro.obs.trace import STATE as _OBS
 from repro.query.cq import Atom
 from repro.query.hypergraph import VarSet
-from repro.util.counters import Counters, global_counters
+from repro.util.counters import Counters
 
 Tuple_ = Tuple[object, ...]
 
@@ -103,9 +103,8 @@ class UpdateEvent:
     ``target_deltas`` maps each S-target key to ``(added, removed)`` row
     sets (already applied to the index's target relations when the event
     fires).  ``affected_keys`` is the exact set of normalized access
-    bindings whose cached answers went stale — ``None`` means "unknown,
-    flush everything" (never produced by :func:`apply_delta` itself, but
-    part of the listener contract so degraded paths stay expressible).
+    bindings whose cached answers went stale (empty when the delta changed
+    no answer a cache could hold).
     """
 
     op: str
@@ -117,7 +116,7 @@ class UpdateEvent:
     in_query: bool
     target_deltas: Dict[VarSet, Tuple[FrozenSet[Tuple_], FrozenSet[Tuple_]]] \
         = field(default_factory=dict)
-    affected_keys: Optional[FrozenSet[Tuple_]] = None
+    affected_keys: FrozenSet[Tuple_] = frozenset()
     #: ``(step slot, body-atom position)`` in ``index.compiled_online`` of
     #: every step piece this delta patched — what a replica holding copies
     #: of the steps (a fleet worker's) patches in its own
@@ -342,7 +341,7 @@ def apply_delta(index, op: str, name: str, row: Tuple_,
     """
     if op not in (INSERT, DELETE):
         raise ValueError(f"op must be '{INSERT}' or '{DELETE}', got {op!r}")
-    ctr = counters if counters is not None else global_counters
+    ctr = counters or Counters()
     row = tuple(row)
     insert = op == INSERT
     #: the body atoms over ``name``: each one an occurrence to maintain
@@ -360,8 +359,7 @@ def apply_delta(index, op: str, name: str, row: Tuple_,
                           f"{base.schema}")
     present = row in base.tuples
     if (insert and present) or (not insert and not present):
-        return UpdateEvent(op, name, row, changed=False, in_query=in_query,
-                           affected_keys=frozenset())
+        return UpdateEvent(op, name, row, changed=False, in_query=in_query)
 
     affected: FrozenSet[Tuple_] = frozenset()
     candidates_by_target: Dict[VarSet, set] = {}

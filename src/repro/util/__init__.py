@@ -1,12 +1,10 @@
 """Shared utilities: operation counters and rational-arithmetic helpers."""
 
-from repro.util.counters import Counters, global_counters, reset_counters
+from repro.util.counters import Counters
 from repro.util.rationals import approx_fraction, log2, solve_slope
 
 __all__ = [
     "Counters",
-    "global_counters",
-    "reset_counters",
     "approx_fraction",
     "log2",
     "solve_slope",

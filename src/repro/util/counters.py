@@ -5,11 +5,14 @@ time* (work done in the online phase).  Wall-clock time in pure Python is a
 misleading proxy for either, so the engine threads every hash probe, tuple
 scan, and tuple store through a :class:`Counters` instance.  Benchmarks report
 these counts next to (secondary) wall-clock numbers.
+
+Work is charged only to a bundle its caller passes: an operator given no
+``counters=`` charges nothing, so every count has exactly one owner.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -27,15 +30,6 @@ class Counters:
     scans: int = 0
     stores: int = 0
     joins_emitted: int = 0
-    notes: dict = field(default_factory=dict)
-
-    def reset(self) -> None:
-        """Zero every counter (notes included)."""
-        self.probes = 0
-        self.scans = 0
-        self.stores = 0
-        self.joins_emitted = 0
-        self.notes = {}
 
     @property
     def online_work(self) -> int:
@@ -51,17 +45,6 @@ class Counters:
             "joins_emitted": self.joins_emitted,
             "online_work": self.online_work,
         }
-
-    def delta_since(self, snapshot: "Counters") -> "Counters":
-        """The work done since ``snapshot`` was taken (``self - snapshot``).
-
-        The monotone way to attribute per-probe work to a shared counter
-        bundle: take a :meth:`copy` before the probe, diff after.  Never
-        :meth:`reset` a shared bundle mid-stream — concurrent readers
-        (per-shard serving counters, the observability layer) rely on the
-        totals only ever growing.
-        """
-        return self - snapshot
 
     def __sub__(self, other: "Counters") -> "Counters":
         return Counters(
@@ -85,16 +68,4 @@ class Counters:
             scans=self.scans,
             stores=self.stores,
             joins_emitted=self.joins_emitted,
-            notes=dict(self.notes),
         )
-
-
-#: Process-wide default counter bundle.  Operators accept an explicit
-#: ``counters=`` argument; when omitted they fall back to this instance.
-global_counters = Counters()
-
-
-def reset_counters() -> Counters:
-    """Reset and return the process-wide counter bundle."""
-    global_counters.reset()
-    return global_counters

@@ -148,7 +148,7 @@ class _StubBackend:
 
 class _Event:
     changed = True
-    affected_keys = None
+    affected_keys = frozenset()
 
 
 class TestBatchSchedulerStatsLock:
@@ -183,7 +183,7 @@ class TestBatchSchedulerStatsLock:
 
         class _Noop:
             changed = False
-            affected_keys = None
+            affected_keys = frozenset()
 
         scheduler.on_index_delta(_Noop())
         assert scheduler.cache.deltas == 0

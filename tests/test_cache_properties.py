@@ -84,13 +84,12 @@ ops_strategy = st.lists(
 )
 
 small_keys = st.lists(st.integers(0, 5), max_size=3)
-#: ("evict", keys | None, ()) or ("serve", keys, ops run inside the resolver)
+#: ("evict", keys, ()) or ("serve", keys, ops run inside the resolver)
 batch_ops = st.recursive(
-    st.lists(st.tuples(st.just("evict"), st.one_of(st.none(), small_keys),
-                       st.just(())), max_size=3),
+    st.lists(st.tuples(st.just("evict"), small_keys, st.just(())),
+             max_size=3),
     lambda inner: st.lists(st.one_of(
-        st.tuples(st.just("evict"), st.one_of(st.none(), small_keys),
-                  st.just(())),
+        st.tuples(st.just("evict"), small_keys, st.just(())),
         st.tuples(st.just("serve"), small_keys, inner)), max_size=6),
     max_leaves=25,
 )
@@ -137,7 +136,7 @@ class TestAnswerCacheProperties:
                     evictions += 1
                     before = len(model.pairs)
                     model.pairs = [(k, v) for k, v in model.pairs
-                                   if arg is not None and k not in arg]
+                                   if k not in arg]
                     dropped += before - len(model.pairs)
                     assert cache.evict(arg) == before - len(model.pairs)
                     continue
@@ -227,7 +226,7 @@ class TestAnswerCacheProperties:
         cache.put("a", 1)
         lookup(cache, "a")
         lookup(cache, "zz")
-        cache.evict(None)
+        assert cache.evict({"a", "zz"}) == 1
         assert len(cache) == 0
         assert (cache.hits, cache.misses) == (1, 1)
         assert (cache.generation, cache.deltas) == (1, 0)

@@ -79,7 +79,7 @@ class TestAnswerCache:
         cache = AnswerCache(2)
         cache.put("a", 1)
         lookup(cache, "a")
-        cache.evict(None)
+        assert cache.evict(["a", "b"]) == 1
         assert len(cache) == 0
         assert cache.hits == 1
 
@@ -311,13 +311,15 @@ class TestProbeMany:
         assert batch_ctr.online_work <= single_ctr.online_work
 
     def test_boolean_variant(self):
+        # a Boolean probe says whether the batched answer is nonempty
         cqap, db = reach3_setup(n_edges=300, domain=40)
         pq = prepare(cqap, db, space_budget=db.size)
         full = cqap.evaluate(db)
         hit = next(iter(full.tuples))
-        out = pq.probe_many_boolean([hit, (10**9, 10**9)])
-        assert out[hit] is True
-        assert out[(10**9, 10**9)] is False
+        out = pq.probe_many([hit, (10**9, 10**9)])
+        assert pq.probe_boolean(hit) is True and len(out[hit]) > 0
+        assert pq.probe_boolean((10**9, 10**9)) is False
+        assert len(out[(10**9, 10**9)]) == 0
 
     def test_empty_batch(self):
         cqap, db = reach3_setup(n_edges=200, domain=40)

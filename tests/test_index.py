@@ -25,7 +25,7 @@ from repro.query.catalog import (
     k_set_disjointness_cqap,
     square_cqap,
 )
-from repro.util.counters import Counters, global_counters
+from repro.util.counters import Counters
 
 
 def check_index_against_scratch(cqap, db, index, access_domain, trials=40,
@@ -121,20 +121,21 @@ class TestThreeReach:
         check_index_against_scratch(self.cqap, db, index, 70,
                                     trials=20, seed=4)
 
-    def test_relation_request_leaves_global_counters_alone(self):
+    def test_relation_request_charges_what_a_tuple_request_does(self):
         # normalizing a Relation request (same or reordered access
         # columns) is plumbing: the caller's counters take the online
-        # work, the process-wide counters take nothing
+        # work and nothing else
         db = path_database(3, 200, 40, seed=5)
         index = CQAPIndex(self.cqap, db, db.size).preprocess()
         rows = [(1, 2), (3, 4)]
-        before = global_counters.snapshot()
+        want = Counters()
+        expected = index.answer(rows, counters=want).tuples
         for schema, request in ((("x1", "x4"), rows),
                                 (("x4", "x1"), [r[::-1] for r in rows])):
-            expected = index.answer(rows).tuples
-            assert index.answer(Relation("Q", schema, request)).tuples \
-                == expected
-        assert global_counters.snapshot() == before
+            ctr = Counters()
+            assert index.answer(Relation("Q", schema, request),
+                                counters=ctr).tuples == expected
+            assert ctr == want
 
 
 class TestSquare:
@@ -196,6 +197,33 @@ class TestTrivialPmtds:
         assert index.answer_boolean(hit, counters=ctr)
         # answering probes the stored S-view; online work stays tiny
         assert ctr.online_work < 100
+
+    def test_enumeration_failure_is_not_hidden(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("enumeration bug")
+
+        monkeypatch.setattr("repro.core.index.enumerate_pmtds", broken)
+        cqap = k_path_cqap(2)
+        db = path_database(2, 50, 20, seed=6)
+        with pytest.raises(RuntimeError, match="enumeration bug"):
+            CQAPIndex(cqap, db, db.size)
+
+    def test_head_split_across_components_falls_back(self):
+        # R(x, z), S(y, w) with head {x, y}: every connected bag holding
+        # x also holds z, so no decomposition is free-connex and the
+        # enumeration finds no PMTD; the one-bag PMTDs answer instead
+        from repro.decomposition import enumerate_pmtds
+        from repro.query.cq import CQAP, Atom
+
+        cqap = CQAP(("x", "y"), ("x",),
+                    [Atom("R", ("x", "z")), Atom("S", ("y", "w"))],
+                    name="split_head")
+        assert enumerate_pmtds(cqap, max_bags=3) == []
+        db = Database([Relation("R", ("a", "b"), [(1, 2), (1, 3), (2, 5)]),
+                       Relation("S", ("a", "b"), [(7, 8), (9, 9)])])
+        index = CQAPIndex(cqap, db, db.size).preprocess()
+        assert len(index.pmtds) == 2
+        check_index_against_scratch(cqap, db, index, 4, trials=10, seed=1)
 
 
 class TestStats:

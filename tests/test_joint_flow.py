@@ -34,6 +34,7 @@ from repro.tradeoff import (
     theorem_6_1,
 )
 from repro.tradeoff.edge_cover import fractional_edge_cover, slack, uniform_cover
+from repro.tradeoff.rules import _rules_from_pmtds_eager
 
 
 def v(*nums):
@@ -48,7 +49,8 @@ class TestTwoPhaseRules:
         assert got == expected
 
     def test_raw_rule_count_is_cartesian_product(self):
-        raw = rules_from_pmtds(paper_pmtds_3reach(), reduce_rules=False)
+        raw = _rules_from_pmtds_eager(paper_pmtds_3reach(),
+                                      reduce_rules=False)
         assert len(raw) == 16  # 2*2*2*2*1
 
     def test_within_rule_reduction_drops_superset_targets(self):

@@ -68,8 +68,8 @@ class TestPlanningBoundary:
         ])
         pq = prepare(tiny_cqap(), db, space_budget=100)
         assert len(pq.probe((1,))) == 0
-        assert pq.probe_many_boolean([(1,), (2,)]) == \
-            {(1,): False, (2,): False}
+        assert {key: len(rel) for key, rel in
+                pq.probe_many([(1,), (2,)]).items()} == {(1,): 0, (2,): 0}
 
     def test_incompatible_request_schema_rejected(self):
         cqap = tiny_cqap()

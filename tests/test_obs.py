@@ -30,7 +30,6 @@ from repro.obs.registry import MetricsRegistry
 from repro.query.catalog import k_path_cqap
 from repro.serving import ProcessShardFleet, serve
 from repro.serving.stats import validate_stats
-from repro.util.counters import Counters
 from repro.workloads.probes import batched_stream
 
 DOMAIN = 60
@@ -191,8 +190,11 @@ def test_disabled_stack_records_nothing(prepared):
 def test_tracing_context_restores_outer_window():
     obs.enable()
     try:
-        with obs.tracing(reset=False):
+        obs.record_probe(("b", 1), "online", 1, 0.001)
+        with obs.tracing():
             assert obs.is_enabled()
+            # a nested window records into the open one
+            assert obs.probe_work_histogram().count == 1
         assert obs.is_enabled()  # outer window survives the inner exit
     finally:
         obs.disable()
@@ -250,21 +252,20 @@ def test_scheduler_counts_match_probes_served(prepared):
 def test_fleet_trace_propagation_and_exact_merge(prepared):
     """Worker spans cross the pickle boundary onto the parent's traces."""
     cqap, db, index = prepared
-    fleet = ProcessShardFleet(index, n_shards=2)
-    try:
-        with obs.tracing():
-            with serve(index, backend=fleet, batch_size=8,
-                       cache_size=64) as server:
-                list(server.serve(_stream(cqap, db)))
-                stats = server.stats()
-            spans = obs.TRACER.spans()
-            routes = {key[0]: child.value for key, child in
-                      obs.REGISTRY.get("repro_probes_total").children()}
-            worker_family = obs.REGISTRY.get("repro_worker_probe_work")
-            worker_hist = worker_family.merged()
-            exemplars = obs.TRACER.exemplars()
-    finally:
-        fleet.close()
+    with obs.tracing():
+        with serve(index, backend="process", shards=2, batch_size=8,
+                   cache_size=64) as server:
+            fleet = server.backend
+            assert isinstance(fleet, ProcessShardFleet)
+            worker_pids = {state.pid for state in fleet.shards}
+            list(server.serve(_stream(cqap, db)))
+            stats = server.stats()
+        spans = obs.TRACER.spans()
+        routes = {key[0]: child.value for key, child in
+                  obs.REGISTRY.get("repro_probes_total").children()}
+        worker_family = obs.REGISTRY.get("repro_worker_probe_work")
+        worker_hist = worker_family.merged()
+        exemplars = obs.TRACER.exemplars()
 
     roots = [s for s in spans if s.name == "scheduler.batch"]
     workers = [s for s in spans if s.name == "shard.serve_group"]
@@ -276,7 +277,6 @@ def test_fleet_trace_propagation_and_exact_merge(prepared):
     assert all(s.trace_id in root_traces for s in workers)
     assert all(s.parent_id in root_spans for s in workers)
     # ...and carries the worker's own pid, which is a live fleet worker
-    worker_pids = {state.pid for state in fleet.shards}
     assert all(s.attrs["pid"] in worker_pids for s in workers)
     # worker histograms merged worker->parent exactly: one observation
     # per shard-routed probe
@@ -289,25 +289,13 @@ def test_fleet_trace_propagation_and_exact_merge(prepared):
 
 
 def test_exemplar_reservoir_keeps_top_k_by_work():
-    obs.enable(exemplar_k=3)
-    for work in (5, 1, 9, 7, 3, 8):
+    from repro.obs.trace import EXEMPLAR_K
+
+    obs.enable()
+    works = random.Random(3).sample(range(100), EXEMPLAR_K + 4)
+    for work in works:
         obs.record_probe(("b", work), "online", work, 0.001)
     exemplars = obs.TRACER.exemplars()
-    assert [e["work"] for e in exemplars] == [9, 8, 7]
-    assert exemplars[0]["binding"] == ["b", 9]
-
-
-# ---------------------------------------------------------------------------
-# counters
-# ---------------------------------------------------------------------------
-def test_counters_delta_since():
-    ctr = Counters()
-    ctr.probes, ctr.scans, ctr.joins_emitted = 5, 7, 2
-    snapshot = ctr.copy()
-    ctr.probes += 3
-    ctr.scans += 10
-    delta = ctr.delta_since(snapshot)
-    assert (delta.probes, delta.scans, delta.joins_emitted) == (3, 10, 0)
-    # a fresh snapshot yields the zero delta
-    zero = ctr.delta_since(ctr.copy())
-    assert zero.online_work == 0
+    top = sorted(works, reverse=True)[:EXEMPLAR_K]
+    assert [e["work"] for e in exemplars] == top
+    assert exemplars[0]["binding"] == ["b", top[0]]

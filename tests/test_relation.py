@@ -375,26 +375,3 @@ class TestCanonicalBytes:
         assert stable_hash((3, 17)) == 4791316452990420745
         assert stable_hash((0,)) == 5114700751797195142
         assert stable_hash(("a", 1)) == 14619405000738917114
-
-
-class TestCounterHygiene:
-    """Equality and union bookkeeping must not leak into global counters."""
-
-    def test_eq_across_column_orders_charges_nothing_globally(self):
-        from repro.util.counters import global_counters
-
-        r1 = rel("R", ("a", "b"), [(1, 2), (3, 4)])
-        r2 = rel("S", ("b", "a"), [(2, 1), (4, 3)])
-        before = global_counters.scans
-        assert r1 == r2
-        assert global_counters.scans == before
-
-    def test_union_reorder_charges_nothing_globally(self):
-        from repro.util.counters import global_counters
-
-        r1 = rel("R", ("a", "b"), [(1, 2)])
-        r2 = rel("S", ("b", "a"), [(5, 6)])
-        before = global_counters.scans
-        out = r1.union(r2)
-        assert out.tuples == {(1, 2), (6, 5)}
-        assert global_counters.scans == before

@@ -119,7 +119,7 @@ class TestStreamedGeneratorProperties:
 
     def test_reduce_rules_false_still_cartesian(self):
         pool = pmtd_pool("path3")
-        raw = rules_from_pmtds(pool, reduce_rules=False)
+        raw = _rules_from_pmtds_eager(pool, reduce_rules=False)
         assert len(raw) == 16  # 2*2*2*2*1, deduplicated
 
 

@@ -107,7 +107,7 @@ class TestExecutor:
         rule = TwoPhaseRule(frozenset({v(1, 3)}), frozenset({v(1, 2, 3)}))
         plan = planner.plan_rule(rule)
         executor = TwoPhaseExecutor(cqap)
-        targets = executor.preprocess([plan], db.size)
+        targets = executor.preprocess([plan], db.size, planner)
         for schema, relation in targets.items():
             assert set(relation.schema) == set(schema)
 
@@ -120,7 +120,8 @@ class TestExecutor:
         # force an absurdly tight executor budget: any S-piece with more
         # than one tuple aborts and flips to the online phase
         executor = TwoPhaseExecutor(cqap, budget_slack=1e-9)
-        targets = executor.preprocess([plan], space_budget=1)
+        targets = executor.preprocess([plan], space_budget=1,
+                                      planner=planner)
         assert any(d.phase == T_PHASE for d in plan.decisions)
         assert sum(len(r) for r in targets.values()) <= 1
 
@@ -130,7 +131,7 @@ class TestExecutor:
         rule = TwoPhaseRule(frozenset({v(1, 3)}), frozenset({v(1, 2, 3)}))
         plan = planner.plan_rule(rule)
         executor = TwoPhaseExecutor(cqap)
-        s_targets = executor.preprocess([plan], db.size)
+        s_targets = executor.preprocess([plan], db.size, planner)
         full = cqap.evaluate(db)
         hit = next(iter(full.tuples))
         request = Relation("Q", ("x1", "x3"), [hit])
@@ -152,7 +153,7 @@ class TestExecutor:
         plan = planner.plan_rule(rule)
         executor = TwoPhaseExecutor(cqap)
         ctr = Counters()
-        targets = executor.preprocess([plan], db.size ** 2 + 1,
+        targets = executor.preprocess([plan], db.size ** 2 + 1, planner,
                                       counters=ctr)
         stored = sum(len(r) for r in targets.values())
         assert ctr.stores >= stored
@@ -209,11 +210,12 @@ class TestOneMaterializationPerSubproblem:
     def test_identical_decisions_reuse_the_rows(self, monkeypatch):
         cqap, db, planner, rule, plans = self._twin_plans()
         names = _count_materializations(monkeypatch)
-        targets = TwoPhaseExecutor(cqap).preprocess(plans, db.size ** 2)
+        targets = TwoPhaseExecutor(cqap).preprocess(plans, db.size ** 2,
+                                                    planner)
         once = len(plans[0].preprocess_decisions)
         assert len(names) == once
         alone = TwoPhaseExecutor(cqap).preprocess(
-            [planner.plan_rule(rule)], db.size ** 2)
+            [planner.plan_rule(rule)], db.size ** 2, planner)
         assert {key: rel.tuples for key, rel in targets.items()} == {
             key: rel.tuples for key, rel in alone.items()}
 
@@ -235,7 +237,7 @@ class TestOneMaterializationPerSubproblem:
 
 
 class TestBudgetAbortRepricing:
-    """The abort fallback must re-price, not punt to inf (satellite fix)."""
+    """The abort fallback re-prices its T-target, never punts to inf."""
 
     def _aborting_plan(self):
         cqap, db = two_reach_setup(n_edges=300, domain=20, skew=0)
@@ -257,19 +259,6 @@ class TestBudgetAbortRepricing:
         for decision in aborted:
             assert math.isfinite(decision.predicted_log_size)
             assert decision.target in rule.t_targets
-
-    def test_without_planner_falls_back_lexicographically(self):
-        planner, rule, plan, before = self._aborting_plan()
-        executor = TwoPhaseExecutor(planner.cqap, budget_slack=1e-9)
-        executor.preprocess([plan], space_budget=1)
-        assert executor.budget_aborts > 0
-        lexi_first = min(rule.t_targets, key=lambda t: tuple(sorted(t)))
-        aborted = [d for d in plan.decisions
-                   if id(d) in before and d.phase == T_PHASE]
-        assert aborted
-        for decision in aborted:
-            assert decision.target == lexi_first
-            assert decision.predicted_log_size == math.inf
 
     def test_best_online_target_prefers_cheapest_bound(self):
         planner, rule, plan, _ = self._aborting_plan()

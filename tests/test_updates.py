@@ -168,14 +168,13 @@ class TestSharedPieces:
                   for decision in plan.decisions
                   for piece in decision.subproblem.relations.values()}
         for op, name, row in self.SCRIPT:
-            before = {key: (set(piece.tuples), piece.version)
+            before = {key: set(piece.tuples)
                       for key, piece in pieces.items()}
             assert index.apply_delta(op, name, row).changed
             moved = 0
             for key, piece in pieces.items():
-                rows, version = before[key]
-                if piece.version == version:
-                    assert piece.tuples == rows
+                rows = before[key]
+                if piece.tuples == rows:
                     continue
                 moved += 1
                 assert piece.name.startswith(name)
@@ -671,19 +670,29 @@ class TestSurgicalCacheEviction:
         assert len(pq.probe(key_b)) == 1
         assert not pq.replanned
 
-    def test_flush_everything_contract(self):
-        """affected_keys=None means flush the whole cache (degraded path)."""
-        from repro.updates import UpdateEvent
+    #: one delta per path through ``apply_delta``, with the keys it makes
+    #: stale: ``index`` is preprocessed unless ``ready`` is False, and its
+    #: database holds ``Z``, a relation outside the query body
+    EVENT_PATHS = {
+        "noop_insert": (True, "insert", "R1", (0, 10), set()),
+        "noop_delete": (True, "delete", "R1", (5, 5), set()),
+        "outside_body": (True, "insert", "Z", (7, 7), set()),
+        "before_preprocess": (False, "insert", "R3", (20, 31), set()),
+        "insert": (True, "insert", "R3", (20, 31), {(0, 31)}),
+        "delete": (True, "delete", "R3", (20, 30), {(0, 30)}),
+    }
 
-        cqap, db, index = build_index()
-        pq = PreparedQuery(index, cache_size=16)
-        pq.probe((0, 30))
-        pq.probe((1, 31))
-        assert len(pq.cache) == 2
-        pq.on_index_delta(UpdateEvent(
-            op="insert", relation="R1", row=(5, 5), changed=True,
-            in_query=True, affected_keys=None))
-        assert len(pq.cache) == 0
+    @pytest.mark.parametrize("path", sorted(EVENT_PATHS))
+    def test_every_event_carries_a_frozenset_of_keys(self, path):
+        ready, op, name, row, stale = self.EVENT_PATHS[path]
+        db = chain_db()
+        db.add(Relation("Z", ("a", "b"), {(1, 1)}))
+        index = CQAPIndex(k_path_cqap(3), db, RICH)
+        if ready:
+            index.preprocess()
+        event = index.apply_delta(op, name, row)
+        assert type(event.affected_keys) is frozenset
+        assert event.affected_keys == stale
 
     def test_updates_section_reaches_the_stats_envelope(self):
         from repro.serving.stats import validate_stats
@@ -696,7 +705,7 @@ class TestSurgicalCacheEviction:
         assert stats["updates"]["inserts"] == 1
         assert stats["updates"]["events_seen"] == 1
         # clearing the cache by hand is not an index delta
-        pq.cache.evict(None)
+        pq.cache.evict({(0, 30)})
         assert pq.stats()["updates"]["events_seen"] == 1
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.counters import Counters, global_counters, reset_counters
+from repro.util.counters import Counters
 from repro.util.rationals import approx_fraction, log2, solve_slope
 
 
@@ -10,13 +10,6 @@ class TestCounters:
     def test_online_work(self):
         ctr = Counters(probes=2, scans=3, joins_emitted=4)
         assert ctr.online_work == 9
-
-    def test_reset(self):
-        ctr = Counters(probes=5)
-        ctr.notes["x"] = 1
-        ctr.reset()
-        assert ctr.probes == 0
-        assert ctr.notes == {}
 
     def test_snapshot(self):
         ctr = Counters(probes=1, scans=2, stores=3, joins_emitted=4)
@@ -37,12 +30,6 @@ class TestCounters:
         b = a.copy()
         b.probes += 1
         assert a.probes == 1
-
-    def test_global_reset(self):
-        global_counters.probes += 5
-        out = reset_counters()
-        assert out is global_counters
-        assert global_counters.probes == 0
 
 
 class TestRationals:
