@@ -1,5 +1,5 @@
 """Quickstart — prepare a space-budgeted CQAP instance once, probe it many
-times through the serving engine, then scale it out with the serving
+times through the serving engine, then serve it through the serving
 facade (``repro.serve``).
 
 Run:  python examples/quickstart.py
@@ -67,15 +67,15 @@ def main() -> None:
           f"cache {engine['cache']['hits']}/{engine['cache']['hits'] + engine['cache']['misses']} hits, "
           f"replanned={engine['replanned']}")
 
-    # Scale out: front the same prepared query with the serving facade.
-    # backend="thread" shards inside this process; backend="process"
-    # forks one worker per shard — answers are identical either way, so
-    # migrating is exactly the backend= argument.
+    # Front the same prepared query with the serving facade.
+    # backend="thread" answers from the index's own replica inside this
+    # process; backend="process", shards=N forks one worker per shard —
+    # answers are identical either way.
     stream = [batch, [hit, miss]]
-    with serve(pq, backend="thread", shards=2, batch_size=8) as server:
+    with serve(pq, backend="thread", batch_size=8) as server:
         served = server.serve_all(stream)
         envelope = server.stats()
-    print(f"\nserve(backend='thread', shards=2): "
+    print(f"\nserve(backend='thread'): "
           f"{envelope['server']['probes_served']} probes over "
           f"{len(served)} distinct bindings, "
           f"dedupe {envelope['scheduler']['dedupe_ratio']:.2f}, "

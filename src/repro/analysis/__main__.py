@@ -103,12 +103,12 @@ def _run_verify_plans() -> int:
     ``auto_select_threshold`` so the budgeted beam selection is
     exercised, mirroring the differential harness's configuration axes.
     Each cell then replays :data:`REPLAY_DELTAS` seeded deltas through
-    the index and two in-process shard backends with the cell's shard
-    count — one whose executors share the index's steps, one whose
-    executors hold pickled payload copies as fleet workers do — and is
-    verified again, so what deltas maintain in place (pieces, pinned
-    indexes, S-targets, Online Yannakakis passes, the shards' views and
-    piece copies) is checked too.
+    the index and a :class:`~repro.analysis.verify_plan.PickledReplicas`
+    backend with the cell's shard count (executors holding pickled
+    payload copies, as fleet workers do) and is verified again, so what
+    deltas maintain in place (pieces, pinned indexes, S-targets, Online
+    Yannakakis passes, the shards' views and piece copies) is checked
+    too.
     Budget-infeasible cells (PlanningError) are reported and skipped —
     infeasibility is a legitimate planner outcome, not a verification
     failure.
@@ -121,7 +121,6 @@ def _run_verify_plans() -> int:
     )
     from repro.core.index import CQAPIndex
     from repro.core.two_phase import PlanningError
-    from repro.serving.sharding import ShardedIndex
     from repro.tradeoff.cost import CatalogStatistics
 
     failures = 0
@@ -141,12 +140,10 @@ def _run_verify_plans() -> int:
                         statistics=statistics,
                     ).preprocess(verify_plans=True)
                     stored = index.stats.stored_tuples
-                    backends = (ShardedIndex(index, shards),
-                                PickledReplicas(index, shards))
+                    replicas = PickledReplicas(index, shards)
                     _replay(index, cell)
                     check_index(index)
-                    issues = [issue for backend in backends
-                              for issue in verify_shards(backend)]
+                    issues = verify_shards(replicas)
                     if issues:
                         raise PlanVerificationError(issues)
                 except PlanningError as exc:

@@ -36,13 +36,13 @@ parts) and reports every violation as a human-readable issue string:
   over the S-decisions designating it, of a fresh materialization of
   that decision's current pieces: what preprocessing (one materialization
   per distinct subproblem) and every delta since must leave there.
-* **Replicas** — the index's replica, and every executor of a shard
-  backend (:func:`verify_shards`; not part of :func:`verify_index`,
-  which sees the index only), reads one view relation per S-target
-  holding exactly the target rows routed to its shard; every Online
-  Yannakakis S-view holds what a fresh pass over those views derives,
-  and every index it caches is a fresh ``index_on`` of its rows (same
-  keys, same buckets, no empty bucket).  A replica holding pickled step
+* **Replicas** — the index's replica, and every executor of a
+  :class:`PickledReplicas` backend (:func:`verify_shards`; not part of
+  :func:`verify_index`, which sees the index only), reads one view
+  relation per S-target holding exactly the target rows routed to its
+  shard; every Online Yannakakis S-view holds what a fresh pass over
+  those views derives, and every index it caches is a fresh
+  ``index_on`` of its rows (same keys, same buckets, no empty bucket).  A replica holding pickled step
   copies holds the index's rows in every copied piece, and its copies'
   pinned indexes are live.
 
@@ -60,7 +60,13 @@ from repro.core.replica import ShardExecutor
 from repro.core.split import split_path
 from repro.data.relation import Relation, row_getter
 from repro.query.cq import CQAP
-from repro.serving.sharding import ShardedIndex, access_hash, shard_payloads
+from repro.serving.sharding import (
+    Binding,
+    GroupAnswer,
+    ShardBackend,
+    access_hash,
+    shard_payloads,
+)
 from repro.tradeoff.selection import (
     PMTD_OVERHEAD,
     SelectionResult,
@@ -465,8 +471,8 @@ def verify_yannakakis(index: Any) -> List[str]:
 
 
 def verify_shards(backend: Any) -> List[str]:
-    """Check every executor of an in-process shard backend (its views
-    against the index S-target rows routed to its shard)."""
+    """Check every executor of a :class:`PickledReplicas` backend (its
+    views against the index S-target rows routed to its shard)."""
     issues: List[str] = []
     for executor in backend._executors:
         issues.extend(_replica_issues(
@@ -475,13 +481,40 @@ def verify_shards(backend: Any) -> List[str]:
     return issues
 
 
-class PickledReplicas(ShardedIndex):
-    """An in-process shard backend whose executors hold pickled payloads,
-    as fleet workers do, so :func:`verify_shards` can check their copies."""
+class PickledReplicas(ShardBackend):
+    """The process fleet's workers without the processes: one executor
+    per shard built from a pickled payload, called directly, taking every
+    delta — the fleet's in-process reference, checked by
+    :func:`verify_shards`."""
+
+    backend = "process"   # the transport it models
+
+    def __init__(self, index: Any, n_shards: int) -> None:
+        super().__init__(index, n_shards)
+        self._start()
+        index.register_delta_listener(self)
 
     def _start(self) -> None:
         self._executors = [ShardExecutor(pickle.loads(pickle.dumps(payload)))
                            for payload in self._payloads()]
+        for ledger, executor in zip(self.shards, self._executors):
+            ledger.preprocess_seconds = executor.preprocess_seconds
+
+    def answer_group(self, shard_id: int, group: Sequence[Binding],
+                     trace_ctx: Optional[Tuple[str, str]] = None,
+                     ) -> GroupAnswer:
+        answers, ctr, cpu, obs_payload = \
+            self._executors[shard_id].serve_group(group, trace_ctx)
+        self._account(shard_id, len(group), ctr, cpu, obs_payload)
+        return answers, ctr
+
+    def _deliver(self, event: Any) -> int:
+        """Hand each shard its routed message, at every shard count: the
+        executors hold pickled copies of the pieces the index patched."""
+        return sum(executor.apply_delta(delta)
+                   for executor, delta in zip(self._executors,
+                                              self.route_delta(event))
+                   if delta.pieces or delta.view_rows)
 
 
 def _replica_issues(label: str, replica: Any, index: Any,

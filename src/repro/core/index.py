@@ -279,8 +279,6 @@ class CQAPIndex:
         # the serving state is frozen: the replica reads it as a shard does
         self._ready = True
         self._replica = ShardExecutor(shard_payloads(self, 1)[0])
-        # the index counts its online runs on its own executor
-        self._replica.executor = self.executor
         ctr += self._replica.preprocess_counters
         self.stats = IndexStats()
         self._count_stored()

@@ -6,9 +6,10 @@ Yannakakis pass over the views — and both operations on it:
 :meth:`~ShardExecutor.online_phase` and :meth:`~ShardExecutor.apply_delta`.
 The index is the one-shard case: :func:`shard_payloads` cuts a prepared
 index into ``n`` payloads, :class:`~repro.core.index.CQAPIndex` builds its
-replica from the one payload of ``n = 1``, every serving shard one from
-its own (in process, or from a pickled copy in a fleet worker), and a
-delta reaches each of them as the same :class:`ShardDelta`.
+replica from the one payload of ``n = 1`` (the replica the in-process
+``serve(backend="thread")`` answers from), every fleet worker one from a
+pickled copy of its own, and a delta reaches each of them as the same
+:class:`ShardDelta`.
 """
 
 from __future__ import annotations
@@ -197,8 +198,8 @@ class ShardExecutor:
     The passes are built here, over the payload's relations, so the
     semijoin reductions and index warm-ups of a shard run against its own
     slices, wherever it lives.  A fleet worker's copy came through pickle
-    and owns everything it holds; an in-process one shares the steps and
-    the replicated targets' tuple *sets* with the index.
+    and owns everything it holds; the index's own replica shares the
+    steps and the targets' tuple *sets* with the index.
     """
 
     def __init__(self, payload: ShardPayload) -> None:

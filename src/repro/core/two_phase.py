@@ -257,10 +257,11 @@ class CompiledOnlineStep:
 class TwoPhaseExecutor:
     """Runs the two phases of a set of rule plans.
 
-    Lifecycle counters (``preprocess_runs`` / ``compile_runs`` /
-    ``online_runs``) let callers verify the plan-once/probe-many contract:
-    a prepared instance preprocesses and compiles exactly once, no matter
-    how many online phases it serves afterwards.
+    Lifecycle counters (``preprocess_runs`` / ``compile_runs``) let
+    callers verify the plan-once/probe-many contract: a prepared instance
+    preprocesses and compiles exactly once, no matter how many online
+    phases it serves afterwards (the answer cache and each shard ledger
+    count those, as ``online_phases``).
     """
 
     def __init__(self, cqap: CQAP, budget_slack: float = 8.0) -> None:
@@ -268,7 +269,6 @@ class TwoPhaseExecutor:
         self.budget_slack = budget_slack
         self.preprocess_runs = 0
         self.compile_runs = 0
-        self.online_runs = 0
         #: S-decisions flipped to the online phase by the budget-abort
         #: fallback (Algorithm 1's abort path) — lets tests and stats
         #: observe that the abort actually fired
@@ -372,7 +372,6 @@ class TwoPhaseExecutor:
                         ) -> Dict[VarSet, Relation]:
         """Run the compiled T-phase against one access request relation."""
         ctr = counters or Counters()
-        self.online_runs += 1
         targets: Dict[VarSet, Relation] = {}
         access = self.cqap.access
         # the request tuples are never mutated here, so the rebinding to

@@ -242,7 +242,6 @@ class PreparedQuery:
             "plan_calls": self._index.planner.plan_calls,
             "preprocess_runs": self._index.executor.preprocess_runs,
             "compile_runs": self._index.executor.compile_runs,
-            "online_runs": self._index.executor.online_runs,
             "probes_served": self.cache.probes_in,
             "batch_calls": self.cache.calls["engine.probe_many"],
             "online_phases": self.cache.phases,

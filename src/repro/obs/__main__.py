@@ -24,7 +24,7 @@ import repro.obs as obs
 from repro.obs.promparse import ExpositionError, validate_exposition
 
 
-def _serve_demo(backend: str, shards: int, batches: int):
+def _serve_demo(backend: str, batches: int):
     """Serve the demo stream with tracing on; returns (server stats,
     served answers, reference PreparedQuery)."""
     from repro.core.index import CQAPIndex
@@ -45,9 +45,9 @@ def _serve_demo(backend: str, shards: int, batches: int):
     reference_index.preprocess()
     reference = PreparedQuery(reference_index, cache_size=64)
 
-    served = []
-    with serve(index, backend=backend, shards=shards, batch_size=8,
-               cache_size=64) as server:
+    with serve(index, backend=backend,
+               shards=2 if backend == "process" else 1,
+               batch_size=8, cache_size=64) as server:
         served = list(server.serve(stream))
         stats = server.stats()
     return stats, served, reference
@@ -105,7 +105,7 @@ def _check(args, stats, served, expected) -> int:
     for what in failures:
         print(f"OBS CHECK FAIL: {what}", file=sys.stderr)
     verdict = "FAIL" if failures else "OK"
-    print(f"obs check [{args.backend}/{args.shards} shards]: "
+    print(f"obs check [{args.backend}/{len(stats['shards'])} shards]: "
           f"{probes_served} probes, {len(exemplars)} exemplars, "
           f"{verdict}", file=sys.stderr, flush=True)
     return 1 if failures else 0
@@ -118,7 +118,6 @@ def main(argv=None) -> int:
                     "the metrics")
     parser.add_argument("--backend", choices=("thread", "process"),
                         default="thread")
-    parser.add_argument("--shards", type=int, default=2)
     parser.add_argument("--batches", type=int, default=3)
     parser.add_argument("--json", action="store_true",
                         help="emit the JSON export instead of the "
@@ -133,8 +132,7 @@ def main(argv=None) -> int:
     # reference PreparedQuery probes after it, so the histograms count
     # exactly the served probes
     with obs.tracing():
-        stats, served, reference = _serve_demo(args.backend, args.shards,
-                                               args.batches)
+        stats, served, reference = _serve_demo(args.backend, args.batches)
         output = (obs.render_json(indent=2) if args.json
                   else obs.render_prometheus())
     rc = 0

@@ -3,27 +3,29 @@
 The serving stack, bottom to top::
 
     repro.prepare(cqap, db, budget, shards=N)   # plan once, priced per shard
-      └─ ShardExecutor      # one shard's steps + S-views + online phase
+      └─ ShardExecutor      # one replica: steps + S-views + online phase
+           │                # (the index holds one: index._replica)
            └─ ShardBackend  # routing, delta routing, ledgers, stats; two
-              │             # transports over the same executor:
-              ├─ ShardedIndex      backend="thread": in-process, direct
-              │                    calls, a batch's groups answered in order
-              └─ ProcessShardFleet backend="process": the same executor
-                                   in one worker process per shard,
+              │             # transports:
+              ├─ ShardedIndex      backend="thread": the index's own
+              │                    replica, called directly (one shard)
+              └─ ProcessShardFleet backend="process": one executor per
+                                   shard in its own worker process,
                                    behind one pipe each
               └─ BatchScheduler    # dedupe + answer cache + shard groups
                    └─ Server       # stream facade: backpressure + stats
 
 ``serve()`` takes exactly four keywords — ``backend``, ``shards``,
 ``batch_size``, ``cache_size`` — and there is nothing else to tune: how
-a batch's groups are dispatched follows from the transport.
+a batch's groups are dispatched follows from the transport, and
+``shards`` is the fleet's worker count (the thread backend has one).
 
 Because every S-view that serves probes is keyed by the access-variable
 binding, partitioning the stored side by a hash of that binding commutes
 with probe semantics by construction — answers are bit-identical for every
 shard count and for both backends (the proof-of-invariance note lives in
 :mod:`repro.serving.sharding`; the differential harness asserts it across
-shard counts on both the thread and the process path).
+shard counts on in-process pickled replicas and on the process fleet).
 
 Quickstart::
 

@@ -8,16 +8,15 @@ The redesigned API splits serving into exactly two calls::
         for binding, answer in server.serve(stream):
             ...
 
-``backend="thread"`` serves every shard inside the calling process, one
-group after the other (the in-process reference: cheap, GIL-bound);
-``backend="process"`` runs the :class:`~repro.serving.fleet.
-ProcessShardFleet`, the same shard executor behind pickle in one worker
+``backend="thread"`` answers from the index's own replica inside the
+calling process (one shard: the index is built, counted and maintained
+once); ``backend="process"`` runs the :class:`~repro.serving.fleet.
+ProcessShardFleet`, the same replica code behind pickle in one worker
 process per shard.  The two are drop-in interchangeable — same answers
-and the same intrinsic work for every shard count (the differential
-harness checks both paths bit-identically against the oracle), same
-:class:`~repro.serving.server.Server` protocol, same stats envelope — so
-migrating a thread deployment to processes is exactly the ``backend=``
-argument.
+(the differential harness checks both paths bit-identically against the
+oracle), same :class:`~repro.serving.server.Server` protocol, same stats
+envelope — so migrating a thread deployment to processes is the
+``backend=`` argument, plus ``shards=`` for more than one worker.
 
 Passing ``shards=N`` to :func:`repro.prepare` as well makes the space
 budget honest per worker: rule selection then prices each shard's
@@ -48,16 +47,17 @@ def _coerce_index(prepared) -> CQAPIndex:
         f"CQAPIndex, got {type(prepared).__name__}")
 
 
-def serve(prepared, *, backend: str = "thread", shards: int = 4,
+def serve(prepared, *, backend: str = "thread", shards: int = 1,
           batch_size: int = 32, cache_size: int = 256) -> Server:
     """Front a prepared query with a shard backend; returns a Server.
 
-    Keyword-only configuration; the backend choice is the *only* thing
-    that changes between a thread and a process deployment:
+    Keyword-only configuration:
 
-    * ``backend`` — ``"thread"`` (in-process shards, groups answered in
-      order) or ``"process"`` (one worker process per shard, the fleet);
-    * ``shards`` — shard count; answers are identical for every value;
+    * ``backend`` — ``"thread"`` (the index's own replica, in process) or
+      ``"process"`` (one worker process per shard, the fleet);
+    * ``shards`` — the fleet's worker count; the thread backend has one
+      shard and rejects any other value.  Answers are identical for
+      every value;
     * ``batch_size`` — stream batching and the backpressure window: the
       server reads one batch ahead of the consumer at most, see
       :meth:`Server.serve`;

@@ -16,8 +16,9 @@ scheduler runs the same loop as the unsharded engine
   shard and each group is answered in *one* online phase on its shard.
   How the groups of a batch are dispatched is the backend's business
   (:meth:`~repro.serving.sharding.ShardBackend.answer_groups`): the
-  in-process transport answers them in order on this thread, the process
-  fleet submits them all up front so its workers run in parallel.
+  thread transport has one shard, whose one group the index's own
+  replica answers on this thread; the process fleet submits every group
+  up front so its workers run in parallel.
   Results are reassembled in input order either way.
 
 The scheduler never owns the backend — :class:`~repro.serving.server.
@@ -84,7 +85,7 @@ class BatchScheduler:
         """Answer a batch; returns one relation per binding, input order.
 
         Duplicate bindings share one (identical) relation object; results
-        are equal to per-binding :meth:`ShardedIndex.probe` calls — and to
+        are equal to per-binding :meth:`ShardBackend.probe` calls — and to
         the unsharded engine — for every shard count.
         """
         return self.run_keyed(bindings, counters=counters)[1]

@@ -1,9 +1,9 @@
 """The process-parallel shard fleet: one worker process per shard.
 
-:class:`~repro.serving.sharding.ShardedIndex` serves every shard's
-:class:`~repro.core.replica.ShardExecutor` inside one interpreter, so
-under the GIL shards compete for the same core.  The fleet is the other
-transport over the same executor — it gives each shard its own process:
+:class:`~repro.serving.sharding.ShardedIndex` answers from the index's
+own :class:`~repro.core.replica.ShardExecutor`, one shard in the calling
+interpreter.  The fleet is the transport that shards: it runs one
+executor per shard, each in its own process:
 
 * :func:`~repro.serving.sharding.shard_payloads` builds one picklable
   payload per shard — CQAP, compiled T-phase steps, and one relation per
@@ -64,8 +64,9 @@ state is lost and only a rebuild recovers it.  ``close()`` (or the
 context manager) stops every worker and reaps its process.
 
 Shard routing stays parent-side, in the shared :class:`~repro.serving.
-sharding.ShardBackend` — ``stable_hash`` is process-stable, so both
-transports and every shard count route identically (the
+sharding.ShardBackend` — ``stable_hash`` is process-stable, so the fleet
+and its in-process model, :class:`~repro.analysis.verify_plan.
+PickledReplicas`, route identically at every shard count (the
 ``serving_process`` differential path asserts the answers bit-identical).
 """
 
@@ -311,7 +312,7 @@ class ProcessShardFleet(ShardBackend):
     genuinely run in parallel, no GIL in common), keeps the per-worker
     pid on the ledgers, and turns a dead worker into :class:`FleetError`.
     Drop-in interchangeable with :class:`~repro.serving.sharding.
-    ShardedIndex` behind ``serve(backend=...)``.
+    ShardedIndex` behind ``serve(backend=...)``, at any shard count.
     """
 
     backend = "process"
@@ -403,7 +404,7 @@ class ProcessShardFleet(ShardBackend):
         if not self._closed:
             super().on_index_delta(event)
 
-    def _deliver(self, deltas: List[ShardDelta]) -> int:
+    def _deliver(self, event) -> int:
         """Ship the delta to every worker it touches; returns rows applied.
 
         The workers hold pickled *copies* of the T-phase steps, so every
@@ -412,7 +413,7 @@ class ProcessShardFleet(ShardBackend):
         """
         pending = [
             (worker, worker.request("delta", delta))
-            for worker, delta in zip(self._workers, deltas)
+            for worker, delta in zip(self._workers, self.route_delta(event))
             if delta.pieces or delta.view_rows
         ]
         return sum(worker.wait(reply) for worker, reply in pending)

@@ -43,8 +43,8 @@ class Server:
     """Batched, sharded serving of a probe stream with bounded buffering.
 
     Backend-agnostic: ``backend`` is a :class:`~repro.serving.sharding.
-    ShardedIndex` (in-process) or :class:`~repro.serving.fleet.
-    ProcessShardFleet` (worker processes); nothing above the backend's
+    ShardedIndex` (the index's own replica) or :class:`~repro.serving.
+    fleet.ProcessShardFleet` (worker processes); nothing above the backend's
     own dispatch distinguishes them.  The server owns its backend:
     closing the server also closes the backend — for the process fleet
     that is what reaps the worker processes.

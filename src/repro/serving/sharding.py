@@ -16,11 +16,12 @@ every shard whole ("replicated", T-route state included).
 
 One :class:`~repro.core.replica.ShardExecutor` serves one shard's payload,
 and it is the same code wherever it runs — the index's own replica is the
-one-shard case.  The two backends are *transports* over it:
-:class:`ShardedIndex` calls its executors directly, in the calling thread,
-one group after the other; :class:`~repro.serving.fleet.ProcessShardFleet`
-puts each executor in a worker process behind pickle.  Routing, delta
-routing, the per-shard ledgers and the stats sections live once, in
+one-shard case.  The two transports of :func:`~repro.serving.serve` are:
+:class:`ShardedIndex`, which answers from the index's own replica in the
+calling thread (one shard, nothing built or maintained of its own), and
+:class:`~repro.serving.fleet.ProcessShardFleet`, which puts one executor
+per shard in a worker process behind pickle.  Routing, delta routing, the
+per-shard ledgers and the stats sections live once, in
 :class:`ShardBackend`.
 
 Proof of invariance (why answers are independent of the shard count):
@@ -120,8 +121,9 @@ class ShardBackend:
     Routing of bindings and of delta rows (one :func:`access_hash`, so a
     row lands exactly where the probes that can see it are answered), the
     per-shard ledgers, and the stats sections.  A transport supplies
-    ``backend`` (its envelope tag), :meth:`_start` (build one executor
-    per payload), :meth:`answer_group` and :meth:`_deliver`.
+    ``backend`` (its envelope tag), :meth:`_start` (set up its replicas,
+    again after a drift re-selection), :meth:`answer_group` and
+    :meth:`_deliver`.
     """
 
     backend: str
@@ -138,6 +140,9 @@ class ShardBackend:
         self.access: Tuple[str, ...] = tuple(index.cqap.access)
         self.n_shards = int(n_shards)
         self.shards = [ShardLedger(i) for i in range(self.n_shards)]
+        #: each partitioned S-target -> the getter of its rows' access
+        #: tuple, which routes them (:meth:`route_delta`)
+        self._partitioned: Dict = {}
         #: update-path accounting (stats envelope ``updates`` section)
         self.rebuilds = 0
         self.routed_rows = 0
@@ -150,8 +155,6 @@ class ShardBackend:
         plan state (no delta can describe "everything you hold is gone").
         """
         payloads = shard_payloads(self.index, self.n_shards)
-        #: each partitioned S-target -> the getter of its rows' access
-        #: tuple, which routes them (:meth:`route_delta`)
         self._partitioned = {
             target: row_getter(
                 self.index.s_targets[target].positions(self.access))
@@ -256,12 +259,11 @@ class ShardBackend:
     # incremental updates (repro.updates delta events)
     # ------------------------------------------------------------------
     def on_index_delta(self, event) -> None:
-        """Bring every shard's executor up to date with one index delta.
+        """Bring every shard's replica up to date with one index delta.
 
-        Each shard gets the message the index's replica took, its S-target
-        rows routed (:meth:`route_delta`); a drift re-selection replaced
-        the frozen plan state wholesale, so the executors are rebuilt from
-        fresh payloads instead.
+        :meth:`_deliver` hands it on and counts the S-view rows the
+        replicas took; a drift re-selection replaced the frozen plan state
+        wholesale, so :meth:`_start` sets the replicas up again instead.
         """
         if not event.changed:
             return
@@ -269,7 +271,7 @@ class ShardBackend:
             self._start()
             self.rebuilds += 1
         elif event.pieces or event.targets_changed:
-            self.routed_rows += self._deliver(self.route_delta(event))
+            self.routed_rows += self._deliver(event)
 
     def close(self) -> None:
         """Detach from the index's delta feed."""
@@ -287,11 +289,6 @@ class ShardBackend:
     def replicated_tuples(self) -> int:
         """S-tuples resident on every shard."""
         return self.index.stored_tuples - self.partitioned_tuples
-
-    @property
-    def stored_tuples(self) -> int:
-        """Global S-tuples (partitioned once + replicated once)."""
-        return self.index.stored_tuples
 
     def budget_split(self) -> Dict:
         """How the global space budget divides across shards.
@@ -348,15 +345,11 @@ class ShardBackend:
 
 
 class ShardedIndex(ShardBackend):
-    """The in-process transport: executors called directly, in order.
+    """The in-process transport: one shard, the index's own replica.
 
-    Each shard's :class:`ShardExecutor` lives in the calling process and
-    :meth:`answer_group` is a plain call, so a batch's groups are answered
-    one after the other on the caller's thread (under the GIL, threads
-    over them only ever lost throughput).  It is the reference the
-    process fleet is compared against: same payloads, same executor, no
-    pickle in between — answers and ``Counters`` are equal for every
-    shard count.
+    Nothing of its own to build or maintain: :meth:`answer_group` calls
+    ``index._replica`` (kept up to date by ``apply_delta``, replaced by a
+    drift re-selection) on the caller's thread.
     """
 
     backend = "thread"
@@ -364,30 +357,35 @@ class ShardedIndex(ShardBackend):
     # __init__, answer_group and on_index_delta are defined on this class
     # itself (not only inherited): outside-in span wrappers patch a
     # transport's own attributes to tell the two apart
-    def __init__(self, index: CQAPIndex, n_shards: int = 4) -> None:
-        super().__init__(index, n_shards)
+    def __init__(self, index: CQAPIndex, n_shards: int = 1) -> None:
+        if n_shards != 1:
+            raise ValueError(
+                f"backend=\"thread\" answers from the index's one replica, "
+                f"so it has exactly one shard (got {n_shards}); shard "
+                f"across worker processes with backend=\"process\"")
+        super().__init__(index, 1)
         self._start()
         index.register_delta_listener(self)
 
     def _start(self) -> None:
-        self._executors = [ShardExecutor(p) for p in self._payloads()]
-        for ledger, executor in zip(self.shards, self._executors):
-            ledger.preprocess_seconds = executor.preprocess_seconds
+        self.shards[0].preprocess_seconds = \
+            self.index._replica.preprocess_seconds
 
     def answer_group(self, shard_id: int, group: Sequence[Binding],
                      trace_ctx: Optional[Tuple[str, str]] = None,
                      ) -> GroupAnswer:
         answers, ctr, cpu, obs_payload = \
-            self._executors[shard_id].serve_group(group, trace_ctx)
+            self.index._replica.serve_group(group, trace_ctx)
         self._account(shard_id, len(group), ctr, cpu, obs_payload)
         return answers, ctr
 
-    def _deliver(self, deltas: List[ShardDelta]) -> int:
-        """Hand each shard its message (pieces they share with the index
-        are already patched: only their views move)."""
-        return sum(executor.apply_delta(delta)
-                   for executor, delta in zip(self._executors, deltas)
-                   if delta.pieces or delta.view_rows)
+    def _deliver(self, event) -> int:
+        """Nothing to send (``apply_delta`` maintained the replica before
+        the event fired): count the S-view rows the replica took."""
+        views = self.index._replica.views
+        return sum(len(added) + len(removed)
+                   for target, (added, removed) in event.target_deltas.items()
+                   if target in views)
 
     def on_index_delta(self, event) -> None:
         super().on_index_delta(event)

@@ -20,15 +20,16 @@ them:
   included;
 * ``serving_sharded`` / ``serving_process`` — the serving layer
   (``repro.serving``) through the one public entry point
-  ``serve(prepared, backend=...)``: the same prepared index
-  hash-partitioned across every shard count in ``SHARD_SWEEP``
-  (``PROCESS_SHARD_SWEEP`` for the process fleet, whose workers rebuild
-  their shard state in their own processes) and probed in batches.  The
-  two paths differ *only* in the ``backend=`` argument — exactly the
-  drop-in contract the API promises — and beyond the oracle diff each
-  asserts *shard-count invariance*: answers must be bit-identical across
-  shard counts;
-* ``serving_observability`` — the thread/4-shard serving path again with
+  ``serve(prepared, backend=...)``, probed in batches: the thread backend
+  (the index's own replica), and the process fleet at every shard count
+  in ``PROCESS_SHARD_SWEEP`` (workers rebuild their shard state in their
+  own processes).  Beyond the oracle diff each asserts *shard-count
+  invariance*: answers must be bit-identical across shard counts — on
+  the thread path, those of in-process pickled replicas
+  (:class:`~repro.analysis.verify_plan.PickledReplicas`, the fleet's
+  workers without the processes) at every shard count in
+  ``SHARD_SWEEP``;
+* ``serving_observability`` — the thread serving path again with
   tracing on: oracle-equal *and* bit-identical to the untraced
   ``serving_sharded`` answers;
 * ``update_replay`` / ``update_replay_process`` — seeded insert/delete
@@ -41,7 +42,9 @@ them:
   turns a missed cache eviction into a visible stale answer.  Every step
   also runs the plan verifier's S-target, maintained-pass and
   pinned-index liveness checks on the index, and on the thread path its
-  shard-view check on the in-process executors.  After the script, the replayed index must agree
+  shard-view check on a ``PickledReplicas`` backend listening beside the
+  server, so four-way delta routing is verified every step.  After the
+  script, the replayed index must agree
   binding-for-binding with an index rebuilt from scratch on the final
   database (replay == rebuild).
   The thread path runs with a deliberately tight ``staleness_threshold``
@@ -77,9 +80,11 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.analysis.verify_plan import (
+    PickledReplicas,
     verify_compiled_plans,
     verify_s_targets,
     verify_shards,
@@ -112,8 +117,8 @@ PATHS: Tuple[str, ...] = (
 LEAN_BUDGET = 2
 RICH_BUDGET = 10 ** 7
 
-#: shard counts the sharded serving path must agree across (1 = unsharded
-#: reference; 4 and 7 exercise even and non-divisor partition shapes)
+#: shard counts whose pickled replicas must agree with the thread backend
+#: (1 = unsharded; 4 and 7 exercise even and non-divisor partition shapes)
 SHARD_SWEEP: Tuple[int, ...] = (1, 4, 7)
 
 #: shard counts for the process fleet — worker start-up costs real time
@@ -318,15 +323,16 @@ def _drain(server, probes: Sequence[Row],
 
 
 def _run_update_replay(outcome: ScenarioOutcome, path: str,
-                       serve_backend: str, n_shards: int, steps: int,
+                       serve_backend: str, steps: int,
                        staleness_threshold: float = 0.5) -> None:
     """Replay a seeded insert/delete script through one live stack.
 
     One index carries several simultaneous delta listeners — a
     ``PreparedQuery`` plus a ``serve()`` backend with its scheduler
-    cache — and after every step both the engine path and the serving
-    path are diffed against the brute-force oracle on a mirror database
-    mutated in lockstep.  The script deletes rows that are actually
+    cache, and on the thread path four :class:`PickledReplicas` — and
+    after every step both the engine path and the serving path are
+    diffed against the brute-force oracle on a mirror database mutated
+    in lockstep.  The script deletes rows that are actually
     present and inserts recombinations of the original column domains
     (occasionally re-inserting a previously deleted row); probe keys
     rotate so the same binding is asked before and after the mutations
@@ -364,9 +370,12 @@ def _run_update_replay(outcome: ScenarioOutcome, path: str,
 
     deleted: List[Tuple[str, Row]] = []
     pq = PreparedQuery(index, cache_size=workload.cache_size)
-    server = None
+    server = replicas = None
     try:
-        server = serve(index, backend=serve_backend, shards=n_shards,
+        if serve_backend == "thread":
+            replicas = PickledReplicas(index, 4)
+        server = serve(index, backend=serve_backend,
+                       shards=2 if serve_backend == "process" else 1,
                        batch_size=SHARD_BATCH,
                        cache_size=workload.cache_size)
         for step in range(steps):
@@ -396,14 +405,15 @@ def _run_update_replay(outcome: ScenarioOutcome, path: str,
             # the maintained structures, not only their answers: every
             # S-target equals its decisions' fresh materializations, every
             # Online Yannakakis pass equals a fresh build, every pinned
-            # index is live, every in-process shard reads one patched
-            # view per S-target (the payload-pickling check of the whole
-            # check_index is too slow to run per step)
+            # index is live, every pickled replica reads one patched
+            # view per S-target holding its routed rows (the payload-
+            # pickling check of the whole check_index is too slow to run
+            # per step)
             issues = (verify_s_targets(index)
                       + verify_yannakakis(index)
                       + verify_compiled_plans(index.compiled_online))
-            if serve_backend == "thread":
-                issues += verify_shards(server.backend)
+            if replicas is not None:
+                issues += verify_shards(replicas)
             for issue in issues:
                 outcome.flag(f"{path}.step{step}.verify", issue)
 
@@ -451,6 +461,8 @@ def _run_update_replay(outcome: ScenarioOutcome, path: str,
     finally:
         if server is not None:
             server.close()
+        if replicas is not None:
+            replicas.close()
 
 
 def run_scenario(workload: Workload,
@@ -567,31 +579,27 @@ def run_scenario(workload: Workload,
             raise AssertionError("probe_many path re-planned")
         return {b: answer_rows(rel, head) for b, rel in first.items()}
 
-    # -- paths 7-8: the serving layer behind serve(backend=...),
-    # invariant across shard counts; the thread and process paths differ
-    # only in the backend arg
-    def serving_path(backend: str, shard_sweep: Tuple[int, ...]):
+    # -- paths 7-8: the serving layer behind serve(backend=...), and
+    # the same answers from every shard count
+    def serving_path(servers):
+        """The first of ``(label, make server)`` answers; every other
+        must answer the same."""
         def thunk() -> Dict[Row, AnswerSet]:
-            from repro.serving import serve
-
-            per_count: Dict[int, Dict[Row, AnswerSet]] = {}
-            for n_shards in shard_sweep:
-                with serve(batch_index, backend=backend,
-                           shards=n_shards, batch_size=SHARD_BATCH,
-                           cache_size=workload.cache_size) as server:
-                    per_count[n_shards] = _drain(server, workload.probes,
-                                                 head)
-            reference = per_count[shard_sweep[0]]
-            for n_shards, answers in per_count.items():
+            per_server: Dict[str, Dict[Row, AnswerSet]] = {}
+            for label, make in servers:
+                with make() as server:
+                    per_server[label] = _drain(server, workload.probes,
+                                               head)
+            (first, reference), *others = per_server.items()
+            for label, answers in others:
                 if answers != reference:
                     changed = sorted(
                         key for key in set(reference) | set(answers)
                         if answers.get(key) != reference.get(key)
                     )
                     raise AssertionError(
-                        f"shard-count invariance violated: {n_shards} "
-                        f"shards disagree with {shard_sweep[0]} at "
-                        f"bindings {changed}"
+                        f"shard-count invariance violated: {label} "
+                        f"disagree(s) with {first} at bindings {changed}"
                     )
             return reference
         return thunk
@@ -607,13 +615,25 @@ def run_scenario(workload: Workload,
             outcome.skips.append((path, "no preprocessed index"))
     else:
         run("engine_probe_many", engine_probe_many_path)
-        run("serving_sharded", serving_path("thread", SHARD_SWEEP))
-        run("serving_process", serving_path("process", PROCESS_SHARD_SWEEP))
+        from repro.serving import Server, serve
+
+        batching = {"batch_size": SHARD_BATCH,
+                    "cache_size": workload.cache_size}
+        run("serving_sharded", serving_path(
+            [("the thread backend",
+              partial(serve, batch_index, backend="thread", **batching))]
+            + [(f"{n} pickled replicas", lambda n=n: Server(
+                PickledReplicas(batch_index, n), **batching))
+               for n in SHARD_SWEEP]))
+        run("serving_process", serving_path(
+            [(f"{n} worker(s)", partial(serve, batch_index, shards=n,
+                                        backend="process", **batching))
+             for n in PROCESS_SHARD_SWEEP]))
 
     # -- path 9: serving with observability enabled ---------------------
-    # same thread/4-shard configuration the sharded sweep covers, but
-    # with tracing on: proves the instrumented hot path is observation-
-    # only (answers bit-identical to the oracle AND to the uninstrumented
+    # the thread backend the serving_sharded path serves, but with
+    # tracing on: proves the instrumented hot path is observation-only
+    # (answers bit-identical to the oracle AND to the uninstrumented
     # serving_sharded run above)
     if batch_index is None:
         outcome.skips.append(("serving_observability",
@@ -624,7 +644,7 @@ def run_scenario(workload: Workload,
             from repro.serving import serve
 
             with obs.tracing():
-                with serve(batch_index, backend="thread", shards=4,
+                with serve(batch_index, backend="thread",
                            batch_size=SHARD_BATCH,
                            cache_size=workload.cache_size) as server:
                     answers = _drain(server, workload.probes, head)
@@ -654,11 +674,10 @@ def run_scenario(workload: Workload,
 
     # -- paths 10-11: seeded update replay -----------------------------
     _run_update_replay(outcome, "update_replay", serve_backend="thread",
-                       n_shards=4, steps=UPDATE_STEPS,
+                       steps=UPDATE_STEPS,
                        staleness_threshold=UPDATE_STALENESS)
     _run_update_replay(outcome, "update_replay_process",
-                       serve_backend="process", n_shards=2,
-                       steps=UPDATE_STEPS_PROCESS)
+                       serve_backend="process", steps=UPDATE_STEPS_PROCESS)
 
     return outcome
 
@@ -716,10 +735,10 @@ def run_abort_scenario(workload: Workload,
 
     from repro.serving import serve
 
-    for backend in ("thread", "process"):
+    for backend, shards in (("thread", 1), ("process", 2)):
         path = f"abort.serving_{backend}"
         try:
-            with serve(index, backend=backend, shards=2,
+            with serve(index, backend=backend, shards=shards,
                        batch_size=SHARD_BATCH,
                        cache_size=workload.cache_size) as server:
                 actual = _drain(server, workload.probes, head)

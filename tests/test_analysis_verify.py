@@ -6,6 +6,7 @@ import pytest
 
 from repro import catalog, path_database
 from repro.analysis.verify_plan import (
+    PickledReplicas,
     PlanVerificationError,
     check_index,
     verify_compiled_plans,
@@ -471,12 +472,10 @@ class TestSTargets:
 
 
 def _sharded_enumeration():
-    """The enumeration index behind two in-process shards: a partitioned
+    """The enumeration index behind two pickled replicas: a partitioned
     S134 and a replicated S123 under it."""
-    from repro.serving.sharding import ShardedIndex
-
     index, _ = _enumeration_index()
-    sharded = ShardedIndex(index, 2)
+    sharded = PickledReplicas(index, 2)
     partitioned = set(sharded._partitioned)
     assert partitioned and set(index.s_targets) - partitioned
     return index, sharded

@@ -12,7 +12,8 @@ path.  This file pins down the operational contract of
   larger than the OS pipe buffer do not deadlock, nor does a large request
   sent behind them, a future books its group once however often it is
   read, a group in flight across a re-selection's rebuild still answers,
-  and the ``spawn`` start method answers like the thread backend;
+  and the ``spawn`` start method answers like the fleet's in-process
+  model, :class:`~repro.analysis.verify_plan.PickledReplicas`;
 * an exception raised in a worker reaches the parent as its own type and
   the shard serves on; a worker that dies — mid-stream or between a
   delta's send and its ack — surfaces a :class:`FleetError` naming shard
@@ -32,6 +33,7 @@ import time
 import pytest
 
 from repro import updates
+from repro.analysis.verify_plan import PickledReplicas
 from repro.core.index import CQAPIndex
 from repro.data import path_database
 from repro.data.relation import Relation
@@ -256,7 +258,7 @@ class TestPipeTransport:
         """Two groups outstanding on one shard, read newest first."""
         keys = [(v,) for v in range(DOMAIN)]
         halves = [keys[:DOMAIN // 2], keys[DOMAIN // 2:]]
-        reference = ShardedIndex(enumerating, n_shards=1)
+        reference = ShardedIndex(enumerating)
         expected = [reference.answer_group(0, half) for half in halves]
         reference.close()
         reply_bytes = sum(
@@ -286,7 +288,7 @@ class TestPipeTransport:
         misses = [(v,) for v in range(DOMAIN, DOMAIN + 60_000)]
         assert len(pickle.dumps(misses)) > 256 * 1024
         groups = (keys, keys, misses)
-        reference = ShardedIndex(enumerating, n_shards=1)
+        reference = ShardedIndex(enumerating)
         expected = [reference.answer_group(0, group) for group in groups]
         reference.close()
         with ProcessShardFleet(enumerating, n_shards=1) as fleet:
@@ -312,7 +314,7 @@ class TestPipeTransport:
         index = CQAPIndex(k_path_cqap(3), db, int(db.size ** 1.2),
                           staleness_threshold=1e-6)
         index.preprocess()
-        reference = ShardedIndex(index, n_shards=2)
+        reference = PickledReplicas(index, 2)
         groups = _groups(reference, pairs)
         expected = reference.answer_groups(groups)
         reference.close()
@@ -340,11 +342,11 @@ class TestPipeTransport:
         """Two serving threads and a delta thread on one fleet (more
         threads than cores, switching every microsecond): every reply
         reaches the request it answers.  The deltas are rows no path
-        reaches, so every answer must stay the thread backend's."""
+        reaches, so every answer must stay the in-process model's."""
         db = path_database(3, 400, DOMAIN, seed=11, skew_hubs=4)
         index = CQAPIndex(k_path_cqap(3), db, int(db.size ** 1.2))
         index.preprocess()
-        reference = ShardedIndex(index, n_shards=2)
+        reference = PickledReplicas(index, 2)
         groups = _groups(reference, pairs)
         expected = [answers for answers, _ in
                     reference.answer_groups(groups)]
@@ -387,11 +389,11 @@ class TestPipeTransport:
         # every delta reached the workers: it patched their step pieces
         assert len(acks) == 20 and all(acks)
 
-    def test_spawned_workers_answer_like_the_thread_backend(
+    def test_spawned_workers_answer_like_pickled_replicas(
             self, prepared, pairs, monkeypatch):
         monkeypatch.setattr(fleet_module, "_pick_context",
                             lambda: multiprocessing.get_context("spawn"))
-        reference = ShardedIndex(prepared, n_shards=2)
+        reference = PickledReplicas(prepared, 2)
         groups = _groups(reference, pairs)
         expected = reference.answer_groups(groups)
         reference.close()

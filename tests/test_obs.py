@@ -175,7 +175,7 @@ def test_promparse_rejects_broken_expositions():
 def test_disabled_stack_records_nothing(prepared):
     cqap, db, index = prepared
     assert not obs.is_enabled()
-    with serve(index, backend="thread", shards=2, batch_size=8,
+    with serve(index, backend="thread", batch_size=8,
                cache_size=64) as server:
         list(server.serve(_stream(cqap, db)))
         stats = server.stats()
@@ -231,7 +231,7 @@ def test_engine_probe_many_counts_every_incoming_key(prepared):
 def test_scheduler_counts_match_probes_served(prepared):
     cqap, db, index = prepared
     with obs.tracing():
-        with serve(index, backend="thread", shards=2, batch_size=8,
+        with serve(index, backend="thread", batch_size=8,
                    cache_size=64) as server:
             list(server.serve(_stream(cqap, db)))
             stats = server.stats()

@@ -2,8 +2,10 @@
 
 The load-bearing property is shard-count invariance: a probe routed to its
 home shard must see exactly the answer the unsharded index would give, for
-every shard count and either backend.  The differential harness fuzzes
-this against the oracle; here it is pinned down deterministically,
+every shard count and either backend.  The thread backend is the
+index's own replica, one shard; the N-shard state is the process fleet's,
+modelled in process by ``PickledReplicas``.  The differential harness
+fuzzes this against the oracle; here it is pinned down deterministically,
 together with the scheduler's ordering/dedupe contract, the server's
 backpressure, the ``serve()`` facade and its deprecation shims, the stats
 envelope shape, and the budget-split accounting.  (The process fleet's own
@@ -17,10 +19,13 @@ import warnings
 
 import pytest
 
-from repro.analysis.verify_plan import verify_shards
+from repro.analysis.verify_plan import PickledReplicas, verify_shards
 from repro.core.index import CQAPIndex
+from repro.core.online_yannakakis import OnlineYannakakis
+from repro.core.replica import ShardExecutor
 from repro.data import path_database
 from repro.engine import prepare
+from repro.oracle import answer_rows, oracle_probe
 from repro.query.catalog import k_path_cqap
 from repro.query.cq import CQAP, Atom
 from repro.serving import (
@@ -72,7 +77,7 @@ class TestAccessHash:
 
     def test_numeric_type_of_binding_does_not_change_answers(self,
                                                              prepared):
-        sharded = ShardedIndex(prepared, n_shards=4)
+        sharded = PickledReplicas(prepared, 4)
         for pair in [(1, 2), (3, 4)]:
             as_int = sharded.probe(pair)
             as_float = sharded.probe(tuple(float(v) for v in pair))
@@ -88,11 +93,14 @@ class TestShardedIndex:
             ShardedIndex(raw)
 
     def test_shard_count_validated(self, prepared):
+        for n_shards in (0, 2):
+            with pytest.raises(ValueError, match='backend="process"'):
+                ShardedIndex(prepared, n_shards=n_shards)
         with pytest.raises(ValueError, match="positive"):
-            ShardedIndex(prepared, n_shards=0)
+            PickledReplicas(prepared, 0)
 
     def test_routing_total_and_stable(self, prepared, pairs):
-        sharded = ShardedIndex(prepared, n_shards=5)
+        sharded = PickledReplicas(prepared, 5)
         for pair in pairs:
             key = sharded.normalize(pair)
             shard = sharded.shard_of(key)
@@ -100,7 +108,7 @@ class TestShardedIndex:
             assert shard == sharded.shard_of(key)
 
     def test_partitions_disjointly_cover_targets(self, prepared):
-        sharded = ShardedIndex(prepared, n_shards=4)
+        sharded = PickledReplicas(prepared, 4)
         assert sharded._partitioned, "expected partitioned S-targets"
         for target in sharded._partitioned:
             # one slice per shard executor, in its one view of the target
@@ -116,19 +124,19 @@ class TestShardedIndex:
 
     @pytest.mark.parametrize("n_shards", [1, 2, 4, 7])
     def test_probe_matches_unsharded(self, prepared, pairs, n_shards):
-        sharded = ShardedIndex(prepared, n_shards=n_shards)
+        sharded = PickledReplicas(prepared, n_shards)
         for pair in pairs:
             expected = prepared.answer(pair)
             got = sharded.probe(pair)
             assert frozenset(got.tuples) == frozenset(expected.tuples)
 
     def test_single_shard_partitions_nothing(self, prepared):
-        sharded = ShardedIndex(prepared, n_shards=1)
+        sharded = ShardedIndex(prepared)
         assert sharded.partitioned_tuples == 0
         assert sharded.replicated_tuples == prepared.stored_tuples
 
     def test_budget_split_accounting(self, prepared):
-        sharded = ShardedIndex(prepared, n_shards=4)
+        sharded = PickledReplicas(prepared, 4)
         split = sharded.budget_split()
         assert split["shards"] == 4
         assert split["per_shard_budget"] * 4 == \
@@ -142,21 +150,24 @@ class TestShardedIndex:
 
     def test_per_shard_lifecycle_counters(self, prepared, pairs):
         busiest = []
-        for n_shards in (1, 2, 4):
-            sharded = ShardedIndex(prepared, n_shards=n_shards)
+        for sharded in (ShardedIndex(prepared), PickledReplicas(prepared, 1),
+                        PickledReplicas(prepared, 2),
+                        PickledReplicas(prepared, 4)):
             for pair in pairs:
                 sharded.probe(pair)
             per_shard = [s.probes_served for s in sharded.shards]
             assert sum(per_shard) == len(pairs)
-            # online phases happen on the probed shard only
-            for shard, executor in zip(sharded.shards, sharded._executors):
+            # one online phase per probe, on the probed shard only
+            for shard in sharded.shards:
                 assert shard.online_phases == shard.probes_served
-                assert executor.executor.online_runs == shard.online_phases
+            assert sharded.engine_section()["online_phases"] == len(pairs)
             busiest.append(max(s.counters.online_work
                                for s in sharded.shards))
-        # the busiest shard's online work — a fleet's critical path —
+            sharded.close()
+        # the index's replica and its pickled copy do the same work; the
+        # busiest shard's online work — a fleet's critical path —
         # strictly falls as the shard count grows
-        assert busiest[0] > busiest[1] > busiest[2]
+        assert busiest[0] == busiest[1] > busiest[2] > busiest[3]
 
     def test_prepare_sharded_shim_is_gone(self):
         import repro.serving as serving
@@ -189,7 +200,7 @@ class TestShardViews:
 
     def test_every_pass_reads_the_shards_one_view_per_target(self):
         index = enumeration_index()
-        sharded = ShardedIndex(index, n_shards=2)
+        sharded = PickledReplicas(index, 2)
         for executor in sharded._executors:
             read = [rel for oy in executor.yannakakis
                     for rel in oy.raw_views.values()]
@@ -199,7 +210,7 @@ class TestShardViews:
 
     def test_a_delta_patches_each_view_index_in_place(self):
         index = enumeration_index()
-        sharded = ShardedIndex(index, n_shards=2)
+        sharded = PickledReplicas(index, 2)
         cached = {(executor.shard_id, target, key): dict_
                   for executor in sharded._executors
                   for target, view in executor.views.items()
@@ -219,19 +230,23 @@ class TestShardViews:
         sharded.close()
 
     def test_routed_rows_do_not_depend_on_transport(self):
-        """A replicated target's rows count on every shard of either
-        transport, also when the in-process view shares the index's
-        (already patched) row set."""
+        """A replicated target's rows count on every shard of the fleet
+        and of its in-process model; at one shard the thread backend,
+        whose replica the index patched before the event, counts what a
+        one-worker fleet does."""
         from repro.serving import ProcessShardFleet
 
         index = enumeration_index()
-        sharded = ShardedIndex(index, n_shards=2)
-        with ProcessShardFleet(index, n_shards=2) as fleet:
+        sharded, replicas = ShardedIndex(index), PickledReplicas(index, 2)
+        with ProcessShardFleet(index, n_shards=1) as one, \
+                ProcessShardFleet(index, n_shards=2) as two:
             moving_delta(index)
-            routed = fleet.stats()["updates"]["routed_rows"]
-            assert routed > 0
-            assert sharded.stats()["updates"]["routed_rows"] == routed
+            routed = [backend.stats()["updates"]["routed_rows"]
+                      for backend in (one, sharded, two, replicas)]
+            assert routed[0] > 0 and routed[2] > routed[0]
+            assert routed == [routed[0], routed[0], routed[2], routed[2]]
         sharded.close()
+        replicas.close()
 
 
 class TestTransportParity:
@@ -243,20 +258,87 @@ class TestTransportParity:
         # the same rows
         from repro.serving import ProcessShardFleet
 
-        sharded = ShardedIndex(prepared, n_shards=n_shards)
+        references = [PickledReplicas(prepared, n_shards)]
+        if n_shards == 1:
+            references.append(ShardedIndex(prepared))
         groups = {}
         for pair in pairs:
-            key = sharded.normalize(pair)
-            groups.setdefault(sharded.shard_of(key), []).append(key)
+            key = references[0].normalize(pair)
+            groups.setdefault(references[0].shard_of(key), []).append(key)
         with ProcessShardFleet(prepared, n_shards=n_shards) as fleet:
             for shard_id, group in sorted(groups.items()):
                 got, got_ctr = fleet.answer_group(shard_id, group)
-                want, want_ctr = sharded.answer_group(shard_id, group)
-                assert got == want
-                assert got_ctr == want_ctr
-            assert [s.counters for s in fleet.shards] == \
-                [s.counters for s in sharded.shards]
-        sharded.close()
+                for sharded in references:
+                    want, want_ctr = sharded.answer_group(shard_id, group)
+                    assert got == want
+                    assert got_ctr == want_ctr
+            for sharded in references:
+                assert [s.counters for s in fleet.shards] == \
+                    [s.counters for s in sharded.shards]
+                sharded.close()
+
+
+def _recording(calls, function):
+    """``function``, appending the arguments of every call to ``calls``."""
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+    return recorded
+
+
+class TestThreadBackendIsTheIndexReplica:
+    """``serve(backend="thread")`` builds, and maintains, nothing of its
+    own: it answers from ``index._replica``."""
+
+    def test_building_the_server_builds_no_replica(self, prepared, pairs,
+                                                   monkeypatch):
+        built = []
+        for cls in (ShardExecutor, OnlineYannakakis):
+            monkeypatch.setattr(cls, "__init__",
+                                _recording(built, cls.__init__))
+        with serve(prepared, backend="thread") as server:
+            served = server.serve_all(pairs)
+        assert built == []
+        for key, rel in served.items():
+            assert rel.tuples == prepared.answer(key).tuples
+
+    def test_one_delta_maintains_the_passes_once(self, monkeypatch):
+        index = enumeration_index()
+        maintained = []
+        with serve(index, backend="thread"):
+            monkeypatch.setattr(OnlineYannakakis, "maintain", staticmethod(
+                _recording(maintained, OnlineYannakakis.maintain)))
+            event = moving_delta(index)
+        assert event.targets_changed
+        assert len(maintained) == 1
+
+    def test_reselection_is_answered_by_the_new_replica(self):
+        cqap = k_path_cqap(3)
+        db = path_database(3, 200, 30, seed=4, skew_hubs=2)
+        index = CQAPIndex(cqap, db, int(db.size ** 1.2),
+                          staleness_threshold=1e-6).preprocess()
+        x2, x3 = min(db["R2"].tuples)
+        x4 = min(row[1] for row in db["R3"].tuples if row[0] == x3)
+        keys = [(10 ** 6, x4), (10 ** 6, 10 ** 6), (1, 2)]
+        groups = []
+        with serve(index, backend="thread", cache_size=0) as server:
+            server.serve_all(keys)
+            old = index._replica
+            event = index.apply_delta("insert", "R1", (10 ** 6, x2))
+            assert event.reselected and index._replica is not old
+            old.serve_group = None          # never asked again
+            new = index._replica
+            new.serve_group = _recording(groups, new.serve_group)
+            served = server.serve_all(keys)
+        assert groups
+        assert {key: answer_rows(rel, tuple(cqap.head))
+                for key, rel in served.items()} == \
+            {key: oracle_probe(cqap, db, key) for key in keys}
+        assert served[(10 ** 6, x4)]
+
+    def test_more_than_one_shard_is_the_fleets(self, prepared):
+        with pytest.raises(ValueError, match='backend="process"'):
+            serve(prepared, backend="thread", shards=2)
 
 
 class TestPartitionRule:
@@ -267,7 +349,7 @@ class TestPartitionRule:
         priced = {target for target in prepared.s_targets
                   if shard_fraction(target, access, n_shards) < 1}
         assert priced and set(prepared.s_targets) - priced
-        sharded = ShardedIndex(prepared, n_shards=n_shards)
+        sharded = PickledReplicas(prepared, n_shards)
         assert set(sharded._partitioned) == priced
         for target, relation in prepared.s_targets.items():
             views = [executor.views[target].tuples
@@ -282,7 +364,7 @@ class TestPartitionRule:
 
 class TestBatchScheduler:
     def test_input_order_and_duplicate_sharing(self, prepared):
-        sharded = ShardedIndex(prepared, n_shards=4)
+        sharded = ShardedIndex(prepared)
         batch = [(1, 2), (3, 4), (1, 2), (5, 6), (3, 4)]
         with BatchScheduler(sharded) as sched:
             out = sched.run(batch)
@@ -296,7 +378,7 @@ class TestBatchScheduler:
     def test_matches_probe_many(self, prepared, pairs):
         pq = prepare(prepared.cqap, prepared.db,
                      int(prepared.db.size ** 1.2))
-        sharded = ShardedIndex(prepared, n_shards=4)
+        sharded = PickledReplicas(prepared, 4)
         with BatchScheduler(sharded) as sched:
             out = dict(zip([sharded.normalize(p) for p in pairs],
                            sched.run(pairs)))
@@ -309,8 +391,7 @@ class TestBatchScheduler:
         # dedupe and the answer cache sit in front of the shards: what
         # they absorb does not depend on how many shards are behind them
         batch = [(1, 2), (1, 2), (3, 4), (1, 2)]
-        for n_shards in (1, 4):
-            sharded = ShardedIndex(prepared, n_shards=n_shards)
+        for sharded in (ShardedIndex(prepared), PickledReplicas(prepared, 4)):
             with BatchScheduler(sharded) as sched:
                 sched.run(batch)
                 assert sched.cache.probes_in == 4
@@ -334,19 +415,19 @@ class TestBatchScheduler:
                 assert wide.cache.phases == len(homes)
 
     def test_counters_forwarded(self, prepared):
-        sharded = ShardedIndex(prepared, n_shards=2)
+        sharded = ShardedIndex(prepared)
         ctr = Counters()
         with BatchScheduler(sharded, cache_size=0) as sched:
             sched.run([(1, 2), (3, 4)], counters=ctr)
         assert ctr.online_work > 0
 
     def test_empty_batch(self, prepared):
-        sharded = ShardedIndex(prepared, n_shards=4)
+        sharded = ShardedIndex(prepared)
         with BatchScheduler(sharded) as sched:
             assert sched.run([]) == []
 
     def test_close_is_idempotent(self, prepared):
-        sharded = ShardedIndex(prepared, n_shards=4)
+        sharded = ShardedIndex(prepared)
         sched = BatchScheduler(sharded)
         sched.run([(1, 2), (3, 4), (5, 6), (7, 8)])
         sched.close()
@@ -358,7 +439,7 @@ class TestBatchScheduler:
         cqap = k_path_cqap(2)
         db = path_database(2, 120, 40, seed=3)
         pq = prepare(cqap, db, space_budget=db.size)
-        server = serve(pq, backend="thread", shards=2)
+        server = serve(pq, backend="thread")
         pq.index.apply_delta("insert", "R1", (10 ** 6, 10 ** 6))
         assert server.scheduler.cache.deltas == 1
         server.close()
@@ -369,8 +450,7 @@ class TestBatchScheduler:
 
 class TestServeFacade:
     def test_serves_stream_in_order(self, prepared, pairs):
-        with serve(prepared, backend="thread", shards=4,
-                   batch_size=4) as server:
+        with serve(prepared, backend="thread", batch_size=4) as server:
             served = list(server.serve(iter(pairs)))
             normalize = server.backend.normalize
         assert [key for key, _ in served] == \
@@ -384,9 +464,8 @@ class TestServeFacade:
     def test_backends_drop_in_interchangeable(self, prepared, pairs,
                                               backend):
         # the acceptance contract: the ONLY difference between a thread
-        # and a process deployment is the backend= argument
-        with serve(prepared, backend=backend, shards=3,
-                   batch_size=8) as server:
+        # and a one-worker process deployment is the backend= argument
+        with serve(prepared, backend=backend, batch_size=8) as server:
             served = server.serve_all(iter(pairs))
         for key, rel in served.items():
             assert frozenset(rel.tuples) == \
@@ -404,15 +483,14 @@ class TestServeFacade:
         cqap = k_path_cqap(2)
         db = path_database(2, 120, 40, seed=3)
         pq = prepare(cqap, db, space_budget=db.size)
-        with serve(pq, backend="thread", shards=2) as server:
+        with serve(pq, backend="thread") as server:
             (_, rel), = list(server.serve([(1, 2)]))
         assert frozenset(rel.tuples) == \
             frozenset(pq.probe((1, 2)).tuples)
 
     def test_accepts_pre_batched_streams(self, prepared):
         batches = [[(1, 2), (3, 4)], [(5, 6)]]
-        with serve(prepared, backend="thread", shards=2,
-                   batch_size=2) as server:
+        with serve(prepared, backend="thread", batch_size=2) as server:
             served = list(server.serve(batches))
         assert [key for key, _ in served] == [(1, 2), (3, 4), (5, 6)]
 
@@ -424,8 +502,7 @@ class TestServeFacade:
                 produced.append(pair)
                 yield pair
 
-        with serve(prepared, backend="thread", shards=2,
-                   batch_size=2) as server:
+        with serve(prepared, backend="thread", batch_size=2) as server:
             consumed = 0
             for _ in server.serve(stream()):
                 consumed += 1
@@ -438,35 +515,36 @@ class TestServeFacade:
     def test_backpressure_holds_for_burst_batches(self, prepared, pairs):
         # one huge pre-formed batch must not blow past one batch: pre-
         # batched items are unpacked lazily, one binding per pull
-        with serve(prepared, backend="thread", shards=2,
-                   batch_size=2) as server:
+        with serve(prepared, backend="thread", batch_size=2) as server:
             served = list(server.serve([list(pairs)]))
         assert len(served) == len(pairs)
         assert server.peak_pending <= server.batch_size
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_stats_envelope_shape(self, prepared, pairs, backend):
-        with serve(prepared, backend=backend, shards=3,
+        shards = 3 if backend == "process" else 1
+        with serve(prepared, backend=backend, shards=shards,
                    batch_size=8) as server:
             list(server.serve(iter(pairs)))
             stats = validate_stats(server.stats())
         json.dumps(stats)
         assert stats["backend"] == backend
         assert stats["server"]["batches_served"] == (len(pairs) + 7) // 8
-        assert len(stats["shards"]) == 3
+        assert len(stats["shards"]) == shards
         assert stats["scheduler"]["probes_in"] == len(pairs)
-        assert stats["engine"]["budget_split"]["shards"] == 3
+        assert stats["engine"]["budget_split"]["shards"] == shards
 
     def test_envelope_shape_is_uniform_across_layers(self, prepared,
                                                      pairs):
         # satellite contract: one versioned schema for every stats()
         pq = prepare(prepared.cqap, prepared.db,
                      int(prepared.db.size ** 1.2))
-        sharded = ShardedIndex(prepared, n_shards=2)
+        sharded = ShardedIndex(prepared)
         with BatchScheduler(sharded) as sched:
             sched.run(pairs[:4])
-            layers = [pq.stats(), sharded.stats(), sched.stats()]
-        with serve(prepared, backend="thread", shards=2) as server:
+            layers = [pq.stats(), sharded.stats(), sched.stats(),
+                      PickledReplicas(prepared, 2).stats()]
+        with serve(prepared, backend="thread") as server:
             list(server.serve(pairs[:4]))
             layers.append(server.stats())
         versions = set()
@@ -487,10 +565,10 @@ class TestServeFacade:
     def test_internal_layers_do_not_warn(self, prepared):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            sharded = ShardedIndex(prepared, n_shards=2)
+            sharded = ShardedIndex(prepared)
             with BatchScheduler(sharded) as sched:
                 sched.run([(1, 2)])
-            with serve(prepared, backend="thread", shards=2) as server:
+            with serve(prepared, backend="thread") as server:
                 list(server.serve([(1, 2)]))
 
 
@@ -598,7 +676,7 @@ class TestConcurrentEngineCounters:
 
 class TestSchedulerIdleStats:
     def test_idle_dedupe_ratio_is_neutral_one(self, prepared):
-        sharded = ShardedIndex(prepared, n_shards=2)
+        sharded = ShardedIndex(prepared)
         with BatchScheduler(sharded) as scheduler:
             # no batch has run: ratio must read 1.0 (no redundancy seen),
             # never the impossible 0.0

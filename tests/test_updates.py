@@ -549,10 +549,12 @@ class TestPassesAreMaintained:
         assert len(built) == len(passes)
 
     def test_no_replica_builds_a_pass_on_a_delta(self, monkeypatch):
-        """With SS-edges, the index's replica, a 2-shard ShardedIndex and
-        two pickled replicas take every delta without a pass built."""
+        """With SS-edges, the index's replica (which the thread backend
+        answers from) and two pickled replicas take every delta without a
+        pass built."""
         cqap, db, index = enumeration_index()
-        backends = (ShardedIndex(index, 2), PickledReplicas(index, 2))
+        replicas = PickledReplicas(index, 2)
+        backends = (ShardedIndex(index), replicas)
         built = []
         init = OnlineYannakakis.__init__
 
@@ -564,8 +566,7 @@ class TestPassesAreMaintained:
         events = enumeration_deltas(index, db, 8)
         assert any(event.targets_changed for event in events)
         assert built == []
-        for backend in backends:
-            assert verify_shards(backend) == []
+        assert verify_shards(replicas) == []
         assert verify_yannakakis(index) == []
         want = oracle_grid(cqap, db, range(ENUM_DOMAIN))
         for backend in backends:
@@ -576,7 +577,7 @@ class TestPassesAreMaintained:
         """Writes move no replica's build counters: the passes'
         maintenance is charged to the replica's own delta counters."""
         cqap, db, index = enumeration_index()
-        sharded = ShardedIndex(index, 2)
+        sharded = PickledReplicas(index, 2)
         replicas = [index._replica, *sharded._executors]
         built = [replica.preprocess_counters.snapshot()
                  for replica in replicas]
@@ -753,16 +754,17 @@ class TestFillAfterEvict:
 
 
 class TestServingListeners:
-    # shards=1 with the cache off is the shared-set trap: every S-target
-    # is replicated, so the in-process executor's views wrap the very
-    # tuple sets the index has already mutated when the event fires, and
-    # the first probe warms the indexes the delta must then drop
+    # one shard with the cache off is the thread backend's shared-set
+    # trap: it answers from the index's own replica, whose views wrap the
+    # very tuple sets the index mutates, and the first probe warms the
+    # indexes the delta must then drop; three shards are the fleet's
     @pytest.mark.parametrize("shards, cache_size", [(3, 256), (1, 0)])
     def test_sharded_backend_stays_coherent(self, shards, cache_size):
         from repro.serving import serve
 
         cqap, db, index = build_index()
-        with serve(index, backend="thread", shards=shards,
+        backend = "process" if shards > 1 else "thread"
+        with serve(index, backend=backend, shards=shards,
                    cache_size=cache_size) as server:
             before = dict(server.serve([(0, 31), (1, 31)]))
             assert len(before[(0, 31)]) == 0 and len(before[(1, 31)]) == 1
