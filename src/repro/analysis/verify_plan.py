@@ -25,6 +25,10 @@ parts) and reports every violation as a human-readable issue string:
   very dict its relation caches for that key *now*: a piece patched on
   behalf of one step while another step still pins its old index is
   caught here.
+* **Skipped steps** — every compiled step marked ``subsumed_by``
+  another has a container of the same T-target whose pieces hold its
+  rows at every body-atom position, and the marks chain to a live step:
+  what compile marked and every insert since must leave true.
 * **Piece sharing** — subproblems that agree on an atom's split path
   hold the same relation object, and every compiled step's static
   relations are its subproblem's pieces themselves.
@@ -249,9 +253,10 @@ def verify_selection(selection: SelectionResult, cqap: CQAP) -> List[str]:
     return issues
 
 
-def verify_compiled_plans(steps: Iterable[Any]) -> List[str]:
-    """Check index pinning (built, and live) on every compiled probe plan."""
-    issues: List[str] = []
+def verify_compiled_plans(steps: Sequence[Any]) -> List[str]:
+    """Check index pinning (built, and live) on every compiled probe plan,
+    and every ``subsumed_by`` mark (:func:`verify_subsumption`)."""
+    issues = verify_subsumption(steps)
     for pos, step in enumerate(steps):
         plan = step.plan
         label = f"step {pos} ({step.name})"
@@ -287,6 +292,43 @@ def verify_compiled_plans(steps: Iterable[Any]) -> List[str]:
                     f"{where}: pinned index is stale ({rel.name!r} no "
                     f"longer holds the {kind.__name__} the kernel probes)"
                 )
+    return issues
+
+
+def verify_subsumption(steps: Sequence[Any]) -> List[str]:
+    """Check that every step the online phase skips adds no row.
+
+    A marked step's container has its T-target and holds its rows at
+    every body-atom position, and following the marks from any step ends
+    at a live one.
+    """
+    # local import: analysis depends on core, never the reverse
+    from repro.core.two_phase import contains
+
+    issues: List[str] = []
+    for pos, step in enumerate(steps):
+        slot = step.subsumed_by
+        if slot is None:
+            continue
+        label = f"step {pos} ({step.name}) marked subsumed by step {slot}"
+        if not 0 <= slot < len(steps) or slot == pos:
+            issues.append(f"{label}: no such other step")
+            continue
+        container = steps[slot]
+        if container.decision.target != step.decision.target:
+            issues.append(f"{label}: the container unions into another "
+                          f"T-target")
+        elif not contains(container, step):
+            issues.append(f"{label}: the container's pieces do not hold "
+                          f"this step's rows (skipping it loses T-rows)")
+        seen = {pos}
+        while slot is not None and slot not in seen \
+                and 0 <= slot < len(steps):
+            seen.add(slot)
+            slot = steps[slot].subsumed_by
+        if slot is not None:
+            issues.append(f"{label}: the chain of marks does not end at a "
+                          f"live step")
     return issues
 
 

@@ -16,13 +16,15 @@ exceeds the given number of tuples.
 instead (:mod:`repro.core.kernels`); this function is what those kernels
 are held to in ``tests/test_kernels.py`` — same rows, same ``Counters``
 under the same variable order — and runs on no runtime path.
-:func:`choose_variable_order` and :class:`BudgetExceeded` are shared with
-the kernels.
+:func:`choose_variable_order` (by relation size, or by degree for the
+kernels that pin their indexes) and :class:`BudgetExceeded` are shared
+with the kernels.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.data.relation import Relation, SchemaError
 from repro.util.counters import Counters
@@ -36,14 +38,24 @@ class BudgetExceeded(RuntimeError):
         self.limit = limit
 
 
-def choose_variable_order(relations: Sequence[Relation],
-                          onto: Sequence[str]) -> List[str]:
+def choose_variable_order(
+    relations: Sequence[Relation], onto: Sequence[str],
+    bucket: Optional[Callable[[Relation, Tuple[str, ...]], int]] = None,
+) -> List[str]:
     """A greedy variable order: smallest relation first, then connected.
 
     Starting from the variables of the smallest relation (typically the
-    access request) keeps the root branching minimal; subsequent variables
-    are chosen to maximize the number of relations already touched, which
-    keeps candidate intersections tight.
+    access request) keeps the root branching minimal.  Without ``bucket``
+    each next variable is the one touching the most relations already
+    touched (which keeps candidate intersections tight), ties to the one
+    in the smallest relation.
+
+    ``bucket(rel, key)`` bounds the rows of ``rel`` sharing one value of
+    ``key`` — the scan a level of the join pays when ``rel`` yields the
+    candidates.  Given it, the next variable is the one whose cheapest
+    participant, keyed on the variables already placed, has the smallest
+    bound (the degree constraint a heavy/light split put on a piece);
+    ties go to more touching relations, then to the smaller relation.
     """
     all_vars: Set[str] = set()
     for rel in relations:
@@ -55,18 +67,17 @@ def choose_variable_order(relations: Sequence[Relation],
     placed = set(order)
     while placed != all_vars:
         best_var = None
-        best_score = (-1, 0)
+        best_score: Tuple[int, ...] = ()
         for var in sorted(all_vars - placed):
-            touching = sum(
-                1 for rel in relations
-                if var in rel.variables and rel.variables & placed
-            )
-            size_hint = -min(
-                (len(rel) for rel in relations if var in rel.variables),
-                default=0,
-            )
-            score = (touching, size_hint)
-            if score > best_score:
+            holders = [rel for rel in relations if var in rel.variables]
+            touching = sum(1 for rel in holders if rel.variables & placed)
+            score: Tuple[int, ...] = (
+                touching, -min(len(rel) for rel in holders))
+            if bucket is not None:
+                score = (-min(bucket(rel, tuple(v for v in rel.schema
+                                                if v in placed))
+                              for rel in holders), *score)
+            if best_var is None or score > best_score:
                 best_score = score
                 best_var = var
         if best_var is None:

@@ -12,11 +12,18 @@ through their ``bound_key + (var,)`` hash indexes — through their row
 sets where that key is the whole schema); what this module removes is the
 interpretation of it.
 
-**The generator.**  ``_compile`` fixes the greedy variable order once
-(against a 1-row stand-in for the request — the request is the smallest
-relation by construction, so every real probe would pick the same order)
-and derives, per depth, which relation slots constrain the variable: the
-:class:`ParticipantSpec` records in ``levels``.  From their *structure*
+**The generator.**  The first ``_compile`` fixes the greedy variable
+order (against a 1-row stand-in for the request — the request is the
+smallest relation by construction, so every real probe would pick the
+same order).  A pinned plan, an online step, orders by degree: its next
+variable is the one whose cheapest participant, keyed on the variables
+already placed, has the smallest largest bucket — the degree bound a
+heavy/light split put on a piece, which the paper's per-probe T rests
+on; an unpinned plan orders by relation size
+(:func:`~repro.core.joins.choose_variable_order` is both, the bucket
+bound its argument).  Every ``_compile`` then derives, per depth, which
+relation slots constrain the variable: the :class:`ParticipantSpec`
+records in ``levels``.  From their *structure*
 alone :func:`_generate` writes one flat Python function: the levels
 unrolled into nested ``for`` loops, each bound value a local ``v<depth>``,
 key prefixes as tuple displays of those locals, a one- or two-participant
@@ -36,8 +43,10 @@ factory by one dict lookup and calls it with the fresh index dicts:
 ``compile()`` runs once per shape per process, never per plan or per
 delta, and a replaced kernel — a closure over the old dicts, with no
 reference back to itself — is freed by reference count alone.  The
-structure is looked up on *every* ``_compile`` because the variable order
-reads relation sizes: a delta may legally move a step to another shape.
+order is fixed at preprocess and ships in the pickled state, so a re-pin
+after a delta and an unpickled copy in a fleet worker keep it (and with
+it the shape): whatever the data moved since, every replica runs the
+join the index runs, and charges the same work.
 
 **Pinning.**  Static relations are frozen by the engine's read-only
 serving discipline, so an online step's kernel closes over their hash
@@ -81,7 +90,7 @@ as that oracle and nothing else — no runtime path calls it;
 Pickling: a plan ships to process-fleet workers inside its compiled step.
 Like :class:`~repro.data.relation.Relation`, it serializes payload only —
 the relation references (which the pickler dedupes against the step's own
-relations) and schemas — and recompiles on arrival.
+relations), schemas and the variable order — and re-pins on arrival.
 """
 
 from __future__ import annotations
@@ -133,6 +142,12 @@ class ParticipantSpec(NamedTuple):
     #: ``bound_key + (var,)`` is its whole schema: the probe is a row, asked
     #: of the relation's row set (``Relation.membership_on``), no index
     whole_row: bool
+
+
+def _largest_bucket(rel: Relation, key: Tuple[str, ...]) -> int:
+    """The most rows of ``rel`` one value of ``key`` selects (all of them
+    for no key): a pinned plan's order reads it once, at preprocess."""
+    return rel.degree(key) if key else len(rel)
 
 
 def _bind(spec: ParticipantSpec, rel: Optional[Relation]) -> List[object]:
@@ -283,12 +298,14 @@ class CompiledProbePlan:
     holds more than ``limit`` rows.
 
     A plan that serves many probes pins the static relations' indexes at
-    compile time (``pin=True``); they must not move under it, and after a
+    compile time (``pin=True``), in the degree-aware order its first
+    compile reads off them; they must not move under it, and after a
     coordinated delta :mod:`repro.updates` calls ``_compile`` again to
-    re-pin the fresh ones.  An unpinned plan (``pin=False``) compiles
-    without touching its relations and fetches, during the call, only the
-    indexes the join really reads — so its relations may change between
-    calls, and :meth:`rows` may even swap them for others.
+    re-pin the fresh ones in that same order.  An unpinned plan
+    (``pin=False``) orders by relation size, compiles without touching its
+    relations' indexes and fetches, during the call, only the indexes the
+    join really reads — so its relations may change between calls, and
+    :meth:`rows` may even swap them for others.
     """
 
     __slots__ = ("relations", "onto", "access", "limit", "pin",
@@ -302,6 +319,8 @@ class CompiledProbePlan:
         self.access: Tuple[str, ...] = tuple(access)
         self.limit = limit
         self.pin = pin
+        #: fixed by the first _compile and kept by every re-pin
+        self.order: Optional[Tuple[str, ...]] = None
         self._compile()
 
     def _compile(self) -> None:
@@ -311,7 +330,9 @@ class CompiledProbePlan:
             slot_rels: List[Relation] = [dummy] + self.relations
         else:
             slot_rels = self.relations
-        self.order = tuple(choose_variable_order(slot_rels, self.onto))
+        if self.order is None:
+            self.order = tuple(choose_variable_order(
+                slot_rels, self.onto, _largest_bucket if self.pin else None))
         depth_of = {v: i for i, v in enumerate(self.order)}
         levels, level_shapes = [], []
         #: the factory's arguments, in _generate's parameter order
@@ -371,11 +392,11 @@ class CompiledProbePlan:
     # ------------------------------------------------------------------
     def __getstate__(self):
         return (self.relations, self.onto, self.access, self.limit,
-                self.pin)
+                self.pin, self.order)
 
     def __setstate__(self, state) -> None:
         (self.relations, self.onto, self.access, self.limit,
-         self.pin) = state
+         self.pin, self.order) = state
         self._compile()
 
     def execute(self, request: Optional[Relation], counters: Counters,

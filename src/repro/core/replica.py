@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.online_yannakakis import OnlineYannakakis
 from repro.core.two_phase import CompiledOnlineStep, TwoPhaseExecutor
@@ -99,6 +99,12 @@ def patch_pieces(op: str, row: tuple, pieces: Iterable[Relation],
     pickled copy exactly what the index did.  A changed piece drops its
     hash indexes, so each step of ``steps`` holding one re-pins its probe
     plan (the kernel's code is found by shape, not generated again).
+
+    A step marked ``subsumed_by`` another is skipped online only while
+    its pieces stay inside the other's: an insert into one of its pieces
+    that the other's piece at that position does not also show clears
+    the mark (:func:`keep_subsumption`).  A delete cannot break the
+    containment — it leaves every piece that held the row.
     """
     changed = {id(piece) for piece in pieces
                if (piece._delta_add if op == "insert"
@@ -107,6 +113,23 @@ def patch_pieces(op: str, row: tuple, pieces: Iterable[Relation],
         for step in steps:
             if any(id(rel) in changed for rel in step.relations):
                 step.plan._compile()
+        if op == "insert":
+            keep_subsumption(row, changed, steps)
+
+
+def keep_subsumption(row: tuple, changed: Set[int],
+                     steps: Sequence[CompiledOnlineStep]) -> None:
+    """Clear each mark an insert of ``row`` into the pieces ``changed``
+    (by id) broke: the marked step's piece gained the row, its
+    container's piece at the same position lacks it."""
+    for step in steps:
+        if step.subsumed_by is None:
+            continue
+        container = steps[step.subsumed_by]
+        if any(id(mine) in changed and row not in theirs.tuples
+               for mine, theirs in zip(step.relations,
+                                       container.relations)):
+            step.subsumed_by = None
 
 
 @dataclass

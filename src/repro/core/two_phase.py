@@ -242,6 +242,14 @@ class CompiledOnlineStep:
     query's atoms — steps whose subproblems share a piece share the object
     and the hash indexes it caches, across every probe served from the same
     prepared plan.
+
+    ``subsumed_by`` names the slot of a step with the same T-target whose
+    piece contains this step's piece at every body-atom position: its join
+    holds every row this one would add, so :meth:`TwoPhaseExecutor.
+    online_compiled` skips this step.  The mark is set at compile, ships
+    with the step, and is cleared by the first insert that breaks the
+    containment (:func:`repro.core.replica.patch_pieces`); a marked step
+    is still compiled and re-pinned like any other.
     """
 
     decision: PhaseDecision
@@ -249,9 +257,37 @@ class CompiledOnlineStep:
     schema: Tuple[str, ...]
     name: str
     #: the step's generic join compiled to a generated kernel (variable
-    #: order, per-depth participants, the pieces' indexes pinned);
-    #: executed once per probe with only the request relation varying
+    #: order fixed at preprocess, per-depth participants, the pieces'
+    #: indexes pinned); executed once per probe with only the request
+    #: relation varying
     plan: CompiledProbePlan
+    subsumed_by: Optional[int] = None
+
+
+def contains(outer: CompiledOnlineStep, inner: CompiledOnlineStep) -> bool:
+    """Whether ``outer``'s piece holds every row of ``inner``'s piece at
+    every body-atom position (so ``outer``'s join contains ``inner``'s)."""
+    return all(big is small or small.tuples <= big.tuples
+               for big, small in zip(outer.relations, inner.relations))
+
+
+def mark_subsumed(steps: Sequence[CompiledOnlineStep]) -> None:
+    """Mark each step a live step of the same T-target contains.
+
+    Of two steps with equal pieces the first stays live, and a marked
+    step is never chosen to contain another, so following ``subsumed_by``
+    always ends at a live step.
+    """
+    for slot, step in enumerate(steps):
+        for other_slot, other in enumerate(steps):
+            if other_slot == slot or other.subsumed_by is not None \
+                    or other.decision.target != step.decision.target \
+                    or not contains(other, step):
+                continue
+            if other_slot > slot and contains(step, other):
+                continue  # equal pieces: the earlier step stays live
+            step.subsumed_by = other_slot
+            break
 
 
 class TwoPhaseExecutor:
@@ -352,6 +388,8 @@ class TwoPhaseExecutor:
         Must run *after* :meth:`preprocess`, whose budget-abort path may flip
         S-decisions to the online phase; the compiled steps then reflect the
         post-abort schedule and stay valid for every subsequent probe.
+        Steps another step of their target contains are marked
+        (:func:`mark_subsumed`) and skipped by :meth:`online_compiled`.
         """
         self.compile_runs += 1
         steps: List[CompiledOnlineStep] = []
@@ -364,6 +402,7 @@ class TwoPhaseExecutor:
                     decision, relations, schema, f"T_{''.join(schema)}",
                     CompiledProbePlan(relations, schema, self.cqap.access),
                 ))
+        mark_subsumed(steps)
         return steps
 
     def online_compiled(self, steps: Sequence[CompiledOnlineStep],
@@ -379,6 +418,8 @@ class TwoPhaseExecutor:
         request_bound = Relation._wrap("Q_A", access, request.tuples) \
             if access else None
         for step in steps:
+            if step.subsumed_by is not None:
+                continue  # a live step of the same target holds its rows
             piece = step.plan.execute(request_bound, ctr, step.name)
             key = step.decision.target
             if key in targets:

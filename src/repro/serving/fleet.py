@@ -77,7 +77,7 @@ import os
 import pickle
 import threading
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple
 
 from repro.core.index import CQAPIndex
 from repro.core.replica import Binding, ShardDelta, ShardExecutor
@@ -442,10 +442,3 @@ class ProcessShardFleet(ShardBackend):
         process = self._workers[shard_id].process
         process.kill()
         process.join()
-
-    def engine_section(self) -> Dict:
-        """The shared ``engine`` section plus the workers' CPU total."""
-        return {
-            **super().engine_section(),
-            "worker_cpu_seconds": sum(s.cpu_seconds for s in self.shards),
-        }

@@ -19,16 +19,14 @@ The production generator, :func:`stream_rules_from_pmtds`, applies both
 reductions *incrementally*: it sweeps the PMTDs one at a time, keeping a
 frontier of reduced partial heads instead of the cartesian product, so rule
 generation for 20+-PMTD sets (a ~1e10-combination product) terminates in
-milliseconds.  The eager product survives only as the private reference
-implementation ``_rules_from_pmtds_eager``: the property tests diff the
-stream against it, and its ``reduce_rules=False`` is the raw product the
-tests count.
+milliseconds.  The eager product is a test reference only
+(``tests/rules_reference.py``): the property tests diff the stream
+against it and count its raw product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import (
     FrozenSet,
     Iterable,
@@ -162,9 +160,9 @@ def _prune_frontier(frontier: Set[RuleKey],
 def stream_rules_from_pmtds(pmtds: Sequence[PMTD]) -> Iterator[TwoPhaseRule]:
     """§4.2 rule generation as a streamed frontier sweep.
 
-    Yields exactly the rules of ``_rules_from_pmtds_eager(pmtds)`` (same
-    set; canonical :func:`_sort_key` order) while never materializing the
-    cartesian product: memory is bounded by the frontier of distinct
+    Yields exactly the subset-minimal reduced rules of the cartesian
+    product (same set; canonical :func:`_sort_key` order) while never
+    materializing the product: memory is bounded by the frontier of distinct
     reduced partial heads, which on-the-fly dominance pruning keeps small
     (tens of entries for the 21-PMTD fuzz queries whose raw product has
     ~1e10 combinations).
@@ -190,43 +188,6 @@ def stream_rules_from_pmtds(pmtds: Sequence[PMTD]) -> Iterator[TwoPhaseRule]:
     for s_targets, t_targets in sorted(frontier, key=_sort_key):
         if s_targets or t_targets:
             yield TwoPhaseRule(s_targets, t_targets)
-
-
-def _rules_from_pmtds_eager(pmtds: Sequence[PMTD],
-                            reduce_rules: bool = True) -> List[TwoPhaseRule]:
-    """Reference implementation: the full cartesian product (pre-stream).
-
-    Exponential in the PMTD count — a test reference only: the oracle
-    the property tests diff :func:`stream_rules_from_pmtds` against, and
-    with ``reduce_rules=False`` the raw (deduplicated) product.
-    """
-    if not pmtds:
-        raise ValueError("need at least one PMTD")
-    choices = [p.ordered_views() for p in pmtds]
-    raw: List[TwoPhaseRule] = []
-    seen = set()
-    for combo in product(*choices):
-        s_targets = [v.variables for v in combo if v.kind == S_VIEW]
-        t_targets = [v.variables for v in combo if v.kind != S_VIEW]
-        if reduce_rules:
-            rule = TwoPhaseRule.reduced(s_targets, t_targets)
-        else:
-            rule = TwoPhaseRule(frozenset(s_targets), frozenset(t_targets))
-        key = (rule.s_targets, rule.t_targets)
-        if key not in seen:
-            seen.add(key)
-            raw.append(rule)
-    if not reduce_rules:
-        return raw
-    # keep subset-minimal rules only
-    kept: List[TwoPhaseRule] = []
-    for rule in raw:
-        if not any(other is not rule and rule.no_easier_than(other)
-                   and (other.s_targets, other.t_targets)
-                   != (rule.s_targets, rule.t_targets)
-                   for other in raw):
-            kept.append(rule)
-    return kept
 
 
 def rules_from_pmtds(pmtds: Sequence[PMTD]) -> List[TwoPhaseRule]:

@@ -253,8 +253,9 @@ class TestShapeTable:
             op = "delete" if row in db[name].tuples else "insert"
             assert index.apply_delta(op, name, row).changed
         for step in index.compiled_online:
-            # relations, onto, access, limit, pin: nothing compiled ships
-            assert len(step.plan.__getstate__()) == 5
+            # relations, onto, access, limit, pin and the order fixed at
+            # preprocess: nothing compiled ships
+            assert len(step.plan.__getstate__()) == 6
             clone = pickle.loads(pickle.dumps(step))
             assert clone.plan.kernel is not step.plan.kernel
             assert clone.plan.kernel.__code__ is step.plan.kernel.__code__
@@ -320,11 +321,12 @@ class TestPreprocessThroughKernels:
         # on this box: 183 770 probes, 758 938 scans, 14 079 emitted,
         # 8 259 stored — the benchmark's core.preprocess_ops for the seed
         assert index.stats.preprocess_counters == ref.snapshot()
-        # 36 plans — the online steps and the S-decisions — are 12
-        # structures (4 + 2 level layouts, times the output orders)
+        # 36 plans — the online steps and the S-decisions — are 13
+        # structures (4 + 2 level layouts, times the output orders; the
+        # steps' degree-aware orders add one)
         assert len(index.compiled_online) + len(decisions) == 36
         [before] = shapes_before_delta_plans
-        assert before <= 12
+        assert before <= 13
         # the 91 delta plans compiled after them (a pinned plan per atom
         # and a re-derivation plan per S-decision, an affected-key plan per
         # atom) add at most 22

@@ -30,11 +30,8 @@ from repro.decomposition.enumeration import enumerate_pmtds
 from repro.engine import prepare
 from repro.query.catalog import by_name, k_path_cqap
 from repro.tradeoff.cost import CatalogStatistics, CostModel, order_pmtds_by_cost
-from repro.tradeoff.rules import (
-    _rules_from_pmtds_eager,
-    rules_from_pmtds,
-    stream_rules_from_pmtds,
-)
+from repro.tradeoff.rules import rules_from_pmtds, stream_rules_from_pmtds
+from rules_reference import rules_from_pmtds_eager
 from repro.tradeoff.cost import RuleEstimate
 from repro.tradeoff.rules import TwoPhaseRule
 from repro.tradeoff.selection import (
@@ -88,7 +85,7 @@ class TestStreamedGeneratorProperties:
     @given(pmtd_subsets())
     def test_stream_equals_eager_reference(self, pmtds):
         streamed = rule_keys(stream_rules_from_pmtds(pmtds))
-        eager = rule_keys(_rules_from_pmtds_eager(pmtds))
+        eager = rule_keys(rules_from_pmtds_eager(pmtds))
         assert streamed == eager
 
     @settings(max_examples=60, deadline=None)
@@ -119,7 +116,7 @@ class TestStreamedGeneratorProperties:
 
     def test_reduce_rules_false_still_cartesian(self):
         pool = pmtd_pool("path3")
-        raw = _rules_from_pmtds_eager(pool, reduce_rules=False)
+        raw = rules_from_pmtds_eager(pool, reduce_rules=False)
         assert len(raw) == 16  # 2*2*2*2*1, deduplicated
 
 
