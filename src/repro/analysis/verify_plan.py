@@ -1,4 +1,6 @@
-"""Static verification of built plans and selections — no probe executed.
+"""Static verification of built plans and selections.
+
+Every check but the last reads structure only and executes no probe.
 
 The paper's §4.2 soundness conditions, the selection ledger's arithmetic,
 and the compile-time index-pinning contract are all *checkable properties
@@ -49,6 +51,10 @@ parts) and reports every violation as a human-readable issue string:
   ``index_on`` of its rows (same keys, same buckets, no empty bucket).  A replica holding pickled step
   copies holds the index's rows in every copied piece, and its copies'
   pinned indexes are live.
+* **Skipped passes and steps** — each replica's online phase, which runs
+  only the passes that can produce a row and the steps they read, answers
+  :func:`sample_bindings` as :func:`every_pass_answer` (every step, every
+  pass: the reference path, kept off the runtime path) does.
 
 ``check_index`` raises :class:`PlanVerificationError`;
 ``verify_index`` returns the issue list for callers that want to report.
@@ -58,6 +64,8 @@ from __future__ import annotations
 
 import io
 import pickle
+from collections import Counter
+from itertools import islice, product
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.replica import ShardExecutor
@@ -76,6 +84,7 @@ from repro.tradeoff.selection import (
     SelectionResult,
     route_estimates,
 )
+from repro.util.counters import Counters
 
 __all__ = [
     "PlanVerificationError",
@@ -86,6 +95,8 @@ __all__ = [
     "verify_s_targets",
     "verify_yannakakis",
     "verify_shards",
+    "sample_bindings",
+    "every_pass_answer",
     "PickledReplicas",
     "verify_index",
     "check_index",
@@ -452,7 +463,6 @@ def verify_s_targets(index: Any) -> List[str]:
     """
     # local imports: analysis depends on core, never the reverse
     from repro.core.kernels import CompiledProbePlan
-    from repro.util.counters import Counters
 
     atoms = index.cqap.atoms
     want: Dict[Any, Set[Tuple[Any, ...]]] = {}
@@ -559,6 +569,73 @@ class PickledReplicas(ShardBackend):
                    if delta.pieces or delta.view_rows)
 
 
+#: how many access bindings :func:`sample_bindings` draws per check
+SAMPLED_BINDINGS = 8
+
+
+def sample_bindings(index: Any) -> List[Binding]:
+    """The first :data:`SAMPLED_BINDINGS` of a product of hub keys: each
+    access variable's ``k`` most frequent values (ties by value) in the
+    first atom that binds it, for the least ``k`` that gives enough."""
+    access = tuple(index.cqap.access)
+    if not access:
+        return [()]
+    k = 1
+    while k ** len(access) < SAMPLED_BINDINGS:
+        k += 1
+    per_variable: List[List[Any]] = []
+    for var in access:
+        atom = next(atom for atom in index.cqap.atoms
+                    if var in atom.variables)
+        pos = atom.variables.index(var)
+        degree = Counter(row[pos] for row in index.db[atom.relation].tuples)
+        per_variable.append(sorted(degree, key=lambda value: (
+            -degree[value], repr(value)))[:k])
+    return list(islice(product(*per_variable), SAMPLED_BINDINGS))
+
+
+def every_pass_answer(replica: Any, request: Relation) -> Set[tuple]:
+    """The rows ``replica.online_phase(request)`` must answer: every
+    compiled step run (``subsumed_by`` marks ignored), every PMTD pass
+    answered, the ``ψ_i`` projected onto the head and unioned."""
+    # local import: analysis depends on core, never the reverse
+    from repro.core.replica import assemble_views
+
+    access = tuple(replica.cqap.access)
+    bound = Relation._wrap("Q_A", access, request.tuples) if access \
+        else None
+    ctr = Counters()
+    rows: Dict[Any, Set[tuple]] = {}
+    for step in replica.steps:
+        rows.setdefault(step.decision.target, set()).update(
+            step.plan.execute(bound, ctr, step.name).tuples)
+    t_targets = {target: Relation._wrap(f"T_{''.join(sorted(target))}",
+                                        tuple(sorted(target)), found)
+                 for target, found in rows.items()}
+    head = tuple(replica.cqap.head)
+    answer: Set[tuple] = set()
+    for oy in replica.yannakakis:
+        psi = oy.answer(request, assemble_views(oy.pmtd.t_views, t_targets),
+                        counters=ctr)
+        to_head = oy.onto(head)
+        answer |= psi if to_head is None else set(map(to_head, psi))
+    return answer
+
+
+def _skip_issues(label: str, replica: Any,
+                 bindings: Sequence[Binding]) -> List[str]:
+    """Whether the passes and steps the online phase skips lose a row:
+    its answer to ``bindings`` against :func:`every_pass_answer`."""
+    request = Relation("Q_A", tuple(replica.cqap.access), bindings)
+    got = replica.online_phase(request, Counters()).tuples
+    want = every_pass_answer(replica, request)
+    if got == want:
+        return []
+    return [f"{label}online phase over {len(bindings)} sampled binding(s) "
+            f"answers {len(got - want)} row(s) a run of every step and "
+            f"pass does not and lacks {len(want - got)} it answers"]
+
+
 def _replica_issues(label: str, replica: Any, index: Any,
                     partitioned: Set[Any], n_shards: int) -> List[str]:
     """How one replica differs from what ``index`` says it must hold.
@@ -569,7 +646,9 @@ def _replica_issues(label: str, replica: Any, index: Any,
     pass over the views derives, and each cached index is a fresh
     ``index_on`` of its rows.
     Pickled step copies hold the index's rows at every step slot and
-    body-atom position, and their pinned indexes are live.
+    body-atom position, and their pinned indexes are live.  The online
+    phase answers :func:`sample_bindings` as :func:`every_pass_answer`
+    does.
     """
     # local imports: analysis depends on core, never the reverse
     from repro.core.online_yannakakis import OnlineYannakakis
@@ -629,6 +708,7 @@ def _replica_issues(label: str, replica: Any, index: Any,
             for key, cached in view._indexes.items():
                 issues.extend(_index_issues(f"{where}, node {node}", view,
                                             key, cached))
+    issues.extend(_skip_issues(label, replica, sample_bindings(index)))
     return issues
 
 

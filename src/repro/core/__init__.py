@@ -1,7 +1,7 @@
 """Executable engine: generic joins, splits, Online Yannakakis, 2PP, index."""
 
 from repro.core.index import CQAPIndex, IndexStats
-from repro.core.joins import BudgetExceeded, choose_variable_order, semijoin_reduce_full
+from repro.core.joins import BudgetExceeded, choose_variable_order
 from repro.core.online_yannakakis import OnlineYannakakis
 from repro.core.panda import CondTable, InterpretationError, ProofSequenceInterpreter
 from repro.core.split import HEAVY, LIGHT, SplitStep, Subproblem, apply_splits, split_steps_from_duals
@@ -34,6 +34,5 @@ __all__ = [
     "TwoPhasePlanner",
     "apply_splits",
     "choose_variable_order",
-    "semijoin_reduce_full",
     "split_steps_from_duals",
 ]

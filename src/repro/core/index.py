@@ -500,10 +500,14 @@ class CQAPIndex:
         return max(plan.predicted_log_time for plan in self.plans)
 
     def describe(self) -> str:
-        """Human-readable plan dump (per rule: splits and phase decisions)."""
+        """Human-readable plan dump: per rule its splits and phase
+        decisions, then per PMTD pass its views and whether the replica
+        answers it."""
         header = [
             f"CQAPIndex({self.cqap.name}): budget {self.space_budget:g} "
             f"tuples, {len(self.pmtds)} PMTDs, {len(self.rules)} rules",
             self.selection.describe(),
         ]
-        return "\n".join(header + [p.describe() for p in self.plans])
+        return "\n".join(header + [p.describe() for p in self.plans]
+                         + (self._replica.describe_passes()
+                            if self._replica is not None else []))

@@ -6,7 +6,7 @@ pieces with the per-probe request ``Q_A`` this way, preprocessing
 materializes every S-target the same way with no request at all, and a
 delta (:mod:`repro.updates`) runs plans compiled at preprocess whose
 request is the delta's row or a set of removal candidates.  The
-algorithm is :func:`repro.core.joins.project_join`'s generic join (scan
+algorithm is the interpreted ``project_join``'s generic join (scan
 the smallest candidate bucket of a variable, probe the other participants
 through their ``bound_key + (var,)`` hash indexes — through their row
 sets where that key is the whole schema); what this module removes is the
@@ -83,8 +83,8 @@ accumulate in locals and reach the :class:`~repro.util.counters.Counters`
 object once per call (in a ``finally``, so a budget abort charges what it
 explored), and their totals equal, to the unit, what ``project_join``
 charges for the same relations: same variable order, same ranking, same
-set constructions in the same order.  ``project_join`` stays in the tree
-as that oracle and nothing else — no runtime path calls it;
+set constructions in the same order.  ``project_join`` is that oracle
+and nothing else: it lives in ``tests/joins_reference.py``, and
 ``tests/test_kernels.py`` holds the two together, delta plans included.
 
 Pickling: a plan ships to process-fleet workers inside its compiled step.

@@ -263,7 +263,11 @@ class OnlineYannakakis:
         self._join_order = [n for n in self._top_down if n not in removed]
         kept = set(self.pmtd.access).union(
             *(schemas[n] for n in self._join_order))
-        self.schema: Schema = tuple(sorted(kept & head))
+        if not kept >= head:
+            raise ValueError(
+                f"{self.pmtd!r}: the kept views carry "
+                f"{sorted(kept & head)}, not the head {sorted(head)}")
+        self.schema: Schema = tuple(sorted(head))
         #: request schema -> its half of the passes (:meth:`_plan`)
         self._plans: Dict[Schema, Tuple] = {}
         #: head order -> ψ-row extractor onto it (:meth:`onto`)

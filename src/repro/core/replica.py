@@ -3,7 +3,8 @@
 A :class:`ShardExecutor` holds what the online phase reads — the compiled
 T-phase steps, one view relation per S-target, each PMTD's Online
 Yannakakis pass over the views — and both operations on it:
-:meth:`~ShardExecutor.online_phase` and :meth:`~ShardExecutor.apply_delta`.
+:meth:`~ShardExecutor.online_phase`, which runs only the passes with no
+empty view and the T-steps they read, and :meth:`~ShardExecutor.apply_delta`.
 The index is the one-shard case: :func:`shard_payloads` cuts a prepared
 index into ``n`` payloads, :class:`~repro.core.index.CQAPIndex` builds its
 replica from the one payload of ``n = 1`` (the replica the in-process
@@ -242,31 +243,73 @@ class ShardExecutor:
             OnlineYannakakis.over(pmtd, self.views,
                                   counters=self.preprocess_counters)
             for pmtd in payload.pmtds]
+        produced = {step.decision.target for step in self.steps}
+        #: ``(pass, its S-views, the T-view schemas it reads)`` of every
+        #: pass whose T-views some step computes (:meth:`_live_passes`)
+        self._passes: List[Tuple] = []
+        for oy in self.yannakakis:
+            t_schemas = frozenset(view.variables
+                                  for view in oy.pmtd.t_views.values())
+            if t_schemas <= produced:
+                self._passes.append(
+                    (oy, tuple(oy.s_views.values()), t_schemas))
         self.preprocess_seconds = time.process_time() - t0
 
     def online_phase(self, q_a: Relation, counters: Counters) -> Relation:
         """The paper's online phase for one access request relation ``Q_A``.
 
-        The compiled T-phase, its targets unioned into each PMTD's T-views,
-        Online Yannakakis per PMTD, and the union of the ``ψ_i`` projected
-        onto the head.  Charges ``counters``; no other side effect.
+        The union of the ``ψ_i`` projected onto the head.  A ``ψ_i`` joins
+        ``Q_A`` with every view of its PMTD, so only the passes with no
+        empty view run (:meth:`_live_passes`), after the compiled T-steps
+        whose target one of them reads.  Charges ``counters``; no other
+        side effect.
         """
-        t_targets = self.executor.online_compiled(self.steps, q_a,
-                                                  counters=counters)
+        live = self._live_passes()
+        read = set().union(*(t_schemas for _, t_schemas in live))
+        t_targets = self.executor.online_compiled(
+            [step for step in self.steps if step.decision.target in read],
+            q_a, counters=counters)
         head = tuple(self.cqap.head)
         out_rows: set = set()
-        for oy in self.yannakakis:
+        for oy, _ in live:
             t_views = assemble_views(oy.pmtd.t_views, t_targets)
             psi = oy.answer(q_a, t_views, counters=counters)
-            if set(oy.schema) == set(head):
-                # the projection onto the head: one scan per ψ row
-                counters.scans += len(psi)
-                to_head = oy.onto(head)
-                out_rows |= psi if to_head is None else set(map(to_head, psi))
-            elif oy.schema == ():
-                # Boolean ψ (empty head)
-                out_rows |= psi
+            # the projection onto the head: one scan per ψ row
+            counters.scans += len(psi)
+            to_head = oy.onto(head)
+            out_rows |= psi if to_head is None else set(map(to_head, psi))
         return Relation._wrap(f"{self.cqap.name}_answer", head, out_rows)
+
+    def _live_passes(self) -> List[Tuple[OnlineYannakakis, frozenset]]:
+        """``(pass, T-view schemas)`` of each pass that can produce a row
+        now: some step computes its T-views (fixed at construction) and
+        every S-view holds a row (read from the live views on every call,
+        so a delta that fills or empties one counts from the next)."""
+        return [(oy, t_schemas) for oy, s_views, t_schemas in self._passes
+                if all(view.tuples for view in s_views)]
+
+    def describe_passes(self) -> List[str]:
+        """One line per PMTD pass: its S-views with their row counts, its
+        T-view schemas, and whether :meth:`online_phase` runs it (if not,
+        why)."""
+        def named(kind: str, variables: VarSet) -> str:
+            return f"{kind}{{{','.join(sorted(variables))}}}"
+
+        produced = {step.decision.target for step in self.steps}
+        lines = []
+        for pos, oy in enumerate(self.yannakakis):
+            t_schemas = [view.variables for view in oy.pmtd.t_views.values()]
+            why = [f"no step computes {named('T', t)}"
+                   for t in t_schemas if t not in produced]
+            why += [f"{named('S', view.variables)} is empty"
+                    for view in oy.s_views.values() if not view.tuples]
+            views = [f"{named('S', view.variables)}={len(view)}"
+                     for view in oy.s_views.values()]
+            views += [named("T", t) for t in t_schemas]
+            lines.append(f"pass {pos} {oy.pmtd!r}: {', '.join(views)} -> "
+                         + ("not answered: " + "; ".join(why) if why
+                            else "answered"))
+        return lines
 
     def serve_group(self, keys: Sequence[Binding],
                     trace_ctx: Optional[Tuple[str, str]] = None,

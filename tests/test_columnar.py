@@ -7,8 +7,8 @@ contract under test: every operator produces bit-identical answers to the
 base class, charges the same counter *totals*, survives pickling with its
 caches dropped, and preserves its type through every derivation path
 (operators, partition, ``_wrap``).  ``CompiledProbePlan`` is held to the
-same standard against the interpreted
-:func:`~repro.core.joins.project_join`; that class moves to
+same standard against the interpreted ``project_join``
+(``tests/joins_reference.py``); that class moves to
 ``tests/test_kernels.py`` when this file leaves with the library.
 """
 
@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.core.joins import project_join
+from joins_reference import project_join
 from repro.core.kernels import CompiledProbePlan
 from repro.data.columnar import HAVE_NUMPY, ColumnarRelation
 from repro.data.relation import Relation, SchemaError

@@ -1,6 +1,6 @@
 """Generated generic-join kernels against the interpreted oracle.
 
-:func:`repro.core.joins.project_join` is the reference: for any body, a
+``project_join`` (``tests/joins_reference.py``) is the reference: for any body, a
 :class:`~repro.core.kernels.CompiledProbePlan` must return the same rows
 *and* charge the same ``probes``/``scans``/``joins_emitted`` — to the
 unit, budget aborts included — under the same variable order.  The second
@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 from repro import updates
 from repro.core import kernels
 from repro.core.index import CQAPIndex
-from repro.core.joins import BudgetExceeded, project_join
+from joins_reference import project_join
+from repro.core.joins import BudgetExceeded
 from repro.core.kernels import CompiledProbePlan
 from repro.data import path_database
 from repro.data.columnar import ColumnarRelation

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.verify_plan import verify_yannakakis
 from repro.core.index import CQAPIndex
-from repro.core.joins import project_join
+from joins_reference import project_join
 from repro.core.online_yannakakis import OnlineYannakakis
 from repro.core.replica import assemble_views
 from repro.core.two_phase import PlanningError
@@ -144,6 +144,17 @@ class TestValidation:
         t134 = Relation("T", ("x1", "x3", "x4"), [])
         with pytest.raises(ValueError, match="access pattern"):
             oy.answer(Relation("Q", ("x1",), [(0,)]), {0: t134})
+
+    def test_a_pass_that_does_not_carry_the_head_is_rejected(self):
+        """ψ must be over the whole head: the online phase unions every
+        pass's rows into one relation over it."""
+        cqap, db, rels = three_reach_setup()
+        oy = OnlineYannakakis(mixed_pmtd(cqap),
+                              {1: project_join(rels, ("x1", "x3"))})
+        assert oy.schema == ("x1", "x4")
+        oy.pmtd.head = oy.pmtd.head | {"x9"}
+        with pytest.raises(ValueError, match="not the head"):
+            oy._compile()
 
 
 class TestCorrectness:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core.joins import semijoin_reduce_full
+from joins_reference import semijoin_reduce_full
 from repro.core.panda import (
     CondTable,
     InterpretationError,

@@ -1,7 +1,7 @@
 """The online T-phase's work per probe on a ``reach3_distinct``-shaped index.
 
-Three properties of the compiled T-steps, each on the benchmark's
-skewed 3-path database (seed 11, |D|^1.3):
+Four properties of the online phase, each on the benchmark's skewed
+3-path database (seed 11, |D|^1.3):
 
 * a step whose pieces another step of the same T-target contains is
   skipped, and stays skipped only while the containment holds — an
@@ -12,7 +12,11 @@ skewed 3-path database (seed 11, |D|^1.3):
 * a pinned plan's variable order is fixed at preprocess: re-pins after
   deltas and unpickled copies reuse it;
 * with that order, the costliest probes — hub keys of ``R1`` — stay
-  within a constant of the planner's predicted per-probe bound.
+  within a constant of the planner's predicted per-probe bound;
+* only the PMTD passes that can produce a row run, and only the T-steps
+  they read: a pass reading a T-view no step computes, or an S-view that
+  holds no row, is skipped, and an S-view a delta fills or empties
+  counts from the next probe on, on the index and on pickled copies.
 """
 
 import pickle
@@ -20,9 +24,16 @@ from collections import Counter
 
 import pytest
 
-from repro.analysis.verify_plan import verify_compiled_plans
+from repro.analysis.verify_plan import (
+    PickledReplicas,
+    every_pass_answer,
+    verify_compiled_plans,
+    verify_shards,
+    verify_yannakakis,
+)
 from repro.core import kernels, replica
 from repro.core.index import CQAPIndex
+from repro.core.online_yannakakis import OnlineYannakakis
 from repro.data import path_database
 from repro.data.relation import Relation
 from repro.query.catalog import k_path_cqap
@@ -174,3 +185,140 @@ class TestHubProbesMeetTheBound:
                 worst = max(worst, ctr.online_work)
         limit = 4 * 2 ** index.predicted_log_time
         assert worst <= limit, (worst, limit)
+
+
+X124 = frozenset({"x1", "x2", "x4"})
+X24 = frozenset({"x2", "x4"})
+
+
+def hub_bindings(index, per_hub=16):
+    """The five highest-out-degree keys of R1, each against ``per_hub``
+    targets."""
+    degree = Counter(x for x, _ in index.db["R1"].tuples)
+    hubs = [x for x, _ in sorted(degree.items(),
+                                 key=lambda item: (-item[1], item[0]))[:5]]
+    return [(h, x4) for h in hubs for x4 in range(per_hub)]
+
+
+def count_runs(monkeypatch):
+    """Count, per name, the kernel executions and the passes answered."""
+    runs = Counter()
+    execute = kernels.CompiledProbePlan.execute
+    answer = OnlineYannakakis.answer
+
+    def counting_execute(plan, request, counters, name, *args):
+        runs[name] += 1
+        return execute(plan, request, counters, name, *args)
+
+    def counting_answer(oy, request, t_views=None, counters=None):
+        runs[repr(oy.pmtd)] += 1
+        return answer(oy, request, t_views, counters)
+
+    monkeypatch.setattr(kernels.CompiledProbePlan, "execute",
+                        counting_execute)
+    monkeypatch.setattr(OnlineYannakakis, "answer", counting_answer)
+    return runs
+
+
+def reaching(db, x4):
+    """The keys of R1 with a 3-path to ``x4``: the oracle of probes on it."""
+    x3s = {x3 for x3, y in db["R3"].tuples if y == x4}
+    x2s = {x2 for x2, x3 in db["R2"].tuples if x3 in x3s}
+    return {x1 for x1, x2 in db["R1"].tuples if x2 in x2s}
+
+
+def replica_rows(sharded, bindings):
+    """Every answer row of ``bindings``, each answered by its home shard."""
+    rows = set()
+    for shard in range(sharded.n_shards):
+        group = [key for key in bindings if sharded.shard_of(key) == shard]
+        answers, _ = sharded.answer_group(shard, group)
+        for answer in answers.values():
+            rows |= answer.tuples
+    return rows
+
+
+class TestOnlyPassesThatCanProduceARowRun:
+    def test_no_probe_runs_the_ll_step_of_the_dead_passes(self, monkeypatch):
+        """Both passes reading {x1,x2,x4} are dead — one also reads
+        {x2,x3,x4}, which no step computes, the other the empty S-view
+        {x2,x4} — so plan 0's [LL] step, the live one of that target,
+        never runs, and the answers stay those of every step and pass."""
+        index = reach3_distinct_index()
+        [ll] = [step for step in index.compiled_online
+                if step.decision.target == X124 and step.subsumed_by is None]
+        assert ll.decision.subproblem.label() == "LL"
+        assert not index._replica.views[X24].tuples
+        runs = count_runs(monkeypatch)
+        bindings = hub_bindings(index)
+        rows = set()
+        for key in bindings:
+            rows |= index.answer(key).tuples
+        assert runs[ll.name] == 0
+        assert runs["T_x1x2x3"] and runs["T_x1x3x4"]
+        assert runs["PMTD(T124, T234)"] == runs["PMTD(T124, S24)"] == 0
+        assert rows and rows == every_pass_answer(
+            index._replica, Relation("Q_A", ("x1", "x4"), bindings))
+        lines = index.describe().splitlines()
+        assert "pass 3 PMTD(T124, T234): T{x1,x2,x4}, T{x2,x3,x4} -> not " \
+               "answered: no step computes T{x2,x3,x4}" in lines
+        assert "pass 4 PMTD(T124, S24): S{x2,x4}=0, T{x1,x2,x4} -> not " \
+               "answered: S{x2,x4} is empty" in lines
+
+    def test_a_delta_that_fills_an_s_view_revives_its_pass(self, monkeypatch):
+        """R3 key 808 (in-degree 22) goes heavy at the 26th row, which
+        gives S{x2,x4} its first rows; deleting that row empties it
+        again.  The pass over it, and the {x1,x2,x4} steps it reads, run
+        exactly while it holds a row — on the index and on both pickled
+        shards — and every answer equals the oracle."""
+        index = reach3_distinct_index()
+        sharded = PickledReplicas(index, 2)
+        db = index.db
+        k = 808
+        preds = {x3 for x3, x4 in db["R3"].tuples if x4 == k}
+        assert len(preds) == 22
+        fed = Counter(x3 for _, x3 in db["R2"].tuples)
+        fresh = [x3 for x3, _ in sorted(fed.items(),
+                                        key=lambda item: (-item[1], item[0]))
+                 if x3 not in preds][:4]
+        bindings = [(x1, k) for x1 in range(0, 1_000, 3)] \
+            + hub_bindings(index, per_hub=4)
+        runs = count_runs(monkeypatch)
+
+        def check(live):
+            views = [index._replica.views[X24]] + [
+                executor.views[X24] for executor in sharded._executors]
+            assert all(bool(view.tuples) == live for view in views)
+            want = {(x1, x4) for x1, x4 in bindings if x1 in reaching(db, x4)}
+            runs.clear()
+            assert index.answer_batch(bindings).tuples == want
+            assert replica_rows(sharded, bindings) == want
+            assert bool(runs["T_x1x2x4"]) == live
+            # one online phase on the index, one per shard
+            assert runs["PMTD(T124, S24)"] == (3 if live else 0)
+            assert runs["PMTD(T124, T234)"] == 0
+
+        check(live=False)
+        for x3 in fresh[:3]:
+            assert index.apply_delta("insert", "R3", (x3, k)).changed
+        check(live=False)
+        assert index.apply_delta("insert", "R3", (fresh[3], k)).changed
+        check(live=True)
+        assert index.apply_delta("delete", "R3", (fresh[3], k)).changed
+        check(live=False)
+
+    def test_the_verifier_sees_a_pass_skipped_that_produces_rows(
+            self, monkeypatch):
+        """With every pass skipped, the index and both pickled shards
+        answer none of the 8 sampled hub bindings' rows."""
+        index = reach3_distinct_index()
+        sharded = PickledReplicas(index, 2)
+        assert verify_yannakakis(index) == verify_shards(sharded) == []
+        monkeypatch.setattr(replica.ShardExecutor, "_live_passes",
+                            lambda executor: [])
+        issues = verify_yannakakis(index) + verify_shards(sharded)
+        assert [issue.split("online phase")[0] for issue in issues] \
+            == ["", "shard 0: ", "shard 1: "]
+        assert all("sampled binding(s) answers 0 row(s) a run of every "
+                   "step and pass does not and lacks 8" in issue
+                   for issue in issues)

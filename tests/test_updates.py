@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import joins_reference
 from repro.analysis.verify_plan import (
     PickledReplicas,
     check_index,
@@ -369,15 +370,17 @@ class TestSharedPieces:
 
 @pytest.fixture
 def no_interpreter(monkeypatch):
-    """``project_join`` raises wherever a loaded ``repro`` module binds it."""
-    import repro.updates  # noqa: F401  (bound before it is patched)
+    """No loaded ``repro`` module binds ``project_join``, and the test
+    reference raises if anything calls it."""
+    import repro.updates  # noqa: F401  (loaded before the check)
 
     def refuse(*args, **kwargs):
         raise AssertionError("project_join ran on a runtime path")
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("repro") and hasattr(module, "project_join"):
-            monkeypatch.setattr(module, "project_join", refuse)
+    assert not [name for name, module in list(sys.modules.items())
+                if name.startswith("repro")
+                and hasattr(module, "project_join")]
+    monkeypatch.setattr(joins_reference, "project_join", refuse)
 
 
 def hop2_index(exponent):
